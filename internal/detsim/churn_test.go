@@ -137,24 +137,59 @@ func TestChurnSweepNoViolations(t *testing.T) {
 // splices under unfair schedules: the adversary may starve the joiner
 // or reorder channel progress arbitrarily, and two live neighbors must
 // still never eat together — a forged token on a freshly spliced edge
-// would show up here.
+// would show up here. The full run covers 6000 seeds, the range in which
+// the rejoin bug pinned below showed 4 times; -short and -race keep the
+// first few.
 func TestChurnAdversarialSafety(t *testing.T) {
-	seeds := sweepSeeds() / 2
-	g := graph.Ring(6)
+	t.Parallel()
+	seeds := 6000
+	if testing.Short() || raceEnabled {
+		seeds = sweepSeeds() / 2
+	}
+	bad := 0
 	for s := 0; s < seeds; s++ {
 		seed := int64(50_000_000 + s)
-		src := NewRand(seed)
-		leaves, joins := RandomChurn(src, g, 1+src.Intn(2), 1024)
-		res := RunAdversarial(Config{
-			Graph:    g,
-			Seed:     seed,
-			MaxSteps: 2048,
-			Leaves:   leaves,
-			Joins:    joins,
-			Source:   src,
-		})
-		if len(res.SafetyViolations) != 0 {
+		if res := adversarialChurn(seed); len(res.SafetyViolations) != 0 {
+			bad++
 			t.Errorf("seed %d: safety violated under adversarial churn: %v", seed, res.SafetyViolations)
+		}
+	}
+	t.Logf("%d of %d seeds violate exclusion", bad, seeds)
+}
+
+// adversarialChurn is the seed-indexed adversarial churn run on ring(6):
+// the seed draws one or two leave/rejoin pairs, then the whole unfair
+// schedule.
+func adversarialChurn(seed int64) *Result {
+	g := graph.Ring(6)
+	src := NewRand(seed)
+	leaves, joins := RandomChurn(src, g, 1+src.Intn(2), 1024)
+	return RunAdversarial(Config{
+		Graph:    g,
+		Seed:     seed,
+		MaxSteps: 2048,
+		Leaves:   leaves,
+		Joins:    joins,
+		Source:   src,
+	})
+}
+
+// TestRejoinedEdgeRejectsOldGenerationFrames pins a dual-eat across
+// leave → rejoin. A re-created edge used to keep its frame index, so a
+// frame sent before the leave and still in flight was accepted on the
+// new generation, where its old K-state counter read as a handover: a
+// forged token. The first four seeds violated exclusion on the code
+// before the fix (they sit outside the 167 seeds the sweep above used to
+// cover, which is how the bug stayed latent); the last three did once token
+// handovers stopped waiting for the tick. Every splice now allocates a
+// fresh index, so old-generation frames die at handle()'s stray check.
+func TestRejoinedEdgeRejectsOldGenerationFrames(t *testing.T) {
+	for _, seed := range []int64{
+		50001579, 50004059, 50005364, 50005682,
+		50000000, 50000026, 50000058,
+	} {
+		if res := adversarialChurn(seed); len(res.SafetyViolations) != 0 {
+			t.Errorf("seed %d: %v", seed, res.SafetyViolations)
 		}
 	}
 }

@@ -557,18 +557,18 @@ func (r *runner) deliver(t int, f msgpass.Frame) {
 
 // fairRound executes one fair round: faults due this round fire, every
 // node steps once in a drawn permutation, then every frame that was
-// pending at the round's start is delivered in a drawn permutation
-// (frames emitted during the round wait one round — a uniform one-round
-// channel latency). Frames carrying an injector delay are held instead:
-// each round in flight decrements the hold, and only frames whose hold
-// has expired enter the delivery window. Like the goroutine runtime's
-// transmit, the hold stalls the whole channel — frames behind a held
-// frame wait with it, and within the window same-channel frames deliver
-// oldest-first — because per-channel FIFO is the ordering the K-state
-// handshake needs (a stale counter delivered after newer frames can
-// fake a second token). The reordering faults exhibit is channels
-// overtaking one another. No extra schedule draws happen, so
-// fault-free runs hash exactly as before.
+// pending at the round's start is delivered, channels interleaved by a
+// drawn permutation (frames emitted during the round wait one round — a
+// uniform one-round channel latency). Within one channel frames always
+// deliver oldest-first, because per-channel FIFO is the ordering the
+// K-state handshake needs (a stale counter delivered after newer frames
+// can fake a second token) and the one every real transport here gives.
+// Frames carrying an injector delay are held instead: each round in
+// flight decrements the hold, and only frames whose hold has expired
+// enter the delivery window; like the goroutine runtime's transmit, the
+// hold stalls the whole channel, so frames behind a held frame wait with
+// it. The reordering faults exhibit is channels overtaking one another.
+// The FIFO remap costs no schedule draws.
 func (r *runner) fairRound(t int) {
 	r.applyFaults(t)
 	var window, held []msgpass.Frame
@@ -592,31 +592,24 @@ func (r *runner) fairRound(t int) {
 	for _, i := range perm(r.src, r.d.Network().N()) {
 		r.tick(t, graph.ProcID(i))
 	}
-	if r.cfg.Faults == nil {
-		for _, i := range perm(r.src, len(window)) {
-			r.deliver(t, window[i])
-		}
-	} else {
-		// With an injector active the window can hold several frames of
-		// one channel from different rounds; remap each draw to the
-		// oldest undelivered frame on the drawn frame's channel (append
-		// order is send order), as RunAdversarial does.
-		// Each channel is drawn once per frame it has in the window, so
-		// the remap is a bijection: the draw picks the channel, the
-		// channel yields its frames in send order.
-		delivered := make([]bool, len(window))
-		for _, i := range perm(r.src, len(window)) {
-			j := -1
-			for k := 0; k < len(window); k++ {
-				if !delivered[k] && window[k].From == window[i].From &&
-					window[k].EdgeIndex() == window[i].EdgeIndex() {
-					j = k
-					break
-				}
-			}
-			delivered[j] = true
-			r.deliver(t, window[j])
-		}
+	// The window can hold several frames of one channel — a handover reply
+	// emitted during a delivery shares its channel with the sender's tick
+	// gossip, and injector delays pile rounds up — so each draw picks a
+	// channel (that of the drawn frame) and the channel yields its oldest
+	// undelivered frame (append order is send order), as RunAdversarial
+	// does. Each channel is drawn once per frame it has in the window, so
+	// the remap is a bijection; with one frame per channel it is the
+	// identity.
+	queues := make(map[chanKey][]int, len(window))
+	for k, f := range window {
+		key := chanKey{edge: f.EdgeIndex(), from: f.From}
+		queues[key] = append(queues[key], k)
+	}
+	for _, i := range perm(r.src, len(window)) {
+		key := chanKey{edge: window[i].EdgeIndex(), from: window[i].From}
+		j := queues[key][0]
+		queues[key] = queues[key][1:]
+		r.deliver(t, window[j])
 	}
 	if t == r.baselineRound {
 		r.baseline = r.d.Network().Eats()

@@ -3,7 +3,7 @@
 //
 // The goroutine loop (runGuarded) is only a scheduler: it interleaves
 // three primitives — the initial gossip, "one tick event" (pollControl +
-// onEvent + gossipAll), and "one frame delivery" (pollControl + handle).
+// onEvent + gossipAll), and "one frame delivery" (pollControl + receive).
 // Driven exposes exactly those primitives, captures every frame the node
 // logic emits instead of pushing it into channels, and reads time from a
 // pluggable clock. A deterministic scheduler (internal/detsim) that owns
@@ -100,17 +100,19 @@ func (d *Driven) Boot() []Frame {
 func (d *Driven) Tick(p graph.ProcID) []Frame {
 	nd := d.nw.procs.Load().nodes[p]
 	nd.pollControl()
-	nd.onEvent()
-	nd.gossipAll()
+	nd.tick()
 	return d.take()
 }
 
 // Deliver hands frame f to its destination — exactly the inbox arm of
-// the goroutine loop — and returns the frames emitted in response.
+// the goroutine loop — and returns the frames emitted in response: a
+// token handover on f's edge from a node that has not just eaten, a
+// gossip on every edge if the event turned the node Hungry, usually
+// nothing.
 func (d *Driven) Deliver(f Frame) []Frame {
 	nd := d.nw.procs.Load().nodes[f.To]
 	nd.pollControl()
-	nd.handle(f.m)
+	nd.receive(f.m)
 	return d.take()
 }
 
@@ -167,13 +169,12 @@ func (r *DrivenReader) Halting(p graph.ProcID) bool {
 // token (the write capability), falling back to the low endpoint's
 // belief while the token is in flight.
 func (r *DrivenReader) Priority(e graph.Edge) graph.ProcID {
-	i := r.nw.edgeIDOf(e.A, e.B)
-	if i < 0 {
+	ros := r.nw.procs.Load()
+	ea := ros.nodes[e.A].edgeToOrNil(e.B)
+	eb := ros.nodes[e.B].edgeToOrNil(e.A)
+	if ea == nil || eb == nil {
 		panic(fmt.Sprintf("msgpass: no edge %v", e))
 	}
-	ros := r.nw.procs.Load()
-	ea := ros.nodes[e.A].edgeByIdx(i)
-	eb := ros.nodes[e.B].edgeByIdx(i)
 	switch {
 	case ea.holds():
 		return ea.priority

@@ -14,10 +14,16 @@
 // Process IDs stay dense and are never reused: RemoveProcess retires a
 // vertex in place (edges spliced out, node halted, ID parked) rather
 // than renumbering, so frames, snapshots, and per-process accounting
-// stay stable across generations. Frame edge indices are likewise
-// allocated once per undirected edge and survive graph rebuilds, which
-// keeps in-flight frames unambiguous while the topology changes under
-// them.
+// stay stable across generations. Frame edge indices are never reused
+// either, and they name one generation of an edge, not the vertex pair:
+// every splice-in allocates a fresh index, also when the same two
+// processes were adjacent before. A frame sent on the edge's previous
+// generation and still in flight across a leave → rejoin therefore
+// matches no live edge and dies at handle()'s stray-frame check. With a
+// reused index it would be accepted on the re-created edge, and its
+// pre-leave K-state counter — meaningless against the new generation's
+// zeroed pair — can read as a token handover: a forged token, and two
+// neighbors eating together.
 package msgpass
 
 import (
@@ -216,18 +222,14 @@ func (nw *Network) checkPeersLocked(p graph.ProcID, neighbors []graph.ProcID) ([
 }
 
 // spliceEdgeLocked registers edge {p,q} (p joining, q incumbent) in the
-// adjacency and edge-ID books and returns the two endpoint states under
-// the asymmetric humble rule.
+// adjacency books under a fresh frame edge index and returns the two
+// endpoint states under the asymmetric humble rule.
 //
 // requires memMu
 func (nw *Network) spliceEdgeLocked(p, q graph.ProcID) (joiner, incumbent edgeState) {
 	e := graph.EdgeBetween(p, q)
-	id, ok := nw.edgeIDs[e]
-	if !ok {
-		id = nw.nextEdgeID
-		nw.nextEdgeID++
-		nw.edgeIDs[e] = id
-	}
+	id := nw.nextEdgeID
+	nw.nextEdgeID++
 	nw.curAdj[e] = true
 	nw.everAdj[e] = true
 	joiner = edgeState{
@@ -311,16 +313,6 @@ func (nw *Network) everAdjSnapshot() map[graph.Edge]bool {
 		out[e] = true
 	}
 	return out
-}
-
-// edgeIDOf returns the stable frame edge index of edge {a,b}, or -1.
-func (nw *Network) edgeIDOf(a, b graph.ProcID) int {
-	nw.memMu.Lock()
-	defer nw.memMu.Unlock()
-	if i, ok := nw.edgeIDs[graph.EdgeBetween(a, b)]; ok {
-		return i
-	}
-	return -1
 }
 
 // spawn starts a freshly added node's goroutine if the network is

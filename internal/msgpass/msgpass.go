@@ -15,8 +15,9 @@
 //     arbitrary counter corruption the edge stabilizes to a single
 //     alternating token;
 //   - nodes gossip their current (counter, state, depth, priority belief)
-//     on every edge — eagerly after each local change and periodically on
-//     a tick — so message loss or buffer overflow only delays, never
+//     on every edge — at once when they turn Hungry or, not having just
+//     eaten, are asked for a token they can spare, and periodically on a
+//     tick — so message loss or buffer overflow only delays, never
 //     wedges, the protocol; receiving a duplicate is idempotent;
 //   - the token is the write capability for the shared priority
 //     variable: only the current holder mutates its belief, and a
@@ -94,8 +95,12 @@ type Config struct {
 	// EatEvents is how many node events an eating session spans before
 	// exit becomes eligible (>= 1; default 2).
 	EatEvents int
-	// TickEvery is the gossip period — all frames are paced by it
-	// (default 1ms).
+	// TickEvery is the gossip period (default 1ms): how often every node
+	// re-sends its full state on every edge. It paces retransmission,
+	// stabilization and the token rotation of a busy neighborhood (a
+	// node that has just eaten releases its tokens with its tick); hunger
+	// and an idle holder's handover are sent the moment they happen, so
+	// a grant in an idle neighborhood does not wait for it.
 	TickEvery time.Duration
 	// InboxSize is each node's channel capacity (default 256).
 	InboxSize int

@@ -133,7 +133,6 @@ type Network struct {
 	curAdj     map[graph.Edge]bool       // guarded by memMu
 	everAdj    map[graph.Edge]bool       // guarded by memMu
 	departed   []bool                    // guarded by memMu
-	edgeIDs    map[graph.Edge]int        // guarded by memMu
 	nextEdgeID int                       // guarded by memMu
 	pendingOps map[graph.ProcID][]edgeOp // guarded by memMu
 
@@ -217,16 +216,14 @@ func NewNetwork(cfg Config) *Network {
 		curAdj:          make(map[graph.Edge]bool, g.EdgeCount()),
 		everAdj:         make(map[graph.Edge]bool, g.EdgeCount()),
 		departed:        make([]bool, g.N()),
-		edgeIDs:         make(map[graph.Edge]int, g.EdgeCount()),
 		nextEdgeID:      g.EdgeCount(),
 		pendingOps:      make(map[graph.ProcID][]edgeOp),
 		delayed:         make(map[delayKey][]message),
 	}
 	nw.curGraph.Store(g)
-	for i, e := range g.Edges() {
+	for _, e := range g.Edges() {
 		nw.curAdj[e] = true
 		nw.everAdj[e] = true
-		nw.edgeIDs[e] = i
 	}
 	d := g.Diameter()
 	if cfg.DiameterOverride > 0 {
@@ -368,21 +365,20 @@ func (n *node) runGuarded() {
 			return
 		case m := <-n.inbox:
 			n.pollControl()
-			n.handle(m)
+			n.receive(m)
 		case <-ticker.C:
 			n.pollControl()
-			n.onEvent()
-			n.gossipAll()
+			n.tick()
 		case <-n.wakeCh:
 			// Demand-driven event: run one event now so a fresh needs()
 			// value is acted on at transport latency, not tick latency.
-			// Gossip only on a state change — an unchanged node has
-			// nothing new to announce, and unconditional gossip here
-			// would turn a hot demand source into a frame storm.
+			// Gossip only on news — an unchanged node has nothing to
+			// announce, and unconditional gossip here would turn a hot
+			// demand source into a frame storm.
 			n.pollControl()
 			before := n.state
 			n.onEvent()
-			if n.state != before {
+			if n.announces(before) {
 				n.gossipAll()
 			}
 		}
@@ -506,10 +502,14 @@ func (nw *Network) SetNeeds(p graph.ProcID, hungry bool) { nw.procs.Load().needs
 // Wake schedules an immediate extra event for node p, so a needs()
 // change just written with SetNeeds is acted on now instead of at p's
 // next gossip tick. Demand sources (the lock service) call it on the
-// grant path; without it every acquire pays up to one tick period of
-// pure waiting, which is the dominant latency once the transport is
-// microseconds. Wakes coalesce (capacity-1 channel) and are a no-op on
-// a driven network, whose driver owns all event scheduling. Safe to
+// grant path. In an idle neighborhood it is the first link of a chain
+// with no clock in it: the woken node turns Hungry and gossips at once,
+// each neighbor holding a token answers that frame with the handover
+// (see node.receive), and the node enters on the frame that completes its
+// set — hungry → eating costs one frame round trip, whatever TickEvery
+// is. A neighbor that has eaten within the last tick period answers on
+// its tick instead. Wakes coalesce (capacity-1 channel) and are a no-op
+// on a driven network, whose driver owns all event scheduling. Safe to
 // call from any goroutine.
 func (nw *Network) Wake(p graph.ProcID) {
 	select {

@@ -96,6 +96,7 @@ type node struct {
 	events int64
 
 	eatRemaining int // events left before exit becomes eligible
+	linger       int // own ticks left before requests are answered between ticks again
 
 	dead     bool
 	malSteps int   // > 0: malicious window
@@ -165,14 +166,83 @@ func (n *node) applyEdgeOps() {
 	n.publish()
 }
 
-// handle processes one incoming frame.
-func (n *node) handle(m message) {
+// lingerTicks is how many of its own ticks a node lets pass after a meal
+// before it answers requests between ticks again: the tick that ends the
+// period the meal fell in, and one full period after it.
+const lingerTicks = 2
+
+// receive is the inbox arm of the event loop: it runs the frame's event
+// through handle and then answers at transport latency what an idle
+// neighborhood can answer, instead of leaving it to the next gossip tick:
+//
+//   - a node the event turned Hungry announces it on all edges, as the
+//     wake arm would have (a frame can slip in between SetNeeds and Wake);
+//   - a node that has not eaten for a full tick period hands over a held
+//     token the frame made grantable on the edge it arrived on (the peer
+//     just announced hunger).
+//
+// Everything else rides the periodic tick as before: a frame that changed
+// nothing, lost frames, stabilization from garbage — and every handover
+// out of a node that has just eaten (linger > 0). The last is what keeps a
+// loaded neighborhood on the tick's clock. Without it tokens rotate as
+// fast as the CPU runs the event loops: throughput under load doubles,
+// but it is then bound by the CPU alone, costs all of it, and moves with
+// every change in the machine's speed (EXPERIMENTS.md E29). An idle
+// holder — the case where a lone grant used to wait 1.3-1.6 ms for
+// nothing — still answers at once.
+//
+// Neither answer can echo: a handover reply needs token possession, which
+// the reply itself gives away, and two Thinking endpoints never bounce a
+// token because shouldGrant demands a Hungry or Eating peer; the
+// announcement needs a real Thinking → Hungry transition. A dead node
+// answers nothing, and a node inside its malicious window has already
+// emitted its garbage for this event.
+func (n *node) receive(m message) {
+	before, malicious := n.state, n.malSteps > 0
+	e := n.handle(m)
+	switch {
+	case e == nil || malicious:
+	case before == core.Thinking && n.state != core.Thinking:
+		n.gossipAll()
+	case n.linger == 0 && e.holds() && n.shouldGrant(e):
+		n.gossipEdge(e)
+	}
+}
+
+// tick is the ticker arm of the event loop: one event, the full gossip
+// that carries retransmission, stabilization and every handover a busy
+// neighborhood makes, and one tick off the post-meal linger.
+func (n *node) tick() {
+	n.onEvent()
+	n.gossipAll()
+	if n.linger > 0 {
+		n.linger--
+	}
+}
+
+// announces reports whether the wake arm's event, which began in state
+// before, must be gossiped now rather than at the next tick: it moved the
+// node into or out of Thinking. That is the only fact about a neighbor's
+// state any decision here reads — join, leave and enter test "ancestor is
+// Thinking", shouldGrant tests "peer is not Thinking", and enter's
+// "no descendant Eating" is implied by holding the descendant's token —
+// so Hungry → Eating is news to nobody and waits for the tick. The
+// comparison spans the whole event, so join/leave flapping inside one
+// event announces nothing.
+func (n *node) announces(before core.State) bool {
+	return (before == core.Thinking) != (n.state == core.Thinking)
+}
+
+// handle processes one incoming frame: it folds the frame into the edge's
+// caches and runs one event. It returns the edge the frame arrived on, or
+// nil for a frame that was ignored (dead receiver, stray edge index).
+func (n *node) handle(m message) *edgeState {
 	if n.dead {
-		return // a dead process reads nothing, does nothing
+		return nil // a dead process reads nothing, does nothing
 	}
 	e := n.edgeByIdx(m.edgeIdx)
 	if e == nil || m.from != e.peer {
-		return // stray frame (possible during malicious garbage storms)
+		return nil // stray frame (garbage storms, or a pre-splice generation)
 	}
 	if !e.heard {
 		// First frame since a clean reboot: the peer's word is the only
@@ -197,7 +267,7 @@ func (n *node) handle(m message) {
 			e.peerDepth = m.depth
 		}
 		n.onEvent()
-		return
+		return e
 	}
 	// A receiver adopts the priority belief only from a frame whose
 	// counters prove authority: either the sender still holds the token,
@@ -218,10 +288,7 @@ func (n *node) handle(m message) {
 		e.peerDepth = m.depth
 	}
 	n.onEvent()
-	// No eager reply: acting on the frame already gossips on state
-	// changes, and the periodic tick re-sends everything. Replying to
-	// every frame would amplify idle edges into message storms (a token
-	// bouncing between two thinking nodes at channel speed).
+	return e
 }
 
 // onEvent advances the node: malicious windows emit garbage, live nodes
@@ -272,14 +339,16 @@ func (n *node) act() {
 			}
 			if before == core.Eating && n.state != core.Eating {
 				n.net.recordEatEnd(n.id)
+				n.linger = lingerTicks
 			}
 			if n.state != before {
 				n.applyPendingYields()
-				// State changes propagate on the next tick's gossip. An
-				// eager gossipAll here amplifies churn storms (e.g. the
-				// perpetual fixdepth/exit cycle against a dead
-				// descendant's frozen garbage depth) into enough frames
-				// to saturate every inbox and starve the whole system.
+				// No gossip from inside the action loop: the event-loop
+				// arm that ran this event compares the dining state
+				// before and after the whole event and gossips at most
+				// once (see receive, announces). One gossip per action
+				// would turn intra-event churn — join/leave flapping, an
+				// exit/fixdepth cycle — into a frame burst each.
 			}
 		}
 		if !executed {
@@ -323,7 +392,8 @@ func (n *node) gossipAll() {
 // gossipEdge sends the current frame on one edge. Tokens move on demand,
 // not on every round: the holder keeps the token by default and grants it
 // when the peer's gossiped hunger asks for it (see shouldGrant). Frames
-// themselves flow every tick regardless, carrying state/depth/priority.
+// themselves flow every tick regardless, carrying state/depth/priority,
+// and between ticks whenever receive finds something to answer.
 func (n *node) gossipEdge(e *edgeState) {
 	if n.dead {
 		return
@@ -350,7 +420,7 @@ func (n *node) gossipEdge(e *edgeState) {
 // priority arbitrates between two hungry endpoints. An eating node never
 // grants — held tokens are exactly what makes eating exclusive. Keeping
 // the token from a thinking peer is always safe: the peer will request by
-// becoming hungry, which its tick gossip announces. This mirrors the
+// becoming hungry, which it gossips the moment it happens. This mirrors the
 // shared-memory semantics: a process waits only on its ancestors, so a
 // hungry descendant can never block an ancestor by hoarding.
 func (n *node) shouldGrant(e *edgeState) bool {
@@ -419,6 +489,7 @@ func (n *node) applyRestart(mode RestartMode) {
 	n.malSteps = 0
 	n.inc++
 	n.eatRemaining = 0
+	n.linger = 0
 	if mode == RestartArbitrary {
 		n.state = core.State(n.rng.Intn(3) + 1)
 		n.depth = n.rng.Intn(2*n.d + 4)
@@ -497,8 +568,22 @@ func (v *nodeView) NeighborState(q graph.ProcID) core.State {
 	return v.n.edgeTo(q).peerState
 }
 
+// NeighborDepth reports the freshest depth heard from q — except across
+// an edge with a yield pending, which contributes no depth at all. In the
+// paper exit writes priority.p.q := q atomically, so after an exit p has
+// no descendants and fixdepth has nothing to copy. Here the write waits
+// for the edge token (see YieldTo), and a token pinned by a dead holder
+// never arrives: the corpse would stay p's "descendant" forever, every
+// event would re-run fixdepth → exit against its frozen garbage depth,
+// and p would gossip depth > D for good — which p's own ancestors then
+// inherit, carrying the damage past distance 1. -1 is below every
+// depth.p, so fixdepth's guard (depth.p < depth.q + 1) is false for it.
 func (v *nodeView) NeighborDepth(q graph.ProcID) int {
-	return v.n.edgeTo(q).peerDepth
+	e := v.n.edgeTo(q)
+	if e.pendingYield {
+		return -1
+	}
+	return e.peerDepth
 }
 
 func (v *nodeView) HasPriority(q graph.ProcID) bool {
@@ -522,10 +607,19 @@ func (v *nodeView) YieldTo(q graph.ProcID) {
 }
 
 func (n *node) edgeTo(q graph.ProcID) *edgeState {
+	if e := n.edgeToOrNil(q); e != nil {
+		return e
+	}
+	panic("msgpass: no edge to neighbor")
+}
+
+// edgeToOrNil locates the incident edge to peer q, or nil if the node
+// has none (not adjacent, or the splice has not been polled yet).
+func (n *node) edgeToOrNil(q graph.ProcID) *edgeState {
 	for i := range n.edges {
 		if n.edges[i].peer == q {
 			return &n.edges[i]
 		}
 	}
-	panic("msgpass: no edge to neighbor")
+	return nil
 }
