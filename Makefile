@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race short flake cover bench bench-json bench-gate wire-smoke span-smoke failover-smoke control-smoke examples experiments figure2 modelcheck detsim fuzz dinerd loadgen chaos-smoke clean
+.PHONY: all build vet lint test benchmark-test race short flake cover bench bench-json bench-gate wire-smoke span-smoke failover-smoke control-smoke shard-smoke examples experiments figure2 modelcheck detsim fuzz dinerd loadgen chaos-smoke clean
 
 all: build vet lint test
 
@@ -24,6 +24,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own module (BENCHMARK.json's harness), so tier-1
+# never compiles it: a lockservice/wire API change that breaks it would
+# otherwise pass unnoticed.
+benchmark-test:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 short:
 	$(GO) test -short ./...
@@ -73,13 +80,24 @@ wire-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) run -race ./cmd/dinerd chaos -transport wire -duration 6s -seed 1 -kills 2
 
+# The smoke targets below are the single copy: CI runs `make <target>`.
+
+# Shard smoke: race-checked router e2e + stale-generation retry, and the
+# detsim membership-churn sweep (docs/SHARD.md).
+shard-smoke:
+	$(GO) test -race -run 'TestRouterEndToEnd|TestRouterWrongShardRetry' ./internal/lockservice/
+	$(GO) run ./cmd/detsim -mode churn -topology grid:3x3 -seeds 0..20 -churn 2 -rounds 400
+
 # Cross-shard span smoke: race-checked router multi-key e2e + facade
-# parity, the detsim span-oracle sweep (fair, churn, and mid-prepare
-# shard-crash flavors), and a short fuzz burst over random key-set/
-# churn/crash interleavings (docs/SHARD.md).
+# parity, the detsim span-oracle sweeps as tests and as CLI runs (fair,
+# churn, and mid-prepare shard-crash flavors), and a short fuzz burst
+# over random key-set/churn/crash interleavings (docs/SHARD.md).
 span-smoke:
 	$(GO) test -race -run 'TestRouterSpan|TestRouterSingleShardFastPath|TestWireFacadeParity' ./internal/lockservice/
 	$(GO) test -race -run 'TestSpanSweep|TestSpanSameSeed' ./internal/detsim/
+	$(GO) run ./cmd/detsim -mode span -topology grid:3x3 -seeds 0..20 -shards 3
+	$(GO) run ./cmd/detsim -mode span -topology grid:3x3 -seeds 0..20 -shards 3 -churn 2
+	$(GO) run ./cmd/detsim -mode span -topology grid:3x3 -seeds 0..20 -shards 2 -crash 2
 	$(GO) test -run='^$$' -fuzz=FuzzCrossShardAcquire -fuzztime=10s ./internal/detsim/
 
 # Failover smoke: race-checked kill-primary e2e + fencing parity over
@@ -133,14 +151,16 @@ detsim:
 	$(GO) test ./internal/detsim/ ./cmd/detsim/
 	$(GO) run ./cmd/detsim -topology ring:6 -seed 42 -crash 2
 
-# Short-budget fuzz smoke over the four detsim fuzz targets. Native Go
-# fuzzing accepts one -fuzz target per package invocation, hence four
+# Short-budget fuzz smoke over the seven detsim fuzz targets. Native Go
+# fuzzing accepts one -fuzz target per package invocation, hence seven
 # runs; -run='^$' skips the regular tests each time.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScheduleSafety -fuzztime=10s ./internal/detsim/
 	$(GO) test -run='^$$' -fuzz=FuzzMaliciousWindow -fuzztime=10s ./internal/detsim/
 	$(GO) test -run='^$$' -fuzz=FuzzLockHistory -fuzztime=10s ./internal/detsim/
 	$(GO) test -run='^$$' -fuzz=FuzzChaosCampaign -fuzztime=10s ./internal/detsim/
+	$(GO) test -run='^$$' -fuzz=FuzzCrossShardAcquire -fuzztime=10s ./internal/detsim/
+	$(GO) test -run='^$$' -fuzz=FuzzFailover -fuzztime=10s ./internal/detsim/
 	$(GO) test -run='^$$' -fuzz=FuzzMigration -fuzztime=10s ./internal/detsim/
 
 # Build the lock-service daemon (serve + loadgen subcommands) into bin/.
@@ -152,10 +172,11 @@ loadgen: dinerd
 	./bin/dinerd loadgen
 
 # Chaos smoke: one seeded live campaign against an in-process dinerd
-# (kills, garbage restarts, transport faults, exit 1 on any violation)
-# plus a deterministic campaign sweep (see docs/CHAOS.md).
+# (kills, garbage restarts, a leave/rejoin pair, transport faults, exit 1
+# on any violation) plus a deterministic campaign sweep (see
+# docs/CHAOS.md).
 chaos-smoke:
-	$(GO) run -race ./cmd/dinerd chaos -duration 6s -seed 1 -kills 2
+	$(GO) run -race ./cmd/dinerd chaos -duration 6s -seed 1 -kills 2 -churn 1
 	$(GO) run ./cmd/detsim -mode chaos -topology grid:3x3 -seeds 0..20 -crash 2 -rounds 400
 
 clean:

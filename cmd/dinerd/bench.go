@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -58,8 +56,8 @@ type benchFile struct {
 	Config        benchConfig   `json:"config"`
 	ShardSweep    []benchResult `json:"shard_sweep"`
 	// Speedup4v1 is the acceptance quantity: 4-shard over 1-shard
-	// throughput (0 when either stage is missing from -shards).
-	Speedup4v1 float64     `json:"speedup_4shard_vs_1shard"`
+	// throughput (omitted when either stage is missing from -shards).
+	Speedup4v1 float64     `json:"speedup_4shard_vs_1shard,omitempty"`
 	Core       []coreBench `json:"core_benchmarks,omitempty"`
 }
 
@@ -176,78 +174,47 @@ func benchCmd(args []string) {
 		span:     *span,
 		seed:     *seed,
 		keys:     *keys,
-		sharded:  true,
 	}
 	cfg := lockservice.Config{Graph: g, Seed: *seed, TickEvery: *tick}
 
+	// Per-mode defaults for -shards (one count everywhere but the sweep)
+	// and -out.
+	def, ok := map[string][2]string{
+		"transports": {"4", "BENCH_wire.json"},
+		"shards":     {"1,2,4", "BENCH_shard.json"},
+		"hotkey":     {"4", "BENCH_hotkey.json"},
+		"failover":   {"2", "BENCH_failover.json"},
+	}[*mode]
+	if !ok {
+		fail(fmt.Errorf("unknown -mode %q (want transports, shards, failover, or hotkey)", *mode))
+	}
+	if *shardsCSV == "" {
+		*shardsCSV = def[0]
+	}
+	if *out == "" {
+		*out = def[1]
+	}
+	counts, err := parseShardCounts(*shardsCSV)
+	if err != nil {
+		fail(err)
+	}
+	if *mode != "shards" && len(counts) != 1 {
+		fail(fmt.Errorf("%s mode measures one shard count, got -shards %q", *mode, *shardsCSV))
+	}
+	bo := bench.Options{Warmup: *warmup, MaxSamples: *samples, TargetCV: *cv}
 	switch *mode {
 	case "transports":
-		if *shardsCSV == "" {
-			*shardsCSV = "4"
-		}
-		counts, err := parseShardCounts(*shardsCSV)
-		if err != nil {
-			fail(err)
-		}
-		if len(counts) != 1 {
-			fail(fmt.Errorf("transports mode measures one shard count, got -shards %q", *shardsCSV))
-		}
-		if *out == "" {
-			*out = "BENCH_wire.json"
-		}
-		benchTransports(g, counts[0], base, cfg, bench.Options{
-			Warmup:     *warmup,
-			MaxSamples: *samples,
-			TargetCV:   *cv,
-		}, *wireConns, *out, *compare, *tolerance)
+		benchTransports(g, counts[0], base, cfg, bo, *wireConns, *out, *compare, *tolerance)
 	case "shards":
-		if *shardsCSV == "" {
-			*shardsCSV = "1,2,4"
-		}
-		if *out == "" {
-			*out = "BENCH_shard.json"
-		}
-		benchShards(g, *shardsCSV, base, cfg, *tick, *corePath, *out)
+		benchShards(g, counts, base, cfg, *tick, *corePath, *out)
 	case "hotkey":
 		if *skew <= 1 {
 			fail(fmt.Errorf("-skew must be > 1 for the hotkey zipf draws (got %g)", *skew))
 		}
-		if *shardsCSV == "" {
-			*shardsCSV = "4"
-		}
-		counts, err := parseShardCounts(*shardsCSV)
-		if err != nil {
-			fail(err)
-		}
-		if len(counts) != 1 {
-			fail(fmt.Errorf("hotkey mode measures one shard count, got -shards %q", *shardsCSV))
-		}
-		if *out == "" {
-			*out = "BENCH_hotkey.json"
-		}
 		base.dist = distOpts{dist: "zipf", skew: *skew}
-		benchHotkey(g, counts[0], base, cfg, bench.Options{
-			Warmup:     *warmup,
-			MaxSamples: *samples,
-			TargetCV:   *cv,
-		}, *cores, *out, *compare, *tolerance)
+		benchHotkey(g, counts[0], base, cfg, bo, *cores, *out, *compare, *tolerance)
 	case "failover":
-		if *shardsCSV == "" {
-			*shardsCSV = "2"
-		}
-		counts, err := parseShardCounts(*shardsCSV)
-		if err != nil {
-			fail(err)
-		}
-		if len(counts) != 1 {
-			fail(fmt.Errorf("failover mode measures one shard count, got -shards %q", *shardsCSV))
-		}
-		if *out == "" {
-			*out = "BENCH_failover.json"
-		}
 		benchFailover(g, counts[0], *replicas, *kills, base, cfg, *out)
-	default:
-		fail(fmt.Errorf("unknown -mode %q (want transports, shards, failover, or hotkey)", *mode))
 	}
 }
 
@@ -271,39 +238,14 @@ func benchHotkey(g *graph.Graph, shards int, o loadOpts, base lockservice.Config
 	// between stages), the zipf swarm sampled until the CV settles, and
 	// a paired p99 series drawn from the same kept samples.
 	measure := func(name string, rebalance *control.Config) (grants, p99 *bench.Series, m *lockservice.RouterMetrics) {
-		rt := lockservice.NewRouter(lockservice.RouterConfig{Shards: shards, Base: base, Rebalance: rebalance})
-		rt.Start()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fail(err)
-		}
-		httpSrv := &http.Server{Handler: rt.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer func() {
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = httpSrv.Shutdown(shutdownCtx)
-			rt.Stop(shutdownCtx)
-		}()
-
-		addr := "http://" + ln.Addr().String()
-		probeCtx, cancelProbe := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancelProbe()
-		probe := lockservice.NewClient(addr)
-		rep, err := probe.Status(probeCtx)
-		if err != nil {
-			fail(fmt.Errorf("bench server unreachable: %w", err))
-		}
-		info, err := probe.Ring(probeCtx)
-		if err != nil {
-			fail(fmt.Errorf("bench server has no ring: %w", err))
-		}
-		cat := buildKeyCatalog(o.keys, rep.Edges, replicaRing(info))
+		svc := startService(lockservice.RouterConfig{Shards: shards, Base: base, Rebalance: rebalance}, "127.0.0.1:0", "", wire.ServerConfig{})
+		defer svc.close(10 * time.Second)
+		cat := svc.catalog(o.keys)
 
 		var p99s []float64
 		run := func(iteration int) (float64, error) {
 			lo := o
-			lo.addr = addr
+			lo.addr = svc.url
 			lo.transport = "http"
 			lo.seed = o.seed + int64(iteration)*1000003
 			ctx, cancel := context.WithTimeout(context.Background(), o.duration+30*time.Second)
@@ -318,20 +260,14 @@ func benchHotkey(g *graph.Graph, shards int, o loadOpts, base lockservice.Config
 			return float64(res.grants.Load()) / o.duration.Seconds(), nil
 		}
 		opts := bo
-		opts.Progress = func(iteration int, warm bool, v float64) {
-			tag := "sample"
-			if warm {
-				tag = "warmup"
-			}
-			fmt.Printf("bench:   %s %s %d: %.0f grants/s\n", name, tag, iteration, v)
-		}
+		opts.Progress = progress(name)
 		series, err := bench.Run(name, "grants/s", opts, run)
 		if err != nil {
 			fail(err)
 		}
 		p99 = &bench.Series{Name: name + "_p99", Unit: "ms", Samples: p99s}
 		p99.Summarize()
-		return series, p99, rt.Metrics()
+		return series, p99, svc.rt.Metrics()
 	}
 
 	staticSeries, staticP99, _ := measure("static", nil)
@@ -379,65 +315,51 @@ func benchHotkey(g *graph.Graph, shards int, o loadOpts, base lockservice.Config
 	fmt.Printf("bench: static %.0f grants/s (p99 %.2fms), controller %.0f grants/s (p99 %.2fms), controller/static %.2fx\n",
 		staticSeries.Mean, staticP99.Mean, ctlSeries.Mean, ctlP99.Mean, file.Ratios["controller_vs_static"])
 
-	if compare != "" {
-		baseline, err := bench.Load(compare)
-		if err != nil {
-			fail(fmt.Errorf("bench: load baseline: %w", err))
+	gateOrWrite(file, out, compare, tolerance)
+}
+
+// progress prints one line per sample of the named series.
+func progress(name string) func(iteration int, warm bool, v float64) {
+	return func(iteration int, warm bool, v float64) {
+		tag := "sample"
+		if warm {
+			tag = "warmup"
 		}
-		if bad := bench.Compare(baseline, file, tolerance); len(bad) > 0 {
-			for _, v := range bad {
-				fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", v)
-			}
-			os.Exit(1)
+		fmt.Printf("bench:   %s %s %d: %.0f grants/s\n", name, tag, iteration, v)
+	}
+}
+
+// gateOrWrite ends a bench.File mode: with a -compare baseline it gates
+// the fresh measurement against it (exit 1 on regression), otherwise it
+// writes the measurement to out.
+func gateOrWrite(file *bench.File, out, compare string, tolerance float64) {
+	if compare == "" {
+		if err := file.Write(out); err != nil {
+			fail(err)
 		}
-		fmt.Printf("bench: holds the %s baseline within %.0f%%\n", compare, tolerance*100)
+		fmt.Printf("bench: wrote %s\n", out)
 		return
 	}
-	if err := file.Write(out); err != nil {
-		fail(err)
+	baseline, err := bench.Load(compare)
+	if err != nil {
+		fail(fmt.Errorf("bench: load baseline: %w", err))
 	}
-	fmt.Printf("bench: wrote %s\n", out)
+	if bad := bench.Compare(baseline, file, tolerance); len(bad) > 0 {
+		for _, v := range bad {
+			fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", v)
+		}
+		os.Exit(1)
+	}
+	fmt.Printf("bench: holds the %s baseline within %.0f%%\n", compare, tolerance*100)
 }
 
 // benchTransports measures HTTP vs wire grants/s against one live
 // router serving both listeners at once — the same process, lease
 // table, and shard ring; only the transport differs.
 func benchTransports(g *graph.Graph, shards int, o loadOpts, base lockservice.Config, bo bench.Options, wireConns int, out, compare string, tolerance float64) {
-	rt := lockservice.NewRouter(lockservice.RouterConfig{Shards: shards, Base: base})
-	rt.Start()
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = httpSrv.Serve(httpLn) }()
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	ws := wire.NewServer(wire.ServerConfig{Backend: rt.WireBackend()})
-	go func() { _ = ws.Serve(wireLn) }()
-	defer func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		ws.Close()
-		_ = httpSrv.Shutdown(shutdownCtx)
-		rt.Stop(shutdownCtx)
-	}()
-
-	httpURL := "http://" + httpLn.Addr().String()
-	probeCtx, cancelProbe := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancelProbe()
-	probe := lockservice.NewClient(httpURL)
-	rep, err := probe.Status(probeCtx)
-	if err != nil {
-		fail(fmt.Errorf("bench server unreachable: %w", err))
-	}
-	info, err := probe.Ring(probeCtx)
-	if err != nil {
-		fail(fmt.Errorf("bench server has no ring: %w", err))
-	}
-	cat := buildKeyCatalog(o.keys, rep.Edges, replicaRing(info))
+	svc := startService(lockservice.RouterConfig{Shards: shards, Base: base}, "127.0.0.1:0", "127.0.0.1:0", wire.ServerConfig{})
+	defer svc.close(10 * time.Second)
+	cat := svc.catalog(o.keys)
 
 	fmt.Printf("bench: transports over %d-shard %s, %d clients, %v per sample (warmup %d, <=%d samples, cv target %.2f)\n",
 		shards, g.Name(), o.clients, o.duration, bo.Warmup, bo.MaxSamples, bo.TargetCV)
@@ -458,21 +380,15 @@ func benchTransports(g *graph.Graph, shards int, o loadOpts, base lockservice.Co
 			return float64(res.grants.Load()) / o.duration.Seconds(), nil
 		}
 		opts := bo
-		opts.Progress = func(iteration int, warm bool, v float64) {
-			tag := "sample"
-			if warm {
-				tag = "warmup"
-			}
-			fmt.Printf("bench:   %s %s %d: %.0f grants/s\n", transport, tag, iteration, v)
-		}
+		opts.Progress = progress(transport)
 		return bench.Run(transport, "grants/s", opts, run)
 	}
 
-	httpSeries, err := measure("http", httpURL)
+	httpSeries, err := measure("http", svc.url)
 	if err != nil {
 		fail(err)
 	}
-	wireSeries, err := measure("wire", wireLn.Addr().String())
+	wireSeries, err := measure("wire", svc.wireAddr)
 	if err != nil {
 		fail(err)
 	}
@@ -504,33 +420,11 @@ func benchTransports(g *graph.Graph, shards int, o loadOpts, base lockservice.Co
 	fmt.Printf("bench: http %.0f grants/s (cv %.3f), wire %.0f grants/s (cv %.3f), wire/http %.2fx\n",
 		httpSeries.Mean, httpSeries.CV, wireSeries.Mean, wireSeries.CV, file.Ratios["wire_vs_http"])
 
-	if compare != "" {
-		baseline, err := bench.Load(compare)
-		if err != nil {
-			fail(fmt.Errorf("bench: load baseline: %w", err))
-		}
-		if bad := bench.Compare(baseline, file, tolerance); len(bad) > 0 {
-			for _, v := range bad {
-				fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("bench: holds the %s baseline within %.0f%%\n", compare, tolerance*100)
-		return
-	}
-	if err := file.Write(out); err != nil {
-		fail(err)
-	}
-	fmt.Printf("bench: wrote %s\n", out)
+	gateOrWrite(file, out, compare, tolerance)
 }
 
 // benchShards runs the shard-count scaling sweep into BENCH_shard.json.
-func benchShards(g *graph.Graph, shardsCSV string, o loadOpts, cfg lockservice.Config, tick time.Duration, corePath, out string) {
-	counts, err := parseShardCounts(shardsCSV)
-	if err != nil {
-		fail(err)
-	}
-
+func benchShards(g *graph.Graph, counts []int, o loadOpts, cfg lockservice.Config, tick time.Duration, corePath, out string) {
 	file := benchFile{
 		GeneratedUnix: time.Now().Unix(),
 		GoVersion:     runtime.Version(),
@@ -551,10 +445,7 @@ func benchShards(g *graph.Graph, shardsCSV string, o loadOpts, cfg lockservice.C
 	byCount := map[int]*benchResult{}
 	for _, count := range counts {
 		fmt.Printf("bench: %d shard(s), %d clients for %v (tick %v)\n", count, o.clients, o.duration, tick)
-		r, err := benchStage(g, count, o, cfg)
-		if err != nil {
-			fail(err)
-		}
+		r := benchStage(g, count, o, cfg)
 		fmt.Printf("bench:   %.0f grants/s, p50 %.2fms p99 %.2fms (%d grants, %d timeouts)\n",
 			r.ThroughputPS, r.P50MS, r.P99MS, r.Grants, r.Timeouts)
 		file.ShardSweep = append(file.ShardSweep, *r)
@@ -587,39 +478,13 @@ func benchShards(g *graph.Graph, shardsCSV string, o loadOpts, cfg lockservice.C
 
 // benchStage measures one shard count: start a router over real HTTP,
 // run the load swarm, tear everything down.
-func benchStage(g *graph.Graph, shards int, o loadOpts, base lockservice.Config) (*benchResult, error) {
-	rt := lockservice.NewRouter(lockservice.RouterConfig{Shards: shards, Base: base})
-	rt.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	o.addr = "http://" + ln.Addr().String()
-
+func benchStage(g *graph.Graph, shards int, o loadOpts, base lockservice.Config) *benchResult {
+	svc := startService(lockservice.RouterConfig{Shards: shards, Base: base}, "127.0.0.1:0", "", wire.ServerConfig{})
+	o.addr = svc.url
 	ctx, cancel := context.WithTimeout(context.Background(), o.duration+30*time.Second)
 	defer cancel()
-	probe := lockservice.NewClient(o.addr)
-	rep, err := probe.Status(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("bench server unreachable: %w", err)
-	}
-	info, err := probe.Ring(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("bench server has no ring: %w", err)
-	}
-	cat := buildCatalog(rep.Edges, replicaRing(info))
-	if o.keys > 0 {
-		cat = buildKeyCatalog(o.keys, rep.Edges, replicaRing(info))
-	}
-
-	res := runLoad(ctx, cat, o)
-
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelShutdown()
-	_ = httpSrv.Shutdown(shutdownCtx)
-	rt.Stop(shutdownCtx)
+	res := runLoad(ctx, svc.catalog(o.keys), o)
+	svc.close(10 * time.Second)
 
 	br := &benchResult{
 		Shards:        shards,
@@ -645,7 +510,7 @@ func benchStage(g *graph.Graph, shards int, o loadOpts, base lockservice.Config)
 	for _, s := range shardIDs {
 		br.PerShardGrant[strconv.Itoa(s)] = res.perShard[s].grants.Load()
 	}
-	return br, nil
+	return br
 }
 
 // parseShardCounts reads "1,2,4" into a sorted-as-given int slice.

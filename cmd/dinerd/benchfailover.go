@@ -4,14 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"time"
 
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
+	"mcdp/internal/wire"
 )
 
 // failoverKill is one measured kill-primary event in BENCH_failover.json.
@@ -90,36 +89,15 @@ func benchFailover(g *graph.Graph, shards, replicas, kills int, o loadOpts, base
 		StaleAfter:     250 * time.Millisecond,
 		Logf:           func(format string, args ...any) { fmt.Printf("bench: "+format+"\n", args...) },
 	}
-	rt := lockservice.NewRouter(lockservice.RouterConfig{
+	svc := startService(lockservice.RouterConfig{
 		Shards: shards, Replicas: replicas, Base: base, Failover: fo,
-	})
-	rt.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	o.addr = "http://" + ln.Addr().String()
-	defer func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-		rt.Stop(shutdownCtx)
-	}()
-
+	}, "127.0.0.1:0", "", wire.ServerConfig{})
+	defer svc.close(10 * time.Second)
+	rt := svc.rt
+	o.addr = svc.url
+	cat := svc.catalog(o.keys)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*o.duration+60*time.Second)
 	defer cancel()
-	probe := lockservice.NewClient(o.addr)
-	rep, err := probe.Status(ctx)
-	if err != nil {
-		fail(fmt.Errorf("bench server unreachable: %w", err))
-	}
-	info, err := probe.Ring(ctx)
-	if err != nil {
-		fail(fmt.Errorf("bench server has no ring: %w", err))
-	}
-	cat := buildKeyCatalog(o.keys, rep.Edges, replicaRing(info))
 
 	fmt.Printf("bench: failover over %d x %s shards (%d standbys each), %d clients, %v per stage, %d kills\n",
 		shards, g.Name(), replicas, o.clients, o.duration, kills)

@@ -6,8 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -33,7 +31,7 @@ type recovery struct {
 }
 
 // chaosCmd runs a seeded chaos campaign against a live, in-process
-// dinerd: client load over the real HTTP API while the campaign kills
+// dinerd (a one-shard router): client load over the real HTTP API while the campaign kills
 // nodes, revives them (clean or with garbage state), opens partition
 // windows, and injects transport faults on every frame. A sampled
 // watchdog watches for adjacent eaters during the run; the verdict
@@ -104,16 +102,6 @@ func chaosCmd(args []string) {
 	if *supmode {
 		cfg.Supervise = &lockservice.SupervisorConfig{Garbage: *garbage}
 	}
-	srv := lockservice.NewServer(cfg)
-	srv.Start()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
 
 	// In wire mode the load swarm speaks the framed protocol, and the
 	// same fault profile that torments the diners substrate is injected
@@ -121,24 +109,22 @@ func chaosCmd(args []string) {
 	// arbitration layer and the transport's own recovery (CRC drops,
 	// redials, retries). Admin traffic stays on HTTP — crash/restart is
 	// the operator surface, deliberately facade-only.
-	var ws *wire.Server
+	wireAddr := ""
+	switch *transport {
+	case "http":
+	case "wire":
+		wireAddr = "127.0.0.1:0"
+	default:
+		fail(fmt.Errorf("unknown -transport %q (want http or wire)", *transport))
+	}
+	svc := startService(lockservice.RouterConfig{Base: cfg}, "127.0.0.1:0", wireAddr,
+		wire.ServerConfig{Faults: chaos.NewInjector(*seed+101, faults), FaultTick: *tick})
+	srv, baseURL := svc.rt.Shard(0), svc.url
 	var wireClient *wire.Client
-	if *transport == "wire" {
-		ws = wire.NewServer(wire.ServerConfig{
-			Backend:   srv.WireBackend(),
-			Faults:    chaos.NewInjector(*seed+101, faults),
-			FaultTick: *tick,
-		})
-		wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fail(err)
-		}
-		go func() { _ = ws.Serve(wireLn) }()
-		wireClient = wire.NewClient(wireLn.Addr().String())
+	if svc.ws != nil {
+		wireClient = wire.NewClient(svc.wireAddr)
 		wireClient.OpTimeout = time.Second // bound waiters orphaned by dropped frames
 		defer wireClient.Close()
-	} else if *transport != "http" {
-		fail(fmt.Errorf("unknown -transport %q (want http or wire)", *transport))
 	}
 
 	fmt.Printf("chaos: seed=%d %s (%d workers, %d locks) for %v on %s via %s\n",
@@ -150,56 +136,18 @@ func chaosCmd(args []string) {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
-	var (
-		wg       sync.WaitGroup
-		attempts atomic.Int64
-		grants   atomic.Int64
-		rejects  atomic.Int64 // timeouts + backpressure + unserviceable: expected under chaos
-		fenced   atomic.Int64 // releases that hit a fenced lease (404): expected after restarts
-		failures atomic.Int64
-	)
-	rep, err := lockservice.NewClient(baseURL).Status(ctx)
-	if err != nil {
-		fail(fmt.Errorf("cannot reach own server: %w", err))
-	}
-	for w := 0; w < *clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(w)*7919))
-			var sess loadSession
+	var wg sync.WaitGroup
+	edges := svc.rt.Status().Edges
+	tally := chaosSwarm(ctx, &wg, *clients, *seed, *hold, *timeout,
+		func() loadSession {
 			if wireClient != nil {
-				sess = wireSession{wireClient}
-			} else {
-				sess = httpSession{lockservice.NewClient(baseURL)}
+				return wireSession{wireClient}
 			}
-			for ctx.Err() == nil {
-				res := rep.Edges[rng.Intn(len(rep.Edges))]
-				attempts.Add(1)
-				session, err := sess.Acquire(ctx, []string{res}, *timeout)
-				if err != nil {
-					if isExpectedChaosErr(err) {
-						rejects.Add(1)
-					} else if ctx.Err() == nil {
-						failures.Add(1)
-					}
-					continue
-				}
-				grants.Add(1)
-				time.Sleep(*hold)
-				if err := sess.Release(context.WithoutCancel(ctx), session); err != nil {
-					switch {
-					case errCode(err) == 404:
-						fenced.Add(1) // lease fenced by a restart mid-hold
-					case isExpectedChaosErr(err):
-						rejects.Add(1)
-					default:
-						failures.Add(1)
-					}
-				}
-			}
-		}(w)
-	}
+			return httpSession{lockservice.NewClient(baseURL)}
+		},
+		func(rng *rand.Rand) func() string {
+			return func() string { return edges[rng.Intn(len(edges))] }
+		})
 
 	// Sampled watchdog: advisory only — per-node snapshots are not an
 	// atomic cut, so a sampled "overlap" can be a tearing artifact. The
@@ -238,10 +186,7 @@ func chaosCmd(args []string) {
 	cancel()
 	wg.Wait()
 	recoveries := *recoveriesPtr
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	_ = httpSrv.Shutdown(shutdownCtx)
-	srv.Stop(shutdownCtx)
+	svc.close(5 * time.Second)
 
 	// Authoritative verdicts, computed after the network has stopped.
 	overlaps := srv.Network().OverlappingNeighborSessions()
@@ -256,18 +201,18 @@ func chaosCmd(args []string) {
 	m := srv.Metrics()
 	d, du, co, de := srv.Network().FaultsInjected()
 	summary := stats.NewTable("chaos campaign summary", "metric", "value")
-	summary.AddRow("attempts", attempts.Load())
-	summary.AddRow("grants", grants.Load())
-	summary.AddRow("availability", fmt.Sprintf("%.1f%%", 100*float64(grants.Load())/float64(max64(attempts.Load(), 1))))
-	summary.AddRow("rejects (expected: 408/429/503)", rejects.Load())
-	summary.AddRow("fenced releases (404 after restart)", fenced.Load())
-	summary.AddRow("unexpected failures", failures.Load())
+	summary.AddRow("attempts", tally.attempts.Load())
+	summary.AddRow("grants", tally.grants.Load())
+	summary.AddRow("availability", fmt.Sprintf("%.1f%%", 100*float64(tally.grants.Load())/float64(max64(tally.attempts.Load(), 1))))
+	summary.AddRow("rejects (expected: 408/409/429/503)", tally.rejects.Load())
+	summary.AddRow("fenced releases (404 after restart)", tally.fenced.Load())
+	summary.AddRow("unexpected failures", tally.failures.Load())
 	summary.AddRow("node restarts", m.NodeRestarts.Load())
 	summary.AddRow("leases fenced", m.LeasesFenced.Load())
 	summary.AddRow("faults drop/dup/corrupt/delay", fmt.Sprintf("%d/%d/%d/%d", d, du, co, de))
 	summary.AddRow("frames lost (faults+partitions)", srv.Network().MessagesLost())
-	if ws != nil {
-		st := ws.Stats()
+	if svc.ws != nil {
+		st := svc.ws.Stats()
 		summary.AddRow("wire faults drop/dup/corrupt/stall", fmt.Sprintf("%d/%d/%d/%d",
 			st.FaultsDropped.Load(), st.FaultsDuplicate.Load(), st.FaultsCorrupted.Load(), st.FaultsStalled.Load()))
 		summary.AddRow("wire client retries", wireClient.Stats().Retries.Load())
@@ -300,15 +245,66 @@ func chaosCmd(args []string) {
 		bad = true
 		fmt.Printf("chaos: LIVENESS VIOLATION: %s\n", v)
 	}
-	if failures.Load() > 0 {
+	if tally.failures.Load() > 0 {
 		bad = true
-		fmt.Printf("chaos: %d unexpected client failures\n", failures.Load())
+		fmt.Printf("chaos: %d unexpected client failures\n", tally.failures.Load())
 	}
 	if bad {
 		fmt.Printf("chaos: FAIL (replay: dinerd chaos -seed %d)\n", *seed)
 		os.Exit(1)
 	}
 	fmt.Println("chaos: ok — exclusion held, history linearizable, every victim recovered")
+}
+
+// swarmTally is what a chaos campaign's client swarm observed.
+type swarmTally struct {
+	attempts, grants atomic.Int64
+	rejects          atomic.Int64 // 408/409/429/503 and exhausted wire retries: expected under chaos
+	fenced           atomic.Int64 // releases that hit a revoked lease (404): expected after restarts and gapped promotions
+	failures         atomic.Int64
+}
+
+// chaosSwarm starts clients workers that each acquire one drawn lock,
+// hold it, and release it until ctx ends, classifying every outcome —
+// the load both campaigns run under. Each worker gets its own session
+// and its own seeded draw function. The tally is complete once wg has
+// been waited on.
+func chaosSwarm(ctx context.Context, wg *sync.WaitGroup, clients int, seed int64, hold, timeout time.Duration,
+	session func() loadSession, sampler func(*rand.Rand) func() string) *swarmTally {
+	t := &swarmTally{}
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			draw := sampler(rand.New(rand.NewSource(seed + int64(w)*7919)))
+			sess := session()
+			for ctx.Err() == nil {
+				t.attempts.Add(1)
+				id, err := sess.Acquire(ctx, []string{draw()}, timeout)
+				if err != nil {
+					if isExpectedChaosErr(err) {
+						t.rejects.Add(1)
+					} else if ctx.Err() == nil {
+						t.failures.Add(1)
+					}
+					continue
+				}
+				t.grants.Add(1)
+				time.Sleep(hold)
+				if err := sess.Release(context.WithoutCancel(ctx), id); err != nil {
+					switch {
+					case errCode(err) == 404:
+						t.fenced.Add(1)
+					case isExpectedChaosErr(err):
+						t.rejects.Add(1)
+					default:
+						t.failures.Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	return t
 }
 
 // runCampaign spawns the executor and per-victim recovery watchers;
@@ -413,15 +409,17 @@ func watchRecovery(ctx context.Context, nw *msgpass.Network, a chaos.Action, bas
 }
 
 // isExpectedChaosErr reports rejections the campaign treats as load
-// shedding rather than bugs: waits that timed out (408), backpressure
-// (429), windows where every candidate home was dead (503), and — in
+// shedding rather than bugs: waits that timed out (408), a ring
+// generation that moved under a failover or migration with the client's
+// retries exhausted (409), backpressure (429), windows where every
+// candidate home was dead or the shard leaderless (503), and — in
 // wire mode, where the fault profile is injected into the framed
 // transport itself — operations that exhausted their retries against
 // dropped or corrupted frames. The verdict that matters is computed
 // after the run: exclusion, history linearizability, and recovery.
 func isExpectedChaosErr(err error) bool {
 	switch errCode(err) {
-	case 408, 429, 503:
+	case 408, 409, 429, 503:
 		return true
 	}
 	return errors.Is(err, wire.ErrTransport) ||

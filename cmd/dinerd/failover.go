@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mcdp/internal/chaos"
@@ -16,6 +13,7 @@ import (
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
 	"mcdp/internal/stats"
+	"mcdp/internal/wire"
 )
 
 // failoverOpts parameterizes one kill-primary chaos campaign.
@@ -80,7 +78,7 @@ func chaosFailover(o failoverOpts) {
 			},
 		}
 	}
-	rt := lockservice.NewRouter(lockservice.RouterConfig{
+	svc := startService(lockservice.RouterConfig{
 		Shards:    o.shards,
 		Replicas:  o.replicas,
 		Rebalance: rebalCfg,
@@ -102,16 +100,8 @@ func chaosFailover(o failoverOpts) {
 				fmt.Printf("chaos: "+format+"\n", args...)
 			},
 		},
-	})
-	rt.Start()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	baseURL := "http://" + ln.Addr().String()
+	}, "127.0.0.1:0", "", wire.ServerConfig{})
+	rt, baseURL := svc.rt, svc.url
 
 	fmt.Printf("chaos: failover campaign seed=%d %d x %s shards, %d standbys each, %d strikes over %v on %s\n",
 		o.seed, o.shards, o.graph.Name(), o.replicas, len(camp.Actions), o.duration, baseURL)
@@ -120,13 +110,7 @@ func chaosFailover(o failoverOpts) {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.duration)
-	probeCtx, cancelProbe := context.WithTimeout(context.Background(), 10*time.Second)
-	probe := lockservice.NewClient(baseURL)
-	rep, err := probe.Status(probeCtx)
-	if err != nil {
-		cancelProbe()
-		fail(fmt.Errorf("cannot reach own router: %w", err))
-	}
+	edges := rt.Status().Edges
 	// The rebalance campaign swaps the uniform edge draws for a zipf
 	// swarm over a named keyspace: the catalog's shard-grouped rank
 	// order colocates the hot head on one shard, which makes that shard
@@ -134,65 +118,27 @@ func chaosFailover(o failoverOpts) {
 	var cat *shardCatalog
 	hotShard := -1
 	if o.rebalance {
-		info, err := probe.Ring(probeCtx)
-		if err != nil {
-			cancelProbe()
-			fail(fmt.Errorf("router has no ring: %w", err))
-		}
-		cat = buildKeyCatalog(192, rep.Edges, replicaRing(info))
+		cat = svc.catalog(192)
 		hotShard = cat.shards[0]
 	}
-	cancelProbe()
 
 	// Client load: acquire/hold/release over the whole catalog. The
 	// client's own machinery absorbs the failovers — 409 retries after
 	// ring bumps, Retry-After honored during promotions — so anything
 	// besides timeouts and shed load counts against the verdict.
-	var (
-		wg       sync.WaitGroup
-		attempts atomic.Int64
-		grants   atomic.Int64
-		rejects  atomic.Int64
-		failures atomic.Int64
-	)
-	for w := 0; w < o.clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.seed + int64(w)*7919))
-			draw := func() string { return rep.Edges[rng.Intn(len(rep.Edges))] }
-			if cat != nil {
-				draw = cat.sampler(rng, distOpts{dist: "zipf", skew: 1.05})
-			}
+	var wg sync.WaitGroup
+	tally := chaosSwarm(ctx, &wg, o.clients, o.seed, o.hold, o.timeout,
+		func() loadSession {
 			c := lockservice.NewClient(baseURL)
 			_, _ = c.Ring(ctx) // seed the generation the acquires assert
-			for ctx.Err() == nil {
-				res := draw()
-				attempts.Add(1)
-				grant, err := c.Acquire(ctx, []string{res}, o.timeout, 0)
-				if err != nil {
-					if isExpectedChaosErr(err) || errCode(err) == 409 {
-						rejects.Add(1)
-					} else if ctx.Err() == nil {
-						failures.Add(1)
-					}
-					continue
-				}
-				grants.Add(1)
-				time.Sleep(o.hold)
-				if err := c.Release(context.WithoutCancel(ctx), grant.SessionID); err != nil {
-					switch {
-					case errCode(err) == 404:
-						rejects.Add(1) // lease TTL-drained by a gapped promotion mid-hold
-					case isExpectedChaosErr(err):
-						rejects.Add(1)
-					default:
-						failures.Add(1)
-					}
-				}
+			return httpSession{c}
+		},
+		func(rng *rand.Rand) func() string {
+			if cat != nil {
+				return cat.sampler(rng, distOpts{dist: "zipf", skew: 1.05})
 			}
-		}(w)
-	}
+			return func() string { return edges[rng.Intn(len(edges))] }
+		})
 
 	// Strike executor: replay the plan on the wall clock. A strike on a
 	// shard with no standby left is reassigned to the lowest-indexed
@@ -245,10 +191,7 @@ func chaosFailover(o failoverOpts) {
 	<-ctx.Done()
 	cancel()
 	wg.Wait()
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	_ = httpSrv.Shutdown(shutdownCtx)
-	rt.Stop(shutdownCtx)
+	svc.close(5 * time.Second)
 
 	// Authoritative verdicts. Exclusion must hold on every server a
 	// shard ever owned: a deposed primary that granted before its fence
@@ -273,11 +216,12 @@ func chaosFailover(o failoverOpts) {
 	m := rt.Metrics()
 	promos := m.PromotionDurations()
 	summary := stats.NewTable("failover campaign summary", "metric", "value")
-	summary.AddRow("attempts", attempts.Load())
-	summary.AddRow("grants", grants.Load())
-	summary.AddRow("availability", fmt.Sprintf("%.1f%%", 100*float64(grants.Load())/float64(max64(attempts.Load(), 1))))
-	summary.AddRow("rejects (expected under failover)", rejects.Load())
-	summary.AddRow("unexpected failures", failures.Load())
+	summary.AddRow("attempts", tally.attempts.Load())
+	summary.AddRow("grants", tally.grants.Load())
+	summary.AddRow("availability", fmt.Sprintf("%.1f%%", 100*float64(tally.grants.Load())/float64(max64(tally.attempts.Load(), 1))))
+	summary.AddRow("rejects (expected under failover)", tally.rejects.Load())
+	summary.AddRow("fenced releases (404: lease TTL-drained by a gapped promotion)", tally.fenced.Load())
+	summary.AddRow("unexpected failures", tally.failures.Load())
 	summary.AddRow("strikes executed", len(strikes))
 	summary.AddRow("strikes recovered", recovered)
 	summary.AddRow("promotions (router metric)", m.Failovers.Load())
@@ -319,9 +263,9 @@ func chaosFailover(o failoverOpts) {
 		bad = true
 		fmt.Printf("chaos: LOCK-HISTORY VIOLATION: %s\n", v)
 	}
-	if failures.Load() > 0 {
+	if tally.failures.Load() > 0 {
 		bad = true
-		fmt.Printf("chaos: %d unexpected client failures\n", failures.Load())
+		fmt.Printf("chaos: %d unexpected client failures\n", tally.failures.Load())
 	}
 	if o.rebalance && m.Rebalances.Load()+m.RebalancesAborted.Load() == 0 {
 		// If the controller never even started a migration there was

@@ -20,8 +20,8 @@ import (
 
 // shardCatalog maps the resource names the generator draws onto the
 // placement ring so every request is single-shard by construction.
-// Against an unsharded server (nil ring) everything lives on pseudo-
-// shard 0 and the catalog degenerates to the old behavior.
+// With no usable ring (replicaRing could not rebuild it) everything
+// lives on pseudo-shard 0 and the server's 409s do the routing.
 type shardCatalog struct {
 	keys    []string
 	shardOf map[string]int
@@ -36,9 +36,13 @@ type shardCatalog struct {
 	order []string
 }
 
-// buildCatalog draws directly from the server's raw lock catalog: the
-// keys are the canonical edge names themselves.
-func buildCatalog(edges []string, ring *shard.Ring) *shardCatalog {
+// buildCatalog draws over keys synthetic names, or — keys 0 — directly
+// from the server's raw lock catalog: the keys are then the canonical
+// edge names themselves.
+func buildCatalog(keys int, edges []string, ring *shard.Ring) *shardCatalog {
+	if keys > 0 {
+		return buildKeyCatalog(keys, edges, ring)
+	}
 	return assembleCatalog(edges, edges, ring)
 }
 
@@ -234,7 +238,6 @@ type loadOpts struct {
 	span      float64 // probability a request draws a cross-shard multi-key set
 	seed      int64
 	keys      int      // synthetic keyspace size (0 = raw edge catalog)
-	sharded   bool     // seed the ring generation so acquires assert it
 	dist      distOpts // single-key draw distribution (zero value = uniform)
 }
 
@@ -351,9 +354,7 @@ func runLoad(ctx context.Context, cat *shardCatalog, o loadOpts) *loadResult {
 		} else {
 			shared.Conns = 8
 		}
-		if o.sharded {
-			_ = shared.Sync(ctx) // hello seeds the generation the acquires assert
-		}
+		_ = shared.Sync(ctx) // hello seeds the generation the acquires assert
 		res.wire = shared.Stats()
 		defer shared.Close()
 	}
@@ -371,9 +372,7 @@ func runLoad(ctx context.Context, cat *shardCatalog, o loadOpts) *loadResult {
 				sess = wireSession{shared}
 			} else {
 				c := lockservice.NewClient(o.addr)
-				if o.sharded {
-					_, _ = c.Ring(ctx) // seed the generation the acquires assert
-				}
+				_, _ = c.Ring(ctx) // seed the generation the acquires assert
 				sess = httpSession{c}
 			}
 			for time.Now().Before(stopAt) && ctx.Err() == nil {

@@ -11,17 +11,16 @@ import (
 	"time"
 
 	"mcdp/internal/lockservice"
-	"mcdp/internal/shard"
 	"mcdp/internal/stats"
 	"mcdp/internal/wire"
 )
 
 // loadgen hammers a running dinerd with concurrent acquire/hold/release
-// cycles and reports client-observed latency percentiles. Against a
-// sharded server it replicates the placement ring from /v1/ring, keeps
-// ordinary draws single-shard, and breaks the percentiles out per
-// shard; -span mixes in cross-shard multi-key sets (one key per
-// distinct shard) that exercise the router's span protocol.
+// cycles and reports client-observed latency percentiles. It replicates
+// the placement ring from /v1/ring, keeps ordinary draws single-shard,
+// and breaks the percentiles out per shard; -span mixes in cross-shard
+// multi-key sets (one key per distinct shard) that exercise the
+// router's span protocol.
 func loadgen(args []string) {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var (
@@ -33,7 +32,7 @@ func loadgen(args []string) {
 		duration  = fs.Duration("duration", 10*time.Second, "load duration")
 		hold      = fs.Duration("hold", 5*time.Millisecond, "lease hold time per grant")
 		pair      = fs.Float64("pair", 0.2, "probability a request asks for two locks sharing a worker")
-		span      = fs.Float64("span", 0, "probability a request draws a cross-shard multi-key set (needs a sharded server)")
+		span      = fs.Float64("span", 0, "probability a request draws a cross-shard multi-key set (needs -shards >= 2 on the server)")
 		timeout   = fs.Duration("timeout", 2*time.Second, "per-acquire wait budget")
 		seed      = fs.Int64("seed", 1, "client randomness seed")
 		keys      = fs.Int("keys", 0, "synthetic named-resource keyspace size (0 = lock raw edge names)")
@@ -67,17 +66,14 @@ func loadgen(args []string) {
 		fail(fmt.Errorf("server at %s exposes no lockable resources", *addr))
 	}
 
-	// A router answers /v1/ring; a single Server does not. With a ring
-	// in hand the catalog keeps every request on one shard and each
-	// acquire asserts the generation the placement was resolved under.
-	var ring *shard.Ring
-	if info, err := probe.Ring(ctx); err == nil {
-		ring = replicaRing(info)
+	// With the ring in hand the catalog keeps every request on one shard
+	// and each acquire asserts the generation the placement was resolved
+	// under.
+	info, err := probe.Ring(ctx)
+	if err != nil {
+		fail(fmt.Errorf("cannot read %s/v1/ring: %w", *addr, err))
 	}
-	cat := buildCatalog(rep.Edges, ring)
-	if *keys > 0 {
-		cat = buildKeyCatalog(*keys, rep.Edges, ring)
-	}
+	cat := buildCatalog(*keys, rep.Edges, replicaRing(info))
 
 	target := *addr
 	if *transport == "wire" {
@@ -104,7 +100,6 @@ func loadgen(args []string) {
 		pair:      *pair,
 		span:      *span,
 		seed:      *seed,
-		sharded:   ring != nil,
 		dist:      distOpts{dist: *dist, skew: *skew, hotset: *hotset, hot: *hot},
 	})
 
@@ -135,24 +130,27 @@ func loadgen(args []string) {
 	lat.AddRow(ms(0.50), ms(0.90), ms(0.95), ms(0.99), ms(1.0))
 	lat.Render(os.Stdout)
 
-	if ring != nil {
-		per := stats.NewTable("per-shard acquire latency",
-			"shard", "grants", "p50 (ms)", "p95 (ms)", "p99 (ms)")
-		for _, s := range cat.shards {
-			t := res.perShard[s]
-			per.AddRow(s, t.grants.Load(),
-				fmt.Sprintf("%.2f", quantileMS(t.rec, 0.50)),
-				fmt.Sprintf("%.2f", quantileMS(t.rec, 0.95)),
-				fmt.Sprintf("%.2f", quantileMS(t.rec, 0.99)))
-		}
-		per.Render(os.Stdout)
+	per := stats.NewTable("per-shard acquire latency",
+		"shard", "grants", "p50 (ms)", "p95 (ms)", "p99 (ms)")
+	for _, s := range cat.shards {
+		t := res.perShard[s]
+		per.AddRow(s, t.grants.Load(),
+			fmt.Sprintf("%.2f", quantileMS(t.rec, 0.50)),
+			fmt.Sprintf("%.2f", quantileMS(t.rec, 0.95)),
+			fmt.Sprintf("%.2f", quantileMS(t.rec, 0.99)))
 	}
+	per.Render(os.Stdout)
 
 	printWireStats(res.wire)
-	if *failover {
-		printFailoverSummary(ctx, probe)
+	text, err := probe.Metrics(ctx)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: cannot scrape /metrics: %v\n", err)
 	}
-	printSubstrateCounters(ctx, probe)
+	scraped := parseSamples(text)
+	if *failover {
+		printFailoverSummary(ctx, probe, scraped)
+	}
+	printSubstrateCounters(scraped)
 
 	if res.failures.Load() > 0 {
 		os.Exit(1)
@@ -201,8 +199,8 @@ func printWireStats(s *wire.ClientStats) {
 // printFailoverSummary reports the replica-set state of a replicated
 // router after a load run: per-shard role, incarnation, standby count,
 // and replication lag from /v1/status, plus the promotion counters from
-// /metrics. Against an unreplicated server it degrades to empty rows.
-func printFailoverSummary(ctx context.Context, c *lockservice.Client) {
+// the scrape. Unreplicated shards show zero standbys.
+func printFailoverSummary(ctx context.Context, c *lockservice.Client, scraped map[string]float64) {
 	rep, err := c.Status(ctx)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: cannot read /v1/status: %v\n", err)
@@ -210,50 +208,24 @@ func printFailoverSummary(ctx context.Context, c *lockservice.Client) {
 	}
 	per := stats.NewTable("per-shard replica state",
 		"shard", "role", "incarnation", "standbys", "repl lag (records)")
-	rows := rep.Reports
-	if len(rows) == 0 {
-		rows = []lockservice.StatusReport{*rep}
-	}
-	for _, r := range rows {
-		role := r.Role
-		if role == "" {
-			role = "unreplicated"
-		}
-		per.AddRow(r.ShardID, role, r.ShardIncarnation, r.Standbys, r.ReplicationLag)
+	for _, r := range rep.Reports {
+		per.AddRow(r.ShardID, r.Role, r.ShardIncarnation, r.Standbys, r.ReplicationLag)
 	}
 	per.Render(os.Stdout)
-
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		return
-	}
-	vals := parseCounters(text)
-	tbl := stats.NewTable("failover counters (server-side)", "counter", "value")
-	for _, row := range []struct{ label, series string }{
+	seriesTable("failover counters (server-side)", scraped, [][2]string{
 		{"failovers completed", "dinerd_failover_total"},
 		{"leaderless rejections (503)", "dinerd_leaderless_rejections_total"},
 		{"promotions observed", "dinerd_promotion_seconds_count"},
 		{"leases adopted", "dinerd_leases_adopted_total"},
-	} {
-		if v, ok := vals[row.series]; ok {
-			tbl.AddRow(row.label, v)
-		}
-	}
-	tbl.Render(os.Stdout)
+	}).Render(os.Stdout)
 }
 
-// printSubstrateCounters scrapes the server's /metrics and reports the
-// message-substrate and chaos counters, so a load run shows what the
-// transport went through (faults, restarts, reconnects), not just what
-// clients observed.
-func printSubstrateCounters(ctx context.Context, c *lockservice.Client) {
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: cannot scrape /metrics: %v\n", err)
-		return
-	}
-	vals := parseCounters(text)
-	rows := []struct{ label, series string }{
+// printSubstrateCounters reports the message-substrate and chaos
+// counters from the scrape, so a load run shows what the transport went
+// through (faults, restarts, reconnects), not just what clients
+// observed.
+func printSubstrateCounters(scraped map[string]float64) {
+	tbl := seriesTable("substrate counters (server-side)", scraped, [][2]string{
 		{"frames sent", "dinerd_messages_sent_total"},
 		{"frames dropped (full inboxes)", "dinerd_messages_dropped_total"},
 		{"frames lost (loss/partitions)", "dinerd_messages_lost_total"},
@@ -270,39 +242,29 @@ func printSubstrateCounters(ctx context.Context, c *lockservice.Client) {
 		{"rebalances committed", "dinerd_rebalance_total"},
 		{"rebalances aborted", "dinerd_rebalance_aborted_total"},
 		{"migration fence bounces (409)", "dinerd_migration_fences_total"},
-	}
-	tbl := stats.NewTable("substrate counters (server-side)", "counter", "value")
-	for _, r := range rows {
-		if v, ok := vals[r.series]; ok {
-			tbl.AddRow(r.label, v)
-		}
-	}
-	if frac, ok := parseGauge(text, "dinerd_hotkey_fraction"); ok && frac > 0 {
+	})
+	if frac := scraped["dinerd_hotkey_fraction"]; frac > 0 {
 		tbl.AddRow("hottest key share of load", fmt.Sprintf("%.3f", frac))
 	}
 	tbl.Render(os.Stdout)
 }
 
-// parseGauge reads one float-valued series from Prometheus text
-// exposition — the counters table is integer-typed, so gauges like the
-// controller's hot-key fraction parse separately.
-func parseGauge(text, name string) (float64, bool) {
-	for _, line := range strings.Split(text, "\n") {
-		val, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		if v, err := strconv.ParseFloat(strings.TrimSpace(val), 64); err == nil {
-			return v, true
+// seriesTable lists the scraped value of each {label, series} row that
+// the server exported.
+func seriesTable(title string, scraped map[string]float64, rows [][2]string) *stats.Table {
+	tbl := stats.NewTable(title, "counter", "value")
+	for _, r := range rows {
+		if v, ok := scraped[r[1]]; ok {
+			tbl.AddRow(r[0], v)
 		}
 	}
-	return 0, false
+	return tbl
 }
 
-// parseCounters extracts single-value series from Prometheus text
+// parseSamples extracts the unlabelled series of a Prometheus text
 // exposition (comment and labeled lines are skipped).
-func parseCounters(text string) map[string]int64 {
-	out := map[string]int64{}
+func parseSamples(text string) map[string]float64 {
+	out := map[string]float64{}
 	for _, line := range strings.Split(text, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
 			continue
@@ -311,7 +273,7 @@ func parseCounters(text string) map[string]int64 {
 		if !ok {
 			continue
 		}
-		if v, err := strconv.ParseInt(val, 10, 64); err == nil {
+		if v, err := strconv.ParseFloat(val, 64); err == nil {
 			out[name] = v
 		}
 	}

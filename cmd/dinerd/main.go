@@ -8,13 +8,12 @@
 //	dinerd chaos   [-seed 1] [-duration 15s] [-kills 2] [-churn 1] [-supervise] [-replicas 2] ...
 //	dinerd bench   [-mode transports|shards|failover|hotkey] [-out BENCH_wire.json] ...
 //
-// serve starts the HTTP/JSON API (see docs/DINERD.md): POST
-// /v1/acquire, POST /v1/release, POST /v1/renew, GET /v1/status,
-// GET /metrics, and POST /v1/admin/crash for fault injection — plus
-// the framed binary wire protocol (see docs/WIRE.md) on -wire-addr,
-// both transports fronting the same lease table. SIGINT/SIGTERM
-// drain gracefully: in-flight leases get a grace window to be
-// released before the diners network stops.
+// serve starts the HTTP/JSON API (endpoint table in docs/DINERD.md)
+// plus the framed binary wire protocol (see docs/WIRE.md) on
+// -wire-addr, both transports fronting the same router: -shards 1
+// -replicas 0, the default, is the plain single-arbiter service.
+// SIGINT/SIGTERM drain gracefully: in-flight leases get a grace window
+// to be released before the diners network stops.
 package main
 
 import (
@@ -22,8 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -63,11 +60,13 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func serve(args []string) {
+// serveFlags parses serve's command line into the router it describes
+// and the two listen addresses (wireAddr "" disables the wire listener).
+func serveFlags(args []string) (rcfg lockservice.RouterConfig, addr, wireAddr string, err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		addr      = fs.String("addr", ":7467", "HTTP listen address")
-		wireAddr  = fs.String("wire-addr", ":7468", "framed wire-protocol listen address (empty disables)")
+		addrF     = fs.String("addr", ":7467", "HTTP listen address")
+		wireAddrF = fs.String("wire-addr", ":7468", "framed wire-protocol listen address (empty disables)")
 		topology  = fs.String("topology", "grid", "grid|ring|path|torus|complete")
 		rows      = fs.Int("rows", 3, "grid/torus rows")
 		cols      = fs.Int("cols", 4, "grid/torus cols")
@@ -90,95 +89,65 @@ func serve(args []string) {
 
 	g, err := buildTopology(*topology, *n, *rows, *cols)
 	if err != nil {
+		return rcfg, "", "", err
+	}
+	// Each shard is its own diners core over its own copy of the
+	// topology; -shards 1 -replicas 0 is the plain single-arbiter service.
+	rcfg = lockservice.RouterConfig{
+		Shards: *shards, Vnodes: *vnodes, Replicas: *replicas,
+		Base: lockservice.Config{
+			Graph:          g,
+			Seed:           *seed,
+			QueueLimit:     *queue,
+			DefaultTimeout: *timeout,
+			DefaultTTL:     *ttl,
+			TickEvery:      *tick,
+			LossRate:       *loss,
+		},
+	}
+	if *rebalance {
+		if *shards < 2 {
+			return rcfg, "", "", fmt.Errorf("-rebalance needs -shards >= 2: the controller migrates hot keys between shards, and one shard leaves it nowhere to move them")
+		}
+		rcfg.Rebalance = &control.Config{
+			Interval:   *rebEvery,
+			Hysteresis: *rebHyst,
+			Cooldown:   *rebCool,
+			Logf:       log.Printf,
+		}
+	}
+	return rcfg, *addrF, *wireAddrF, nil
+}
+
+func serve(args []string) {
+	rcfg, addr, wireAddr, err := serveFlags(args)
+	if err != nil {
 		fail(err)
 	}
-	base := lockservice.Config{
-		Graph:          g,
-		Seed:           *seed,
-		QueueLimit:     *queue,
-		DefaultTimeout: *timeout,
-		DefaultTTL:     *ttl,
-		TickEvery:      *tick,
-		LossRate:       *loss,
+	// Both transports front the same router: the wire listener accepts
+	// framed connections while HTTP stays up as the compatibility facade,
+	// and one /metrics scrape covers both.
+	svc := startService(rcfg, addr, wireAddr, wire.ServerConfig{})
+	mode := "static placement"
+	if rcfg.Rebalance != nil {
+		mode = "rebalance loop every " + rcfg.Rebalance.Interval.String()
 	}
-	// One shard serves the plain Server; more front N servers with the
-	// consistent-hash router (each shard its own diners core over its
-	// own copy of the topology).
-	var handler http.Handler
-	var stopSvc func(context.Context)
-	var backend wire.Backend
-	if *shards > 1 || *replicas > 0 {
-		rcfg := lockservice.RouterConfig{Shards: *shards, Vnodes: *vnodes, Replicas: *replicas, Base: base}
-		if *rebalance {
-			rcfg.Rebalance = &control.Config{
-				Interval:   *rebEvery,
-				Hysteresis: *rebHyst,
-				Cooldown:   *rebCool,
-				Logf:       log.Printf,
-			}
-		}
-		rt := lockservice.NewRouter(rcfg)
-		rt.Start()
-		handler, stopSvc, backend = rt.Handler(), rt.Stop, rt.WireBackend()
-		mode := "static placement"
-		if *rebalance {
-			mode = "rebalance loop every " + rebEvery.String()
-		}
-		fmt.Printf("dinerd: serving %d x %s (%d workers, %d locks, %d standbys/shard, ring gen %d, %s) on %s\n",
-			*shards, g.Name(), *shards*g.N(), *shards*g.EdgeCount(), *replicas, rt.RingInfo().Generation, mode, *addr)
-	} else {
-		srv := lockservice.NewServer(base)
-		srv.Start()
-		handler, stopSvc, backend = srv.Handler(), srv.Stop, srv.WireBackend()
-		fmt.Printf("dinerd: serving %s (%d workers, %d locks) on %s\n",
-			g.Name(), g.N(), g.EdgeCount(), *addr)
+	g := rcfg.Base.Graph
+	fmt.Printf("dinerd: serving %d x %s (%d workers, %d locks, %d standbys/shard, ring gen %d, %s) on %s\n",
+		rcfg.Shards, g.Name(), rcfg.Shards*g.N(), rcfg.Shards*g.EdgeCount(), rcfg.Replicas, svc.rt.RingInfo().Generation, mode, addr)
+	if svc.ws != nil {
+		fmt.Printf("dinerd: wire protocol on %s\n", svc.wireAddr)
 	}
-
-	// Both transports front the same backend: the wire listener accepts
-	// framed connections while HTTP stays up as the compatibility
-	// facade, and /metrics (served over HTTP) appends the wire server's
-	// counters so one scrape covers both.
-	errc := make(chan error, 2)
-	var ws *wire.Server
-	if *wireAddr != "" {
-		ws = wire.NewServer(wire.ServerConfig{Backend: backend})
-		wireLn, err := net.Listen("tcp", *wireAddr)
-		if err != nil {
-			fail(err)
-		}
-		go func() {
-			if err := ws.Serve(wireLn); err != nil {
-				errc <- err
-			}
-		}()
-		fmt.Printf("dinerd: wire protocol on %s\n", wireLn.Addr())
-		inner := handler
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			inner.ServeHTTP(w, r)
-			if r.Method == http.MethodGet && r.URL.Path == "/metrics" {
-				ws.WritePrometheus(w)
-			}
-		})
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	go func() { errc <- httpSrv.ListenAndServe() }()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	select {
-	case err := <-errc:
+	case err := <-svc.errc:
 		fail(err)
 	case <-ctx.Done():
 	}
 	fmt.Println("dinerd: draining")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if ws != nil {
-		ws.Close()
-	}
-	_ = httpSrv.Shutdown(shutdownCtx)
-	stopSvc(shutdownCtx)
+	svc.close(10 * time.Second)
 	fmt.Println("dinerd: stopped")
 }
 

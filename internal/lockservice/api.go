@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -77,10 +79,10 @@ type NodeStatus struct {
 	Incarnation int64  `json:"incarnation"`
 }
 
-// StatusReport is the body of GET /v1/status. A standalone server fills
-// ShardID from its config and leaves Shards at zero; a Router answers
-// with the same shape, Shards set to the shard count, RingGen to the
-// current ring generation, and the per-shard reports under Reports.
+// StatusReport is the body of GET /v1/status: the Router's aggregate,
+// with Shards set to the shard count, RingGen to the current ring
+// generation, and one report per shard — the same shape, ShardID filled
+// and Shards zero — under Reports.
 type StatusReport struct {
 	Topology     string       `json:"topology"`
 	ShardID      int          `json:"shard_id"`
@@ -144,6 +146,15 @@ type RestartResponse struct {
 	Fenced int `json:"fenced"`
 }
 
+// MembershipResponse is the body of a successful leave or join.
+type MembershipResponse struct {
+	Node int `json:"node"`
+	// Op is "leave" or "join".
+	Op string `json:"op"`
+	// Fenced is how many leases the leave revoked (0 for joins).
+	Fenced int `json:"fenced"`
+}
+
 // Status assembles the current status report.
 func (s *Server) Status() StatusReport {
 	table := s.nw.Table()
@@ -180,27 +191,44 @@ func (s *Server) Status() StatusReport {
 	return rep
 }
 
-// Handler returns dinerd's HTTP surface:
+// Handler returns dinerd's one HTTP surface. Every mutating endpoint is
+// POST; errors answer ErrorResponse bodies.
 //
-//	POST /v1/acquire      acquire a resource set (blocks until grant/timeout)
-//	POST /v1/release      release a granted session
-//	GET  /v1/status       topology, per-worker state, queues, leases
-//	GET  /metrics         Prometheus text exposition
-//	POST /v1/admin/crash  inject a malicious (or benign) crash: ?node=N&steps=K
-//	POST /v1/admin/restart  revive a worker: ?node=N&mode=clean|garbage
-//	POST /v1/admin/leave  retire a worker from service: ?node=N
-//	POST /v1/admin/join   readmit a departed worker: ?node=N
-func (s *Server) Handler() http.Handler {
+//	POST /v1/acquire         ring-routed acquire (409 + ring_gen on a stale generation)
+//	POST /v1/release         release, routed by the session-ID shard prefix
+//	POST /v1/renew           extend a live lease's TTL
+//	GET  /v1/status          aggregated report with per-shard sub-reports
+//	GET  /v1/ring            ring seed/vnodes/generation/members/overrides
+//	GET  /metrics            Prometheus exposition of every registered family
+//	POST /v1/admin/crash     ?node=N&steps=K[&shard=S]: malicious (or benign) crash
+//	POST /v1/admin/restart   ?node=N&mode=clean|garbage[&shard=S]: revive a worker
+//	POST /v1/admin/leave     ?node=N[&shard=S]: retire a worker from service
+//	POST /v1/admin/join      ?node=N[&shard=S]: readmit a departed worker
+//	POST /v1/admin/ring      ?op=leave|join&shard=S: ring membership
+//	POST /v1/admin/failover  ?shard=S: kill the shard primary, await promotion
+//	POST /v1/admin/migrate   ?key=K&to=S: fence/drain/commit one key move
+func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/acquire", s.handleAcquire)
-	mux.HandleFunc("/v1/release", s.handleRelease)
-	mux.HandleFunc("/v1/renew", s.handleRenew)
-	mux.HandleFunc("/v1/status", s.handleStatus)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/admin/crash", s.handleCrash)
-	mux.HandleFunc("/v1/admin/restart", s.handleRestart)
-	mux.HandleFunc("/v1/admin/leave", s.handleLeave)
-	mux.HandleFunc("/v1/admin/join", s.handleJoin)
+	mux.HandleFunc("/v1/acquire", r.handleAcquire)
+	mux.HandleFunc("/v1/release", r.handleRelease)
+	mux.HandleFunc("/v1/renew", r.handleRenew)
+	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, r.Status())
+	})
+	mux.HandleFunc("/v1/ring", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, r.RingInfo())
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		r.WriteMetrics(w)
+	})
+	mux.HandleFunc("/v1/admin/crash", admin(r.onNode(adminCrash)))
+	mux.HandleFunc("/v1/admin/restart", admin(r.onNode(adminRestart)))
+	mux.HandleFunc("/v1/admin/leave", admin(r.onNode(adminLeave)))
+	mux.HandleFunc("/v1/admin/join", admin(r.onNode(adminJoin)))
+	mux.HandleFunc("/v1/admin/ring", admin(r.adminRing))
+	mux.HandleFunc("/v1/admin/failover", admin(r.adminFailover))
+	mux.HandleFunc("/v1/admin/migrate", admin(r.adminMigrate))
 	return mux
 }
 
@@ -210,11 +238,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeErr answers a defect in the request itself (method, body, query)
+// with an explicit status.
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
-// statusFor maps the server's sentinel errors onto HTTP status codes.
+// statusFor maps the service's sentinel errors onto HTTP status codes.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrUnmappable), errors.Is(err, ErrCrossShard):
@@ -235,33 +265,62 @@ func statusFor(err error) int {
 	}
 }
 
-func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
+// writeServiceErr answers a failed acquire, release or renew. It is the
+// one place the retry hints are applied: a leaderless shard knows its
+// remaining blackout, so the 503 says exactly how long to back off
+// (fractional seconds); a 429 carries the controller's pacing hint; a
+// 409 ships the live ring generation so the client can retry without a
+// /v1/ring round-trip.
+func (r *Router) writeServiceErr(w http.ResponseWriter, err error) {
+	code := statusFor(err)
+	body := ErrorResponse{Error: err.Error()}
+	var ra *RetryAfterError
+	switch {
+	case errors.As(err, &ra):
+		w.Header().Set("Retry-After", strconv.FormatFloat(ra.After.Seconds(), 'f', 3, 64))
+	case code == http.StatusTooManyRequests:
+		w.Header().Set("Retry-After", r.retryAfterHint())
+	case code == http.StatusConflict:
+		body.RingGen = r.generation()
+	}
+	writeJSON(w, code, body)
+}
+
+// postJSON enforces POST and decodes the request body into body,
+// answering 405/400 itself; it reports whether the handler may go on.
+func postJSON(w http.ResponseWriter, req *http.Request, body any) bool {
+	if req.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
+		return false
 	}
-	var req AcquireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if body == nil {
+		return true
+	}
+	if err := json.NewDecoder(req.Body).Decode(body); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+func (r *Router) handleAcquire(w http.ResponseWriter, req *http.Request) {
+	var body AcquireRequest
+	if !postJSON(w, req, &body) {
 		return
 	}
-	if len(req.Resources) == 0 {
+	if len(body.Resources) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("resources must be non-empty"))
 		return
 	}
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
+	ctx := req.Context()
+	if body.TimeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	grant, err := s.Acquire(ctx, req.Resources, time.Duration(req.TTLMS)*time.Millisecond)
+	grant, err := r.Acquire(ctx, body.Resources, time.Duration(body.TTLMS)*time.Millisecond, body.RingGen)
 	if err != nil {
-		code := statusFor(err)
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeErr(w, code, err)
+		r.writeServiceErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, AcquireResponse{
@@ -272,151 +331,178 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+func (r *Router) handleRelease(w http.ResponseWriter, req *http.Request) {
+	var body ReleaseRequest
+	if !postJSON(w, req, &body) {
 		return
 	}
-	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.Release(req.SessionID); err != nil {
-		writeErr(w, statusFor(err), err)
+	if err := r.Release(body.SessionID); err != nil {
+		r.writeServiceErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ReleaseResponse{Released: true})
 }
 
-func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+func (r *Router) handleRenew(w http.ResponseWriter, req *http.Request) {
+	var body RenewRequest
+	if !postJSON(w, req, &body) {
 		return
 	}
-	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ttl, err := s.Renew(req.SessionID, time.Duration(req.TTLMS)*time.Millisecond)
+	ttl, err := r.Renew(body.SessionID, time.Duration(body.TTLMS)*time.Millisecond)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		r.writeServiceErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, RenewResponse{Renewed: true, TTLMS: ttl.Milliseconds()})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
-}
+// conflict marks an admin failure that is service state worth retrying
+// (409) rather than a defect in the request (400, the default).
+type conflict struct{ error }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.WriteMetrics(w)
-}
-
-func (s *Server) handleCrash(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	node, err := strconv.Atoi(r.URL.Query().Get("node"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("node query parameter required"))
-		return
-	}
-	steps := 0
-	if v := r.URL.Query().Get("steps"); v != "" {
-		steps, err = strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, errors.New("steps must be an integer"))
+// admin wraps one admin operation as a handler: POST only; op reads its
+// query parameters and acts; its result or failure is answered as JSON.
+func admin(op func(q url.Values) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if !postJSON(w, req, nil) {
 			return
 		}
+		out, err := op(req.URL.Query())
+		if errors.As(err, new(conflict)) {
+			writeErr(w, http.StatusConflict, err)
+		} else if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+		} else {
+			writeJSON(w, http.StatusOK, out)
+		}
 	}
-	if err := s.InjectCrash(graph.ProcID(node), steps); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+}
+
+// shardOf reads ?shard=S, defaulting to def when absent (def < 0 makes
+// it required).
+func (r *Router) shardOf(q url.Values, def int) (int, error) {
+	s, err := def, error(nil)
+	if v := q.Get("shard"); v != "" {
+		s, err = strconv.Atoi(v)
+	}
+	if err != nil || s < 0 || s >= len(r.sets) {
+		return 0, fmt.Errorf("shard must be in [0,%d)", len(r.sets))
+	}
+	return s, nil
+}
+
+// onNode adapts a per-node operation: the shard is picked by ?shard=S
+// (default 0), the worker by ?node=N, and op runs on that shard's
+// serving primary.
+func (r *Router) onNode(op func(s *Server, node graph.ProcID, q url.Values) (any, error)) func(url.Values) (any, error) {
+	return func(q url.Values) (any, error) {
+		shard, err := r.shardOf(q, 0)
+		if err != nil {
+			return nil, err
+		}
+		node, err := strconv.Atoi(q.Get("node"))
+		if err != nil {
+			return nil, errors.New("node query parameter required")
+		}
+		return op(r.Shard(shard), graph.ProcID(node), q)
+	}
+}
+
+func adminCrash(s *Server, node graph.ProcID, q url.Values) (any, error) {
+	steps := 0
+	if v := q.Get("steps"); v != "" {
+		var err error
+		if steps, err = strconv.Atoi(v); err != nil {
+			return nil, errors.New("steps must be an integer")
+		}
 	}
 	mode := "malicious"
 	if steps <= 0 {
 		mode = "benign"
 	}
-	writeJSON(w, http.StatusOK, CrashResponse{Node: node, Steps: steps, Mode: mode})
+	return CrashResponse{Node: int(node), Steps: steps, Mode: mode}, s.InjectCrash(node, steps)
 }
 
-func (s *Server) handleRestart(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	node, err := strconv.Atoi(r.URL.Query().Get("node"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("node query parameter required"))
-		return
-	}
+func adminRestart(s *Server, node graph.ProcID, q url.Values) (any, error) {
 	mode := msgpass.RestartClean
-	switch r.URL.Query().Get("mode") {
+	switch q.Get("mode") {
 	case "", "clean":
 	case "garbage", "arbitrary":
 		mode = msgpass.RestartArbitrary
 	default:
-		writeErr(w, http.StatusBadRequest, errors.New("mode must be clean or garbage"))
-		return
+		return nil, errors.New("mode must be clean or garbage")
 	}
-	fenced, err := s.RestartNode(graph.ProcID(node), mode)
+	fenced, err := s.RestartNode(node, mode)
+	return RestartResponse{Node: int(node), Mode: mode.String(), Fenced: fenced}, err
+}
+
+func adminLeave(s *Server, node graph.ProcID, _ url.Values) (any, error) {
+	fenced, err := s.LeaveNode(node)
+	return MembershipResponse{Node: int(node), Op: "leave", Fenced: fenced}, err
+}
+
+func adminJoin(s *Server, node graph.ProcID, _ url.Values) (any, error) {
+	return MembershipResponse{Node: int(node), Op: "join"}, s.JoinNode(node)
+}
+
+func (r *Router) adminRing(q url.Values) (any, error) {
+	s, err := r.shardOf(q, -1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, RestartResponse{Node: node, Mode: mode.String(), Fenced: fenced})
+	switch q.Get("op") {
+	case "leave":
+		err = r.RingLeave(s)
+	case "join":
+		err = r.RingJoin(s)
+	default:
+		err = errors.New("op must be leave or join")
+	}
+	return r.RingInfo(), err
 }
 
-// MembershipResponse is the body of a successful leave or join.
-type MembershipResponse struct {
-	Node int `json:"node"`
-	// Op is "leave" or "join".
-	Op string `json:"op"`
-	// Fenced is how many leases the leave revoked (0 for joins).
-	Fenced int `json:"fenced"`
-}
-
-func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	node, ok := membershipNode(w, r)
-	if !ok {
-		return
+// adminMigrate is the manual key-migration switch: POST
+// /v1/admin/migrate?key=K&to=S runs the same fence/drain/commit
+// protocol the controller actuates, so operators (and the chaos
+// harness) can move a key without waiting for the feedback loop.
+func (r *Router) adminMigrate(q url.Values) (any, error) {
+	key := q.Get("key")
+	if key == "" {
+		return nil, errors.New("key query parameter required")
 	}
-	fenced, err := s.LeaveNode(graph.ProcID(node))
+	to, err := strconv.Atoi(q.Get("to"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, errors.New("to query parameter must be a shard index")
 	}
-	writeJSON(w, http.StatusOK, MembershipResponse{Node: node, Op: "leave", Fenced: fenced})
+	// Request defects (unknown shard index) are the client's to fix;
+	// everything else — already migrating, drain timeout, leaderless
+	// destination — is migration state worth retrying, so 409.
+	if err = r.MigrateKey(key, to); err != nil && !errors.Is(err, errMigrateInvalid) {
+		err = conflict{err}
+	}
+	return r.RingInfo(), err
 }
 
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	node, ok := membershipNode(w, r)
-	if !ok {
-		return
-	}
-	if err := s.JoinNode(graph.ProcID(node)); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MembershipResponse{Node: node, Op: "join"})
-}
-
-// membershipNode validates the shared method/query contract of the
-// leave and join endpoints.
-func membershipNode(w http.ResponseWriter, r *http.Request) (int, bool) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return 0, false
-	}
-	node, err := strconv.Atoi(r.URL.Query().Get("node"))
+// adminFailover is the kill-primary admin switch: POST
+// /v1/admin/failover?shard=S halts shard S's primary and waits for the
+// supervisor to promote a standby, answering with the shard's new
+// incarnation. It exists so the chaos harness exercises the real
+// detection-and-promotion path over HTTP, not a test-only shortcut.
+func (r *Router) adminFailover(q url.Values) (any, error) {
+	s, err := r.shardOf(q, -1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("node query parameter required"))
-		return 0, false
+		return nil, err
 	}
-	return node, true
+	timeout := 5 * time.Second
+	if v := q.Get("timeout_ms"); v != "" {
+		ms, err := strconv.Atoi(v)
+		if err != nil || ms <= 0 {
+			return nil, errors.New("timeout_ms must be a positive integer")
+		}
+		timeout = time.Duration(ms) * time.Millisecond
+	}
+	if err := r.Failover(s, timeout); err != nil {
+		return nil, conflict{err}
+	}
+	return r.ShardInfo(s), nil
 }

@@ -240,9 +240,7 @@ func (c *Client) Acquire(ctx context.Context, resources []string, timeout, ttl t
 }
 
 // Ring fetches the router's ring description and caches its generation
-// for subsequent acquires. Against an unsharded server the endpoint is
-// absent and the call fails; callers that support both probe once and
-// fall back.
+// for subsequent acquires.
 func (c *Client) Ring(ctx context.Context) (*RingInfo, error) {
 	var info RingInfo
 	if err := c.call(ctx, http.MethodGet, "/v1/ring", nil, &info); err != nil {

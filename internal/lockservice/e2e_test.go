@@ -55,27 +55,21 @@ func (l *shadowLedger) violations() []string {
 }
 
 // TestEndToEndServiceSurvivesMaliciousCrash drives dinerd the way a
-// deployment would: concurrent HTTP clients acquiring and releasing
-// edge locks, then a malicious crash injected through the admin
-// endpoint, then load restricted to workers at distance >= 2 from the
-// victim. It asserts (a) no two clients ever hold the same lock, and
+// deployment would (a one-shard Router): concurrent HTTP clients
+// acquiring and releasing edge locks, then a malicious crash injected
+// through the admin endpoint, then load restricted to workers at
+// distance >= 2 from the victim. It asserts (a) no two clients ever hold the same lock, and
 // (b) every far lock is still granted after the crash.
 func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 	g := DemoTopology() // 3x4 grid; victim 0 is a corner
 	const victim = graph.ProcID(0)
 
-	srv := NewServer(Config{
+	rt := startRouter(t, 1, Config{
 		Graph:     g,
 		Seed:      7,
 		TickEvery: 300 * time.Microsecond,
 	})
-	srv.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		srv.Stop(ctx)
-	}()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
 	ledger := newShadowLedger()

@@ -193,6 +193,10 @@ func TestShardLeaderlessRetryAfter(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
+	held, err := rt.Acquire(ctx, []string{"edge:2-3"}, 0, 0)
+	if err != nil {
+		t.Fatalf("acquire before the shard goes dark: %v", err)
+	}
 	set := rt.sets[0]
 	if !set.killStandby(0) {
 		t.Fatal("killStandby(0) found no standby")
@@ -206,15 +210,23 @@ func TestShardLeaderlessRetryAfter(t *testing.T) {
 		t.Fatalf("incarnation = %d after failed promotion, want 1 (halted standby never promoted)", got)
 	}
 
+	// Every lease operation on the dark shard answers the same way: the
+	// live lease can be neither renewed nor released until a primary
+	// serves again, and the client is told how long to wait.
 	c := NewClient(hs.URL)
 	c.MaxAttempts = 1
-	_, err := c.Acquire(ctx, []string{"edge:0-1"}, time.Second, 0)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("acquire on dark shard: err = %v, want 503", err)
-	}
-	if apiErr.RetryAfter <= 0 {
-		t.Fatalf("503 carried no Retry-After hint: %+v", apiErr)
+	for op, call := range map[string]func() error{
+		"acquire": func() error { _, err := c.Acquire(ctx, []string{"edge:0-1"}, time.Second, 0); return err },
+		"renew":   func() error { _, err := c.Renew(ctx, held.SessionID, 0); return err },
+		"release": func() error { return c.Release(ctx, held.SessionID) },
+	} {
+		var apiErr *APIError
+		if err := call(); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s on dark shard: err = %v, want 503", op, err)
+		}
+		if apiErr.RetryAfter <= 0 {
+			t.Fatalf("%s: 503 carried no Retry-After hint: %+v", op, apiErr)
+		}
 	}
 	if rt.Metrics().LeaderlessRejections.Load() < 1 {
 		t.Fatal("LeaderlessRejections not bumped")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mcdp/internal/control"
+	"mcdp/internal/stats"
 )
 
 // This file is the actuator half of the hot-key feedback loop
@@ -200,6 +201,23 @@ func (r *Router) rebalanceLoop() {
 		for _, set := range r.sets {
 			set.Primary().AdviseRestartBackoff(adv.SupervisorBackoff)
 		}
+	}
+}
+
+// controlFamilies declares the feedback loop's series: migration
+// outcomes and the sensor's hottest-key share.
+func (r *Router) controlFamilies() []stats.Family {
+	m := r.metrics
+	return []stats.Family{
+		stats.Counter("dinerd_rebalance_total", "Key migrations committed (override installed after a clean drain).", m.Rebalances.Load),
+		stats.Counter("dinerd_rebalance_aborted_total", "Key migrations that fenced a key but aborted before the override landed.", m.RebalancesAborted.Load),
+		stats.Counter("dinerd_migration_fences_total", "Acquires bounced (409) by an in-flight key migration's fence.", m.MigrationFences.Load),
+		stats.Gauge("dinerd_hotkey_fraction", "Hottest single key's share of total decayed grant load (0 when the controller is off).", func() float64 {
+			if r.ctl == nil {
+				return 0
+			}
+			return r.ctl.Snapshot().HotFraction
+		}),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +70,6 @@ type replicaSet struct {
 
 	mu        sync.Mutex     //lint:order rank lockservice 14
 	primary   *Server        // guarded by mu
-	handler   http.Handler   // guarded by mu: current primary's admin surface
 	standbys  []*standbyLink // guarded by mu
 	deposed   []*Server      // guarded by mu: former primaries, fenced out
 	holdUntil time.Time      // guarded by mu: TTL-drain window after a lossy failover
@@ -91,7 +89,6 @@ func newReplicaSet(shardID int, primary *Server, standbys []*Server, ackTimeout,
 		staleAfter: staleAfter,
 		checkEvery: checkEvery,
 		primary:    primary,
-		handler:    primary.Handler(),
 	}
 	rs.inc.Store(1)
 	tapFor := func(srv *Server) func(LeaseEvent) {
@@ -132,13 +129,6 @@ func (rs *replicaSet) Primary() *Server {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.primary
-}
-
-// adminHandler returns the current primary's HTTP surface.
-func (rs *replicaSet) adminHandler() http.Handler {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.handler
 }
 
 // incarnation returns the current primary incarnation.
@@ -447,7 +437,6 @@ func (rs *replicaSet) promote() (*promotion, error) {
 	// route (adoptions replicate to survivors).
 	rs.mu.Lock()
 	rs.primary = chosen.srv
-	rs.handler = chosen.srv.Handler()
 	rs.mu.Unlock()
 
 	// The chosen standby's inbound stream is done: it IS the primary.

@@ -1,14 +1,9 @@
 package lockservice
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,6 +138,7 @@ type Router struct {
 	sets    []*replicaSet
 	fo      FailoverConfig
 	metrics *RouterMetrics
+	fams    stats.Families
 
 	// ctl is the hot-key feedback controller (nil unless
 	// RouterConfig.Rebalance is set); advice caches its latest derived
@@ -225,6 +221,8 @@ func NewRouter(cfg RouterConfig) *Router {
 		}
 	}
 	r.pushRingGen()
+	r.fams.Register(r.families()...)
+	r.fams.Register(r.controlFamilies()...)
 	return r
 }
 
@@ -794,350 +792,6 @@ func (r *Router) Status() StatusReport {
 		agg.Control = &ControlReport{Status: r.ctl.Snapshot(), OverrideCount: cnt, OverrideGen: gen}
 	}
 	return agg
-}
-
-// Handler returns the router's HTTP surface — the Server API plus the
-// ring endpoints:
-//
-//	POST /v1/acquire     ring-routed acquire (409 on stale ring_gen)
-//	POST /v1/release     release, routed by the session-ID shard prefix
-//	GET  /v1/status      aggregated report with per-shard sub-reports
-//	GET  /v1/ring        ring seed/vnodes/generation/members
-//	GET  /metrics        merged Prometheus exposition across shards
-//	POST /v1/admin/ring  ?op=leave|join&shard=S: ring membership
-//	POST /v1/admin/failover  ?shard=S: kill the shard primary, await promotion
-//	POST /v1/admin/migrate   ?key=K&to=S: fence/drain/commit one key move
-//	POST /v1/admin/*     crash/restart/leave/join, fanned out by ?shard=S
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/acquire", r.handleAcquire)
-	mux.HandleFunc("/v1/release", r.handleRelease)
-	mux.HandleFunc("/v1/renew", r.handleRenew)
-	mux.HandleFunc("/v1/admin/failover", r.handleFailover)
-	mux.HandleFunc("/v1/admin/migrate", r.handleMigrate)
-	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, r.Status())
-	})
-	mux.HandleFunc("/v1/ring", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, r.RingInfo())
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		r.WriteMetrics(w)
-	})
-	mux.HandleFunc("/v1/admin/ring", r.handleRing)
-	mux.HandleFunc("/v1/admin/", r.handleAdmin)
-	return mux
-}
-
-func (r *Router) handleAcquire(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var body AcquireRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body.Resources) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("resources must be non-empty"))
-		return
-	}
-	ctx := req.Context()
-	if body.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	grant, err := r.Acquire(ctx, body.Resources, time.Duration(body.TTLMS)*time.Millisecond, body.RingGen)
-	if err != nil {
-		code := statusFor(err)
-		var ra *RetryAfterError
-		if errors.As(err, &ra) {
-			// Leaderless shard: the remaining blackout is known
-			// server-side, so tell the client exactly how long to back
-			// off (fractional seconds).
-			w.Header().Set("Retry-After", strconv.FormatFloat(ra.After.Seconds(), 'f', 3, 64))
-		}
-		switch code {
-		case http.StatusTooManyRequests:
-			w.Header().Set("Retry-After", r.retryAfterHint())
-		case http.StatusConflict:
-			// Ship the live generation so the client can retry without a
-			// /v1/ring round-trip.
-			writeJSON(w, code, ErrorResponse{Error: err.Error(), RingGen: r.generation()})
-			return
-		}
-		writeErr(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AcquireResponse{
-		SessionID: grant.SessionID,
-		Node:      int(grant.Node),
-		Resources: grant.Resources,
-		WaitMS:    float64(grant.Wait.Microseconds()) / 1000,
-	})
-}
-
-func (r *Router) handleRelease(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var body ReleaseRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := r.Release(body.SessionID); err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReleaseResponse{Released: true})
-}
-
-func (r *Router) handleRenew(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var body RenewRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ttl, err := r.Renew(body.SessionID, time.Duration(body.TTLMS)*time.Millisecond)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RenewResponse{Renewed: true, TTLMS: ttl.Milliseconds()})
-}
-
-func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	s, err := strconv.Atoi(req.URL.Query().Get("shard"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("shard query parameter required"))
-		return
-	}
-	switch req.URL.Query().Get("op") {
-	case "leave":
-		err = r.RingLeave(s)
-	case "join":
-		err = r.RingJoin(s)
-	default:
-		writeErr(w, http.StatusBadRequest, errors.New("op must be leave or join"))
-		return
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, r.RingInfo())
-}
-
-// handleMigrate is the manual key-migration switch: POST
-// /v1/admin/migrate?key=K&to=S runs the same fence/drain/commit
-// protocol the controller actuates, so operators (and the chaos
-// harness) can move a key without waiting for the feedback loop.
-func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	key := req.URL.Query().Get("key")
-	if key == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("key query parameter required"))
-		return
-	}
-	to, err := strconv.Atoi(req.URL.Query().Get("to"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New("to query parameter must be a shard index"))
-		return
-	}
-	if err := r.MigrateKey(key, to); err != nil {
-		// Request defects (unknown shard index) are the client's to fix;
-		// everything else — already migrating, drain timeout, leaderless
-		// destination — is migration state worth retrying, so 409.
-		code := http.StatusConflict
-		if errors.Is(err, errMigrateInvalid) {
-			code = http.StatusBadRequest
-		}
-		writeErr(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, r.RingInfo())
-}
-
-// handleAdmin fans the per-node admin endpoints out to one shard's own
-// handler, selected by ?shard=S (default 0).
-func (r *Router) handleAdmin(w http.ResponseWriter, req *http.Request) {
-	s := 0
-	if v := req.URL.Query().Get("shard"); v != "" {
-		var err error
-		if s, err = strconv.Atoi(v); err != nil || s < 0 || s >= len(r.sets) {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("shard must be in [0,%d)", len(r.sets)))
-			return
-		}
-	}
-	r.sets[s].adminHandler().ServeHTTP(w, req)
-}
-
-// handleFailover is the kill-primary admin switch: POST
-// /v1/admin/failover?shard=S halts shard S's primary and waits for the
-// supervisor to promote a standby, answering with the shard's new
-// incarnation. It exists so the chaos harness exercises the real
-// detection-and-promotion path over HTTP, not a test-only shortcut.
-func (r *Router) handleFailover(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	s, err := strconv.Atoi(req.URL.Query().Get("shard"))
-	if err != nil || s < 0 || s >= len(r.sets) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("shard must be in [0,%d)", len(r.sets)))
-		return
-	}
-	timeout := 5 * time.Second
-	if v := req.URL.Query().Get("timeout_ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms <= 0 {
-			writeErr(w, http.StatusBadRequest, errors.New("timeout_ms must be a positive integer"))
-			return
-		}
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if err := r.Failover(s, timeout); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, r.ShardInfo(s))
-}
-
-// WriteMetrics merges every shard's exposition into one: samples with
-// identical name and labels are summed (which aggregates the plain
-// counters, gauges, and histogram buckets correctly), and node-labeled
-// samples first gain a shard label so worker IDs that repeat across
-// shards stay distinct. Router-level routing series are prepended.
-func (r *Router) WriteMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP dinerd_router_ring_generation Consistent-hash ring generation.\n# TYPE dinerd_router_ring_generation gauge\ndinerd_router_ring_generation %d\n", r.generation())
-	fmt.Fprintf(w, "# HELP dinerd_router_wrong_shard_rejections_total Acquires routed under a stale ring generation (409).\n# TYPE dinerd_router_wrong_shard_rejections_total counter\ndinerd_router_wrong_shard_rejections_total %d\n", r.metrics.WrongShardRejections.Load())
-	fmt.Fprintf(w, "# HELP dinerd_span_acquires_total Cross-shard span acquires attempted.\n# TYPE dinerd_span_acquires_total counter\ndinerd_span_acquires_total %d\n", r.metrics.SpanAcquires.Load())
-	fmt.Fprintf(w, "# HELP dinerd_span_commits_total Cross-shard spans committed atomically.\n# TYPE dinerd_span_commits_total counter\ndinerd_span_commits_total %d\n", r.metrics.SpanCommits.Load())
-	fmt.Fprintf(w, "# HELP dinerd_span_rollback_total Cross-shard spans rolled back (sub-acquire failure, lost prepare, or fenced sub-lease).\n# TYPE dinerd_span_rollback_total counter\ndinerd_span_rollback_total %d\n", r.metrics.SpanRollbacks.Load())
-	fmt.Fprintf(w, "# HELP dinerd_router_shard_requests_total Acquire requests routed per shard.\n# TYPE dinerd_router_shard_requests_total counter\n")
-	for i := range r.metrics.ShardRequests {
-		fmt.Fprintf(w, "dinerd_router_shard_requests_total{shard=%q} %d\n", strconv.Itoa(i), r.metrics.ShardRequests[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP dinerd_failover_total Completed standby promotions across all shards.\n# TYPE dinerd_failover_total counter\ndinerd_failover_total %d\n", r.metrics.Failovers.Load())
-	fmt.Fprintf(w, "# HELP dinerd_leaderless_rejections_total Requests bounced with 503+Retry-After while a shard was leaderless.\n# TYPE dinerd_leaderless_rejections_total counter\ndinerd_leaderless_rejections_total %d\n", r.metrics.LeaderlessRejections.Load())
-	fmt.Fprintf(w, "# HELP dinerd_rebalance_total Key migrations committed (override installed after a clean drain).\n# TYPE dinerd_rebalance_total counter\ndinerd_rebalance_total %d\n", r.metrics.Rebalances.Load())
-	fmt.Fprintf(w, "# HELP dinerd_rebalance_aborted_total Key migrations that fenced a key but aborted before the override landed.\n# TYPE dinerd_rebalance_aborted_total counter\ndinerd_rebalance_aborted_total %d\n", r.metrics.RebalancesAborted.Load())
-	fmt.Fprintf(w, "# HELP dinerd_migration_fences_total Acquires bounced (409) by an in-flight key migration's fence.\n# TYPE dinerd_migration_fences_total counter\ndinerd_migration_fences_total %d\n", r.metrics.MigrationFences.Load())
-	hot := 0.0
-	if r.ctl != nil {
-		hot = r.ctl.Snapshot().HotFraction
-	}
-	fmt.Fprintf(w, "# HELP dinerd_hotkey_fraction Hottest single key's share of total decayed grant load (0 when the controller is off).\n# TYPE dinerd_hotkey_fraction gauge\ndinerd_hotkey_fraction %s\n", strconv.FormatFloat(hot, 'g', -1, 64))
-	writeHistogram(w, "dinerd_promotion_seconds", "Standby promotion latency: decision to serving.", r.metrics.PromotionHist)
-	fmt.Fprintf(w, "# HELP dinerd_shard_role Shard role (1=primary serving, 0=halted/leaderless).\n# TYPE dinerd_shard_role gauge\n")
-	for i, set := range r.sets {
-		role := 1
-		if !set.Primary().Healthy() {
-			role = 0
-		}
-		fmt.Fprintf(w, "dinerd_shard_role{shard=%q} %d\n", strconv.Itoa(i), role)
-	}
-	fmt.Fprintf(w, "# HELP dinerd_shard_incarnation Primary incarnation per shard (bumped on every promotion).\n# TYPE dinerd_shard_incarnation gauge\n")
-	for i, set := range r.sets {
-		fmt.Fprintf(w, "dinerd_shard_incarnation{shard=%q} %d\n", strconv.Itoa(i), set.incarnation())
-	}
-	fmt.Fprintf(w, "# HELP dinerd_shard_replication_lag Widest standby lag per shard, in lease records.\n# TYPE dinerd_shard_replication_lag gauge\n")
-	for i, set := range r.sets {
-		fmt.Fprintf(w, "dinerd_shard_replication_lag{shard=%q} %d\n", strconv.Itoa(i), set.maxLag())
-	}
-
-	help := map[string]string{}
-	typ := map[string]string{}
-	sums := map[string]float64{}
-	var order []string // first-seen sample keys, for stable output
-	for i, set := range r.sets {
-		var buf bytes.Buffer
-		set.Primary().WriteMetrics(&buf)
-		sc := bufio.NewScanner(&buf)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-				name, text, _ := strings.Cut(rest, " ")
-				help[name] = text
-				continue
-			}
-			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-				name, t, _ := strings.Cut(rest, " ")
-				typ[name] = t
-				continue
-			}
-			key, val, ok := parseSample(line, i)
-			if !ok {
-				continue
-			}
-			if _, seen := sums[key]; !seen {
-				order = append(order, key)
-			}
-			sums[key] += val
-		}
-	}
-	emitted := map[string]bool{}
-	for _, key := range order {
-		name := key
-		if j := strings.IndexByte(key, '{'); j >= 0 {
-			name = key[:j]
-		}
-		if fam := familyOf(name, help); fam != "" && !emitted[fam] {
-			emitted[fam] = true
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam, help[fam], fam, typ[fam])
-		}
-		fmt.Fprintf(w, "%s %s\n", key, strconv.FormatFloat(sums[key], 'g', -1, 64))
-	}
-}
-
-// parseSample splits one exposition sample line into its merge key and
-// value, injecting a shard label into node-labeled samples.
-func parseSample(line string, shardID int) (key string, val float64, ok bool) {
-	sp := strings.LastIndexByte(line, ' ')
-	if sp <= 0 {
-		return "", 0, false
-	}
-	key = line[:sp]
-	v, err := strconv.ParseFloat(line[sp+1:], 64)
-	if err != nil {
-		return "", 0, false
-	}
-	if strings.Contains(key, `{node=`) && strings.HasSuffix(key, "}") {
-		key = fmt.Sprintf("%s,shard=%q}", key[:len(key)-1], strconv.Itoa(shardID))
-	}
-	return key, v, true
-}
-
-// familyOf resolves a sample name to its HELP/TYPE family, stripping
-// the histogram sample suffixes.
-func familyOf(name string, help map[string]string) string {
-	if _, ok := help[name]; ok {
-		return name
-	}
-	for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, sfx); ok {
-			if _, ok := help[base]; ok {
-				return base
-			}
-		}
-	}
-	return ""
 }
 
 // ShardKeys partitions a catalog of resource names by owning shard —

@@ -16,6 +16,7 @@ import (
 	"mcdp/internal/graph"
 	"mcdp/internal/msgpass"
 	"mcdp/internal/sim"
+	"mcdp/internal/stats"
 )
 
 // Sentinel errors the HTTP layer maps onto status codes.
@@ -67,7 +68,7 @@ type Config struct {
 	Graph *graph.Graph
 	// ShardID identifies this server inside a sharded deployment; it
 	// prefixes every session ID ("k<shard>:s...") so a Router can route
-	// releases without a lookup table. 0 for a standalone server.
+	// releases without a lookup table.
 	ShardID int
 	// Seed drives the msgpass substrate.
 	Seed int64
@@ -128,8 +129,9 @@ type lease struct {
 }
 
 // Server is the dinerd core: the msgpass diners network, the drinkers
-// session arbiter, and the lease bookkeeping. Create with NewServer,
-// then Start; the HTTP surface is Handler().
+// session arbiter, and the lease bookkeeping — one in-process shard.
+// Create with NewServer, then Start; clients reach it through a Router,
+// which owns the HTTP and wire surfaces.
 type Server struct {
 	cfg     Config
 	g       *graph.Graph
@@ -137,6 +139,7 @@ type Server struct {
 	arb     *drinkers.Arbiter
 	nw      *msgpass.Network
 	metrics *Metrics
+	fams    stats.Families
 
 	wake chan struct{}
 	done chan struct{}
@@ -212,6 +215,7 @@ func NewServer(cfg Config) *Server {
 			}
 		},
 	})
+	s.fams.Register(s.families()...)
 	return s
 }
 
@@ -654,10 +658,6 @@ func (s *Server) JoinNode(node graph.ProcID) error {
 // serving under; the Router updates it on every ring membership change
 // so /v1/status answers from any shard agree on the routing epoch.
 func (s *Server) SetRingGen(gen uint64) { s.ringGen.Store(gen) }
-
-// RingGen returns the last ring generation set by SetRingGen (0 for a
-// standalone server).
-func (s *Server) RingGen() uint64 { return s.ringGen.Load() }
 
 // Stop drains the server: new acquires are rejected, pending waiters
 // are woken with ErrDraining, and live leases are given until the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mcdp/internal/graph"
+	"mcdp/internal/wire"
 )
 
 // fastConfig returns a server config tuned for tests: a tiny topology
@@ -225,17 +226,18 @@ func TestStatusReportShape(t *testing.T) {
 }
 
 func TestMetricsExposition(t *testing.T) {
-	s := startServer(t, fastConfig(graph.Grid(2, 2)))
+	rt := startRouter(t, 1, fastConfig(graph.Grid(2, 2)))
+	wire.NewServer(wire.ServerConfig{Backend: rt.WireBackend()}).Register(rt.Families())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	g1, err := s.Acquire(ctx, []string{"edge:0-1"}, 0)
+	g1, err := rt.Acquire(ctx, []string{"edge:0-1"}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Release(g1.SessionID)
+	rt.Release(g1.SessionID)
 
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	rt.WriteMetrics(&buf)
 	text := buf.String()
 	names := MetricNames()
 	if len(names) < 6 {

@@ -39,19 +39,13 @@ func TestWireEndToEndSurvivesMaliciousCrash(t *testing.T) {
 	g := DemoTopology() // 3x4 grid; victim 0 is a corner
 	const victim = graph.ProcID(0)
 
-	srv := NewServer(Config{
+	rt := startRouter(t, 1, Config{
 		Graph:     g,
 		Seed:      7,
 		TickEvery: 300 * time.Microsecond,
 	})
-	srv.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		srv.Stop(ctx)
-	}()
-	wireAddr := startWireListener(t, srv.WireBackend())
-	ts := httptest.NewServer(srv.Handler()) // admin + status facade
+	wireAddr := startWireListener(t, rt.WireBackend())
+	ts := httptest.NewServer(rt.Handler()) // admin + status facade
 	defer ts.Close()
 
 	ledger := newShadowLedger()
@@ -376,50 +370,45 @@ func TestWireFacadeParity(t *testing.T) {
 // TestServerRenewExtendsLease proves a renewed lease outlives its
 // original TTL and that renewal respects fencing.
 func TestServerRenewExtendsLease(t *testing.T) {
-	srv := NewServer(Config{
+	rt := startRouter(t, 1, Config{
 		Graph:      graph.Grid(2, 2),
 		Seed:       3,
 		TickEvery:  300 * time.Microsecond,
 		DefaultTTL: 400 * time.Millisecond,
 	})
-	srv.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		srv.Stop(ctx)
-	}()
+	srv := rt.Shard(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
 	res := EdgeName(srv.Graph().Edges()[0])
-	g, err := srv.Acquire(ctx, []string{res}, 0)
+	g, err := rt.Acquire(ctx, []string{res}, 0, 0)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
 	// Keep renewing past the original TTL; the lease must stay live.
 	for i := 0; i < 4; i++ {
 		time.Sleep(250 * time.Millisecond)
-		if _, err := srv.Renew(g.SessionID, 0); err != nil {
+		if _, err := rt.Renew(g.SessionID, 0); err != nil {
 			t.Fatalf("renew %d: %v", i, err)
 		}
 	}
 	if srv.ActiveLeases() != 1 {
 		t.Fatalf("lease expired despite renewals")
 	}
-	if err := srv.Release(g.SessionID); err != nil {
+	if err := rt.Release(g.SessionID); err != nil {
 		t.Fatalf("release after renewals: %v", err)
 	}
 
 	// A lease left unrenewed past its TTL is expired, and renewing it
 	// then reports ErrNotFound.
-	g2, err := srv.Acquire(ctx, []string{res}, 300*time.Millisecond)
+	g2, err := rt.Acquire(ctx, []string{res}, 300*time.Millisecond, 0)
 	if err != nil {
 		t.Fatalf("second acquire: %v", err)
 	}
 	waitFor(t, ctx, 5*time.Second, "TTL expiry", func() (bool, string) {
 		return srv.ActiveLeases() == 0, fmt.Sprintf("leases=%d", srv.ActiveLeases())
 	})
-	if _, err := srv.Renew(g2.SessionID, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := rt.Renew(g2.SessionID, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("renew of expired lease: got %v want ErrNotFound", err)
 	}
 }

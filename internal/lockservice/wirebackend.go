@@ -30,43 +30,6 @@ func acquireCtx(ctx context.Context, req wire.AcquireReq) (context.Context, cont
 	return ctx, func() {}
 }
 
-// serverBackend adapts a standalone Server onto wire.Backend.
-type serverBackend struct{ s *Server }
-
-// WireBackend adapts the server for a wire listener: the framed binary
-// transport and the HTTP facade both land on the same Acquire/Release/
-// Renew core, so leases, TTL fencing, and metrics are shared.
-func (s *Server) WireBackend() wire.Backend { return serverBackend{s} }
-
-func (b serverBackend) Acquire(ctx context.Context, req wire.AcquireReq) (wire.GrantInfo, error) {
-	ctx, cancel := acquireCtx(ctx, req)
-	defer cancel()
-	g, err := b.s.Acquire(ctx, req.Resources, req.TTL)
-	if err != nil {
-		return wire.GrantInfo{}, wireErr(err, b.s.RingGen())
-	}
-	return wire.GrantInfo{Session: g.SessionID, Node: int(g.Node), Wait: g.Wait}, nil
-}
-
-func (b serverBackend) Release(ctx context.Context, session string) error {
-	if err := b.s.Release(session); err != nil {
-		return wireErr(err, b.s.RingGen())
-	}
-	return nil
-}
-
-func (b serverBackend) Renew(ctx context.Context, session string, ttl time.Duration) (time.Duration, error) {
-	granted, err := b.s.Renew(session, ttl)
-	if err != nil {
-		return 0, wireErr(err, b.s.RingGen())
-	}
-	return granted, nil
-}
-
-func (b serverBackend) RingGen() uint64 { return b.s.RingGen() }
-
-func (b serverBackend) WaitBudget() time.Duration { return b.s.cfg.DefaultTimeout }
-
 // routerBackend adapts a sharded Router onto wire.Backend.
 type routerBackend struct{ r *Router }
 
