@@ -104,11 +104,7 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 		return res.Failed(), fmt.Sprintf("eats=%v steps=%d hash=%016x safety=%v locality=%v",
 			res.Eats, res.Steps, res.TraceHash, res.SafetyViolations, res.LocalityViolations)
 	case "adversarial":
-		src := detsim.NewRand(seed)
-		var plan []detsim.Crash
-		if crash > 0 {
-			plan = detsim.RandomCrashes(src, g, crash, rounds/3, 6)
-		}
+		src, plan := crashPlan(g, seed, crash, rounds, 6)
 		res := detsim.RunAdversarial(detsim.Config{
 			Graph: g, Seed: seed, MaxSteps: rounds, Crashes: plan, Trace: trace, Source: src,
 		})
@@ -116,11 +112,7 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 		return len(res.SafetyViolations) > 0, fmt.Sprintf("eats=%v steps=%d hash=%016x safety=%v",
 			res.Eats, res.Steps, res.TraceHash, res.SafetyViolations)
 	case "service":
-		src := detsim.NewRand(seed)
-		var plan []detsim.Crash
-		if crash > 0 {
-			plan = detsim.RandomCrashes(src, g, crash, rounds/3, 6)
-		}
+		src, plan := crashPlan(g, seed, crash, rounds, 6)
 		res := detsim.RunService(detsim.ServiceConfig{
 			Graph: g, Seed: seed, Rounds: rounds, Crashes: plan, Trace: trace, Source: src,
 		})
@@ -128,11 +120,7 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 		return res.Failed(), fmt.Sprintf("submitted=%d granted=%d hash=%016x safety=%v history=%v",
 			res.Submitted, res.Granted, res.TraceHash, res.SafetyViolations, res.HistoryViolations)
 	case "fork":
-		src := detsim.NewRand(seed)
-		var plan []detsim.Crash
-		if crash > 0 {
-			plan = detsim.RandomCrashes(src, g, crash, rounds/3, 0)
-		}
+		src, plan := crashPlan(g, seed, crash, rounds, 0)
 		res := detsim.RunFork(detsim.ForkConfig{
 			Graph: g, Seed: seed, Rounds: rounds, Crashes: plan, Trace: trace, Source: src,
 		})
@@ -232,6 +220,17 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 		os.Exit(2)
 		return false, ""
 	}
+}
+
+// crashPlan seeds the run's schedule source and draws its crash plan
+// from it first: crash victims in the first third of the run, with
+// malicious windows up to maxWindow steps.
+func crashPlan(g *graph.Graph, seed int64, crash, rounds, maxWindow int) (detsim.Source, []detsim.Crash) {
+	src := detsim.NewRand(seed)
+	if crash <= 0 {
+		return src, nil
+	}
+	return src, detsim.RandomCrashes(src, g, crash, rounds/3, maxWindow)
 }
 
 func printTrace(enabled bool, lines []string) {

@@ -792,57 +792,64 @@ func (r *runner) finish(fair bool, executed int) *Result {
 	return res
 }
 
-// Run executes one fair deterministic run.
-func Run(cfg Config) *Result {
-	r := newRunner(cfg)
+// boot starts the substrate and pools its first frames.
+func (r *runner) boot() {
 	for _, f := range r.d.Boot() {
 		r.event("+ %s", f)
 		r.pending = append(r.pending, f)
 	}
+}
+
+// Run executes one fair deterministic run.
+func Run(cfg Config) *Result {
+	r := newRunner(cfg)
+	r.boot()
 	for t := 0; t < r.cfg.Rounds; t++ {
 		r.fairRound(t)
 	}
 	return r.finish(true, r.cfg.Rounds)
 }
 
-// RunAdversarial executes one adversarial run: every step the source
-// freely chooses a node to tick or a pending frame to deliver. Only
-// safety is checked — no fairness means no liveness.
+// advStep executes one adversarial step: the source freely chooses a
+// node to tick or a pending frame to deliver.
+func (r *runner) advStep(t int) {
+	n := r.d.Network().N() // membership churn grows the roster mid-run
+	if len(r.pending) > maxPending {
+		drop := len(r.pending) - maxPending
+		r.pending = append([]msgpass.Frame(nil), r.pending[drop:]...)
+		r.event("t%d drop %d", t, drop)
+	}
+	k := r.src.Intn(n + len(r.pending))
+	if k < n {
+		r.tick(t, graph.ProcID(k))
+		return
+	}
+	// The drawn frame names a channel; deliver that channel's OLDEST
+	// pending frame (append order is send order). The runtime's
+	// channels are FIFO, so the adversary picks which channel makes
+	// progress but may not reorder within one — unrestricted
+	// reordering lets stale K-state counters duplicate a token, a
+	// fault model the real transport cannot exhibit.
+	j := k - n
+	for i := 0; i < j; i++ {
+		if r.pending[i].From == r.pending[j].From && r.pending[i].To == r.pending[j].To {
+			j = i
+			break
+		}
+	}
+	f := r.pending[j]
+	r.pending = append(r.pending[:j], r.pending[j+1:]...)
+	r.deliver(t, f)
+}
+
+// RunAdversarial executes one adversarial run of MaxSteps free steps.
+// Only safety is checked — no fairness means no liveness.
 func RunAdversarial(cfg Config) *Result {
 	r := newRunner(cfg)
-	for _, f := range r.d.Boot() {
-		r.event("+ %s", f)
-		r.pending = append(r.pending, f)
-	}
+	r.boot()
 	for t := 0; t < r.cfg.MaxSteps; t++ {
 		r.applyFaults(t)
-		n := r.d.Network().N() // membership churn grows the roster mid-run
-		if len(r.pending) > maxPending {
-			drop := len(r.pending) - maxPending
-			r.pending = append([]msgpass.Frame(nil), r.pending[drop:]...)
-			r.event("t%d drop %d", t, drop)
-		}
-		k := r.src.Intn(n + len(r.pending))
-		if k < n {
-			r.tick(t, graph.ProcID(k))
-			continue
-		}
-		// The drawn frame names a channel; deliver that channel's OLDEST
-		// pending frame (append order is send order). The runtime's
-		// channels are FIFO, so the adversary picks which channel makes
-		// progress but may not reorder within one — unrestricted
-		// reordering lets stale K-state counters duplicate a token, a
-		// fault model the real transport cannot exhibit.
-		j := k - n
-		for i := 0; i < j; i++ {
-			if r.pending[i].From == r.pending[j].From && r.pending[i].To == r.pending[j].To {
-				j = i
-				break
-			}
-		}
-		f := r.pending[j]
-		r.pending = append(r.pending[:j], r.pending[j+1:]...)
-		r.deliver(t, f)
+		r.advStep(t)
 	}
 	return r.finish(false, r.cfg.MaxSteps)
 }

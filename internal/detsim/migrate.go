@@ -1,11 +1,16 @@
-// Live key-migration simulation: the deterministic mirror of the
-// Router's fence/drain/commit protocol (internal/lockservice/rebalance.go)
-// and its sensor half (internal/control). K shard substrates advance in
-// lockstep while single-key clients acquire, hold, and release; a
-// migration coordinator moves keys between shards mid-traffic — either
-// from an explicit plan or closed-loop through control.Decide, the
-// SAME pure control law the production rebalance loop runs. The
-// oracles then check the properties the protocol owes its clients:
+// Live key-migration simulation: coord.Migration — the Router's
+// fence/drain/commit protocol itself — driven in lockstep rounds, with
+// its sensor half (internal/control) closing the loop. A cluster of K
+// shard substrates advances while single-key clients acquire, hold, and
+// release; this harness moves keys between shards mid-traffic — either
+// from an explicit plan or closed-loop through control.Decide, the SAME
+// pure control law the production rebalance loop runs — by executing the
+// machine's verdicts against the ring: a drain probe is a count of the
+// source's client-visible grants, the commit step lands a drawn few
+// rounds after the drain was observed (the coordinator being descheduled
+// between its last look and taking the placement lock). What is the
+// harness's own: the workload, the plans, the fault model and the
+// oracles, which check the properties the protocol owes its clients:
 //
 //   - dual-grant-across-epochs: no round may show client-visible
 //     grants for one key on two shards — exclusion must span the
@@ -25,14 +30,10 @@
 package detsim
 
 import (
-	"fmt"
-	"hash/fnv"
-
 	"mcdp/internal/control"
-	"mcdp/internal/core"
+	"mcdp/internal/coord"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
-	"mcdp/internal/lockservice"
 	"mcdp/internal/shard"
 )
 
@@ -47,22 +48,7 @@ type KeyMigration struct {
 
 // MigrateConfig describes one deterministic key-migration run.
 type MigrateConfig struct {
-	// Graph is each shard's diners topology. Required.
-	Graph *graph.Graph
-	// Shards is the shard count (default 2).
-	Shards int
-	// Vnodes is the ring's virtual-node count (0 = shard.DefaultVnodes).
-	Vnodes int
-	// Seed names the run (ring, substrates, and schedule source).
-	Seed int64
-	// Rounds is the lockstep round count (default 200).
-	Rounds int
-	// Adversarial switches shards to AdvSteps free steps per round.
-	Adversarial bool
-	// AdvSteps is the adversarial steps per shard per round (default 8).
-	AdvSteps int
-	// KeyCount is the synthetic keyspace size (default 24).
-	KeyCount int
+	ClusterConfig
 	// SubmitPercent is the per-round chance a new client arrives
 	// (default 60).
 	SubmitPercent int
@@ -76,8 +62,6 @@ type MigrateConfig struct {
 	AcquireRounds int
 	// DrainRounds is the migration drain budget (default 12).
 	DrainRounds int
-	// QueueLimit is each arbiter's per-node queue capacity (default 8).
-	QueueLimit int
 	// Migrations is the explicit migration plan.
 	Migrations []KeyMigration
 	// Auto runs the closed loop instead: every DecideEvery rounds the
@@ -89,24 +73,11 @@ type MigrateConfig struct {
 	// Unfenced commits overrides immediately — no fence, no drain, no
 	// post-grant check. Negative control ONLY.
 	Unfenced bool
-	// Crashes and Restarts are per-shard node fault plans.
-	Crashes  [][]Crash
-	Restarts [][]Restart
-	// Trace retains the coordinator trace in the result.
-	Trace bool
-	// Source overrides the schedule source; nil uses NewRand(Seed).
-	Source Source
 }
 
 // MigrateResult is the outcome of one key-migration run.
 type MigrateResult struct {
-	Seed   int64
-	Rounds int
-	Shards int
-	// TraceHash combines the coordinator's and every shard's trace hash.
-	TraceHash uint64
-	// Trace is the coordinator's event trace (only with Trace).
-	Trace []string
+	ClusterResult
 	// Client counters: FenceBounced clients hit a fenced key at
 	// placement resolution; Bounced grants were revoked by the
 	// post-grant placement check before the client saw them.
@@ -123,10 +94,6 @@ type MigrateResult struct {
 	// Divergence lists keys where a replica-path observer ring
 	// disagreed with the authoritative ring after a commit.
 	Divergence []string
-	// SafetyViolations and HistoryViolations aggregate the per-shard
-	// diners and lock-history oracles, shard-prefixed.
-	SafetyViolations  []string
-	HistoryViolations []string
 }
 
 // Failed reports whether the run violated any checked property.
@@ -147,27 +114,37 @@ type migSession struct {
 	done    bool
 }
 
-// migMigration is one in-flight fenced migration.
+// migMigration is one in-flight migration: the machine plus where its
+// driver stands. commitAt is -1 while the drain is still being probed.
 type migMigration struct {
-	key      string
-	src, dst int
-	deadline int
+	coord.Migration
+	drained  bool
+	commitAt int
 }
 
-// migHarness wires the shard runners, arbiters, ring, clients, sensors,
-// and migration state.
+// commitLag draws the rounds between a drain's last probe and the
+// commit step. Usually none; one time in four the coordinator stalls for
+// up to two drain budgets — long enough for the fence to expire under a
+// drain observation that was true when it was made, and for the source to
+// grant the key again before the commit step runs.
+func (h *migHarness) commitLag() int {
+	if h.src.Intn(4) != 0 {
+		return 0
+	}
+	return 1 + h.src.Intn(2*h.cfg.DrainRounds)
+}
+
+// migCommit judges a migration's commit step. The mutation test swaps
+// it for a verdict that commits on an expired fence.
+var migCommit = (*coord.Migration).Commit
+
+// migHarness is a cluster plus clients, sensors, and migration state.
 type migHarness struct {
-	cfg     MigrateConfig
-	src     Source
-	ring    *shard.Ring
-	runners []*runner
-	arbs    []*drinkers.Arbiter
-	hists   []*lockservice.History
-	mappers []*lockservice.ResourceMapper
-	keys    []string
+	*cluster
+	cfg MigrateConfig
 
 	sessions  []*migSession
-	migrating map[string]*migMigration
+	migrating []*migMigration // in fence order
 
 	// Closed-loop sensors: the detsim twin of Router.ctl.
 	sketches []*control.Sketch
@@ -175,7 +152,6 @@ type migHarness struct {
 	lastMove map[string]int
 
 	res *MigrateResult
-	h   *spanTrace
 }
 
 // RunMigrate executes one deterministic key-migration run.
@@ -188,21 +164,6 @@ func RunMigrate(cfg MigrateConfig) *MigrateResult {
 }
 
 func newMigHarness(cfg MigrateConfig) *migHarness {
-	if cfg.Graph == nil {
-		panic("detsim: MigrateConfig.Graph is required")
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 200
-	}
-	if cfg.AdvSteps <= 0 {
-		cfg.AdvSteps = 8
-	}
-	if cfg.KeyCount <= 0 {
-		cfg.KeyCount = 24
-	}
 	if cfg.SubmitPercent <= 0 {
 		cfg.SubmitPercent = 60
 	}
@@ -218,122 +179,76 @@ func newMigHarness(cfg MigrateConfig) *migHarness {
 	if cfg.DrainRounds <= 0 {
 		cfg.DrainRounds = 12
 	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 8
-	}
 	if cfg.DecideEvery <= 0 {
 		cfg.DecideEvery = 10
 	}
-	src := cfg.Source
-	if src == nil {
-		src = NewRand(cfg.Seed)
-	}
+	c := newCluster(cfg.ClusterConfig, "migrate")
+	cfg.ClusterConfig = c.cfg
 	h := &migHarness{
-		cfg:       cfg,
-		src:       src,
-		ring:      shard.New(uint64(cfg.Seed)+1, cfg.Vnodes),
-		migrating: make(map[string]*migMigration),
-		lastMove:  make(map[string]int),
-		res:       &MigrateResult{Seed: cfg.Seed, Rounds: cfg.Rounds, Shards: cfg.Shards},
-		h:         &spanTrace{hash: fnv.New64a(), keep: cfg.Trace},
+		cluster:  c,
+		cfg:      cfg,
+		lastMove: make(map[string]int),
+		loads:    make([]float64, cfg.Shards),
+		res:      &MigrateResult{},
 	}
 	for s := 0; s < cfg.Shards; s++ {
-		rcfg := Config{
-			Graph:  cfg.Graph,
-			Seed:   cfg.Seed + int64(s)*101,
-			Rounds: cfg.Rounds,
-			Hungry: make([]bool, cfg.Graph.N()),
-			Source: src,
-		}
-		if s < len(cfg.Crashes) {
-			rcfg.Crashes = cfg.Crashes[s]
-		}
-		if s < len(cfg.Restarts) {
-			rcfg.Restarts = cfg.Restarts[s]
-		}
-		rn := newRunner(rcfg)
-		for _, f := range rn.d.Boot() {
-			rn.event("+ %s", f)
-			rn.pending = append(rn.pending, f)
-		}
-		arb := drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit)
-		hist := lockservice.NewHistory()
-		hist.Tap(arb)
-		h.runners = append(h.runners, rn)
-		h.arbs = append(h.arbs, arb)
-		h.hists = append(h.hists, hist)
-		h.mappers = append(h.mappers, lockservice.NewResourceMapper(cfg.Graph))
 		h.sketches = append(h.sketches, control.NewSketch(8))
-		h.loads = append(h.loads, 0)
-		if err := h.ring.Add(s); err != nil {
-			panic(err) // fresh ring, dense ids: unreachable
-		}
 	}
-	for i := 0; i < cfg.KeyCount; i++ {
-		h.keys = append(h.keys, fmt.Sprintf("key-%03d", i))
-	}
-	h.h.event("migrate run n=%d shards=%d seed=%d", cfg.Graph.N(), cfg.Shards, cfg.Seed)
 	return h
 }
 
-// fenced reports whether key is currently migration-fenced.
-func (h *migHarness) fenced(key string) bool {
-	_, ok := h.migrating[key]
-	return ok
+// fence returns the migration currently fencing key at round t, nil
+// when none does — an expired fence is as good as absent.
+func (h *migHarness) fence(key string, t int) *migMigration {
+	for _, m := range h.migrating {
+		if m.Key == key && m.Fences(int64(t)) {
+			return m
+		}
+	}
+	return nil
 }
 
 // round advances everything by one lockstep round.
 func (h *migHarness) round(t int) {
-	for _, rn := range h.runners {
-		if h.cfg.Adversarial {
-			rn.advSteps(t, h.cfg.AdvSteps)
-		} else {
-			rn.fairRound(t)
-		}
-	}
-	h.fenceRestartedNodes(t)
+	h.advance(t)
+	h.fencedNodes(t, func(s int, node graph.ProcID) { h.fenceNode(t, s, node) })
 	h.releaseDue(t)
 	h.stepMigrations(t)
 	h.timeoutPending(t)
 	h.drawClient(t)
-	h.pump(t)
+	h.pumpClients(t)
 	h.checkDualGrants(t)
 	if h.cfg.Auto && t > 0 && t%h.cfg.DecideEvery == 0 {
 		h.autoDecide(t)
 	}
-	for s, arb := range h.arbs {
-		nw := h.runners[s].d.Network()
-		for p := 0; p < h.cfg.Graph.N(); p++ {
-			nw.SetNeeds(graph.ProcID(p), arb.HasPending(graph.ProcID(p)))
-		}
-	}
+	h.syncNeeds()
 }
 
-// fenceRestartedNodes mirrors Server.fenceLeases: a node restart
-// revokes the leases and queue entries homed there. For a migration
-// mid-drain this is the interesting case — the fence empties the
-// source's lease table, so the drain completes through the crash.
-func (h *migHarness) fenceRestartedNodes(t int) {
-	for s, rn := range h.runners {
-		for _, rs := range rn.cfg.Restarts {
-			if rs.Round != t {
-				continue
-			}
-			for _, ms := range h.sessions {
-				if ms.done || ms.shard != s || ms.sess.Home != rs.Node {
-					continue
-				}
-				if ms.granted {
-					h.arbs[s].Release(ms.sess)
-					ms.done = true
-					h.res.Released++
-					h.h.event("t%d fence-release %s shard%d node%d", t, ms.key, s, rs.Node)
-				} else if h.arbs[s].Cancel(ms.sess) {
-					ms.done = true
-					h.res.Canceled++
-					h.h.event("t%d fence-cancel %s shard%d node%d", t, ms.key, s, rs.Node)
-				}
-			}
+// end terminates a client at round t: a granted lease is released, a
+// pending request canceled and counted in *pending — unless it was
+// granted in the meantime, in which case it stays for its hold.
+func (h *migHarness) end(t int, ms *migSession, why string, pending *int) {
+	if ms.granted {
+		h.arbs[ms.shard].Release(ms.sess)
+		h.res.Released++
+	} else if h.arbs[ms.shard].Cancel(ms.sess) {
+		*pending++
+	} else {
+		return
+	}
+	ms.done = true
+	h.h.event("t%d %s %s shard%d node%d", t, why, ms.key, ms.shard, ms.sess.Home)
+}
+
+// fenceNode is Server.fenceLeases seen from the clients: a node
+// restart or leave revokes the leases and queue entries homed there.
+// For a migration mid-drain this is the interesting case — the fence
+// empties the source's lease table, so the drain completes through the
+// crash.
+func (h *migHarness) fenceNode(t, s int, node graph.ProcID) {
+	for _, ms := range h.sessions {
+		if !ms.done && ms.shard == s && ms.sess.Home == node {
+			h.end(t, ms, "fence", &h.res.Canceled)
 		}
 	}
 }
@@ -341,82 +256,86 @@ func (h *migHarness) fenceRestartedNodes(t int) {
 // releaseDue releases grants whose hold expired.
 func (h *migHarness) releaseDue(t int) {
 	for _, ms := range h.sessions {
-		if ms.done || !ms.granted || ms.release > t {
-			continue
+		if !ms.done && ms.granted && ms.release <= t {
+			h.end(t, ms, "release", nil)
 		}
-		h.arbs[ms.shard].Release(ms.sess)
-		ms.done = true
-		h.res.Released++
-		h.h.event("t%d release %s shard%d", t, ms.key, ms.shard)
 	}
 }
 
-// startMigration begins one fenced migration (or, under the Unfenced
-// negative control, commits it immediately). dst < 0 picks the next
-// ring member after the source.
-func (h *migHarness) startMigration(t int, key string, dst int) {
-	src, ok := h.ring.Lookup(key)
-	if !ok || h.fenced(key) {
-		return
-	}
-	if dst < 0 {
-		members := h.ring.Members()
-		for i, m := range members {
-			if m == src {
-				dst = members[(i+1)%len(members)]
-				break
-			}
-		}
-	}
-	if dst == src || !h.ring.Has(dst) {
+// startMigration fences one key for migration (or, under the Unfenced
+// negative control, commits it immediately); a request the protocol
+// refuses starts nothing.
+func (h *migHarness) startMigration(t int, key string, to int) {
+	req := coord.MigrateRequest{Shards: h.cfg.Shards, DstHealthy: true, Fenced: h.fence(key, t) != nil}
+	req.Src, req.Placed = h.ring.Lookup(key)
+	req.Dst = h.migrationTarget(req.Src, to)
+	req.DstInRing = h.ring.Has(req.Dst)
+	if req.Check() != coord.MigrateOK {
 		return
 	}
 	h.res.MigrationsStarted++
 	if h.cfg.Unfenced {
 		// The forbidden shortcut: flip placement with live leases.
-		if err := h.ring.SetOverride(key, dst); err == nil {
+		if err := h.ring.SetOverride(key, req.Dst); err == nil {
 			h.res.Migrations++
-			h.h.event("t%d UNFENCED migrate %s shard%d->%d", t, key, src, dst)
+			h.h.event("t%d UNFENCED migrate %s shard%d->%d", t, key, req.Src, req.Dst)
 		}
 		return
 	}
-	h.migrating[key] = &migMigration{key: key, src: src, dst: dst, deadline: t + h.cfg.DrainRounds}
-	h.ring.Bump() // fence epoch, exactly like MigrateKey
-	h.h.event("t%d fence %s shard%d->%d", t, key, src, dst)
+	h.migrating = append(h.migrating, &migMigration{
+		Migration: coord.Migration{Key: key, Src: req.Src, Dst: req.Dst, Deadline: int64(t + h.cfg.DrainRounds)},
+		commitAt:  -1,
+	})
+	h.ring.Bump() // fence epoch: in-flight resolvers must re-resolve
+	h.h.event("t%d fence %s shard%d->%d", t, key, req.Src, req.Dst)
 }
 
-// stepMigrations fires plan entries due this round and advances
-// in-flight drains: commit once the source shows no client-visible
-// grant on the key, abort at the drain deadline.
+// stepMigrations fires plan entries due this round and drives every
+// in-flight migration one step: probe the drain, and — once the drain
+// has been observed or has timed out, and the drawn commit lag has
+// passed — apply the machine's commit verdict to the ring.
 func (h *migHarness) stepMigrations(t int) {
 	for _, km := range h.cfg.Migrations {
 		if km.Round == t {
 			h.startMigration(t, h.keys[km.KeyIndex%len(h.keys)], km.To)
 		}
 	}
-	for key, m := range h.migrating {
-		if h.liveGrants(key, m.src) > 0 {
-			if m.deadline <= t {
-				delete(h.migrating, key)
-				h.ring.Bump() // lift the fence under a fresh epoch
-				h.res.MigrationsAborted++
-				h.h.event("t%d abort %s: shard%d did not drain", t, key, m.src)
+	kept := h.migrating[:0]
+	for _, m := range h.migrating {
+		if m.commitAt < 0 {
+			switch m.Drain(int64(t), h.liveGrants(m.Key, m.Src)) {
+			case coord.Drained:
+				m.drained = true
+				m.commitAt = t + h.commitLag()
+			case coord.DrainTimedOut:
+				m.commitAt = t
 			}
+		}
+		if m.commitAt < 0 || t < m.commitAt {
+			kept = append(kept, m)
 			continue
 		}
-		delete(h.migrating, key)
-		if cur, _ := h.ring.Lookup(key); cur == m.dst {
+		placedAt, _ := h.ring.Lookup(m.Key)
+		verdict := migCommit(&m.Migration, int64(t), m.drained, h.liveGrants(m.Key, m.Src), h.ring.Has(m.Dst), placedAt)
+		var err error
+		switch verdict {
+		case coord.CommitOverride:
+			err = h.ring.SetOverride(m.Key, m.Dst)
+		case coord.CommitBump:
 			h.ring.Bump()
-		} else if err := h.ring.SetOverride(key, m.dst); err != nil {
+		}
+		if verdict.Aborted() || err != nil {
+			h.ring.Bump() // lift the fence under a fresh epoch
 			h.res.MigrationsAborted++
-			h.h.event("t%d abort %s: %v", t, key, err)
+			h.h.event("t%d abort %s shard%d->%d: %v %v", t, m.Key, m.Src, m.Dst, verdict, err)
 			continue
 		}
 		h.res.Migrations++
-		h.transferWeight(key, m.src, m.dst)
-		h.h.event("t%d commit %s shard%d->%d gen%d", t, key, m.src, m.dst, h.ring.Generation())
-		h.checkObserver(t, key)
+		h.transferWeight(m.Key, m.Src, m.Dst)
+		h.h.event("t%d commit %s shard%d->%d gen%d", t, m.Key, m.Src, m.Dst, h.ring.Generation())
+		h.checkObserver(t, m.Key)
 	}
+	h.migrating = kept
 }
 
 // liveGrants counts client-visible grants on key at shard s.
@@ -436,13 +355,8 @@ func (h *migHarness) liveGrants(key string, s int) int {
 // first; either way the lost-waiter oracle stays quiet.
 func (h *migHarness) timeoutPending(t int) {
 	for _, ms := range h.sessions {
-		if ms.done || ms.granted || t-ms.born < h.cfg.AcquireRounds {
-			continue
-		}
-		if h.arbs[ms.shard].Cancel(ms.sess) {
-			ms.done = true
-			h.res.Timeouts++
-			h.h.event("t%d timeout %s shard%d", t, ms.key, ms.shard)
+		if !ms.done && !ms.granted && t-ms.born >= h.cfg.AcquireRounds {
+			h.end(t, ms, "timeout", &h.res.Timeouts)
 		}
 	}
 }
@@ -458,7 +372,7 @@ func (h *migHarness) drawClient(t int) {
 	if h.src.Intn(100) >= h.cfg.HotPercent {
 		key = h.keys[h.src.Intn(len(h.keys))]
 	}
-	if h.fenced(key) && !h.cfg.Unfenced {
+	if h.fence(key, t) != nil {
 		h.res.FenceBounced++
 		h.h.event("t%d 409 %s (fenced)", t, key)
 		return
@@ -467,42 +381,27 @@ func (h *migHarness) drawClient(t int) {
 	if !ok {
 		return
 	}
-	bottles, homes, err := h.mappers[s].MapSession([]string{key})
+	bottles, homes, err := h.mapper.MapSession([]string{key})
 	if err != nil {
 		return
 	}
-	rn := h.runners[s]
-	home := graph.ProcID(-1)
-	for _, c := range homes {
-		if !rn.rd.Dead(c) && !rn.d.Network().Departed(c) {
-			home = c
-			break
-		}
-	}
-	if home < 0 {
-		return
-	}
-	sess, err := h.arbs[s].Submit(home, bottles)
-	if err != nil {
+	sess := h.submit(s, bottles, homes)
+	if sess == nil {
 		return
 	}
 	h.sessions = append(h.sessions, &migSession{key: key, shard: s, sess: sess, born: t})
 	h.res.Submitted++
-	h.h.event("t%d submit %s shard%d home=%d", t, key, s, home)
+	h.h.event("t%d submit %s shard%d home=%d", t, key, s, sess.Home)
 }
 
-// pump advances every arbiter and classifies fresh grants: a grant on
-// a fenced or re-placed key is released before the client sees it (the
-// router's post-grant check); the rest become client-visible holds and
-// feed the sensors. The Unfenced control skips the check — that is the
-// whole point of the control.
-func (h *migHarness) pump(t int) {
+// pumpClients advances every arbiter and classifies fresh grants: a
+// grant on a fenced or re-placed key is released before the client sees
+// it (the router's post-grant check); the rest become client-visible
+// holds and feed the sensors. The Unfenced control skips the check —
+// that is the whole point of the control.
+func (h *migHarness) pumpClients(t int) {
 	for s, arb := range h.arbs {
-		rn := h.runners[s]
-		grants := arb.Pump(func(p graph.ProcID) bool {
-			return rn.rd.State(p) == core.Eating && !rn.rd.Dead(p) && !rn.d.Network().Departed(p)
-		})
-		for _, g := range grants {
+		for _, g := range h.pump(s) {
 			var ms *migSession
 			for _, c := range h.sessions {
 				if c.sess == g && !c.done {
@@ -514,7 +413,7 @@ func (h *migHarness) pump(t int) {
 				continue
 			}
 			cur, _ := h.ring.Lookup(ms.key)
-			if !h.cfg.Unfenced && (h.fenced(ms.key) || cur != ms.shard) {
+			if !h.cfg.Unfenced && (h.fence(ms.key, t) != nil || cur != ms.shard) {
 				arb.Release(ms.sess)
 				ms.done = true
 				h.res.Bounced++
@@ -541,10 +440,7 @@ func (h *migHarness) checkDualGrants(t int) {
 			continue
 		}
 		if prev, ok := byKey[ms.key]; ok && prev != ms.shard {
-			if len(h.res.DualGrants) < maxRecorded {
-				h.res.DualGrants = append(h.res.DualGrants,
-					fmt.Sprintf("t%d: key %s granted on shards %d and %d", t, ms.key, prev, ms.shard))
-			}
+			record(&h.res.DualGrants, "t%d: key %s granted on shards %d and %d", t, ms.key, prev, ms.shard)
 			continue
 		}
 		byKey[ms.key] = ms.shard
@@ -566,7 +462,7 @@ func (h *migHarness) autoDecide(t int) {
 	}
 	eligible := func(key string) bool {
 		last, moved := h.lastMove[key]
-		return (!moved || t-last >= 4*h.cfg.DecideEvery) && !h.fenced(key)
+		return (!moved || t-last >= 4*h.cfg.DecideEvery) && h.fence(key, t) == nil
 	}
 	for _, p := range control.Decide(h.loads, hot, eligible, 1.3, 8, 1) {
 		h.lastMove[p.Key] = t
@@ -601,10 +497,7 @@ func (h *migHarness) checkObserver(t int, cause string) {
 		want, okW := h.ring.Lookup(k)
 		got, okG := obs.Lookup(k)
 		if okW != okG || want != got {
-			if len(h.res.Divergence) < maxRecorded {
-				h.res.Divergence = append(h.res.Divergence,
-					fmt.Sprintf("t%d after %s: key %s authoritative shard %d, observer shard %d", t, cause, k, want, got))
-			}
+			record(&h.res.Divergence, "t%d after %s: key %s authoritative shard %d, observer shard %d", t, cause, k, want, got)
 		}
 	}
 }
@@ -616,48 +509,18 @@ func (h *migHarness) finish() *MigrateResult {
 	rounds := h.cfg.Rounds
 	budget := h.cfg.AcquireRounds + h.cfg.MaxHoldRounds + 10
 	for _, ms := range h.sessions {
-		if ms.done || rounds-ms.born < budget {
-			continue
-		}
-		if len(res.LostWaiters) < maxRecorded {
-			res.LostWaiters = append(res.LostWaiters,
-				fmt.Sprintf("client for %s on shard %d born t%d never terminated in %d rounds",
-					ms.key, ms.shard, ms.born, rounds-ms.born))
+		if !ms.done && rounds-ms.born >= budget {
+			record(&res.LostWaiters, "client for %s on shard %d born t%d never terminated in %d rounds",
+				ms.key, ms.shard, ms.born, rounds-ms.born)
 		}
 	}
 	for _, ms := range h.sessions {
-		if ms.done {
-			continue
+		if !ms.done {
+			h.end(rounds, ms, "drain", &res.Canceled)
 		}
-		if ms.granted {
-			h.arbs[ms.shard].Release(ms.sess)
-			res.Released++
-		} else if h.arbs[ms.shard].Cancel(ms.sess) {
-			res.Canceled++
-		}
-		ms.done = true
 	}
 	res.Generation = h.ring.Generation()
-	res.Trace = h.h.lines
-	comb := fnv.New64a()
-	fmt.Fprintf(comb, "%016x\n", h.h.hash.Sum64())
-	for s, rn := range h.runners {
-		fair := !h.cfg.Adversarial
-		rn.baseline = nil // demand-driven hunger: no locality promise
-		sub := rn.finish(fair, rounds)
-		fmt.Fprintf(comb, "%016x\n", sub.TraceHash)
-		for _, v := range sub.SafetyViolations {
-			if len(res.SafetyViolations) < maxRecorded {
-				res.SafetyViolations = append(res.SafetyViolations, fmt.Sprintf("shard %d: %s", s, v))
-			}
-		}
-		for _, v := range h.hists[s].Check(h.cfg.Graph) {
-			if len(res.HistoryViolations) < maxRecorded {
-				res.HistoryViolations = append(res.HistoryViolations, fmt.Sprintf("shard %d: %s", s, v))
-			}
-		}
-	}
-	res.TraceHash = comb.Sum64()
+	res.ClusterResult = h.cluster.finish()
 	return res
 }
 
@@ -679,32 +542,16 @@ func migratePlan(src Source, count, rounds, keyCount int) []KeyMigration {
 // by the sweep tests and cmd/detsim -mode migrate: seed-drawn plan,
 // hot-key workload, full oracle ensemble.
 func SweepMigrate(g *graph.Graph, seed int64, rounds, shards, moves int, trace bool) *MigrateResult {
-	src := NewRand(seed)
-	return RunMigrate(MigrateConfig{
-		Graph:      g,
-		Shards:     shards,
-		Seed:       seed,
-		Rounds:     rounds,
-		Migrations: migratePlan(src, moves, rounds, 24),
-		Source:     src,
-		Trace:      trace,
-	})
+	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
+	return RunMigrate(MigrateConfig{ClusterConfig: c, Migrations: migratePlan(c.Source, moves, rounds, 24)})
 }
 
 // SweepMigrateAdversarial is the adversarial-schedule variant: the
 // adversary controls shard progress, not placement exclusivity.
 func SweepMigrateAdversarial(g *graph.Graph, seed int64, rounds, shards, moves int, trace bool) *MigrateResult {
-	src := NewRand(seed)
-	return RunMigrate(MigrateConfig{
-		Graph:       g,
-		Shards:      shards,
-		Seed:        seed,
-		Rounds:      rounds,
-		Adversarial: true,
-		Migrations:  migratePlan(src, moves, rounds, 24),
-		Source:      src,
-		Trace:       trace,
-	})
+	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
+	c.Adversarial = true
+	return RunMigrate(MigrateConfig{ClusterConfig: c, Migrations: migratePlan(c.Source, moves, rounds, 24)})
 }
 
 // SweepMigrateChaos is the crash-during-migration campaign: each shard
@@ -714,31 +561,13 @@ func SweepMigrateAdversarial(g *graph.Graph, seed int64, rounds, shards, moves i
 // drain budget, so the sweep exercises the drain-timeout abort path
 // alongside commits.
 func SweepMigrateChaos(g *graph.Graph, seed int64, rounds, shards, moves, kills int, trace bool) *MigrateResult {
-	src := NewRand(seed)
-	crashes := make([][]Crash, shards)
-	restarts := make([][]Restart, shards)
-	for s := 0; s < shards; s++ {
-		crashes[s] = RandomCrashes(src, g, kills, rounds/2, 6)
-		for _, c := range crashes[s] {
-			restarts[s] = append(restarts[s], Restart{
-				Node:    c.Node,
-				Round:   c.Round + 8 + src.Intn(16),
-				Garbage: src.Intn(2) == 1,
-			})
-		}
-	}
+	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
+	c.crashCampaign(kills, rounds/2, 6, 8, 16)
 	return RunMigrate(MigrateConfig{
-		Graph:         g,
-		Shards:        shards,
-		Seed:          seed,
-		Rounds:        rounds,
+		ClusterConfig: c,
 		MaxHoldRounds: 8,
 		DrainRounds:   4,
-		Migrations:    migratePlan(src, moves, rounds, 24),
-		Crashes:       crashes,
-		Restarts:      restarts,
-		Source:        src,
-		Trace:         trace,
+		Migrations:    migratePlan(c.Source, moves, rounds, 24),
 	})
 }
 
@@ -746,13 +575,5 @@ func SweepMigrateChaos(g *graph.Graph, seed int64, rounds, shards, moves, kills 
 // skewed workload must make the shared control law sense the hot shard
 // and migrate keys off it under the fenced protocol.
 func SweepMigrateAuto(g *graph.Graph, seed int64, rounds, shards int, trace bool) *MigrateResult {
-	return RunMigrate(MigrateConfig{
-		Graph:      g,
-		Shards:     shards,
-		Seed:       seed,
-		Rounds:     rounds,
-		Auto:       true,
-		HotPercent: 55,
-		Trace:      trace,
-	})
+	return RunMigrate(MigrateConfig{ClusterConfig: sweepCluster(g, seed, rounds, shards, trace, nil), Auto: true, HotPercent: 55})
 }

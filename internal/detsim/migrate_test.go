@@ -121,10 +121,13 @@ func TestMigrateUnfencedFiresDualGrantOracle(t *testing.T) {
 		seed := int64(9_800_000 + s)
 		src := NewRand(seed)
 		res := RunMigrate(MigrateConfig{
-			Graph:  graph.Ring(6),
-			Shards: 2,
-			Seed:   seed,
-			Rounds: 160,
+			ClusterConfig: ClusterConfig{
+				Graph:  graph.Ring(6),
+				Shards: 2,
+				Seed:   seed,
+				Rounds: 160,
+				Source: src,
+			},
 			// Long holds and a very hot key: an override flipped with a
 			// live holder all but guarantees a second grant at the new
 			// home inside the hold window.
@@ -132,7 +135,6 @@ func TestMigrateUnfencedFiresDualGrantOracle(t *testing.T) {
 			MaxHoldRounds: 12,
 			Unfenced:      true,
 			Migrations:    migratePlan(src, 4, 160, 24),
-			Source:        src,
 		})
 		if len(res.DualGrants) > 0 {
 			fired = true
@@ -220,29 +222,20 @@ func FuzzMigration(f *testing.F) {
 		shards := 2 + src.Intn(2)
 		rounds := 60 + src.Intn(60)
 		cfg := MigrateConfig{
-			Graph:      g,
-			Shards:     shards,
-			Seed:       1,
-			Rounds:     rounds,
+			ClusterConfig: ClusterConfig{
+				Graph:  g,
+				Shards: shards,
+				Seed:   1,
+				Rounds: rounds,
+				Source: src,
+			},
 			Migrations: migratePlan(src, 1+src.Intn(3), rounds, 24),
-			Source:     src,
 		}
 		if src.Intn(2) == 1 {
 			cfg.Auto = true // closed loop layered over the explicit plan
 		}
 		if src.Intn(2) == 1 {
-			cfg.Crashes = make([][]Crash, shards)
-			cfg.Restarts = make([][]Restart, shards)
-			for s := 0; s < shards; s++ {
-				cfg.Crashes[s] = RandomCrashes(src, g, 1, rounds/2, 4)
-				for _, c := range cfg.Crashes[s] {
-					cfg.Restarts[s] = append(cfg.Restarts[s], Restart{
-						Node:    c.Node,
-						Round:   c.Round + 5 + src.Intn(15),
-						Garbage: src.Intn(2) == 1,
-					})
-				}
-			}
+			cfg.crashCampaign(1, rounds/2, 4, 5, 15)
 		}
 		res := RunMigrate(cfg)
 		if res.Failed() {

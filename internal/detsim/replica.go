@@ -1,14 +1,17 @@
-// Shard-replica failover simulation: the deterministic mirror of the
-// lockservice replica set. One shard's primary and hot standbys advance
-// in rounds under a schedule Source: the primary grants, renews, and
-// releases single-key leases and streams every lease-table delta to
-// each standby over a lossy bounded-backlog FIFO; a supervisor counts
-// missed health checks, promotes the freshest standby under a bumped
-// incarnation, adopts the leases the standby can prove, and TTL-drains
-// when the stream showed loss. Kill schedules fail-stop the primary
+// Shard-replica failover simulation: coord's failover protocol — the
+// lockservice replica set's detector, stream tracker, standby choice,
+// gap predicate and hold-down — driven in rounds. One shard's primary
+// and hot standbys advance under a schedule Source: the primary grants,
+// renews, and releases single-key leases and streams every lease-table
+// delta to each standby over a lossy bounded-backlog FIFO; the
+// supervisor feeds coord.Detector a health probe a round, promotes the
+// standby coord.Choose picks under a bumped incarnation, adopts the
+// leases the standby can prove, and holds new grants down for as long as
+// coord.HoldUntil says. The harness's own: the model of servers, lease
+// tables and FIFO queues, the kill schedules that fail-stop the primary
 // (cleanly or as a zombie that keeps serving stragglers), standbys, or
-// the standby mid-promotion; stall windows model replication lag. The
-// oracles assert the properties the production protocol owes clients:
+// the standby mid-promotion, the stall windows that model replication
+// lag, and the oracles, which assert what the protocol owes clients:
 // no grant from a deposed incarnation ever becomes client-visible
 // (dual primary), no two client-visible leases on one key ever overlap
 // (lost committed grant), and every unproven lease is either adopted
@@ -19,6 +22,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"mcdp/internal/coord"
 )
 
 // Replica-stream record ops (round-domain twins of the lockservice
@@ -156,20 +161,12 @@ type repRecord struct {
 // the standby side's apply state. Streams survive promotions of other
 // replicas, exactly like the production links.
 type repStream struct {
-	to      int // standby replica index
 	seq     uint64
 	acked   uint64
 	dropped int
 	queue   []repRecord
-	// Standby-side apply state.
-	streamInc  uint64
-	baseSeq    uint64
-	applied    uint64
-	started    bool // at least one record applied since the last reset
-	gapSeen    bool
-	hbSeq      uint64
-	hbDeadline int
-	lastFrame  int
+	// recv is the standby side's tracker.
+	recv coord.Stream
 }
 
 // shadowLease is one entry of a replica's lease table (authoritative
@@ -215,7 +212,7 @@ type replicaHarness struct {
 	cfg ReplicaConfig
 	src Source
 	res *ReplicaResult
-	h   *spanTrace
+	h   *coordTrace
 
 	reps    []*repReplica
 	streams map[int]*repStream
@@ -223,7 +220,7 @@ type replicaHarness struct {
 	inc     uint64
 
 	// Supervisor state.
-	misses      int
+	detector    coord.Detector
 	promoting   bool
 	promoteEnd  int
 	chosen      int
@@ -295,15 +292,16 @@ func newReplicaHarness(cfg ReplicaConfig) *replicaHarness {
 		cfg:       cfg,
 		src:       src,
 		res:       &ReplicaResult{Seed: cfg.Seed, Rounds: cfg.Rounds, Replicas: cfg.Replicas},
-		h:         &spanTrace{hash: fnv.New64a(), keep: cfg.Trace},
+		h:         &coordTrace{hash: fnv.New64a(), keep: cfg.Trace},
 		streams:   make(map[int]*repStream),
 		inc:       1,
 		zombieIdx: -1,
+		detector:  coord.Detector{Misses: cfg.DetectMisses, Cooloff: replicaCooloffRounds},
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		h.reps = append(h.reps, &repReplica{alive: true, table: make(map[int]shadowLease)})
 		if i != h.primary {
-			h.streams[i] = &repStream{to: i, streamInc: 1}
+			h.streams[i] = &repStream{}
 		}
 	}
 	h.h.event("replica run replicas=%d seed=%d", cfg.Replicas, cfg.Seed)
@@ -526,9 +524,8 @@ func (h *replicaHarness) stalled(i, t int) bool {
 }
 
 // deliver applies up to Intn(LagMax+1) queued records on each live
-// standby, mirroring the production reader: stale-incarnation records
-// are refused (never acked), incarnation changes reset sequence
-// tracking, contiguity jumps set the sticky gap flag, and heartbeats
+// standby through its coord.Stream, like the production reader: records
+// the tracker refuses (a deposed primary's) are never acked, heartbeats
 // update the watermark without acking.
 func (h *replicaHarness) deliver(t int) {
 	for _, i := range h.standbyIndexes() {
@@ -540,33 +537,20 @@ func (h *replicaHarness) deliver(t int) {
 		for ; n > 0 && len(st.queue) > 0; n-- {
 			rec := st.queue[0]
 			st.queue = st.queue[1:]
-			st.lastFrame = t
-			if rec.inc != h.inc && !h.cfg.Unsafe {
-				continue // deposed primary's record: refused, not acked
+			st.recv.Frame(int64(t))
+			cur := h.inc
+			if h.cfg.Unsafe {
+				cur = rec.inc // no incarnation fence
 			}
-			if rec.inc != st.streamInc {
-				st.streamInc = rec.inc
-				st.baseSeq = rec.seq
-				st.applied, st.hbSeq = 0, 0
-				st.started, st.gapSeen = false, false
-			}
-			if rec.op == repHeartbeat {
-				if rec.seq > st.hbSeq {
-					st.hbSeq = rec.seq
-				}
-				if rec.deadline > st.hbDeadline {
-					st.hbDeadline = rec.deadline
-				}
+			if !st.recv.Accepts(rec.inc, cur, rec.seq) {
 				continue
 			}
-			if st.started && rec.seq > st.applied+1 {
-				st.gapSeen = true // a drop left a hole in the FIFO
+			if rec.op == repHeartbeat {
+				st.recv.Heartbeat(rec.seq, int64(rec.deadline))
+				continue
 			}
+			st.recv.Record(rec.seq)
 			h.applyShadow(i, rec)
-			if rec.seq > st.applied {
-				st.applied = rec.seq
-			}
-			st.started = true
 			if rec.seq > st.acked {
 				st.acked = rec.seq
 			}
@@ -633,7 +617,7 @@ func (h *replicaHarness) resolvePending(t int) {
 		l.visibleAt = t
 		h.res.Grants++
 		if l.inc != h.inc {
-			h.violation(&h.res.DualPrimaryViolations,
+			record(&h.res.DualPrimaryViolations,
 				"t%d: grant %d from deposed inc %d became visible under inc %d", t, l.id, l.inc, h.inc)
 		}
 		for _, other := range h.leases {
@@ -641,7 +625,7 @@ func (h *replicaHarness) resolvePending(t int) {
 				continue
 			}
 			if from, to := other.window(); from <= t && t < to {
-				h.violation(&h.res.ExclusionViolations,
+				record(&h.res.ExclusionViolations,
 					"t%d: leases %d and %d both hold %s", t, other.id, l.id, l.key)
 			}
 		}
@@ -678,7 +662,15 @@ func (h *replicaHarness) expire(t int) {
 	}
 }
 
-// supervise is the failure detector and promotion driver.
+// replicaCooloffRounds is the supervisor's cool-off after a promotion
+// attempt, the round-domain twin of FailoverConfig.Cooloff.
+const replicaCooloffRounds = 10
+
+// promotionGap judges a promotion's loss evidence. The mutation test
+// swaps it for a predicate that ignores replication lag.
+var promotionGap = coord.Evidence.Gap
+
+// supervise drives the failure detector and starts promotions.
 func (h *replicaHarness) supervise(t int) {
 	if h.promoting {
 		if t >= h.promoteEnd {
@@ -686,25 +678,17 @@ func (h *replicaHarness) supervise(t int) {
 		}
 		return
 	}
-	if h.healthy(h.primary) {
-		h.misses = 0
+	if !h.detector.Check(h.healthy(h.primary), int64(t)) {
 		return
 	}
-	h.misses++
-	if h.misses < h.cfg.DetectMisses {
-		return
+	idx := h.standbyIndexes()
+	views := make([]coord.Standby, len(idx))
+	for k, i := range idx {
+		views[k] = coord.Standby{Live: h.reps[i].alive, Applied: h.streams[i].recv.Applied()}
 	}
-	h.misses = 0
-	best, bestApplied := -1, uint64(0)
-	for _, i := range h.standbyIndexes() {
-		if !h.reps[i].alive {
-			continue
-		}
-		if st := h.streams[i]; best == -1 || st.applied > bestApplied {
-			best, bestApplied = i, st.applied
-		}
-	}
+	best := coord.Choose(views)
 	if best == -1 {
+		h.detector.Promoted(int64(t))
 		h.res.FailedPromotions++
 		h.h.event("t%d promotion failed: no live standby", t)
 		return
@@ -717,62 +701,57 @@ func (h *replicaHarness) supervise(t int) {
 	}
 	h.inc++
 	h.promoting = true
-	h.chosen = best
+	h.chosen = idx[best]
 	h.promoteEnd = t + h.cfg.PromoteRounds
-	h.h.event("t%d promote %d starts inc=%d applied=%d", t, best, h.inc, bestApplied)
+	h.h.event("t%d promote %d starts inc=%d applied=%d", t, h.chosen, h.inc, views[best].Applied)
 }
 
 // completePromotion installs the chosen standby, adopts what it can
-// prove, and opens a TTL-drain hold-down when the stream showed loss.
+// prove, and opens a TTL-drain hold-down when coord's gap predicate
+// says the stream showed loss.
 func (h *replicaHarness) completePromotion(t int) {
 	st := h.streams[h.chosen]
-	gap := false
-	if !h.reps[h.chosen].alive {
-		// Killed mid-promotion: install anyway (the supervisor notices
-		// next round and promotes again); nothing can be proven.
-		gap = true
+	ev := coord.Evidence{
+		StreamGap: st.recv.Gap(),
+		Lag:       st.seq - st.acked,
+		Dropped:   int64(st.dropped),
+		Stale:     st.recv.Stale(int64(t), int64(h.cfg.StaleRounds)),
+	}
+	delete(h.streams, h.chosen)
+	h.primary = h.chosen
+	h.promoting = false
+	h.detector.Promoted(int64(t))
+	h.res.Promotions++
+
+	np := h.reps[h.primary]
+	if !np.alive {
+		// Killed mid-promotion: installed anyway (the supervisor notices
+		// and promotes again), but nothing it knew — or never heard of —
+		// can be re-granted.
+		ev.FailedAdoptions = len(np.table) + 1
 		h.res.FailedPromotions++
 		h.h.event("t%d promotion of dead %d completes dark", t, h.chosen)
 	} else {
-		gap = st.gapSeen ||
-			(st.hbSeq > st.applied && st.hbSeq > st.baseSeq) ||
-			st.dropped > 0 ||
-			st.seq > st.acked ||
-			(st.started && t-st.lastFrame > h.cfg.StaleRounds)
-	}
-	if h.cfg.Unsafe {
-		gap = false
-	}
-	delete(h.streams, h.chosen)
-	oldPrimary := h.primary
-	h.primary = h.chosen
-	h.promoting = false
-	h.res.Promotions++
-
-	// Adopt proven unexpired leases; the adoption grants double as the
-	// new primary's snapshot for the surviving streams.
-	np := h.reps[h.primary]
-	var ids []int
-	for id := range np.table {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		sl := np.table[id]
-		if sl.deadline <= t {
-			delete(np.table, id)
-			h.res.Skipped++
-			continue
+		// Adopt proven unexpired leases; the adoption grants double as the
+		// new primary's snapshot for the surviving streams.
+		var ids []int
+		for id := range np.table {
+			ids = append(ids, id)
 		}
-		h.res.Adopted++
-		h.send(repGrant, id, sl.key, sl.deadline, nil)
-	}
-	if gap {
-		hold := t + h.cfg.TTLRounds
-		if st.hbDeadline > hold {
-			hold = st.hbDeadline
+		sort.Ints(ids)
+		for _, id := range ids {
+			if sl := np.table[id]; coord.Adoptable(int64(sl.deadline), int64(t)) {
+				h.res.Adopted++
+				h.send(repGrant, id, sl.key, sl.deadline, nil)
+			} else {
+				delete(np.table, id)
+				h.res.Skipped++
+			}
 		}
-		h.holdUntil = hold
+	}
+	gap := promotionGap(ev) && !h.cfg.Unsafe
+	if until := coord.HoldUntil(gap, int64(t), int64(h.cfg.TTLRounds), st.recv.DrainTo()); until > 0 {
+		h.holdUntil = int(until)
 		h.res.Holds++
 	}
 	h.h.event("t%d promote %d done inc=%d adopted=%d gap=%v hold=%d",
@@ -785,22 +764,15 @@ func (h *replicaHarness) completePromotion(t int) {
 		if l.visibleAt < 0 || l.endedAt >= 0 || l.deadline <= t || l.inc >= h.inc {
 			continue
 		}
-		if _, adopted := np.table[l.id]; adopted {
+		if _, adopted := np.table[l.id]; adopted && np.alive {
 			continue
 		}
 		if h.holdUntil >= l.deadline {
 			continue
 		}
-		h.violation(&h.res.UndrainedViolations,
+		record(&h.res.UndrainedViolations,
 			"t%d: unproven lease %d (key %s, deadline t%d) neither adopted nor drained (hold=%d)",
 			t, l.id, l.key, l.deadline, h.holdUntil)
-	}
-	_ = oldPrimary
-}
-
-func (h *replicaHarness) violation(list *[]string, format string, args ...any) {
-	if len(*list) < maxRecorded {
-		*list = append(*list, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -820,7 +792,7 @@ func (h *replicaHarness) finish() *ReplicaResult {
 			}
 			bf, bt := b.window()
 			if af < bt && bf < at {
-				h.violation(&res.ExclusionViolations,
+				record(&res.ExclusionViolations,
 					"leases %d [%d,%d) and %d [%d,%d) overlap on %s", a.id, af, at, b.id, bf, bt, a.key)
 			}
 		}

@@ -1,34 +1,28 @@
-// Cross-shard span simulation: the deterministic mirror of the
-// Router's multi-key acquire protocol. K independent diners shards —
-// each a full driven msgpass substrate with its own session arbiter —
-// advance in lockstep under one schedule Source, while a span
-// coordinator plays the Router: it decomposes drawn key sets by
-// consistent-hash ring placement, acquires per-shard parts in
-// ascending shard order, holds early grants under a prepare deadline
-// measured in rounds (refreshed after every later grant, exactly like
-// the production renew-refresh), and commits all parts or rolls all of
-// them back. The spanOracle then asserts the property the paper-level
-// protocol owes its clients: no schedule, fault plan, or ring-churn
-// plan may ever surface a partially committed span.
+// Cross-shard span simulation: coord.Span — the Router's multi-key
+// acquire protocol itself — driven in lockstep rounds. A cluster of K
+// diners shards advances under one schedule Source while this harness
+// plays the Router's part of the driver: it decomposes drawn key sets by
+// ring placement, walks coord.Ascending parts, and executes whatever the
+// machine asks for — a sub-acquire is a session queued at the shard's
+// arbiter and polled each round, a renew is a check and extension of the
+// sub-lease's deadline in rounds, a release frees the session. What is
+// the harness's own: the workload, the ring-churn, migration and node
+// fault plans, the model of the server side of a sub-lease (its TTL, its
+// janitor, node fences), and the oracles. The spanOracle asserts the
+// property the protocol owes its clients: no schedule, fault plan, or
+// ring-churn plan may ever surface a partially committed span.
 package detsim
 
 import (
-	"fmt"
-	"hash"
-	"hash/fnv"
-
-	"mcdp/internal/core"
+	"mcdp/internal/coord"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
-	"mcdp/internal/lockservice"
-	"mcdp/internal/msgpass"
-	"mcdp/internal/shard"
 )
 
 // RingChurn schedules one ring-membership change: shard Shard leaves
 // the ring at Leave and rejoins at Join (Join <= Leave means it never
-// returns). Mirrors Router.RingLeave/RingJoin: new placements avoid
-// the absentee, in-flight spans keep their sub-sessions.
+// returns). Like Router.RingLeave/RingJoin: new placements avoid the
+// absentee, in-flight spans keep their sub-sessions.
 type RingChurn struct {
 	Shard int
 	Leave int
@@ -37,43 +31,21 @@ type RingChurn struct {
 
 // SpanConfig describes one deterministic cross-shard span run.
 type SpanConfig struct {
-	// Graph is each shard's diners topology. Required.
-	Graph *graph.Graph
-	// Shards is the shard count (default 2).
-	Shards int
-	// Vnodes is the placement ring's virtual-node count per shard
-	// (0 = shard.DefaultVnodes).
-	Vnodes int
-	// Seed names the run: it seeds the ring, each shard's substrate
-	// (offset per shard), and — unless Source overrides it — the one
-	// schedule source every decision draws from.
-	Seed int64
-	// Rounds is the lockstep round count (default 200).
-	Rounds int
-	// Adversarial switches every shard from a fair round to AdvSteps
-	// free adversarial steps per round (safety-only schedules).
-	Adversarial bool
-	// AdvSteps is the adversarial steps per shard per round (default 8).
-	AdvSteps int
-	// KeyCount is the synthetic keyspace size (default 24).
-	KeyCount int
+	ClusterConfig
 	// SpanPercent is the per-round chance (0..100) a new span is drawn
 	// (default 50).
 	SpanPercent int
 	// MaxKeysPerSpan bounds a drawn span's key count (default 4, min 2).
 	MaxKeysPerSpan int
 	// AcquireRounds bounds how long one part may stay pending before
-	// the span gives up and rolls back (default 25).
+	// the sub-acquire gives up (default 25).
 	AcquireRounds int
 	// PrepareRounds is the prepare-lease budget in rounds: an early
-	// grant not refreshed by a later grant within this many rounds is
-	// considered expired and forces a rollback — the round-domain twin
-	// of RouterConfig.PrepareTTL (default 20).
+	// grant not refreshed within this many rounds expires server-side —
+	// the round-domain twin of RouterConfig.PrepareTTL (default 20).
 	PrepareRounds int
 	// MaxHoldRounds bounds how long a committed span is held (default 3).
 	MaxHoldRounds int
-	// QueueLimit is each arbiter's per-node queue capacity (default 8).
-	QueueLimit int
 	// RingChurn is the ring-membership plan.
 	RingChurn []RingChurn
 	// Migrations is the key-migration plan: at each entry's round the
@@ -84,30 +56,11 @@ type SpanConfig struct {
 	// before committing), which keeps the cross-epoch exclusivity
 	// oracle sound and lets the displaced oracle demand termination.
 	Migrations []KeyMigration
-	// Crashes, Restarts, Leaves, and Joins are per-shard fault plans
-	// (index = shard; nil or short slices mean no plan for that shard).
-	Crashes  [][]Crash
-	Restarts [][]Restart
-	Leaves   [][]Leave
-	Joins    [][]Join
-	// Faults holds per-shard transport fault injectors.
-	Faults []msgpass.FaultInjector
-	// Trace retains coordinator and shard traces in the result.
-	Trace bool
-	// Source overrides the schedule source; nil uses NewRand(Seed).
-	Source Source
 }
 
 // SpanResult is the outcome of one cross-shard span run.
 type SpanResult struct {
-	Seed   int64
-	Rounds int
-	Shards int
-	// TraceHash combines the coordinator's event hash with every
-	// shard's trace hash; equal hashes mean the same execution.
-	TraceHash uint64
-	// Trace is the coordinator's event trace (only with Trace).
-	Trace []string
+	ClusterResult
 	// Spans counts created spans; SingleShard of them placed on one
 	// shard (the fast-path control group), the rest genuinely spanned.
 	Spans, SingleShard int
@@ -129,14 +82,10 @@ type SpanResult struct {
 	OverlapViolations []string
 	// OrphanedSpans lists spans that never reached a terminal state
 	// despite generous budgets — including multi-key waiters orphaned
-	// after their prepare-holding shard left the ring.
+	// after their prepare-holding shard left the ring — and prepares
+	// orphaned by their own coordinator: an early grant left to expire
+	// on its original budget although a later part was granted since.
 	OrphanedSpans []string
-	// SafetyViolations concatenates every shard's eating-exclusion
-	// violations, shard-prefixed.
-	SafetyViolations []string
-	// HistoryViolations concatenates every shard's lock-history
-	// linearizability violations, shard-prefixed.
-	HistoryViolations []string
 }
 
 // Failed reports whether the run violated any checked property.
@@ -146,68 +95,42 @@ func (r *SpanResult) Failed() bool {
 		len(r.HistoryViolations) > 0
 }
 
-// simPart is one shard's slice of a span: its keys mapped onto that
-// shard's arbiter (bottle indices plus candidate homes).
-type simPart struct {
-	shard   int
-	keys    []string
-	bottles []int
-	homes   []graph.ProcID
-}
-
-// simSpan is one in-flight span: parts in ascending shard order, with
-// parts[0..next) granted under prepare deadlines and parts[next] (if
-// any) pending at its shard's arbiter.
+// simSpan is one span: its ascending parts mapped onto their shards'
+// arbiters, the protocol machine, and the driver-side state of each
+// sub-lease.
 type simSpan struct {
-	id    int
-	keys  []string
-	parts []simPart
-	next  int
-	sess  []*drinkers.Session
-	// deadline[i] is the round at which part i's prepare expires; it is
-	// refreshed to now+PrepareRounds whenever a later part grants.
-	deadline    []int
+	id      int
+	keys    []string
+	parts   []coord.Part
+	bottles [][]int
+	homes   [][]graph.ProcID
+	m       coord.Span
+	gen0    uint64 // ring generation the parts were resolved under
+	sess    []*drinkers.Session
+	// lease[i] is the round at which part i's sub-lease expires on its
+	// shard: set at grant, extended by every refresh, cut to "now" by a
+	// node fence.
+	lease       []int
 	submitRound int
 	born        int
 	committed   bool
 	commitRound int
 	releaseAt   int
 	mustAbort   bool
-	displacedAt int // -1 until a ring leave or fence touches the span
+	displacedAt int // -1 until a ring change or fence touches the span
 	done        bool
 }
 
-// spanHarness wires K shard runners, their arbiters and histories, the
-// placement ring, and the coordinator state.
-type spanHarness struct {
-	cfg     SpanConfig
-	src     Source
-	ring    *shard.Ring
-	runners []*runner
-	arbs    []*drinkers.Arbiter
-	hists   []*lockservice.History
-	mappers []*lockservice.ResourceMapper
-	keys    []string
+// spanDone reports an action's outcome to the machine. The mutation
+// test swaps it for a machine that skips a decision.
+var spanDone = (*coord.Span).Done
 
+// spanHarness is a cluster plus the span coordinator's state.
+type spanHarness struct {
+	*cluster
+	cfg   SpanConfig
 	spans []*simSpan
 	res   *SpanResult
-	h     *spanTrace
-}
-
-// spanTrace is the coordinator's own event log and hash.
-type spanTrace struct {
-	hash  hash.Hash64
-	keep  bool
-	lines []string
-}
-
-func (t *spanTrace) event(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	t.hash.Write([]byte(line))
-	t.hash.Write([]byte{'\n'})
-	if t.keep {
-		t.lines = append(t.lines, line)
-	}
 }
 
 // RunSpan executes one deterministic cross-shard span run.
@@ -220,21 +143,6 @@ func RunSpan(cfg SpanConfig) *SpanResult {
 }
 
 func newSpanHarness(cfg SpanConfig) *spanHarness {
-	if cfg.Graph == nil {
-		panic("detsim: SpanConfig.Graph is required")
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 200
-	}
-	if cfg.AdvSteps <= 0 {
-		cfg.AdvSteps = 8
-	}
-	if cfg.KeyCount <= 0 {
-		cfg.KeyCount = 24
-	}
 	if cfg.SpanPercent <= 0 {
 		cfg.SpanPercent = 50
 	}
@@ -250,127 +158,32 @@ func newSpanHarness(cfg SpanConfig) *spanHarness {
 	if cfg.MaxHoldRounds <= 0 {
 		cfg.MaxHoldRounds = 3
 	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 8
-	}
-	src := cfg.Source
-	if src == nil {
-		src = NewRand(cfg.Seed)
-	}
-	h := &spanHarness{
-		cfg:  cfg,
-		src:  src,
-		ring: shard.New(uint64(cfg.Seed)+1, cfg.Vnodes),
-		res:  &SpanResult{Seed: cfg.Seed, Rounds: cfg.Rounds, Shards: cfg.Shards},
-		h:    &spanTrace{hash: fnv.New64a(), keep: cfg.Trace},
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		hungry := make([]bool, cfg.Graph.N()) // demand arrives with spans
-		rcfg := Config{
-			Graph:  cfg.Graph,
-			Seed:   cfg.Seed + int64(s)*101,
-			Rounds: cfg.Rounds,
-			Hungry: hungry,
-			Source: src,
-		}
-		if s < len(cfg.Crashes) {
-			rcfg.Crashes = cfg.Crashes[s]
-		}
-		if s < len(cfg.Restarts) {
-			rcfg.Restarts = cfg.Restarts[s]
-		}
-		if s < len(cfg.Leaves) {
-			rcfg.Leaves = cfg.Leaves[s]
-		}
-		if s < len(cfg.Joins) {
-			rcfg.Joins = cfg.Joins[s]
-		}
-		if s < len(cfg.Faults) {
-			rcfg.Faults = cfg.Faults[s]
-		}
-		rn := newRunner(rcfg)
-		for _, f := range rn.d.Boot() {
-			rn.event("+ %s", f)
-			rn.pending = append(rn.pending, f)
-		}
-		arb := drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit)
-		hist := lockservice.NewHistory()
-		hist.Tap(arb)
-		h.runners = append(h.runners, rn)
-		h.arbs = append(h.arbs, arb)
-		h.hists = append(h.hists, hist)
-		h.mappers = append(h.mappers, lockservice.NewResourceMapper(cfg.Graph))
-		if err := h.ring.Add(s); err != nil {
-			panic(err) // fresh ring, dense ids: unreachable
-		}
-	}
-	for i := 0; i < cfg.KeyCount; i++ {
-		h.keys = append(h.keys, fmt.Sprintf("key-%03d", i))
-	}
-	h.h.event("span run n=%d shards=%d seed=%d", cfg.Graph.N(), cfg.Shards, cfg.Seed)
-	return h
-}
-
-// advSteps runs one adversarial burst on a runner: the RunAdversarial
-// step body, replicated so the span coordinator can interleave K
-// adversarial shards round by round.
-func (r *runner) advSteps(t, steps int) {
-	for i := 0; i < steps; i++ {
-		n := r.d.Network().N()
-		if len(r.pending) > maxPending {
-			drop := len(r.pending) - maxPending
-			r.pending = append([]msgpass.Frame(nil), r.pending[drop:]...)
-			r.event("t%d drop %d", t, drop)
-		}
-		k := r.src.Intn(n + len(r.pending))
-		if k < n {
-			r.tick(t, graph.ProcID(k))
-			continue
-		}
-		// FIFO per channel: deliver the drawn channel's oldest frame.
-		j := k - n
-		for i := 0; i < j; i++ {
-			if r.pending[i].From == r.pending[j].From && r.pending[i].To == r.pending[j].To {
-				j = i
-				break
-			}
-		}
-		f := r.pending[j]
-		r.pending = append(r.pending[:j], r.pending[j+1:]...)
-		r.deliver(t, f)
+	c := newCluster(cfg.ClusterConfig, "span")
+	cfg.ClusterConfig = c.cfg
+	return &spanHarness{
+		cluster: c,
+		cfg:     cfg,
+		res:     &SpanResult{},
 	}
 }
 
 // round advances every shard one lockstep round, applies ring churn
-// and sub-lease fencing, steps each span's acquire state machine, and
-// draws new workload.
+// and sub-lease fencing, steps each span's driver, and draws new
+// workload.
 func (h *spanHarness) round(t int) {
-	for _, rn := range h.runners {
-		if h.cfg.Adversarial {
-			rn.advSteps(t, h.cfg.AdvSteps)
-		} else {
-			rn.fairRound(t)
-		}
-	}
+	h.advance(t)
 	h.applyRingChurn(t)
 	h.applyMigrations(t)
-	h.fenceDueNodes(t)
-	for s, arb := range h.arbs {
-		rn := h.runners[s]
-		arb.Pump(func(p graph.ProcID) bool {
-			return rn.rd.State(p) == core.Eating && !rn.rd.Dead(p) && !rn.d.Network().Departed(p)
-		})
+	h.fencedNodes(t, func(s int, node graph.ProcID) { h.fence(t, s, node) })
+	for s := range h.arbs {
+		h.pump(s)
 	}
 	for _, sp := range h.spans {
+		h.expireLeases(t, sp)
 		h.stepSpan(t, sp)
 	}
 	h.drawWorkload(t)
-	for s, arb := range h.arbs {
-		nw := h.runners[s].d.Network()
-		for p := 0; p < h.cfg.Graph.N(); p++ {
-			nw.SetNeeds(graph.ProcID(p), arb.HasPending(graph.ProcID(p)))
-		}
-	}
+	h.syncNeeds()
 }
 
 // applyRingChurn fires ring membership changes due at round t. After
@@ -405,8 +218,8 @@ func (h *spanHarness) applyRingChurn(t int) {
 }
 
 // applyMigrations fires key-migration plan entries due at round t:
-// install the override (To < 0 picks the next member after the current
-// placement) and fence every in-flight span the moved key invalidates.
+// install the override and fence every in-flight span the moved key
+// invalidates.
 func (h *spanHarness) applyMigrations(t int) {
 	for _, km := range h.cfg.Migrations {
 		if km.Round != t {
@@ -417,25 +230,21 @@ func (h *spanHarness) applyMigrations(t int) {
 		if !ok {
 			continue
 		}
-		dst := km.To
-		if dst < 0 {
-			members := h.ring.Members()
-			for i, m := range members {
-				if m == src {
-					dst = members[(i+1)%len(members)]
-					break
-				}
-			}
-		}
-		if dst == src || !h.ring.Has(dst) {
-			continue
-		}
-		if err := h.ring.SetOverride(key, dst); err != nil {
+		dst := h.migrationTarget(src, km.To)
+		if dst == src || !h.ring.Has(dst) || h.ring.SetOverride(key, dst) != nil {
 			continue
 		}
 		h.res.Migrations++
 		h.h.event("t%d migrate %s shard %d -> %d", t, key, src, dst)
 		h.fenceRemapped(t)
+	}
+}
+
+// displace marks a span as touched by a ring change or node fence.
+func (h *spanHarness) displace(t int, sp *simSpan) {
+	if sp.displacedAt < 0 {
+		sp.displacedAt = t
+		h.res.Displaced++
 	}
 }
 
@@ -447,55 +256,37 @@ func (h *spanHarness) fenceRemapped(t int) {
 		if sp.done || sp.mustAbort {
 			continue
 		}
-	parts:
 		for _, pt := range sp.parts {
-			for _, k := range pt.keys {
-				if s, ok := h.ring.Lookup(k); !ok || s != pt.shard {
-					sp.mustAbort = true
-					if sp.displacedAt < 0 {
-						sp.displacedAt = t
-						h.res.Displaced++
-					}
-					h.h.event("t%d span%d displaced: key %s moved off shard %d", t, sp.id, k, pt.shard)
-					break parts
-				}
+			if !h.placed(pt.Keys, pt.Shard) {
+				sp.mustAbort = true
+				h.displace(t, sp)
+				h.h.event("t%d span%d displaced: keys %v moved off shard %d", t, sp.id, pt.Keys, pt.Shard)
+				break
 			}
 		}
 	}
 }
 
-// fenceDueNodes mirrors Server.fenceLeases: a node restart or
-// membership leave inside a shard revokes the sub-leases homed there,
-// so every span holding a granted part at a fenced node must abort —
-// holding the other parts would be exactly the partial commit the
-// protocol forbids.
-func (h *spanHarness) fenceDueNodes(t int) {
-	for s, rn := range h.runners {
-		for _, rs := range rn.cfg.Restarts {
-			if rs.Round == t {
-				h.fence(t, s, rs.Node)
-			}
-		}
-		for _, l := range rn.cfg.Leaves {
-			if l.Round == t {
-				h.fence(t, s, l.Node)
-			}
-		}
-	}
-}
-
+// fence is Server.fenceLeases seen from the spans: a node restart or
+// membership leave inside shard s revokes the sub-leases homed there. A
+// span still collecting prepares finds out the way the Router does — at
+// its next refresh or at commit; a committed one is torn down at once
+// (production detects it on the client's next renew and releases the
+// survivors), because holding the other parts would be exactly the
+// partial commit the protocol forbids.
 func (h *spanHarness) fence(t, s int, node graph.ProcID) {
 	for _, sp := range h.spans {
 		if sp.done || sp.mustAbort {
 			continue
 		}
-		for i := 0; i < sp.next; i++ {
-			if sp.parts[i].shard == s && sp.sess[i].Home == node {
-				sp.mustAbort = true
-				if sp.displacedAt < 0 {
-					sp.displacedAt = t
-					h.res.Displaced++
+		for i := 0; i < sp.m.Held(); i++ {
+			if sp.parts[i].Shard == s && sp.sess[i].Home == node {
+				if sp.committed {
+					sp.mustAbort = true
+				} else if sp.lease[i] > t {
+					sp.lease[i] = t
 				}
+				h.displace(t, sp)
 				h.h.event("t%d span%d fenced at shard %d node %d", t, sp.id, s, node)
 				break
 			}
@@ -503,77 +294,139 @@ func (h *spanHarness) fence(t, s int, node graph.ProcID) {
 	}
 }
 
-// stepSpan advances one span's acquire state machine by one round.
+// expireLeases is each shard's janitor: a prepare whose deadline passed
+// is gone — its session is released and somebody else may be granted
+// its keys.
+func (h *spanHarness) expireLeases(t int, sp *simSpan) {
+	if sp.done || sp.committed {
+		return
+	}
+	for i := 0; i < sp.m.Held(); i++ {
+		if sp.lease[i] <= t && h.arbs[sp.parts[i].Shard].Release(sp.sess[i]) {
+			h.h.event("t%d span%d prepare on shard %d expired", t, sp.id, sp.parts[i].Shard)
+		}
+	}
+}
+
+// stepSpan polls one span for a round. An uncommitted live span is
+// always waiting on the sub-acquire the machine last asked for: every
+// other action completes within settle.
 func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	if sp.done {
 		return
 	}
 	if sp.committed {
-		if sp.mustAbort {
-			// A committed part was fenced: production detects this on the
-			// client's next renew and releases the survivors. All-or-nothing
-			// is preserved by tearing the span down, not by keeping it.
-			h.rollback(t, sp, "post-commit fence")
-			return
-		}
-		if sp.releaseAt <= t {
+		// The hold is the client's: release when it ends, or at once when
+		// a committed part was fenced or displaced. All-or-nothing is
+		// preserved by tearing the span down, not by keeping it.
+		if sp.mustAbort || sp.releaseAt <= t {
 			for i := range sp.parts {
-				h.arbs[sp.parts[i].shard].Release(sp.sess[i])
+				h.arbs[sp.parts[i].Shard].Release(sp.sess[i])
 			}
 			sp.done = true
-			h.h.event("t%d span%d released", t, sp.id)
+			if sp.mustAbort {
+				sp.releaseAt = t // the commit window truly ended here
+				h.res.Rollbacks++
+				h.h.event("t%d span%d rollback: post-commit fence", t, sp.id)
+			} else {
+				h.h.event("t%d span%d released", t, sp.id)
+			}
 		}
 		return
 	}
-	if sp.mustAbort {
-		h.rollback(t, sp, "fenced prepare")
-		return
-	}
-	// Prepare leases not refreshed in time have expired server-side.
-	for i := 0; i < sp.next; i++ {
-		if sp.deadline[i] <= t {
-			h.rollback(t, sp, fmt.Sprintf("prepare expired on shard %d", sp.parts[i].shard))
-			return
-		}
-	}
-	arb := h.arbs[sp.parts[sp.next].shard]
-	switch arb.Status(sp.sess[sp.next]) {
-	case drinkers.Drinking:
-		sp.deadline[sp.next] = t + h.cfg.PrepareRounds
-		for i := 0; i < sp.next; i++ {
-			sp.deadline[i] = t + h.cfg.PrepareRounds // renew-refresh
-		}
-		sp.next++
-		h.h.event("t%d span%d part%d granted", t, sp.id, sp.next-1)
-		if sp.next == len(sp.parts) {
-			h.commit(t, sp)
-			return
-		}
-		if !h.submitPart(t, sp) {
-			h.rollback(t, sp, "submit failed")
-		}
-	case drinkers.Pending:
-		if t-sp.submitRound >= h.cfg.AcquireRounds {
-			h.rollback(t, sp, fmt.Sprintf("acquire timeout on shard %d", sp.parts[sp.next].shard))
-		}
-	case drinkers.Done:
+	k := sp.m.Next().Part
+	switch status := h.arbs[sp.parts[k].Shard].Status(sp.sess[k]); {
+	case sp.mustAbort:
+		h.failPrepare(t, sp, "displaced")
+	case status == drinkers.Drinking:
+		sp.lease[k] = t + h.cfg.PrepareRounds
+		h.h.event("t%d span%d part%d granted", t, sp.id, k)
+		h.settle(t, sp, spanDone(&sp.m, true))
+	case status == drinkers.Done:
 		// Canceled or released out from under us — cannot happen from
 		// this coordinator; treat as a lost sub-session.
-		h.rollback(t, sp, "sub-session vanished")
+		h.failPrepare(t, sp, "sub-session vanished")
+	case t-sp.submitRound >= h.cfg.AcquireRounds:
+		h.failPrepare(t, sp, "acquire timeout")
 	}
 }
 
-// commit promotes every part to a committed hold — and first runs the
+// failPrepare withdraws the pending sub-acquire — a grant cannot be
+// canceled, only released — and reports the failure to the machine.
+func (h *spanHarness) failPrepare(t int, sp *simSpan, why string) {
+	k := sp.m.Next().Part
+	if arb := h.arbs[sp.parts[k].Shard]; !arb.Cancel(sp.sess[k]) {
+		arb.Release(sp.sess[k])
+	}
+	h.h.event("t%d span%d part%d on shard %d failed: %s", t, sp.id, k, sp.parts[k].Shard, why)
+	h.settle(t, sp, spanDone(&sp.m, false))
+}
+
+// settle executes the machine's actions until it asks for a sub-acquire
+// (queued here, polled by stepSpan from the next round on) or ends.
+func (h *spanHarness) settle(t int, sp *simSpan, act coord.SpanAction) {
+	for {
+		ok := true
+		switch act.Op {
+		case coord.SpanPrepare:
+			h.checkRefreshed(t, sp)
+			pt := sp.parts[act.Part]
+			if sp.sess[act.Part] = h.submit(pt.Shard, sp.bottles[act.Part], sp.homes[act.Part]); sp.sess[act.Part] != nil {
+				sp.submitRound = t
+				h.h.event("t%d span%d submit part%d shard%d home=%d", t, sp.id, act.Part, pt.Shard, sp.sess[act.Part].Home)
+				return
+			}
+			ok = false
+		case coord.SpanRefresh:
+			if ok = sp.lease[act.Part] > t; ok {
+				sp.lease[act.Part] = t + h.cfg.PrepareRounds
+			}
+		case coord.SpanEpoch:
+			h.checkRefreshed(t, sp)
+			ok = h.ring.Generation() == sp.gen0
+		case coord.SpanPlacement:
+			for _, pt := range sp.parts {
+				ok = ok && h.placed(pt.Keys, pt.Shard)
+			}
+		case coord.SpanCommit:
+			ok = sp.lease[act.Part] > t
+		case coord.SpanRelease:
+			h.arbs[sp.parts[act.Part].Shard].Release(sp.sess[act.Part])
+		case coord.SpanCommitted:
+			h.commit(t, sp)
+			return
+		case coord.SpanAborted:
+			why, part := sp.m.Abort()
+			sp.done = true
+			h.res.Rollbacks++
+			h.h.event("t%d span%d rollback: %v at part%d", t, sp.id, why, part)
+			return
+		}
+		act = spanDone(&sp.m, ok)
+	}
+}
+
+// checkRefreshed is the orphaned-prepare oracle, run whenever a span
+// moves on from a grant: every sub-lease it holds must by now carry a
+// full prepare budget, or a prepare has to outlive more than ONE
+// shard's wait — the bound PrepareRounds is sized for.
+func (h *spanHarness) checkRefreshed(t int, sp *simSpan) {
+	for i := 0; i < sp.m.Held(); i++ {
+		if sp.lease[i] != t+h.cfg.PrepareRounds {
+			record(&h.res.OrphanedSpans, "t%d: span %d moved on with the prepare on shard %d expiring at t%d, not refreshed to t%d",
+				t, sp.id, sp.parts[i].Shard, sp.lease[i], t+h.cfg.PrepareRounds)
+		}
+	}
+}
+
+// commit records a committed span's hold — and first runs the
 // partial-commit oracle: at this instant every part's session must
 // actually hold its bottles.
 func (h *spanHarness) commit(t int, sp *simSpan) {
 	for i := range sp.parts {
-		if h.arbs[sp.parts[i].shard].Status(sp.sess[i]) != drinkers.Drinking {
-			if len(h.res.PartialCommits) < maxRecorded {
-				h.res.PartialCommits = append(h.res.PartialCommits,
-					fmt.Sprintf("t%d: span %d committed while part %d (shard %d) was not held",
-						t, sp.id, i, sp.parts[i].shard))
-			}
+		if h.arbs[sp.parts[i].Shard].Status(sp.sess[i]) != drinkers.Drinking {
+			record(&h.res.PartialCommits, "t%d: span %d committed while part %d (shard %d) was not held",
+				t, sp.id, i, sp.parts[i].Shard)
 		}
 	}
 	sp.committed = true
@@ -581,59 +434,6 @@ func (h *spanHarness) commit(t int, sp *simSpan) {
 	sp.releaseAt = t + 1 + h.src.Intn(h.cfg.MaxHoldRounds)
 	h.res.Commits++
 	h.h.event("t%d span%d committed hold=%d", t, sp.id, sp.releaseAt-t)
-}
-
-// rollback releases granted parts and cancels the pending one; the
-// span terminates with no residue on any shard.
-func (h *spanHarness) rollback(t int, sp *simSpan, why string) {
-	for i := 0; i < sp.next && i < len(sp.sess); i++ {
-		h.arbs[sp.parts[i].shard].Release(sp.sess[i])
-	}
-	if !sp.committed && sp.next < len(sp.sess) && sp.sess[sp.next] != nil {
-		arb := h.arbs[sp.parts[sp.next].shard]
-		if !arb.Cancel(sp.sess[sp.next]) {
-			// Granted between our status check and now (or by the same
-			// round's pump): a grant cannot be canceled, only released.
-			arb.Release(sp.sess[sp.next])
-		}
-	}
-	if sp.committed {
-		for i := sp.next; i < len(sp.sess); i++ {
-			if sp.sess[i] != nil {
-				h.arbs[sp.parts[i].shard].Release(sp.sess[i])
-			}
-		}
-		sp.releaseAt = t // the commit window truly ended here
-	}
-	sp.done = true
-	h.res.Rollbacks++
-	h.h.event("t%d span%d rollback: %s", t, sp.id, why)
-}
-
-// submitPart queues span part sp.next at its shard, choosing the first
-// live candidate home (the deterministic analog of the server's
-// queue-depth-sorted home choice).
-func (h *spanHarness) submitPart(t int, sp *simSpan) bool {
-	pt := sp.parts[sp.next]
-	rn := h.runners[pt.shard]
-	home := graph.ProcID(-1)
-	for _, c := range pt.homes {
-		if !rn.rd.Dead(c) && !rn.d.Network().Departed(c) {
-			home = c
-			break
-		}
-	}
-	if home < 0 {
-		return false
-	}
-	s, err := h.arbs[pt.shard].Submit(home, pt.bottles)
-	if err != nil {
-		return false
-	}
-	sp.sess[sp.next] = s
-	sp.submitRound = t
-	h.h.event("t%d span%d submit part%d shard%d home=%d", t, sp.id, sp.next, pt.shard, home)
-	return true
 }
 
 // drawWorkload maybe creates one new span: a drawn key set decomposed
@@ -653,55 +453,47 @@ func (h *spanHarness) drawWorkload(t int) {
 	for _, i := range perm(h.src, len(h.keys))[:want] {
 		keys = append(keys, h.keys[i])
 	}
-	var parts []simPart
+	var parts []coord.Part
 	for _, k := range keys {
 		s, ok := h.ring.Lookup(k)
 		if !ok {
 			return // empty ring: no placement, no span
 		}
 		i := 0
-		for i < len(parts) && parts[i].shard != s {
+		for i < len(parts) && parts[i].Shard != s {
 			i++
 		}
 		if i == len(parts) {
-			parts = append(parts, simPart{shard: s})
+			parts = append(parts, coord.Part{Shard: s})
 		}
-		parts[i].keys = append(parts[i].keys, k)
-	}
-	// Ascending shard order — the deadlock-freedom invariant.
-	for i := 1; i < len(parts); i++ {
-		for j := i; j > 0 && parts[j].shard < parts[j-1].shard; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
-	for i := range parts {
-		bottles, homes, err := h.mappers[parts[i].shard].MapSession(parts[i].keys)
-		if err != nil {
-			return // part unmappable within its shard: skip the draw
-		}
-		parts[i].bottles = bottles
-		parts[i].homes = homes
+		parts[i].Keys = append(parts[i].Keys, k)
 	}
 	sp := &simSpan{
 		id:          h.res.Spans,
 		keys:        keys,
-		parts:       parts,
+		parts:       coord.Ascending(parts),
+		m:           coord.NewSpan(len(parts)),
+		gen0:        h.ring.Generation(),
+		bottles:     make([][]int, len(parts)),
+		homes:       make([][]graph.ProcID, len(parts)),
 		sess:        make([]*drinkers.Session, len(parts)),
-		deadline:    make([]int, len(parts)),
+		lease:       make([]int, len(parts)),
 		born:        t,
 		displacedAt: -1,
+	}
+	for i, pt := range sp.parts {
+		var err error
+		if sp.bottles[i], sp.homes[i], err = h.mapper.MapSession(pt.Keys); err != nil {
+			return // part unmappable within its shard: skip the draw
+		}
 	}
 	h.res.Spans++
 	if len(parts) == 1 {
 		h.res.SingleShard++
 	}
 	h.h.event("t%d span%d new keys=%v parts=%d", t, sp.id, keys, len(parts))
-	if !h.submitPart(t, sp) {
-		sp.done = true
-		h.res.Rollbacks++
-		h.h.event("t%d span%d rollback: first submit failed", t, sp.id)
-	}
 	h.spans = append(h.spans, sp)
+	h.settle(t, sp, sp.m.Next())
 }
 
 // finish runs the end-of-run oracles, drains surviving spans, and
@@ -722,17 +514,9 @@ func (h *spanHarness) finish() *SpanResult {
 		}
 		budget := len(sp.parts)*(h.cfg.AcquireRounds+h.cfg.PrepareRounds) + h.cfg.MaxHoldRounds + 10
 		if rounds-sp.born >= budget {
-			if len(res.OrphanedSpans) < maxRecorded {
-				res.OrphanedSpans = append(res.OrphanedSpans,
-					fmt.Sprintf("span %d born t%d never terminated in %d rounds", sp.id, sp.born, rounds-sp.born))
-			}
-			continue
-		}
-		if sp.displacedAt >= 0 && rounds-sp.displacedAt >= budget {
-			if len(res.OrphanedSpans) < maxRecorded {
-				res.OrphanedSpans = append(res.OrphanedSpans,
-					fmt.Sprintf("span %d displaced t%d still wedged at t%d", sp.id, sp.displacedAt, rounds))
-			}
+			record(&res.OrphanedSpans, "span %d born t%d never terminated in %d rounds", sp.id, sp.born, rounds-sp.born)
+		} else if sp.displacedAt >= 0 && rounds-sp.displacedAt >= budget {
+			record(&res.OrphanedSpans, "span %d displaced t%d still wedged at t%d", sp.id, sp.displacedAt, rounds)
 		}
 	}
 	// Shutdown drain so every history closes.
@@ -740,14 +524,14 @@ func (h *spanHarness) finish() *SpanResult {
 		if sp.done {
 			continue
 		}
-		if sp.committed {
-			for i := range sp.parts {
-				h.arbs[sp.parts[i].shard].Release(sp.sess[i])
-			}
-			sp.done = true
+		if !sp.committed {
+			h.failPrepare(rounds, sp, "shutdown drain")
 			continue
 		}
-		h.rollback(rounds, sp, "shutdown drain")
+		for i := range sp.parts {
+			h.arbs[sp.parts[i].Shard].Release(sp.sess[i])
+		}
+		sp.done = true
 	}
 	// All-or-nothing linearizability at the span level: two committed
 	// spans sharing a key must have disjoint commit windows.
@@ -759,35 +543,13 @@ func (h *spanHarness) finish() *SpanResult {
 			if !b.committed || a.releaseAt <= b.commitRound || b.releaseAt <= a.commitRound {
 				continue
 			}
-			if shareKey(a.keys, b.keys) && len(res.OverlapViolations) < maxRecorded {
-				res.OverlapViolations = append(res.OverlapViolations,
-					fmt.Sprintf("spans %d and %d share a key and overlapped: [%d,%d) vs [%d,%d)",
-						a.id, b.id, a.commitRound, a.releaseAt, b.commitRound, b.releaseAt))
+			if shareKey(a.keys, b.keys) {
+				record(&res.OverlapViolations, "spans %d and %d share a key and overlapped: [%d,%d) vs [%d,%d)",
+					a.id, b.id, a.commitRound, a.releaseAt, b.commitRound, b.releaseAt)
 			}
 		}
 	}
-	res.Trace = h.h.lines
-	comb := fnv.New64a()
-	fmt.Fprintf(comb, "%016x\n", h.h.hash.Sum64())
-	for s, rn := range h.runners {
-		fair := !h.cfg.Adversarial
-		rn.baseline = nil // demand-driven hunger: no locality promise
-		sub := rn.finish(fair, rounds)
-		fmt.Fprintf(comb, "%016x\n", sub.TraceHash)
-		for _, v := range sub.SafetyViolations {
-			if len(res.SafetyViolations) < maxRecorded {
-				res.SafetyViolations = append(res.SafetyViolations,
-					fmt.Sprintf("shard %d: %s", s, v))
-			}
-		}
-		for _, v := range h.hists[s].Check(h.cfg.Graph) {
-			if len(res.HistoryViolations) < maxRecorded {
-				res.HistoryViolations = append(res.HistoryViolations,
-					fmt.Sprintf("shard %d: %s", s, v))
-			}
-		}
-	}
-	res.TraceHash = comb.Sum64()
+	res.ClusterResult = h.cluster.finish()
 	return res
 }
 
@@ -807,27 +569,16 @@ func shareKey(a, b []string) bool {
 // sweep tests and cmd/detsim -mode span: seed-determined schedule over
 // a fault-free K-shard lockstep, checking the span oracles.
 func SweepSpan(g *graph.Graph, seed int64, rounds, shards int, trace bool) *SpanResult {
-	return RunSpan(SpanConfig{
-		Graph:  g,
-		Shards: shards,
-		Seed:   seed,
-		Rounds: rounds,
-		Trace:  trace,
-	})
+	return RunSpan(SpanConfig{ClusterConfig: sweepCluster(g, seed, rounds, shards, trace, nil)})
 }
 
 // SweepSpanAdversarial is the adversarial-schedule variant: each shard
 // advances by free source-driven steps, so only safety-class span
 // oracles are meaningful — which they remain, by design.
 func SweepSpanAdversarial(g *graph.Graph, seed int64, rounds, shards int, trace bool) *SpanResult {
-	return RunSpan(SpanConfig{
-		Graph:       g,
-		Shards:      shards,
-		Seed:        seed,
-		Rounds:      rounds,
-		Adversarial: true,
-		Trace:       trace,
-	})
+	c := sweepCluster(g, seed, rounds, shards, trace, nil)
+	c.Adversarial = true
+	return RunSpan(SpanConfig{ClusterConfig: c})
 }
 
 // SweepSpanChurn is the ring-churn variant: churnCount shards leave
@@ -843,15 +594,7 @@ func SweepSpanChurn(g *graph.Graph, seed int64, rounds, shards, churnCount int, 
 		at := src.Intn(rounds / 2)
 		plan = append(plan, RingChurn{Shard: s, Leave: at, Join: at + 10 + src.Intn(20)})
 	}
-	return RunSpan(SpanConfig{
-		Graph:     g,
-		Shards:    shards,
-		Seed:      seed,
-		Rounds:    rounds,
-		RingChurn: plan,
-		Source:    src,
-		Trace:     trace,
-	})
+	return RunSpan(SpanConfig{ClusterConfig: sweepCluster(g, seed, rounds, shards, trace, src), RingChurn: plan})
 }
 
 // SweepSpanMigrate is the migrate-during-span variant: seed-drawn key
@@ -863,21 +606,9 @@ func SweepSpanMigrate(g *graph.Graph, seed int64, rounds, shards, moves int, tra
 	src := NewRand(seed)
 	var plan []KeyMigration
 	for i := 0; i < moves; i++ {
-		plan = append(plan, KeyMigration{
-			KeyIndex: src.Intn(24),
-			Round:    5 + src.Intn(rounds*2/3),
-			To:       -1,
-		})
+		plan = append(plan, KeyMigration{KeyIndex: src.Intn(24), Round: 5 + src.Intn(rounds*2/3), To: -1})
 	}
-	return RunSpan(SpanConfig{
-		Graph:      g,
-		Shards:     shards,
-		Seed:       seed,
-		Rounds:     rounds,
-		Migrations: plan,
-		Source:     src,
-		Trace:      trace,
-	})
+	return RunSpan(SpanConfig{ClusterConfig: sweepCluster(g, seed, rounds, shards, trace, src), Migrations: plan})
 }
 
 // SweepSpanChaos is the shard-crash variant — the mid-prepare crash
@@ -888,27 +619,7 @@ func SweepSpanMigrate(g *graph.Graph, seed int64, rounds, shards, moves int, tra
 // back; the oracles then require full recovery with a linearizable
 // multi-key history.
 func SweepSpanChaos(g *graph.Graph, seed int64, rounds, shards, kills int, trace bool) *SpanResult {
-	src := NewRand(seed)
-	crashes := make([][]Crash, shards)
-	restarts := make([][]Restart, shards)
-	for s := 0; s < shards; s++ {
-		crashes[s] = RandomCrashes(src, g, kills, rounds/3, 6)
-		for _, c := range crashes[s] {
-			restarts[s] = append(restarts[s], Restart{
-				Node:    c.Node,
-				Round:   c.Round + 10 + src.Intn(20),
-				Garbage: src.Intn(2) == 1,
-			})
-		}
-	}
-	return RunSpan(SpanConfig{
-		Graph:    g,
-		Shards:   shards,
-		Seed:     seed,
-		Rounds:   rounds,
-		Crashes:  crashes,
-		Restarts: restarts,
-		Source:   src,
-		Trace:    trace,
-	})
+	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
+	c.crashCampaign(kills, rounds/3, 6, 10, 20)
+	return RunSpan(SpanConfig{ClusterConfig: c})
 }

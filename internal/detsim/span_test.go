@@ -172,11 +172,13 @@ func FuzzCrossShardAcquire(f *testing.F) {
 		shards := 2 + src.Intn(2)
 		rounds := 60 + src.Intn(60)
 		cfg := SpanConfig{
-			Graph:  g,
-			Shards: shards,
-			Seed:   1,
-			Rounds: rounds,
-			Source: src,
+			ClusterConfig: ClusterConfig{
+				Graph:  g,
+				Shards: shards,
+				Seed:   1,
+				Rounds: rounds,
+				Source: src,
+			},
 		}
 		// Maybe a ring churn window, maybe per-shard crashes+fences —
 		// all drawn from the same byte source as the schedule.
@@ -186,18 +188,7 @@ func FuzzCrossShardAcquire(f *testing.F) {
 			cfg.RingChurn = []RingChurn{{Shard: s, Leave: at, Join: at + 5 + src.Intn(20)}}
 		}
 		if src.Intn(2) == 1 {
-			cfg.Crashes = make([][]Crash, shards)
-			cfg.Restarts = make([][]Restart, shards)
-			for s := 0; s < shards; s++ {
-				cfg.Crashes[s] = RandomCrashes(src, g, 1, rounds/2, 4)
-				for _, c := range cfg.Crashes[s] {
-					cfg.Restarts[s] = append(cfg.Restarts[s], Restart{
-						Node:    c.Node,
-						Round:   c.Round + 5 + src.Intn(15),
-						Garbage: src.Intn(2) == 1,
-					})
-				}
-			}
+			cfg.crashCampaign(1, rounds/2, 4, 5, 15)
 		}
 		res := RunSpan(cfg)
 		if res.Failed() {

@@ -29,6 +29,9 @@ var deterministicPkgs = map[string]bool{
 	"mcdp/internal/detsim":   true,
 	"mcdp/internal/core":     true,
 	"mcdp/internal/drinkers": true,
+	// The protocol machines detsim and lockservice both drive: a wall
+	// clock read in there would be a decision detsim cannot schedule.
+	"mcdp/internal/coord": true,
 }
 
 // bannedTimeFuncs are the package-level time functions that read or wait

@@ -189,4 +189,19 @@ func TestRepoClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
+	// Zero findings only vouches for the deterministic-scope rules where
+	// the scoped packages were actually loaded — internal/coord above
+	// all: it is the code both drivers run.
+	loaded := make(map[string]bool, len(prog.Pkgs))
+	for _, p := range prog.Pkgs {
+		loaded[p.Path] = true
+	}
+	for path := range deterministicPkgs {
+		if !loaded[path] {
+			t.Errorf("deterministic-scope package %s was not loaded", path)
+		}
+	}
+	if !deterministicPkgs["mcdp/internal/coord"] {
+		t.Error("mcdp/internal/coord is not in deterministic scope")
+	}
 }

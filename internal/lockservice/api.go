@@ -247,7 +247,7 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // statusFor maps the service's sentinel errors onto HTTP status codes.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrUnmappable), errors.Is(err, ErrCrossShard):
+	case errors.Is(err, ErrUnmappable):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrWrongShard), errors.Is(err, ErrSpanAborted), errors.Is(err, ErrDeposed):
 		return http.StatusConflict

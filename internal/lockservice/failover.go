@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"log"
 	"time"
+
+	"mcdp/internal/coord"
 )
 
 // FailoverConfig tunes shard-primary failure detection and standby
@@ -64,17 +66,19 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	return c
 }
 
-// superviseShards is the router's failure detector and promotion
-// driver: every CheckEvery it heartbeats each shard's replication
-// streams and counts missed health checks; Misses consecutive misses
-// outside the cool-off window trigger a promotion and a ring-generation
-// bump. It runs only when the router was built with replicas.
+// superviseShards drives one coord.Detector per shard: every
+// CheckEvery it heartbeats each shard's replication streams and feeds
+// the detector a health probe; when the detector says so it promotes
+// and bumps the ring generation. It runs only when the router was built
+// with replicas.
 func (r *Router) superviseShards() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.fo.CheckEvery)
 	defer t.Stop()
-	misses := make([]int, len(r.sets))
-	cooloff := make([]time.Time, len(r.sets))
+	detectors := make([]coord.Detector, len(r.sets))
+	for i := range detectors {
+		detectors[i] = coord.Detector{Misses: r.fo.Misses, Cooloff: int64(r.fo.Cooloff)}
+	}
 	lastHB := time.Time{}
 	for {
 		select {
@@ -89,32 +93,12 @@ func (r *Router) superviseShards() {
 			}
 		}
 		for i, set := range r.sets {
-			if set.primaryHealthy() {
-				misses[i] = 0
-				continue
-			}
-			misses[i]++
-			if misses[i] < r.fo.Misses {
-				continue
-			}
-			if set.standbyCount() == 0 {
-				// Nothing to promote onto; keep counting so a later
-				// standby (never: membership is fixed) or operator sees
-				// the sustained failure in logs once.
-				if misses[i] == r.fo.Misses {
-					r.fo.Logf("failover: shard %d primary unhealthy with no standby; shard stays dark", i)
-				}
-				continue
-			}
-			if time.Now().Before(cooloff[i]) {
-				// Flapping shard: at most one promotion per cool-off
-				// window.
+			if !detectors[i].Check(set.primaryHealthy(), r.now()) {
 				continue
 			}
 			lag := set.maxLag()
 			res, err := set.promote()
-			misses[i] = 0
-			cooloff[i] = time.Now().Add(r.fo.Cooloff)
+			detectors[i].Promoted(r.now())
 			if err != nil {
 				r.fo.Logf("failover: shard %d promotion failed (reason=%d missed health checks, lag=%d records): %v",
 					i, r.fo.Misses, lag, err)

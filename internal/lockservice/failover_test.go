@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -472,5 +473,42 @@ func TestFailoverAdminEndpoint(t *testing.T) {
 	}
 	if rt.Shard(0).Halted() {
 		t.Fatal("refused failover killed the primary anyway")
+	}
+}
+
+// TestStandbyGapRuleOneSpelling feeds a standby the frames
+// detsim's TestReplicaGapRuleOneSpelling feeds its model — a stream
+// opening on a heartbeat that echoes sequence 0, then record 2 — and
+// wants the same verdict from the same coord.Stream: record 1 was lost.
+func TestStandbyGapRuleOneSpelling(t *testing.T) {
+	connP, connS := net.Pipe()
+	sb := newStandby(nil, func() uint64 { return 1 })
+	sb.serve(connS)
+	defer func() {
+		connP.Close()
+		connS.Close()
+		sb.join()
+	}()
+	go func() { // drain acks so the reader's write never blocks
+		buf := make([]byte, 512)
+		for {
+			if _, err := connP.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	frame := wire.AppendFrame(nil, wire.TypeReplApply, []wire.Msg{
+		{Type: wire.TypeReplApply, Seq: 0, Inc: 1, Op: ReplOpHeartbeat},
+		{Type: wire.TypeReplApply, Corr: 2, Seq: 2, Inc: 1, Op: ReplOpGrant, Session: "k0:s2", Resources: []string{"a"}, DeadlineUS: 1},
+	})
+	if _, err := connP.Write(frame); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	waitCond(t, 2*time.Second, "record 2 applied", func() bool {
+		st := sb.state()
+		return st.Applied() == 2
+	})
+	if st := sb.state(); !st.Gap() {
+		t.Fatal("standby applied record 2 behind an opening heartbeat 0 without flagging the hole")
 	}
 }

@@ -6,41 +6,15 @@ import (
 	"time"
 
 	"mcdp/internal/control"
+	"mcdp/internal/coord"
 	"mcdp/internal/stats"
 )
 
 // This file is the actuator half of the hot-key feedback loop
-// (internal/control is the sensor/decision half): MigrateKey moves one
-// key between shards under the generation protocol, and rebalanceLoop
-// runs the controller against it.
-//
-// A migration is three moves, each mirroring a fencing contract an
-// earlier PR established:
-//
-//  1. Fence: record the key as migrating and bump the ring generation
-//     (the failover idiom — fencing lands before anything new exists).
-//     New acquires naming the key bounce with 409 at placement
-//     resolution; acquires that resolved placement before the fence
-//     and get granted after it are released by the router's post-grant
-//     check before any client sees them.
-//  2. Drain: wait until the source shard holds no live lease on the
-//     key — holders release or their TTL expires (the PR 7/PR 9 drain
-//     contract). A drain that outlives MigrationDrain aborts: the
-//     fence lifts, placement is unchanged, clients re-resolve to the
-//     same home.
-//  3. Commit: with the fence deadline still standing and the source
-//     re-probed lease-free under the router lock, install the override
-//     (which bumps the generation again) and lift the fence. New
-//     acquires route to the destination; the 409+generation path walks
-//     every client over. A fence that expired before commit aborts
-//     unconditionally — once routing stops honoring the fence,
-//     acquires may have reached the source again, so the drain
-//     observation is stale.
-//
-// Exclusion across the epoch therefore never depends on timing: a key
-// has live leases on at most one shard because the override only lands
-// after the source provably drained under a live fence, and no grant
-// straddles the fence.
+// (internal/control is the sensor/decision half): MigrateKey drives
+// coord.Migration — the fence/drain/commit protocol and every verdict in
+// it — against the live ring and shards, and rebalanceLoop runs the
+// controller against MigrateKey.
 
 // migrationDrainPoll is the lease-drain polling period.
 const migrationDrainPoll = time.Millisecond
@@ -67,95 +41,64 @@ func (r *Router) migrationDrain() time.Duration {
 // disabled) — status surfaces and tests.
 func (r *Router) Controller() *control.Controller { return r.ctl }
 
-// MigrateKey moves key to shard dst under the fence/drain/commit
-// protocol above. It blocks for up to the drain budget and returns nil
-// once new acquires for the key route to dst. Callers: the controller
-// loop and POST /v1/admin/migrate.
+// MigrateKey moves key to shard dst under coord.Migration's
+// fence/drain/commit protocol. It blocks for up to the drain budget and
+// returns nil once new acquires for the key route to dst. Callers: the
+// controller loop and POST /v1/admin/migrate.
 func (r *Router) MigrateKey(key string, dst int) error {
 	drain := r.migrationDrain()
 	r.mu.Lock()
-	if dst < 0 || dst >= len(r.sets) {
+	req := coord.MigrateRequest{Dst: dst, Shards: len(r.sets), DstInRing: r.ring.Has(dst)}
+	req.Src, req.Placed = r.ring.Lookup(key)
+	req.Fenced = r.fencedLocked(key, r.now()) != nil
+	req.DstHealthy = req.DstInRing && r.sets[dst].primaryHealthy()
+	if why := req.Check(); why != coord.MigrateOK {
 		r.mu.Unlock()
-		return fmt.Errorf("%w: migrate %q: shard %d out of range [0,%d)", errMigrateInvalid, key, dst, len(r.sets))
+		switch {
+		case why == coord.RefuseUnplaced:
+			return ErrUnserviceable
+		case why.Invalid():
+			return fmt.Errorf("%w: migrate %q to shard %d of %d: %v", errMigrateInvalid, key, dst, len(r.sets), why)
+		}
+		return fmt.Errorf("lockservice: migrate %q to shard %d: %v", key, dst, why)
 	}
-	src, ok := r.ring.Lookup(key)
-	if !ok {
-		r.mu.Unlock()
-		return ErrUnserviceable
-	}
-	if src == dst {
-		r.mu.Unlock()
-		return fmt.Errorf("lockservice: migrate %q: already placed on shard %d", key, dst)
-	}
-	if !r.ring.Has(dst) {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: migrate %q: shard %d not in ring", errMigrateInvalid, key, dst)
-	}
-	if m := r.fencedLocked(key, time.Now()); m != nil {
-		r.mu.Unlock()
-		return fmt.Errorf("lockservice: migrate %q: already migrating shard %d -> %d", key, m.src, m.dst)
-	}
-	if !r.sets[dst].primaryHealthy() {
-		r.mu.Unlock()
-		return fmt.Errorf("lockservice: migrate %q: destination shard %d is leaderless", key, dst)
-	}
-	m := &migration{key: key, src: src, dst: dst, deadline: time.Now().Add(drain)}
+	m := &coord.Migration{Key: key, Src: req.Src, Dst: dst, Deadline: r.now() + int64(drain)}
 	r.migrating[key] = m
 	r.ring.Bump() // fence epoch: in-flight resolvers must re-resolve
 	r.pushRingGen()
 	r.mu.Unlock()
 
-	drained := false
-	for time.Now().Before(m.deadline) {
-		if r.sets[src].leasesOn(key) == 0 {
-			drained = true
+	probe := coord.DrainWait
+	for {
+		if probe = m.Drain(r.now(), r.sets[m.Src].leasesOn(key)); probe != coord.DrainWait {
 			break
 		}
 		time.Sleep(migrationDrainPoll)
 	}
 
 	r.mu.Lock()
-	delete(r.migrating, key)
-	abort := func(reason string) error {
+	if r.migrating[key] == m { // a successor may have fenced the key once this fence expired
+		delete(r.migrating, key)
+	}
+	placedAt, _ := r.ring.Lookup(key)
+	verdict := m.Commit(r.now(), probe == coord.Drained, r.sets[m.Src].leasesOn(key), r.ring.Has(dst), placedAt)
+	var err error
+	switch {
+	case verdict.Aborted():
+		err = fmt.Errorf("%v (shard %d -> %d, drain budget %v)", verdict, m.Src, dst, drain)
+	case verdict == coord.CommitOverride:
+		err = r.ring.SetOverride(key, dst)
+	default:
+		r.ring.Bump()
+	}
+	if err != nil {
 		// Lift the fence under a fresh epoch so post-grant checks racing
 		// the lift stay conservative; placement is unchanged.
 		r.ring.Bump()
 		r.pushRingGen()
 		r.mu.Unlock()
 		r.metrics.RebalancesAborted.Add(1)
-		return fmt.Errorf("lockservice: migrate %q: %s", key, reason)
-	}
-	if !drained {
-		return abort(fmt.Sprintf("shard %d leases did not drain within %v", src, drain))
-	}
-	// The fence is only trustworthy while its deadline holds: routing
-	// treats an expired entry as absent (the wedged-migration escape
-	// hatch), so past the deadline acquires may already have resolved
-	// to the source and been granted there without tripping the
-	// post-grant check. A drain observation that squeaked in just
-	// before expiry proves nothing about the present — an expired
-	// fence always aborts.
-	if !time.Now().Before(m.deadline) {
-		return abort(fmt.Sprintf("fence expired before commit (drain budget %v)", drain))
-	}
-	// Re-probe the source under mu: a resolver that placed the key
-	// pre-fence may have been granted after the drain loop's last
-	// look. Holding mu from this probe through the override install
-	// makes the two atomic against stillPlaced, so a grant landing
-	// after the probe runs its post-grant check against the committed
-	// override and releases itself.
-	if n := r.sets[src].leasesOn(key); n != 0 {
-		return abort(fmt.Sprintf("shard %d regained %d lease(s) on the key before commit", src, n))
-	}
-	if !r.ring.Has(dst) {
-		return abort(fmt.Sprintf("shard %d left the ring mid-drain", dst))
-	}
-	if cur, _ := r.ring.Lookup(key); cur == dst {
-		// A membership change mid-drain already moved the key's hash
-		// placement to dst: commit as a no-op under a fresh epoch.
-		r.ring.Bump()
-	} else if err := r.ring.SetOverride(key, dst); err != nil {
-		return abort(err.Error())
+		return fmt.Errorf("lockservice: migrate %q: %w", key, err)
 	}
 	r.overrideGen = r.ring.Generation()
 	r.pushRingGen()

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mcdp/internal/coord"
 )
 
 // RetryAfterError wraps a retryable rejection with an explicit backoff
@@ -40,6 +42,14 @@ type standbyLink struct {
 	repl  *replicator
 	connP net.Conn // primary-side end
 	connS net.Conn // standby-side end
+}
+
+// close ends the link's stream and joins both of its ends.
+func (l *standbyLink) close() {
+	l.repl.close()
+	l.connP.Close()
+	l.connS.Close()
+	l.recv.join()
 }
 
 // promotion reports one completed failover for logs, metrics, and the
@@ -134,6 +144,13 @@ func (rs *replicaSet) Primary() *Server {
 // incarnation returns the current primary incarnation.
 func (rs *replicaSet) incarnation() uint64 { return rs.inc.Load() }
 
+// links snapshots the live standby links.
+func (rs *replicaSet) links() []*standbyLink {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return append([]*standbyLink(nil), rs.standbys...)
+}
+
 // standbyCount returns the number of live (unpromoted) standbys.
 func (rs *replicaSet) standbyCount() int {
 	rs.mu.Lock()
@@ -144,11 +161,8 @@ func (rs *replicaSet) standbyCount() int {
 // maxLag returns the widest replication lag across standbys, in
 // records.
 func (rs *replicaSet) maxLag() uint64 {
-	rs.mu.Lock()
-	links := append([]*standbyLink(nil), rs.standbys...)
-	rs.mu.Unlock()
 	var max uint64
-	for _, l := range links {
+	for _, l := range rs.links() {
 		if lg := l.repl.lag(); lg > max {
 			max = lg
 		}
@@ -303,9 +317,7 @@ func (rs *replicaSet) onLeaseEvent(src *Server, ev LeaseEvent) {
 // no longer waited on — it still receives the stream, but a dead
 // standby must not tax every grant forever.
 func (rs *replicaSet) replicate(ev LeaseEvent) {
-	rs.mu.Lock()
-	links := append([]*standbyLink(nil), rs.standbys...)
-	rs.mu.Unlock()
+	links := rs.links()
 	if len(links) == 0 {
 		return
 	}
@@ -359,22 +371,10 @@ func (rs *replicaSet) heartbeat() {
 }
 
 // promote replaces the (presumed dead) primary with the freshest live
-// standby under a bumped incarnation:
-//
-//  1. The standby with the highest applied sequence wins (halted
-//     standbys are skipped — a deposed or killed server is never
-//     revived into leadership).
-//  2. The incarnation bumps first, so from this instant the old
-//     primary's stream writes are refused (409) and its in-flight
-//     grants fail the replicaSet's fence check.
-//  3. Leases the standby can prove (replicated, unexpired) are adopted
-//     under their original IDs; the adoption grants replicate to the
-//     surviving standbys, doubling as the new primary's snapshot.
-//  4. If the stream showed loss — heartbeat sequence gap, stale link,
-//     or a failed adoption — new grants are held down until every
-//     possibly-lost lease has TTL-drained (ErrLeaderless +
-//     Retry-After until then). A clean stream means no hold-down: the
-//     blackout is just the detection interval plus this promotion.
+// standby under a bumped incarnation — the driver of coord's failover
+// protocol: coord chooses the standby, judges the loss evidence, decides
+// which proven leases are still worth adopting and how long the
+// hold-down lasts; this method swaps the servers and moves the leases.
 func (rs *replicaSet) promote() (*promotion, error) {
 	start := time.Now()
 	rs.mu.Lock()
@@ -382,16 +382,12 @@ func (rs *replicaSet) promote() (*promotion, error) {
 		rs.mu.Unlock()
 		return nil, errPromoting
 	}
-	best := -1
-	var bestApplied uint64
+	views := make([]coord.Standby, len(rs.standbys))
 	for i, l := range rs.standbys {
-		if l.srv.Halted() {
-			continue
-		}
-		if st := l.recv.state(); best == -1 || st.applied > bestApplied {
-			best, bestApplied = i, st.applied
-		}
+		st := l.recv.state()
+		views[i] = coord.Standby{Live: !l.srv.Halted(), Applied: st.Applied()}
 	}
+	best := coord.Choose(views)
 	if best == -1 {
 		rs.mu.Unlock()
 		return nil, fmt.Errorf("lockservice: shard %d has no live standby to promote", rs.shard)
@@ -403,32 +399,19 @@ func (rs *replicaSet) promote() (*promotion, error) {
 	survivors := append([]*standbyLink(nil), rs.standbys...)
 	rs.mu.Unlock()
 
+	// The incarnation bumps first: from this instant the old primary's
+	// stream writes are refused and its in-flight grants fail the fence
+	// check in acquire.
 	newInc := rs.inc.Add(1)
 	for _, l := range survivors {
 		l.repl.setInc(newInc)
 	}
 	st := chosen.recv.state()
-	lag := chosen.repl.lag()
-	gap := st.gap
-	if lag > 0 {
-		// Issued-but-unacked records at decision time: they may be
-		// enqueue drops, or sitting in a pipe this promotion is about to
-		// close. Heartbeats cannot vouch for them (the stream is FIFO, so
-		// a processed heartbeat never outruns a merely-slow record), so
-		// they must be presumed lost.
-		gap = true
-	}
-	if chosen.repl.dropped.Load() > 0 {
-		// Any enqueue drop in this stream's lifetime drains. Deliberately
-		// conservative (a later snapshot may have healed the hole): the
-		// standby's contiguity check cannot witness a drop that landed on
-		// the first record after an incarnation reset, and an extra TTL
-		// drain merely delays recovery while a missed drop would break
-		// exclusion.
-		gap = true
-	}
-	if rs.staleAfter > 0 && !st.lastFrame.IsZero() && time.Since(st.lastFrame) > rs.staleAfter {
-		gap = true
+	ev := coord.Evidence{
+		StreamGap: st.Gap(),
+		Lag:       chosen.repl.lag(),
+		Dropped:   chosen.repl.dropped.Load(),
+		Stale:     st.Stale(time.Now().UnixMicro(), rs.staleAfter.Microseconds()),
 	}
 	events := chosen.recv.snapshot()
 
@@ -440,48 +423,35 @@ func (rs *replicaSet) promote() (*promotion, error) {
 	rs.mu.Unlock()
 
 	// The chosen standby's inbound stream is done: it IS the primary.
-	chosen.repl.close()
-	chosen.connP.Close()
-	chosen.connS.Close()
-	chosen.recv.join()
+	chosen.close()
 
-	res := &promotion{Shard: rs.shard, Inc: newInc, Lag: lag}
-	now := time.Now()
+	res := &promotion{Shard: rs.shard, Inc: newInc, Lag: ev.Lag}
+	now := time.Now().UnixMicro()
 	ctx, cancel := context.WithTimeout(context.Background(), chosen.srv.cfg.DefaultTimeout)
-	for _, ev := range events {
-		if !ev.Deadline.After(now) {
+	for _, le := range events {
+		if !coord.Adoptable(le.Deadline.UnixMicro(), now) {
 			res.Skipped++
 			continue
 		}
 		//lint:allow leaselife adoption re-mints a lease the remote client already owns; release stays the client's obligation
-		if err := chosen.srv.AdoptLease(ctx, ev.ID, ev.Resources, ev.Deadline); err != nil {
+		if err := chosen.srv.AdoptLease(ctx, le.ID, le.Resources, le.Deadline); err != nil {
 			res.Failed++
 		} else {
 			res.Adopted++
 		}
 	}
 	cancel()
-	if res.Failed > 0 {
-		// A proven lease could not be re-granted: its holder still
-		// believes in it, so treat it like a lost record and drain.
-		gap = true
-	}
-	var hold time.Duration
-	if gap {
-		drain := time.Now().Add(chosen.srv.cfg.DefaultTTL)
-		if st.drainTo.After(drain) {
-			drain = st.drainTo
-		}
-		hold = time.Until(drain)
-	}
+	ev.FailedAdoptions = res.Failed
+	res.Gap = ev.Gap()
+	end := time.Now()
+	until := coord.HoldUntil(res.Gap, end.UnixMicro(), chosen.srv.cfg.DefaultTTL.Microseconds(), st.DrainTo())
 	rs.mu.Lock()
-	if hold > 0 {
-		rs.holdUntil = time.Now().Add(hold)
+	if until > 0 {
+		rs.holdUntil = time.UnixMicro(until)
+		res.Hold = rs.holdUntil.Sub(end)
 	}
 	rs.promoting = false
 	rs.mu.Unlock()
-	res.Gap = gap
-	res.Hold = hold
 	res.Took = time.Since(start)
 	return res, nil
 }
@@ -494,9 +464,6 @@ func (rs *replicaSet) stop() {
 	rs.standbys = nil
 	rs.mu.Unlock()
 	for _, l := range links {
-		l.repl.close()
-		l.connP.Close()
-		l.connS.Close()
-		l.recv.join()
+		l.close()
 	}
 }

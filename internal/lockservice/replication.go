@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mcdp/internal/coord"
 	"mcdp/internal/wire"
 )
 
@@ -291,16 +292,10 @@ type standby struct {
 
 	wg sync.WaitGroup
 
-	mu        sync.Mutex           //lint:order rank lockservice 34
-	table     map[string]replLease // guarded by mu: replicated lease shadow
-	prepared  map[string]bool      // guarded by mu: spans prepared but not resolved
-	streamInc uint64               // guarded by mu: incarnation of the live stream
-	baseSeq   uint64               // guarded by mu: first sequence seen on the live stream
-	applied   uint64               // guarded by mu: highest applied record sequence
-	gapSeen   bool                 // guarded by mu: a sequence jump proved a record was lost
-	hbSeq     uint64               // guarded by mu: highest heartbeat-echoed sequence
-	hbDeadUS  uint64               // guarded by mu: latest lease deadline heartbeats reported
-	lastFrame time.Time            // guarded by mu: when the last frame arrived
+	mu       sync.Mutex           //lint:order rank lockservice 34
+	table    map[string]replLease // guarded by mu: replicated lease shadow
+	prepared map[string]bool      // guarded by mu: spans prepared but not resolved
+	stream   coord.Stream         // guarded by mu: sequence, gap and recency tracking, in unix microseconds
 }
 
 // newStandby builds the receiver for srv. curInc must read the replica
@@ -342,45 +337,21 @@ func (b *standby) reader(conn net.Conn) {
 		acks = acks[:0]
 		cur := b.curInc()
 		b.mu.Lock()
-		b.lastFrame = time.Now()
+		b.stream.Frame(time.Now().UnixMicro())
 		for i := range entries {
 			m := &entries[i]
-			if m.Inc != cur {
+			if !b.stream.Accepts(m.Inc, cur, m.Seq) {
 				// A deposed primary is still writing: refuse, so its
 				// rejected counter records the fencing.
 				acks = append(acks, wire.Msg{Type: wire.TypeReplAck, Corr: m.Corr, Seq: m.Seq, Inc: cur, Code: 409})
 				continue
 			}
-			if m.Inc != b.streamInc {
-				// New primary incarnation: restart sequence tracking at
-				// this record (earlier numbers belong to the old stream).
-				b.streamInc = m.Inc
-				b.baseSeq = m.Seq
-				b.applied, b.hbSeq = 0, 0
-				b.gapSeen = false
-			}
 			if m.Op == ReplOpHeartbeat {
-				if m.Seq > b.hbSeq {
-					b.hbSeq = m.Seq
-				}
-				if m.DeadlineUS > b.hbDeadUS {
-					b.hbDeadUS = m.DeadlineUS
-				}
+				b.stream.Heartbeat(m.Seq, int64(m.DeadlineUS))
 				continue // liveness only, not acked
 			}
-			if b.applied >= b.baseSeq && m.Seq > b.applied+1 {
-				// A sequence jump on the FIFO stream proves a record was
-				// dropped at the primary's enqueue. The ack watermark and
-				// the heartbeat check both mask interior drops (later acks
-				// raise them past the hole), so contiguity is the only
-				// witness — sticky until the next incarnation restarts the
-				// stream.
-				b.gapSeen = true
-			}
+			b.stream.Record(m.Seq)
 			b.applyLocked(m)
-			if m.Seq > b.applied {
-				b.applied = m.Seq
-			}
 			acks = append(acks, wire.Msg{Type: wire.TypeReplAck, Corr: m.Corr, Seq: m.Seq, Inc: m.Inc, Code: 0})
 		}
 		b.mu.Unlock()
@@ -419,29 +390,12 @@ func (b *standby) applyLocked(m *wire.Msg) {
 	}
 }
 
-// replicaState snapshots what a promotion decision needs from one
-// standby: how far it applied, whether the stream showed loss, and the
-// TTL-drain bound for anything that may have been lost.
-type replicaState struct {
-	applied   uint64
-	gap       bool      // records were issued that this standby never applied
-	drainTo   time.Time // latest lease deadline the primary ever reported
-	lastFrame time.Time // recency of the stream (staleness detection)
-}
-
-// state returns the standby's promotion-relevant counters.
-func (b *standby) state() replicaState {
+// state returns a copy of the standby's stream tracker — what a
+// promotion decision needs from it.
+func (b *standby) state() coord.Stream {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := replicaState{
-		applied:   b.applied,
-		gap:       b.gapSeen || (b.hbSeq > b.applied && b.hbSeq > b.baseSeq),
-		lastFrame: b.lastFrame,
-	}
-	if b.hbDeadUS > 0 {
-		st.drainTo = time.UnixMicro(int64(b.hbDeadUS))
-	}
-	return st
+	return b.stream
 }
 
 // snapshot returns the shadow table as lease events sorted by ID —

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mcdp/internal/control"
+	"mcdp/internal/coord"
 	"mcdp/internal/shard"
 	"mcdp/internal/stats"
 )
@@ -148,28 +149,19 @@ type Router struct {
 
 	done chan struct{}
 	wg   sync.WaitGroup
+	// born anchors the monotonic tick the coord machines are driven with.
+	born time.Time
 
-	mu          sync.Mutex            //lint:order rank lockservice 10
-	ring        *shard.Ring           // guarded by mu
-	migrating   map[string]*migration // guarded by mu
-	overrideGen uint64                // guarded by mu
+	mu          sync.Mutex                  //lint:order rank lockservice 10
+	ring        *shard.Ring                 // guarded by mu
+	migrating   map[string]*coord.Migration // guarded by mu
+	overrideGen uint64                      // guarded by mu
 
 	// gen mirrors ring.Generation(), published by pushRingGen after
 	// every ring mutation, so hot-path generation reads (the acquire
 	// pre-check and post-grant check) pay one atomic load instead of
 	// taking mu.
 	gen atomic.Uint64
-}
-
-// migration is one in-flight key move: from fence to override install
-// (or abort), acquires naming key are bounced with 409 so the source
-// shard's leases on it can drain. deadline bounds the fence even if
-// the migrating goroutine dies mid-drain — routing treats an expired
-// entry as absent, so a wedged migration cannot fence a key forever.
-type migration struct {
-	key      string
-	src, dst int
-	deadline time.Time
 }
 
 // NewRouter builds a router and its shard servers — with
@@ -187,8 +179,9 @@ func NewRouter(cfg RouterConfig) *Router {
 		fo:        cfg.Failover.withDefaults(),
 		metrics:   &RouterMetrics{ShardRequests: make([]atomic.Int64, cfg.Shards), PromotionHist: stats.NewLatencyHistogram(stats.DefaultLatencyBounds())},
 		ring:      shard.New(uint64(cfg.Base.Seed), cfg.Vnodes),
-		migrating: make(map[string]*migration),
+		migrating: make(map[string]*coord.Migration),
 		done:      make(chan struct{}),
+		born:      time.Now(),
 	}
 	if cfg.Rebalance != nil {
 		cc := *cfg.Rebalance
@@ -383,49 +376,21 @@ func (r *Router) RingJoin(s int) error {
 	return nil
 }
 
+// now is the tick the router drives the coord machines with:
+// nanoseconds on the monotonic clock since the router was built.
+func (r *Router) now() int64 { return int64(time.Since(r.born)) }
+
 // fencedLocked reports whether res is fenced by an in-flight key
 // migration: new placements for it are refused (409) until the source
 // shard's leases drain and the override lands, or the fence's deadline
 // expires (the wedged-migration escape hatch).
 //
 // requires mu
-func (r *Router) fencedLocked(res string, now time.Time) *migration {
-	m, ok := r.migrating[res]
-	if !ok || now.After(m.deadline) {
-		return nil
+func (r *Router) fencedLocked(res string, now int64) *coord.Migration {
+	if m, ok := r.migrating[res]; ok && m.Fences(now) {
+		return m
 	}
-	return m
-}
-
-// shardFor resolves a resource set to its owning shard. Every resource
-// must hash to the same shard; a spanning set is ErrCrossShard, and a
-// resource fenced by an in-flight migration is ErrWrongShard (the
-// client re-resolves and retries once the key lands).
-func (r *Router) shardFor(resources []string) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(resources) == 0 {
-		return 0, fmt.Errorf("%w: empty resource set", ErrUnmappable)
-	}
-	now := time.Now()
-	home := -1
-	for _, res := range resources {
-		if m := r.fencedLocked(res, now); m != nil {
-			r.metrics.MigrationFences.Add(1)
-			return 0, fmt.Errorf("%w: key %q migrating shard %d -> %d", ErrWrongShard, res, m.src, m.dst)
-		}
-		s, ok := r.ring.Lookup(res)
-		if !ok {
-			return 0, ErrUnserviceable
-		}
-		if home == -1 {
-			home = s
-		} else if s != home {
-			return 0, fmt.Errorf("%w: %q on shard %d, %q on shard %d",
-				ErrCrossShard, resources[0], home, res, s)
-		}
-	}
-	return home, nil
+	return nil
 }
 
 // generation returns the current ring generation — the cache
@@ -435,45 +400,36 @@ func (r *Router) generation() uint64 {
 	return r.gen.Load()
 }
 
-// spanPart is one shard's slice of a (possibly spanning) resource set.
-type spanPart struct {
-	shard int
-	keys  []string
-}
-
 // partsFor decomposes a resource set by ring placement under one ring
 // snapshot, returning parts in ascending shard order (the canonical
 // acquisition order); within a part, keys keep request order.
-//
-//lint:order sorted span shard
-func (r *Router) partsFor(resources []string) ([]spanPart, error) {
+func (r *Router) partsFor(resources []string) ([]coord.Part, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(resources) == 0 {
 		return nil, fmt.Errorf("%w: empty resource set", ErrUnmappable)
 	}
-	now := time.Now()
-	var parts []spanPart
+	now := r.now()
+	var parts []coord.Part
 	for _, res := range resources {
 		if m := r.fencedLocked(res, now); m != nil {
 			r.metrics.MigrationFences.Add(1)
-			return nil, fmt.Errorf("%w: key %q migrating shard %d -> %d", ErrWrongShard, res, m.src, m.dst)
+			return nil, fmt.Errorf("%w: key %q migrating shard %d -> %d", ErrWrongShard, res, m.Src, m.Dst)
 		}
 		s, ok := r.ring.Lookup(res)
 		if !ok {
 			return nil, ErrUnserviceable
 		}
 		i := 0
-		for i < len(parts) && parts[i].shard != s {
+		for i < len(parts) && parts[i].Shard != s {
 			i++
 		}
 		if i == len(parts) {
-			parts = append(parts, spanPart{shard: s})
+			parts = append(parts, coord.Part{Shard: s})
 		}
-		parts[i].keys = append(parts[i].keys, res)
+		parts[i].Keys = append(parts[i].Keys, res)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].shard < parts[j].shard })
-	return parts, nil
+	return coord.Ascending(parts), nil
 }
 
 // prepareBudget resolves the span prepare-lease TTL.
@@ -504,7 +460,7 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		return nil, err
 	}
 	if len(parts) == 1 {
-		home := parts[0].shard
+		home := parts[0].Shard
 		r.metrics.ShardRequests[home].Add(1)
 		g, err := r.sets[home].acquire(ctx, resources, ttl)
 		if errors.Is(err, ErrLeaderless) {
@@ -535,7 +491,7 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 func (r *Router) stillPlaced(resources []string, home int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := time.Now()
+	now := r.now()
 	for _, res := range resources {
 		if r.fencedLocked(res, now) != nil {
 			return false
@@ -548,93 +504,101 @@ func (r *Router) stillPlaced(resources []string, home int) bool {
 }
 
 // partsStillPlaced is stillPlaced for a span's decomposition.
-func (r *Router) partsStillPlaced(parts []spanPart) bool {
+func (r *Router) partsStillPlaced(parts []coord.Part) bool {
 	for _, pt := range parts {
-		if !r.stillPlaced(pt.keys, pt.shard) {
+		if !r.stillPlaced(pt.Keys, pt.Shard) {
 			return false
 		}
 	}
 	return true
 }
 
-// acquireSpan acquires a shard-spanning resource set all-or-nothing:
-// sub-sessions in ascending shard order under prepare leases, then a
-// commit pass promoting every prepare to the client's TTL. Any
-// sub-acquire failure or lost prepare rolls every early grant back, so
-// no client ever observes a partially committed set. After each
-// sub-acquire, every earlier prepare is refreshed back to the full
-// prepare budget — a prepare therefore only has to survive ONE shard's
-// wait between refreshes, regardless of how many shards the span
-// touches. A prepare the janitor or a node fence revoked mid-protocol
-// surfaces as ErrSpanAborted (409, retryable: rollback left no
-// residue), as does a key migration that moved any part's placement
-// between resolution and commit — checked against gen0, the generation
-// the parts were resolved under.
-func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []spanPart, ttl time.Duration, gen0 uint64) (*Grant, error) {
-	// The protocol's deadlock freedom rests on every span walking its
-	// shards in the same order. partsFor already sorts, but the proof
-	// should not depend on a contract a caller could break: re-assert
-	// ascending shard order locally (a handful of elements, already
-	// sorted — effectively free).
-	sort.Slice(parts, func(i, j int) bool { return parts[i].shard < parts[j].shard })
+// acquireSpan acquires a shard-spanning resource set all-or-nothing by
+// driving coord.Span, which decides every order, refresh, abort and
+// commit: the loop walks the parts in ascending shard order taking each
+// sub-lease under the prepare budget, and settle carries out with wall
+// time whatever the machine asks for in between. A prepare the janitor or
+// a node fence revoked mid-protocol surfaces as ErrSpanAborted (409,
+// retryable: rollback left no residue), as does a key migration that
+// moved any part's placement between resolution — under generation gen0
+// — and commit.
+func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []coord.Part, ttl time.Duration, gen0 uint64) (*Grant, error) {
+	// partsFor already sorts, but the deadlock-freedom proof should not
+	// depend on a contract a caller could break: re-assert the walk order
+	// locally (a handful of elements, already sorted — effectively free).
+	parts = coord.Ascending(parts)
 	r.metrics.SpanAcquires.Add(1)
 	start := time.Now()
 	prep := r.prepareBudget()
+	sp := coord.NewSpan(len(parts))
 	subs := make([]*Grant, 0, len(parts))
-	rollback := func() {
-		if len(subs) == 0 {
-			return
+	var cause error // the failed step's own error
+	// settle executes every action that needs no new sub-acquire and
+	// returns the first one that does, or the terminal.
+	settle := func(act coord.SpanAction) coord.SpanAction {
+		for {
+			ok := true
+			switch act.Op {
+			case coord.SpanRefresh:
+				_, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, prep)
+				ok = cause == nil
+			case coord.SpanEpoch:
+				ok = r.generation() == gen0
+			case coord.SpanPlacement:
+				ok = r.partsStillPlaced(parts)
+			case coord.SpanCommit:
+				if _, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, ttl); cause == nil {
+					r.sets[parts[act.Part].Shard].noteSpan(ReplOpSpanCommit, subs[act.Part].SessionID)
+				}
+				ok = cause == nil
+			case coord.SpanRelease:
+				_ = r.sets[parts[act.Part].Shard].release(subs[act.Part].SessionID)
+				r.sets[parts[act.Part].Shard].noteSpan(ReplOpSpanRollback, subs[act.Part].SessionID)
+			default:
+				return act
+			}
+			act = sp.Done(ok)
 		}
-		for i := len(subs) - 1; i >= 0; i-- {
-			_ = r.sets[parts[i].shard].release(subs[i].SessionID)
-			r.sets[parts[i].shard].noteSpan(ReplOpSpanRollback, subs[i].SessionID)
-		}
-		r.metrics.SpanRollbacks.Add(1)
 	}
+	act := sp.Next()
 	for _, pt := range parts {
-		r.metrics.ShardRequests[pt.shard].Add(1)
-		//lint:order acquire span pt.shard
-		g, err := r.sets[pt.shard].acquire(ctx, pt.keys, prep)
+		if act.Op != coord.SpanPrepare {
+			break
+		}
+		r.metrics.ShardRequests[pt.Shard].Add(1)
+		//lint:order acquire span pt.Shard
+		g, err := r.sets[pt.Shard].acquire(ctx, pt.Keys, prep)
 		if err != nil {
-			if errors.Is(err, ErrLeaderless) {
+			cause = err
+		} else {
+			subs = append(subs, g)
+			// The sub-lease is now an early grant under a prepare TTL; tell
+			// the shard's standbys so a promotion mid-span knows this lease
+			// belongs to an unresolved span.
+			r.sets[pt.Shard].noteSpan(ReplOpSpanPrepare, g.SessionID)
+		}
+		act = settle(sp.Done(err == nil))
+	}
+	if act.Op != coord.SpanCommitted {
+		if sp.Held() > 0 {
+			r.metrics.SpanRollbacks.Add(1)
+		}
+		switch why, part := sp.Abort(); why {
+		case coord.PrepareFailed:
+			if errors.Is(cause, ErrLeaderless) {
 				r.metrics.LeaderlessRejections.Add(1)
 			}
-			rollback()
-			return nil, err
+			return nil, cause
+		case coord.PlacementMoved:
+			r.metrics.MigrationFences.Add(1)
+			return nil, fmt.Errorf("%w: %v (ring generation %d -> %d)", ErrSpanAborted, why, gen0, r.generation())
+		default:
+			return nil, fmt.Errorf("%w: shard %d %v: %v", ErrSpanAborted, parts[part].Shard, why, cause)
 		}
-		subs = append(subs, g)
-		// The sub-lease is now an early grant under a prepare TTL; tell
-		// the shard's standbys so a promotion mid-span knows this lease
-		// belongs to an unresolved span.
-		r.sets[pt.shard].noteSpan(ReplOpSpanPrepare, g.SessionID)
-		for i := 0; i < len(subs)-1; i++ {
-			if _, err := r.sets[parts[i].shard].renew(subs[i].SessionID, prep); err != nil {
-				rollback()
-				return nil, fmt.Errorf("%w: shard %d prepare lost mid-span: %v", ErrSpanAborted, parts[i].shard, err)
-			}
-		}
-	}
-	// Migration fence for spans: if the ring epoch moved while the
-	// prepares were collecting, re-validate every part's placement
-	// before promoting anything to the client TTL. A span must commit
-	// entirely inside one placement epoch or not at all — otherwise a
-	// migrated key could be granted here under its old home while the
-	// override already routes new acquires to its new one.
-	if r.generation() != gen0 && !r.partsStillPlaced(parts) {
-		rollback()
-		r.metrics.MigrationFences.Add(1)
-		return nil, fmt.Errorf("%w: placement moved mid-span (ring generation %d -> %d)", ErrSpanAborted, gen0, r.generation())
-	}
-	for i := range subs {
-		if _, err := r.sets[parts[i].shard].renew(subs[i].SessionID, ttl); err != nil {
-			rollback()
-			return nil, fmt.Errorf("%w: shard %d prepare lost at commit: %v", ErrSpanAborted, parts[i].shard, err)
-		}
-		r.sets[parts[i].shard].noteSpan(ReplOpSpanCommit, subs[i].SessionID)
 	}
 	if r.ctl != nil {
 		for _, pt := range parts {
-			r.ctl.Observe(pt.shard, pt.keys, time.Since(start))
+			r.ctl.Observe(pt.Shard, pt.Keys, time.Since(start))
 		}
 	}
 	r.metrics.SpanCommits.Add(1)

@@ -35,12 +35,6 @@ var (
 	ErrNotFound = errors.New("lockservice: unknown session")
 	// ErrWrongShard: the client routed with a stale ring generation (409).
 	ErrWrongShard = errors.New("lockservice: stale ring generation")
-	// ErrCrossShard: the resource set spans ring shards and the caller
-	// required single-shard placement (422). The Router no longer
-	// returns it from Acquire — spanning sets go through the span
-	// protocol — but shardFor keeps the contract for callers that need
-	// one owning shard.
-	ErrCrossShard = errors.New("lockservice: resource set spans shards")
 	// ErrSpanAborted: a cross-shard span lost a prepare lease before
 	// commit and every sub-lease was rolled back (409, retryable — the
 	// span left no residue, so a fresh attempt is safe).

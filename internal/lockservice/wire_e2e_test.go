@@ -254,13 +254,11 @@ func TestWireFacadeParity(t *testing.T) {
 	hc := NewClient(ts.URL)
 
 	// Pick one key per shard from the routable catalog.
-	keys := map[int][]string{}
+	var names []string
 	for _, e := range router.Shard(0).Graph().Edges() {
-		name := EdgeName(e)
-		if s, err := router.shardFor([]string{name}); err == nil {
-			keys[s] = append(keys[s], name)
-		}
+		names = append(names, EdgeName(e))
 	}
+	keys := router.ShardKeys(names)
 	if len(keys[0]) == 0 || len(keys[1]) == 0 {
 		t.Fatalf("catalog did not cover both shards: %v", keys)
 	}
