@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test benchmark-test race short flake cover bench bench-json bench-gate wire-smoke span-smoke failover-smoke control-smoke shard-smoke examples experiments figure2 modelcheck detsim fuzz dinerd loadgen chaos-smoke clean
+.PHONY: all build vet lint test benchmark-test race short flake cover bench bench-smoke bench-json bench-gate wire-smoke span-smoke failover-smoke control-smoke shard-smoke examples experiments figure2 modelcheck detsim fuzz dinerd loadgen chaos-smoke clean
 
 all: build vet lint test
 
@@ -49,6 +49,12 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The per-layer micro-benchmarks of the grant path (arbiter cycle, server
+# acquire, substrate hungry→eating), one iteration each: CI runs this so
+# they keep compiling and passing their own assertions.
+bench-smoke:
+	$(GO) test -run='^$$' -bench='^Benchmark(ArbiterCycle|ServerAcquire|HungryToEating|HandoverRounds)$$' -benchtime=1x ./internal/drinkers/ ./internal/lockservice/ ./internal/msgpass/
 
 # Machine-readable perf baselines. BENCH_shard.json: core micro
 # benchmarks plus the shard scaling sweep (1/2/4 arbiter shards under

@@ -367,7 +367,10 @@ func runCampaign(ctx context.Context, camp chaos.Campaign, srv *lockservice.Serv
 
 // watchRecovery polls one crashed node: down time ends when a restart
 // revives it (Dead clears), convergence when the revived incarnation
-// finishes a meal. converge stays -1 if the campaign ends first.
+// finishes a meal. converge stays -1 if the campaign ends first. The
+// watcher asks for that meal itself: locks granted at hand need none, so
+// client load alone may never make the revived node hungry, and the
+// paper lets needs() turn true for no reason at all.
 func watchRecovery(ctx context.Context, nw *msgpass.Network, a chaos.Action, baseline int64,
 	mu *sync.Mutex, out *[]recovery, wg *sync.WaitGroup) {
 	crashedAt := time.Now()
@@ -404,6 +407,10 @@ func watchRecovery(ctx context.Context, nw *msgpass.Network, a chaos.Action, bas
 				r.converge = time.Since(revivedAt)
 				return
 			}
+			// Re-asserted every poll: the server's pump step resets
+			// hunger to queue state whenever it runs.
+			nw.SetNeeds(a.Node, true)
+			nw.Wake(a.Node)
 		}
 	}()
 }

@@ -5,7 +5,6 @@ import (
 	"hash"
 	"hash/fnv"
 
-	"mcdp/internal/core"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
@@ -183,6 +182,7 @@ func newCluster(cfg ClusterConfig, what string) *cluster {
 		arb := drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit)
 		hist := lockservice.NewHistory()
 		hist.Tap(arb)
+		lockservice.Couple(arb, rn.d.Network())
 		c.runners = append(c.runners, rn)
 		c.arbs = append(c.arbs, arb)
 		c.hists = append(c.hists, hist)
@@ -221,42 +221,33 @@ func (c *cluster) advance(t int) {
 
 // live reports whether node p of shard s can home a session.
 func (c *cluster) live(s int, p graph.ProcID) bool {
-	rn := c.runners[s]
-	return !rn.rd.Dead(p) && !rn.d.Network().Departed(p)
+	return lockservice.Alive(c.runners[s].d.Network(), p)
 }
 
-// pump runs shard s's arbiter against the instantaneous eating oracle
-// and returns the sessions it granted.
+// pump advances shard s's arbiter one lockservice.PumpStep — grants by
+// meal or at hand, then hunger from queue state — and returns the
+// sessions it granted.
 func (c *cluster) pump(s int) []*drinkers.Session {
-	rn := c.runners[s]
-	return c.arbs[s].Pump(func(p graph.ProcID) bool {
-		return rn.rd.State(p) == core.Eating && c.live(s, p)
-	})
+	return lockservice.PumpStep(c.arbs[s], c.runners[s].d.Network())
 }
 
 // submit queues a mapped session at shard s, choosing the first live
 // candidate home (the deterministic analog of the server's
-// queue-depth-sorted home choice); nil means no live home or a full queue.
+// queue-depth-sorted home choice), and turns that home hungry, as
+// Server.serve does; nil means no live home or a full queue. The grant,
+// at hand or by meal, comes from the next pump.
 func (c *cluster) submit(s int, bottles []int, homes []graph.ProcID) *drinkers.Session {
 	for _, home := range homes {
 		if c.live(s, home) {
-			if sess, err := c.arbs[s].Submit(home, bottles); err == nil {
-				return sess
+			sess, err := c.arbs[s].Submit(home, bottles)
+			if err != nil {
+				return nil
 			}
-			return nil
+			c.runners[s].d.Network().SetNeeds(home, true)
+			return sess
 		}
 	}
 	return nil
-}
-
-// syncNeeds makes every node hungry exactly when its queue is non-empty.
-func (c *cluster) syncNeeds() {
-	for s, arb := range c.arbs {
-		nw := c.runners[s].d.Network()
-		for p := 0; p < c.cfg.Graph.N(); p++ {
-			nw.SetNeeds(graph.ProcID(p), arb.HasPending(graph.ProcID(p)))
-		}
-	}
 }
 
 // fencedNodes calls fn for every node whose restart or membership leave

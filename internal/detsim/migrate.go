@@ -221,7 +221,6 @@ func (h *migHarness) round(t int) {
 	if h.cfg.Auto && t > 0 && t%h.cfg.DecideEvery == 0 {
 		h.autoDecide(t)
 	}
-	h.syncNeeds()
 }
 
 // end terminates a client at round t: a granted lease is released, a

@@ -1,7 +1,6 @@
 package detsim
 
 import (
-	"mcdp/internal/core"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
@@ -42,6 +41,9 @@ type ServiceResult struct {
 	*Result
 	// Submitted, Granted, Released, and Canceled count session events.
 	Submitted, Granted, Released, Canceled int
+	// AtHand is how many of the grants needed no meal: every bottle was
+	// free at the session's home with nobody across the edge asking.
+	AtHand int
 	// HistoryViolations is the linearizability checker's output over the
 	// recorded history (nil means every grant was legal).
 	HistoryViolations []string
@@ -60,16 +62,14 @@ type grantedSession struct {
 
 // RunService executes one deterministic lock-service run. Each round,
 // after the diners substrate steps: due grants are released, a workload
-// draw may submit (or cancel) a session, the arbiter pumps against the
-// instantaneous eating oracle, and every node's hunger is refreshed to
-// match its queue — the single-threaded mirror of Server.pumpLoop.
+// draw may submit (or cancel) a session, and the arbiter advances by
+// lockservice.PumpStep — the very step Server.pumpLoop runs.
 //
-// The eating oracle deliberately matches the production server: it
-// excludes dead nodes but trusts the published state of a node inside a
-// malicious window, exactly like a server reading garbage snapshots.
-// The arbiter's per-bottle accounting must keep the history legal even
-// under a lying oracle — that is the safety-by-construction claim the
-// history checker verifies.
+// The step's eating oracle excludes dead and departed nodes but trusts
+// the published state of a node inside a malicious window: a server
+// reading garbage snapshots. The arbiter's per-bottle accounting must
+// keep the history legal even under a lying oracle — that is the
+// safety-by-construction claim the history checker verifies.
 func RunService(cfg ServiceConfig) *ServiceResult {
 	if cfg.SubmitPercent <= 0 {
 		cfg.SubmitPercent = 60
@@ -92,10 +92,12 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 		Trace:     cfg.Trace,
 		Source:    cfg.Source,
 	})
+	r.boot()
 	arb := drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit)
 	hist := lockservice.NewHistory()
 	hist.Tap(arb)
 	nw := r.d.Network()
+	lockservice.Couple(arb, nw)
 	g := cfg.Graph
 
 	res := &ServiceResult{}
@@ -138,11 +140,8 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 			}
 			pendingSubs = append(pendingSubs[:i], pendingSubs[i+1:]...)
 		}
-		// Pump with the server's oracle and schedule holds for grants.
-		grants := arb.Pump(func(p graph.ProcID) bool {
-			return r.rd.State(p) == core.Eating && !r.rd.Dead(p)
-		})
-		for _, s := range grants {
+		// Advance the arbiter and schedule holds for its grants.
+		for _, s := range lockservice.PumpStep(arb, nw) {
 			res.Granted++
 			hold := 1 + r.src.Intn(cfg.MaxHoldRounds)
 			live = append(live, grantedSession{s: s, release: t + hold})
@@ -153,10 +152,6 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 					break
 				}
 			}
-		}
-		// Hunger mirrors queue state, as in Server.pumpLoop.
-		for p := 0; p < g.N(); p++ {
-			nw.SetNeeds(graph.ProcID(p), arb.HasPending(graph.ProcID(p)))
 		}
 	}
 	// Shutdown drain: release live grants, cancel still-pending queue
@@ -173,5 +168,6 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 	r.baseline = nil // demand-driven hunger invalidates the locality oracle
 	res.Result = r.finish(true, r.cfg.Rounds)
 	res.HistoryViolations = hist.Check(g)
+	res.AtHand = int(arb.AtHandGrants())
 	return res
 }

@@ -41,7 +41,8 @@ func TestServiceHistoryLegalUnderCrashes(t *testing.T) {
 
 // TestServiceGrantsFlow checks the crash-free service actually grants:
 // demand-driven hunger wakes workers, sessions are granted during
-// eating windows, and all grants drain by the end.
+// eating windows or — bottles at hand — without one, the run has both
+// kinds, and all grants drain by the end.
 func TestServiceGrantsFlow(t *testing.T) {
 	res := RunService(ServiceConfig{Graph: graph.Ring(6), Seed: 9, Rounds: 250})
 	if res.Granted == 0 {
@@ -49,6 +50,9 @@ func TestServiceGrantsFlow(t *testing.T) {
 	}
 	if res.Granted > res.Submitted {
 		t.Errorf("granted %d > submitted %d", res.Granted, res.Submitted)
+	}
+	if res.AtHand == 0 || res.AtHand == res.Granted {
+		t.Errorf("%d of %d grants were at hand; the run must exercise both the rule and the meal", res.AtHand, res.Granted)
 	}
 	if len(res.HistoryViolations) != 0 {
 		t.Errorf("illegal history in a healthy run: %v", res.HistoryViolations)

@@ -183,7 +183,6 @@ func (h *spanHarness) round(t int) {
 		h.stepSpan(t, sp)
 	}
 	h.drawWorkload(t)
-	h.syncNeeds()
 }
 
 // applyRingChurn fires ring membership changes due at round t. After

@@ -3,6 +3,7 @@ package drinkers
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mcdp/internal/graph"
@@ -26,8 +27,8 @@ const (
 
 // Session is one submitted drinking session: a request to hold a set of
 // bottles (edges) rooted at a home node. A Session is created by
-// Arbiter.Submit and granted by Arbiter.Pump; the Granted channel closes
-// exactly once, at grant time.
+// Arbiter.Submit and granted by Arbiter.Pump (or TryAtHand); the Granted
+// channel closes exactly once, at grant time.
 type Session struct {
 	// Home is the node the session is queued at (an endpoint of every
 	// bottle edge).
@@ -45,14 +46,15 @@ func (s *Session) Granted() <-chan struct{} { return s.granted }
 
 // Arbiter is the thread-safe session-submission hook onto the drinkers
 // layer: it queues sessions per home node, and grants the head of a
-// queue only while an external oracle says that node is inside its
-// exclusive diners window (the paper's enter guard has fired and the
-// node is Eating). Safety is enforced by construction — every bottle is
-// attached to at most one Drinking session at a time — while liveness,
-// fairness, and crash failure locality come from the diners substrate
-// that drives the oracle: a node collects bottles only while eating, no
-// two neighbors eat at once, so no two competing collectors ever play
-// tug-of-war over a bottle.
+// queue while an external oracle says that node is inside its exclusive
+// diners window (the paper's enter guard has fired and the node is
+// Eating) — or, with no meal at all, when every bottle the head needs is
+// already at hand (see Pump). Safety is enforced by construction — every
+// bottle is attached to at most one Drinking session at a time — while
+// liveness, fairness, and crash failure locality come from the diners
+// substrate that drives the oracle: a bottle changes endpoint only while
+// its collector is eating, no two neighbors eat at once, so no two
+// competing collectors ever play tug-of-war over a bottle.
 //
 // Unlike Sim (which owns a lock-step simulator), an Arbiter is substrate
 // agnostic and safe for concurrent use; internal/lockservice drives one
@@ -71,14 +73,22 @@ type Arbiter struct {
 	OnRelease func(*Session)
 	OnCancel  func(*Session)
 
+	// Alive, when non-nil, switches on the drinkers' at-hand rule (see
+	// Pump) and is its liveness oracle: it reports whether a node's
+	// current incarnation is up and in service. Like the lifecycle hooks
+	// it runs under the arbiter's mutex and is set before the arbiter is
+	// shared. Nil means every grant needs a meal.
+	Alive func(graph.ProcID) bool
+
 	mu         sync.Mutex
 	g          *graph.Graph
 	queueLimit int
 
 	queues [][]*Session   // per node, FIFO; guarded by mu
 	user   []*Session     // per edge: the Drinking session using the bottle, or nil; guarded by mu
-	holder []graph.ProcID // per edge: which endpoint last collected the bottle; guarded by mu
+	holder []graph.ProcID // per edge: the endpoint the bottle sits at (its last collector); guarded by mu
 	active int            // Drinking session count; guarded by mu
+	atHand int64          // grants made without a meal; guarded by mu
 }
 
 // NewArbiter returns an arbiter over g with the given per-node queue
@@ -113,8 +123,9 @@ func (a *Arbiter) Submit(home graph.ProcID, bottles []int) (*Session, error) {
 	if home < 0 || int(home) >= a.g.N() {
 		return nil, fmt.Errorf("drinkers: home node %d out of range", home)
 	}
-	seen := make(map[int]bool, len(bottles))
-	var dedup []int
+	// A session's distinct bottles number at most its home's degree, so
+	// a linear scan dedups them without a map.
+	dedup := make([]int, 0, len(bottles))
 	for _, b := range bottles {
 		if b < 0 || b >= a.g.EdgeCount() {
 			return nil, fmt.Errorf("drinkers: bottle index %d out of range", b)
@@ -123,8 +134,7 @@ func (a *Arbiter) Submit(home graph.ProcID, bottles []int) (*Session, error) {
 		if e.A != home && e.B != home {
 			return nil, fmt.Errorf("drinkers: bottle %v not incident to home %d", e, home)
 		}
-		if !seen[b] {
-			seen[b] = true
+		if !slices.Contains(dedup, b) {
 			dedup = append(dedup, b)
 		}
 	}
@@ -168,8 +178,9 @@ func (a *Arbiter) Cancel(s *Session) bool {
 }
 
 // Release ends a Drinking session, detaching it from its bottles (the
-// bottles stay at the home node until a collector takes them). It
-// reports whether the session was actually drinking.
+// bottles stay at the home node — at hand for its next session — until
+// an eating collector across the edge takes them). It reports whether
+// the session was actually drinking.
 //
 //lint:lease release
 func (a *Arbiter) Release(s *Session) bool {
@@ -231,12 +242,21 @@ func (a *Arbiter) Active() int {
 	return a.active
 }
 
-// Holder returns which endpoint last collected the bottle on edge index
-// b (the drinkers-layer bottle position; advisory, for status displays).
+// Holder returns the endpoint the bottle on edge index b sits at: the
+// home of the last session that collected it. The position is
+// load-bearing — the at-hand rule grants without a meal only at the
+// holder — and it changes only inside the collector's meal.
 func (a *Arbiter) Holder(b int) graph.ProcID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.holder[b]
+}
+
+// AtHandGrants returns how many sessions were granted without a meal.
+func (a *Arbiter) AtHandGrants() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.atHand
 }
 
 // Pump runs one scheduling pass: for every node that the eating oracle
@@ -249,45 +269,106 @@ func (a *Arbiter) Holder(b int) graph.ProcID {
 // the sessions granted in this pass (their Granted channels are already
 // closed).
 //
+// Eating is a license to collect bottles, so a head whose bottles need
+// no collecting needs no meal: with Alive set, a node that is not eating
+// still grants its head when every bottle the session needs is at hand
+// (free, already at the home, wanted by no session queued at the
+// bottle's other live endpoint) and the home is alive. Such a grant
+// moves no bottle and overtakes nobody: a waiter across the edge closes
+// the rule until a meal has served it, so a stream of sessions at the
+// holder cannot starve it.
+//
 // The oracle may be slightly stale (the msgpass substrate publishes
 // snapshots asynchronously); staleness can only delay grants or cause a
 // harmless extra collection attempt, never a conflicting grant, because
 // all bottle accounting happens under one mutex.
 func (a *Arbiter) Pump(eating func(p graph.ProcID) bool) []*Session {
+	return a.PumpNeeds(eating, nil)
+}
+
+// PumpNeeds is Pump followed, inside the same critical section, by a
+// report of each node's hunger to needs: whether sessions are still
+// queued at it (the HasPending rule). Taking both from one instant
+// matters to a caller that turns the report into diners demand: a
+// session whose submitter is between Submit and TryAtHand is either not
+// queued yet or granted at hand by this very pass, so it never costs
+// its home a meal. needs runs under the arbiter's mutex, like the
+// lifecycle hooks.
+func (a *Arbiter) PumpNeeds(eating func(p graph.ProcID) bool, needs func(p graph.ProcID, pending bool)) []*Session {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var grants []*Session
-	for p := 0; p < a.g.N(); p++ {
-		pid := graph.ProcID(p)
-		if len(a.queues[p]) == 0 || !eating(pid) {
+	for p := range a.queues {
+		if len(a.queues[p]) == 0 {
 			continue
 		}
+		eats := eating(graph.ProcID(p))
 		for len(a.queues[p]) > 0 {
 			s := a.queues[p][0]
-			if !a.collect(s) {
+			if !a.admit(s, eats) {
 				break
 			}
-			for _, b := range s.Bottles {
-				a.user[b] = s
-				a.holder[b] = s.Home
-			}
-			s.status = Drinking
-			a.active++
-			close(s.granted)
-			a.queues[p] = a.queues[p][1:]
-			if a.OnGrant != nil {
-				a.OnGrant(s)
-			}
+			a.grant(s)
 			grants = append(grants, s)
+		}
+	}
+	if needs != nil {
+		for p := range a.queues {
+			needs(graph.ProcID(p), len(a.queues[p]) > 0)
 		}
 	}
 	return grants
 }
 
+// TryAtHand grants s on the spot if it heads its home's queue and its
+// bottles are at hand (see Pump), and reports whether s is Drinking. It
+// lets a submitter skip the pump, and the home its hunger, for a session
+// nothing contends with.
+func (a *Arbiter) TryAtHand(s *Session) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if s.status == Pending && a.queues[s.Home][0] == s && a.admit(s, false) {
+		a.grant(s)
+	}
+	return s.status == Drinking
+}
+
+// admit reports whether s, the head of its home's queue, may be granted
+// now: by its home's meal when eats, else at hand.
+//
+// requires mu
+func (a *Arbiter) admit(s *Session, eats bool) bool {
+	if eats && a.collect(s) {
+		return true
+	}
+	if a.atHandOK(s) {
+		a.atHand++
+		return true
+	}
+	return false
+}
+
+// grant turns the head of its home's queue into a Drinking session
+// attached to its bottles, all of which are free and at the home.
+//
+// requires mu
+func (a *Arbiter) grant(s *Session) {
+	for _, b := range s.Bottles {
+		a.user[b] = s
+	}
+	s.status = Drinking
+	a.active++
+	close(s.granted)
+	a.queues[s.Home] = a.queues[s.Home][1:]
+	if a.OnGrant != nil {
+		a.OnGrant(s)
+	}
+}
+
 // collect reports whether every bottle of s is free, moving free
 // bottles to the home node as it checks (partial collection mirrors the
 // drinkers reduction: a surrendered bottle travels even if the whole
-// set is not yet available).
+// set is not yet available). Only a meal of s.Home licenses the call.
 //
 // requires mu
 func (a *Arbiter) collect(s *Session) bool {
@@ -300,4 +381,41 @@ func (a *Arbiter) collect(s *Session) bool {
 		a.holder[b] = s.Home
 	}
 	return all
+}
+
+// inUse reports whether a Drinking session is attached to bottle b. A
+// variable only so the mutation test can take the check out of the
+// at-hand rule and show the history oracle notices.
+var inUse = func(a *Arbiter, b int) bool { return a.user[b] != nil }
+
+// atHandOK is the at-hand rule: s needs no meal when its home is alive
+// and every bottle it needs is free, at the home, and wanted by no
+// session queued at the bottle's other endpoint, if that one is alive.
+//
+// requires mu
+func (a *Arbiter) atHandOK(s *Session) bool {
+	if a.Alive == nil || !a.Alive(s.Home) {
+		return false
+	}
+	for _, b := range s.Bottles {
+		if inUse(a, b) || a.holder[b] != s.Home {
+			return false
+		}
+		if peer := a.g.Edges()[b].Other(s.Home); a.wanted(peer, b) && a.Alive(peer) {
+			return false
+		}
+	}
+	return true
+}
+
+// wanted reports whether a session queued at node p needs bottle b.
+//
+// requires mu
+func (a *Arbiter) wanted(p graph.ProcID, b int) bool {
+	for _, s := range a.queues[p] {
+		if slices.Contains(s.Bottles, b) {
+			return true
+		}
+	}
+	return false
 }

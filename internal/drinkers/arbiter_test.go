@@ -3,6 +3,7 @@ package drinkers
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -246,5 +247,224 @@ func TestArbiterNeverConflicts(t *testing.T) {
 	}
 	if a.Active() != 0 {
 		t.Errorf("Active = %d after all workers finished, want 0", a.Active())
+	}
+}
+
+// neverEating is the oracle of a substrate in which nobody dines: any
+// grant under it was made at hand.
+func neverEating(graph.ProcID) bool { return false }
+
+// allAlive is the liveness hook of a fault-free substrate.
+func allAlive(graph.ProcID) bool { return true }
+
+// TestArbiterAtHandRule walks the at-hand rule's conditions one by one
+// on ring(4), where bottle (0,1) starts at node 0 and bottle (1,2) at
+// node 1: each case queues sessions, pumps with nobody eating, and says
+// whether the probe session must come out granted.
+func TestArbiterAtHandRule(t *testing.T) {
+	g := graph.Ring(4)
+	b01, b12, b03 := g.EdgeIndex(0, 1), g.EdgeIndex(1, 2), g.EdgeIndex(0, 3)
+	type arb = *Arbiter
+	submit := func(t *testing.T, a arb, home graph.ProcID, bottles ...int) *Session {
+		t.Helper()
+		s, err := a.Submit(home, bottles)
+		if err != nil {
+			t.Fatalf("Submit(%d, %v): %v", home, bottles, err)
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		alive func(graph.ProcID) bool
+		probe func(t *testing.T, a arb) *Session
+		want  bool
+	}{
+		{"free bottle at its home", allAlive, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 0, b01)
+		}, true},
+		{"two bottles, both at the home", allAlive, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 0, b01, b03)
+		}, true},
+		{"no liveness hook: every grant needs a meal", nil, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 0, b01)
+		}, false},
+		{"bottle across the edge", allAlive, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 1, b01)
+		}, false},
+		{"one of two bottles across the edge", allAlive, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 1, b01, b12)
+		}, false},
+		{"bottle in use", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 0, b01)
+			a.Pump(neverEating) // the first session drinks from b01
+			return submit(t, a, 0, b01)
+		}, false},
+		{"bottle wanted by a session queued at the peer", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 1, b01)
+			return submit(t, a, 0, b01)
+		}, false},
+		{"bottle wanted by a session queued behind the peer's head", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 1, b12)
+			a.Pump(neverEating)  // drinks from b12 ...
+			submit(t, a, 1, b12) // ... so this head is blocked ...
+			submit(t, a, 1, b01) // ... with the waiter for b01 behind it
+			return submit(t, a, 0, b01)
+		}, false},
+		{"behind a blocked head", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 0, b01)
+			a.Pump(neverEating)
+			submit(t, a, 0, b01) // blocked: b01 is in use
+			return submit(t, a, 0, b03)
+		}, false},
+		{"home dead or departed", func(p graph.ProcID) bool { return p != 0 }, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 0, b01)
+		}, false},
+		{"the peer's waiter is stranded at a dead peer", func(p graph.ProcID) bool { return p != 1 }, func(t *testing.T, a arb) *Session {
+			submit(t, a, 1, b01)
+			return submit(t, a, 0, b01)
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewArbiter(g, 8)
+			a.Alive = tc.alive
+			before := a.AtHandGrants()
+			s := tc.probe(t, a)
+			a.Pump(neverEating)
+			if got := a.Status(s) == Drinking; got != tc.want {
+				t.Fatalf("granted at hand = %v, want %v", got, tc.want)
+			}
+			if tc.want && a.AtHandGrants() == before {
+				t.Error("an at-hand grant was not counted")
+			}
+			// TryAtHand is the same rule for one session.
+			a2 := NewArbiter(g, 8)
+			a2.Alive = tc.alive
+			if got := a2.TryAtHand(tc.probe(t, a2)); got != tc.want {
+				t.Fatalf("TryAtHand = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestArbiterWaiterAtPeerClosesFastPath: a stream of sessions at the
+// holder cannot starve a waiter across the edge — once it queues, the
+// holder's next session needs a meal like everybody else, the waiter's
+// meal takes the bottle over, and the bottle then is at hand there.
+func TestArbiterWaiterAtPeerClosesFastPath(t *testing.T) {
+	g := graph.Ring(4)
+	a := NewArbiter(g, 8)
+	a.Alive = allAlive
+	b01 := g.EdgeIndex(0, 1)
+	eatingOnly := func(p graph.ProcID) func(graph.ProcID) bool {
+		return func(q graph.ProcID) bool { return q == p }
+	}
+
+	s1, _ := a.Submit(0, []int{b01})
+	if grants := a.Pump(neverEating); len(grants) != 1 || grants[0] != s1 {
+		t.Fatalf("lone session at the holder not granted at hand: %v", grants)
+	}
+	w, _ := a.Submit(1, []int{b01})
+	s2, _ := a.Submit(0, []int{b01})
+	a.Release(s1)
+	for i := 0; i < 3; i++ {
+		if grants := a.Pump(neverEating); len(grants) != 0 {
+			t.Fatalf("granted %v at hand past a waiter at the peer", grants)
+		}
+	}
+	if grants := a.Pump(eatingOnly(1)); len(grants) != 1 || grants[0] != w {
+		t.Fatalf("the waiter's meal granted %v, want the waiter", grants)
+	}
+	if a.Holder(b01) != 1 {
+		t.Fatalf("bottle at %d after the waiter's meal, want 1", a.Holder(b01))
+	}
+	a.Release(w)
+	if grants := a.Pump(neverEating); len(grants) != 0 {
+		t.Fatalf("granted %v at hand with the bottle across the edge", grants)
+	}
+	if grants := a.Pump(eatingOnly(0)); len(grants) != 1 || grants[0] != s2 {
+		t.Fatalf("node 0's meal granted %v, want its queued session", grants)
+	}
+	a.Release(s2)
+	// Served: the rule is open again, now at node 0 where the bottle is.
+	s3, _ := a.Submit(0, []int{b01})
+	if !a.TryAtHand(s3) {
+		t.Fatal("fast path still closed after the waiter was served")
+	}
+	if got := a.AtHandGrants(); got != 2 {
+		t.Errorf("AtHandGrants = %d, want 2 (s1 and s3)", got)
+	}
+}
+
+// TestArbiterBottlesMoveOnlyInMeals: whatever is submitted, granted at
+// hand, released or canceled while nobody eats, no bottle changes
+// endpoint — only a collector's meal moves one.
+func TestArbiterBottlesMoveOnlyInMeals(t *testing.T) {
+	g := graph.Grid(3, 4)
+	a := NewArbiter(g, 8)
+	a.Alive = allAlive
+	holders := func() []graph.ProcID {
+		out := make([]graph.ProcID, g.EdgeCount())
+		for b := range out {
+			out[b] = a.Holder(b)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	var drinking []*Session
+	atHand := 0
+	for i := 0; i < 2000; i++ {
+		before := holders()
+		switch rng.Intn(3) {
+		case 0:
+			home := graph.ProcID(rng.Intn(g.N()))
+			idxs := g.IncidentEdgeIndices(home)
+			if s, err := a.Submit(home, idxs[:1+rng.Intn(len(idxs))]); err == nil && rng.Intn(4) == 0 {
+				a.Cancel(s)
+			}
+		case 1:
+			grants := a.Pump(neverEating)
+			atHand += len(grants)
+			drinking = append(drinking, grants...)
+		case 2:
+			if len(drinking) > 0 {
+				j := rng.Intn(len(drinking))
+				a.Release(drinking[j])
+				drinking = append(drinking[:j], drinking[j+1:]...)
+			}
+		}
+		if after := holders(); !slices.Equal(before, after) {
+			t.Fatalf("step %d moved a bottle with nobody eating: %v -> %v", i, before, after)
+		}
+	}
+	if atHand == 0 {
+		t.Fatal("no session was granted at hand; the walk tested nothing")
+	}
+	moved := holders()
+	a.Pump(alwaysEating)
+	if slices.Equal(moved, holders()) {
+		t.Error("a pass with everybody eating collected no bottle across an edge")
+	}
+}
+
+// TestArbiterPumpNeedsReportsHunger: the hunger report comes from the
+// state the pass leaves behind — a node whose head was granted at hand
+// is not hungry, a node whose head waits for a bottle across the edge is.
+func TestArbiterPumpNeedsReportsHunger(t *testing.T) {
+	g := graph.Ring(4)
+	a := NewArbiter(g, 8)
+	a.Alive = allAlive
+	atHand, _ := a.Submit(0, []int{g.EdgeIndex(0, 1)})
+	across, _ := a.Submit(2, []int{g.EdgeIndex(1, 2)})
+	pending := make(map[graph.ProcID]bool)
+	grants := a.PumpNeeds(neverEating, func(p graph.ProcID, want bool) { pending[p] = want })
+	if len(grants) != 1 || grants[0] != atHand || a.Status(across) != Pending {
+		t.Fatalf("granted %v, want only the at-hand session", grants)
+	}
+	want := map[graph.ProcID]bool{0: false, 1: false, 2: true, 3: false}
+	for p, w := range want {
+		if got, ok := pending[p]; !ok || got != w {
+			t.Errorf("node %d reported hungry=%v (reported=%v), want %v", p, got, ok, w)
+		}
 	}
 }

@@ -17,6 +17,14 @@
 // requester, and once the collector holds its session's bottles it
 // drinks and releases the diners level. Diners liveness gives drinkers
 // liveness; diners failure locality gives drinkers failure locality.
+//
+// The license is only ever needed to collect. A bottle stays with the
+// process that last drank from it, so a thirsty process that already
+// holds every bottle of its session, none of them requested from across
+// its edge, drinks without becoming hungry at all — Chandy & Misra's
+// own rule, and the Arbiter's at-hand rule. That makes a bottle's
+// position (Arbiter.Holder) load-bearing state, not a display value: it
+// changes only inside the collector's meal.
 package drinkers
 
 import (

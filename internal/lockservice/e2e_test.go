@@ -76,10 +76,10 @@ func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// acquireHold grabs one resource through the HTTP API, verifies it
+	// acquireHold grabs a resource set through the HTTP API, verifies it
 	// against the ledger, holds briefly, and releases.
-	acquireHold := func(c *Client, resource string, timeout time.Duration) (bool, error) {
-		grant, err := c.Acquire(ctx, []string{resource}, timeout, 0)
+	acquireHold := func(c *Client, timeout time.Duration, resources ...string) (bool, error) {
+		grant, err := c.Acquire(ctx, resources, timeout, 0)
 		if err != nil {
 			return false, err
 		}
@@ -110,7 +110,7 @@ func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 			c := NewClient(ts.URL)
 			for i := 0; i < 12; i++ {
 				res := allEdges[(w*5+i*3)%len(allEdges)]
-				ok, err := acquireHold(c, res, 2*time.Second)
+				ok, err := acquireHold(c, 2*time.Second, res)
 				if err != nil {
 					var apiErr *APIError
 					if errors.As(err, &apiErr) && apiErr.StatusCode == 408 {
@@ -165,37 +165,37 @@ func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 
 	// Phase 2: load only the far edges — both endpoints at distance >= 2
 	// from the victim. The paper's failure locality is 2, and nearer
-	// workers have no demand, so none of these may starve.
-	var farEdges []string
-	for _, e := range g.Edges() {
-		if g.Dist(e.A, victim) >= 2 && g.Dist(e.B, victim) >= 2 {
-			farEdges = append(farEdges, EdgeName(e))
-		}
-	}
-	if len(farEdges) < 8 {
-		t.Fatalf("only %d far edges on the demo grid; topology assumption broken", len(farEdges))
-	}
-	for _, res := range farEdges {
+	// workers have no demand, so none of these may starve. A lone far
+	// lock could be granted at hand, with no dining round to be local
+	// about, so the load is overlapping two-lock sets (see farPairs).
+	pairs := farPairs(t, g, victim)
+	srv := rt.Shard(0)
+	before, eatsBefore := mealBackedGrants(srv), farEats(srv, victim)
+	for _, pair := range pairs {
 		wg.Add(1)
-		go func(res string) {
+		go func(pair [2]string) {
 			defer wg.Done()
 			c := NewClient(ts.URL)
 			deadline := time.Now().Add(25 * time.Second)
 			for {
-				ok, err := acquireHold(c, res, 1500*time.Millisecond)
+				ok, err := acquireHold(c, 1500*time.Millisecond, pair[0], pair[1])
 				if ok && err == nil {
 					return
 				}
 				if time.Now().After(deadline) {
-					t.Errorf("far lock %s never granted after the crash (last err: %v)", res, err)
+					t.Errorf("far locks %v never granted after the crash (last err: %v)", pair, err)
 					return
 				}
 			}
-		}(res)
+		}(pair)
 	}
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if meals, eats := mealBackedGrants(srv)-before, farEats(srv, victim)-eatsBefore; meals < 1 || eats < 1 {
+		t.Fatalf("%d far sets granted after the crash, %d of them through a dining round (%d far meals): the locality claim went untested",
+			len(pairs), meals, eats)
 	}
 
 	// Phase 3: revive the victim with garbage state through the admin
@@ -229,7 +229,7 @@ func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 			c := NewClient(ts.URL)
 			deadline := time.Now().Add(25 * time.Second)
 			for {
-				ok, err := acquireHold(c, res, 1500*time.Millisecond)
+				ok, err := acquireHold(c, 1500*time.Millisecond, res)
 				if ok && err == nil {
 					return
 				}
@@ -245,6 +245,63 @@ func TestEndToEndServiceSurvivesMaliciousCrash(t *testing.T) {
 	if v := ledger.violations(); len(v) > 0 {
 		t.Fatalf("mutual exclusion violated:\n%s", strings.Join(v, "\n"))
 	}
+}
+
+// farPairs returns the post-crash load of the locality tests: for every
+// worker at distance >= 2 from the victim, two-lock sets of its far
+// edges (both endpoints at distance >= 2), covering every far edge. The
+// sets of adjacent workers overlap on the edge between them, and a
+// bottle sits at one endpoint at a time, so of two overlapping sets at
+// most one can be granted at hand: serving them all forces bottles
+// across edges, which only a meal of a far worker can do.
+func farPairs(t *testing.T, g *graph.Graph, victim graph.ProcID) [][2]string {
+	t.Helper()
+	far := func(p graph.ProcID) bool { return g.Dist(p, victim) >= 2 }
+	covered := make(map[int]bool)
+	var pairs [][2]string
+	for p := 0; p < g.N(); p++ {
+		var edges []int
+		for _, b := range g.IncidentEdgeIndices(graph.ProcID(p)) {
+			if e := g.Edges()[b]; far(e.A) && far(e.B) {
+				edges = append(edges, b)
+			}
+		}
+		if len(edges) < 2 {
+			continue
+		}
+		for i := range edges[1:] {
+			covered[edges[i]], covered[edges[i+1]] = true, true
+			pairs = append(pairs, [2]string{EdgeName(g.Edges()[edges[i]]), EdgeName(g.Edges()[edges[i+1]])})
+		}
+	}
+	for b, e := range g.Edges() {
+		if far(e.A) && far(e.B) && !covered[b] {
+			t.Fatalf("far edge %v is in no two-lock set; topology assumption broken", e)
+		}
+	}
+	if len(covered) < 8 {
+		t.Fatalf("only %d far edges on the demo grid; topology assumption broken", len(covered))
+	}
+	return pairs
+}
+
+// mealBackedGrants counts the server's client-visible grants that were
+// not granted at hand. The arbiter's at-hand count also holds grants a
+// client gave up on, so the difference can only undercount.
+func mealBackedGrants(s *Server) int64 {
+	return s.Metrics().Grants.Load() - s.Arbiter().AtHandGrants()
+}
+
+// farEats sums the completed meals of the workers at distance >= 2 from
+// the victim.
+func farEats(s *Server, victim graph.ProcID) int64 {
+	var sum int64
+	for p, eats := range s.Network().Eats() {
+		if s.Graph().Dist(graph.ProcID(p), victim) >= 2 {
+			sum += eats
+		}
+	}
+	return sum
 }
 
 // waitFor polls cond until it reports true or the budget elapses.

@@ -34,6 +34,11 @@ func TestLeaveFencesLeasesAndReroutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
+	// The bottle starts at node 0: the lease was granted at hand, and is
+	// fenced like any other.
+	if got := s.Arbiter().AtHandGrants(); got != 1 || g1.Node != 0 {
+		t.Fatalf("AtHandGrants = %d at node %d, want 1 at node 0", got, g1.Node)
+	}
 	fenced, err := s.LeaveNode(g1.Node)
 	if err != nil {
 		t.Fatalf("LeaveNode: %v", err)

@@ -28,6 +28,11 @@ func TestRestartNodeFencesLeases(t *testing.T) {
 	if g1.Node != 0 {
 		t.Fatalf("lease homed at %d, want 0", g1.Node)
 	}
+	// Both bottles start at node 0: the lease was granted at hand, and is
+	// fenced like any other.
+	if got := s.Arbiter().AtHandGrants(); got != 1 {
+		t.Fatalf("AtHandGrants = %d, want 1", got)
+	}
 
 	fenced, err := s.RestartNode(0, msgpass.RestartClean)
 	if err != nil {

@@ -109,10 +109,11 @@ type Grant struct {
 	Wait time.Duration
 }
 
-// lease is a live grant tracked for TTL expiry. home is the worker
-// whose eating window backed the grant: when that worker restarts, the
-// new incarnation's protocol state no longer vouches for the lease, so
-// RestartNode fences every lease homed there.
+// lease is a live grant tracked for TTL expiry. home is the worker that
+// backed the grant, by its eating window or by holding the bottles at
+// hand: when that worker restarts, the new incarnation's protocol state
+// no longer vouches for the lease, so RestartNode fences every lease
+// homed there.
 type lease struct {
 	id        string
 	sess      *drinkers.Session
@@ -209,6 +210,7 @@ func NewServer(cfg Config) *Server {
 			}
 		},
 	})
+	Couple(s.arb, s.nw)
 	s.fams.Register(s.families()...)
 	return s
 }
@@ -251,9 +253,8 @@ func (s *Server) nudge() {
 	}
 }
 
-// pumpLoop turns eating windows into grants: every nudge, it pumps the
-// arbiter with the current eating oracle and refreshes each worker's
-// hunger to match its queue.
+// pumpLoop turns eating windows, and freed bottles at hand, into grants:
+// every nudge runs one PumpStep.
 func (s *Server) pumpLoop() {
 	defer s.wg.Done()
 	for {
@@ -262,20 +263,7 @@ func (s *Server) pumpLoop() {
 			return
 		case <-s.wake:
 		}
-		s.arb.Pump(func(p graph.ProcID) bool {
-			snap := s.nw.Snapshot(p)
-			return snap.State == core.Eating && !snap.Dead
-		})
-		for p := 0; p < s.g.N(); p++ {
-			pid := graph.ProcID(p)
-			want := s.arb.HasPending(pid)
-			if s.nw.Needs(pid) != want {
-				s.nw.SetNeeds(pid, want)
-				// Hunger changed: run the worker's event now so the new
-				// demand is served at transport latency, not tick latency.
-				s.nw.Wake(pid)
-			}
-		}
+		PumpStep(s.arb, s.nw)
 	}
 }
 
@@ -329,80 +317,24 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		s.metrics.RejectedDraining.Add(1)
 		return nil, ErrDraining
 	}
-	bottles, homes, err := s.mapper.MapSession(resources)
+	sess, err := s.enqueue(resources)
 	if err != nil {
-		s.metrics.RejectedUnmappable.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrUnmappable, err)
-	}
-	// Place at a live candidate home with the shortest queue. Departed
-	// homes are excluded even before their kill lands: a session queued
-	// there would wait on a worker that is never coming back.
-	var live []graph.ProcID
-	for _, p := range homes {
-		if !s.nw.Snapshot(p).Dead && !s.Departed(p) {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		s.metrics.RejectedUnserviceable.Add(1)
-		return nil, fmt.Errorf("%w: homes %v all dead", ErrUnserviceable, homes)
-	}
-	var (
-		sess    *drinkers.Session
-		home    graph.ProcID
-		lastErr error
-	)
-	for _, p := range sortByQueueDepth(live, s.arb) {
-		sess, lastErr = s.arb.Submit(p, bottles)
-		if lastErr == nil {
-			home = p
-			break
-		}
-	}
-	if sess == nil {
-		if errors.Is(lastErr, drinkers.ErrQueueFull) {
+		switch {
+		case errors.Is(err, ErrUnmappable):
+			s.metrics.RejectedUnmappable.Add(1)
+		case errors.Is(err, ErrUnserviceable):
+			s.metrics.RejectedUnserviceable.Add(1)
+		case errors.Is(err, ErrQueueFull):
 			s.metrics.RejectedQueueFull.Add(1)
-			return nil, ErrQueueFull
-		}
-		return nil, lastErr
-	}
-	start := time.Now()
-	s.nw.SetNeeds(home, true)
-	s.nw.Wake(home)
-	s.nudge()
-
-	budget := s.cfg.DefaultTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d < budget || budget == 0 {
-			budget = d
-		}
-	}
-	if budget > s.cfg.MaxTimeout {
-		budget = s.cfg.MaxTimeout
-	}
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-
-	abort := func(reject *atomic.Int64, err error) (*Grant, error) {
-		if !s.arb.Cancel(sess) {
-			// Granted in the race; nobody will ever release it but us.
-			s.arb.Release(sess)
-		}
-		s.nw.SetNeeds(home, s.arb.HasPending(home))
-		s.nudge()
-		if reject != nil {
-			reject.Add(1)
 		}
 		return nil, err
 	}
-	select {
-	case <-sess.Granted():
-	case <-ctx.Done():
-		return abort(&s.metrics.RejectedTimeout, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err()))
-	case <-timer.C:
-		return abort(&s.metrics.RejectedTimeout, ErrTimeout)
-	case <-s.done:
-		return abort(&s.metrics.RejectedDraining, ErrDraining)
+	home := sess.Home
+	start := time.Now()
+	if !s.serve(sess) {
+		if err := s.await(ctx, sess); err != nil {
+			return nil, err
+		}
 	}
 	wait := time.Since(start)
 	if ttl <= 0 {
@@ -436,6 +368,44 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 	s.metrics.Grants.Add(1)
 	s.metrics.WaitHist.Observe(wait.Seconds())
 	return &Grant{SessionID: l.id, Node: home, Resources: l.resources, Wait: wait}, nil
+}
+
+// await blocks until sess is granted, or gives it up — canceled, or
+// released if the grant won the race — when the context, the server's
+// wait budget or the server itself ends first.
+func (s *Server) await(ctx context.Context, sess *drinkers.Session) error {
+	budget := s.cfg.DefaultTimeout
+	if dl, ok := ctx.Deadline(); ok {
+		if d := time.Until(dl); d < budget || budget == 0 {
+			budget = d
+		}
+	}
+	if budget > s.cfg.MaxTimeout {
+		budget = s.cfg.MaxTimeout
+	}
+	timer := time.NewTimer(budget)
+	defer timer.Stop()
+
+	abort := func(reject *atomic.Int64, err error) error {
+		if !s.arb.Cancel(sess) {
+			// Granted in the race; nobody will ever release it but us.
+			s.arb.Release(sess)
+		}
+		s.nw.SetNeeds(sess.Home, s.arb.HasPending(sess.Home))
+		s.nudge()
+		reject.Add(1)
+		return err
+	}
+	select {
+	case <-sess.Granted():
+		return nil
+	case <-ctx.Done():
+		return abort(&s.metrics.RejectedTimeout, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err()))
+	case <-timer.C:
+		return abort(&s.metrics.RejectedTimeout, ErrTimeout)
+	case <-s.done:
+		return abort(&s.metrics.RejectedDraining, ErrDraining)
+	}
 }
 
 // Release ends the lease with the given session ID.
@@ -689,25 +659,56 @@ func (s *Server) Stop(ctx context.Context) {
 	}
 }
 
-// sortByQueueDepth orders candidate homes by current queue depth
-// (shallowest first, ties by ID for determinism).
-func sortByQueueDepth(homes []graph.ProcID, arb *drinkers.Arbiter) []graph.ProcID {
-	out := append([]graph.ProcID(nil), homes...)
-	depth := make(map[graph.ProcID]int, len(out))
-	for _, p := range out {
-		depth[p] = arb.QueueDepth(p)
+// enqueue maps resources onto a drinkers session and queues it at the
+// live candidate home with the shortest queue.
+func (s *Server) enqueue(resources []string) (*drinkers.Session, error) {
+	bottles, homes, err := s.mapper.MapSession(resources)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnmappable, err)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if depth[b] < depth[a] || (depth[b] == depth[a] && b < a) {
-				out[j-1], out[j] = b, a
-			} else {
-				break
-			}
+	// Departed homes are excluded even before their kill lands: a session
+	// queued there would wait on a worker that is never coming back.
+	live := homes[:0]
+	for _, p := range homes {
+		if Alive(s.nw, p) {
+			live = append(live, p)
 		}
 	}
-	return out
+	if len(live) == 0 {
+		return nil, fmt.Errorf("%w: homes %v all dead", ErrUnserviceable, homes)
+	}
+	// Shortest queue first, ties to the lower ID. A bottle has two
+	// endpoints, so there are at most two candidates, in ID order.
+	if len(live) == 2 && s.arb.QueueDepth(live[1]) < s.arb.QueueDepth(live[0]) {
+		live[0], live[1] = live[1], live[0]
+	}
+	var sess *drinkers.Session
+	for _, p := range live {
+		if sess, err = s.arb.Submit(p, bottles); err == nil {
+			break
+		}
+	}
+	if errors.Is(err, drinkers.ErrQueueFull) {
+		return nil, ErrQueueFull
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sess, nil
+}
+
+// serve gets a queued session its grant: on the spot, on the caller's
+// goroutine, when its bottles are at hand — the pump is not involved and
+// the home never turns hungry — and otherwise, reporting false, by making
+// the home hungry for the meal that will collect them.
+func (s *Server) serve(sess *drinkers.Session) (granted bool) {
+	if s.arb.TryAtHand(sess) {
+		return true
+	}
+	s.nw.SetNeeds(sess.Home, true)
+	s.nw.Wake(sess.Home)
+	s.nudge()
+	return false
 }
 
 // Uptime returns time since Start (0 before Start).
@@ -764,7 +765,9 @@ func (s *Server) Healthy() bool {
 // holds nothing, and the adopted set is mutually conflict-free — the
 // leases were held concurrently on the old primary, so their bottle
 // sets are disjoint — which is why a bounded ctx suffices: every
-// adoption is grantable without waiting on another lease.
+// adoption is grantable without waiting on another lease, and one whose
+// bottles start at its home is granted at hand, before the substrate
+// has eaten at all.
 //
 // The session counter embedded in the ID is folded into idCtr so the
 // new primary can never mint a duplicate of an adopted ID.
@@ -774,51 +777,27 @@ func (s *Server) AdoptLease(ctx context.Context, id string, resources []string, 
 	if s.halted.Load() {
 		return ErrHalted
 	}
-	bottles, homes, err := s.mapper.MapSession(resources)
+	sess, err := s.enqueue(resources)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUnmappable, err)
+		return err
 	}
-	var live []graph.ProcID
-	for _, p := range homes {
-		if !s.nw.Snapshot(p).Dead && !s.Departed(p) {
-			live = append(live, p)
+	home := sess.Home
+	if !s.serve(sess) {
+		select {
+		case <-sess.Granted():
+		case <-ctx.Done():
+			if !s.arb.Cancel(sess) {
+				s.arb.Release(sess)
+			}
+			s.nw.SetNeeds(home, s.arb.HasPending(home))
+			s.nudge()
+			return fmt.Errorf("%w: adoption of %s: %v", ErrTimeout, id, ctx.Err())
+		case <-s.done:
+			if !s.arb.Cancel(sess) {
+				s.arb.Release(sess)
+			}
+			return ErrDraining
 		}
-	}
-	if len(live) == 0 {
-		return fmt.Errorf("%w: homes %v all dead", ErrUnserviceable, homes)
-	}
-	var (
-		sess    *drinkers.Session
-		home    graph.ProcID
-		lastErr error
-	)
-	for _, p := range sortByQueueDepth(live, s.arb) {
-		sess, lastErr = s.arb.Submit(p, bottles)
-		if lastErr == nil {
-			home = p
-			break
-		}
-	}
-	if sess == nil {
-		return lastErr
-	}
-	s.nw.SetNeeds(home, true)
-	s.nw.Wake(home)
-	s.nudge()
-	select {
-	case <-sess.Granted():
-	case <-ctx.Done():
-		if !s.arb.Cancel(sess) {
-			s.arb.Release(sess)
-		}
-		s.nw.SetNeeds(home, s.arb.HasPending(home))
-		s.nudge()
-		return fmt.Errorf("%w: adoption of %s: %v", ErrTimeout, id, ctx.Err())
-	case <-s.done:
-		if !s.arb.Cancel(sess) {
-			s.arb.Release(sess)
-		}
-		return ErrDraining
 	}
 	if n, ok := sessionCounter(id); ok {
 		for {

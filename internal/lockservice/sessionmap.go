@@ -1,10 +1,12 @@
 // Package lockservice exposes the malicious-crash diners core as a
 // long-running network lock service (`dinerd`): a Server runs one
 // goroutine per worker node on the msgpass runtime, maps client
-// Acquire/Release requests onto drinkers sessions, and grants a lock
-// set only when the paper's enter guard has fired for the session's
-// home node — so every grant inherits the paper's stabilization and
-// crash failure locality 2 by construction.
+// Acquire/Release requests onto drinkers sessions, and lets a lock
+// change hands between workers only when the paper's enter guard has
+// fired for the collecting session's home node — so every contended
+// grant inherits the paper's stabilization and crash failure locality 2
+// by construction, and a lock already at its home with nobody across
+// the edge asking for it is granted without a dining round at all.
 //
 // The resource model is the drinking-philosophers one: every edge of
 // the worker topology carries one named lock (a bottle); a request
@@ -14,7 +16,7 @@ package lockservice
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,10 +60,19 @@ func (m *ResourceMapper) EdgeFor(name string) (graph.Edge, int) {
 		idx := m.g.EdgeIndex(e.A, e.B)
 		return e, idx
 	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	idx := int(h.Sum64() % uint64(m.g.EdgeCount()))
+	idx := int(fnv64a(name) % uint64(m.g.EdgeCount()))
 	return m.g.Edges()[idx], idx
+}
+
+// fnv64a is hash/fnv's New64a over a string, without the hasher or the
+// byte-slice copy: name mapping runs once per resource on every acquire.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // parseEdgeName recognizes the explicit "edge:a-b" form for an edge
@@ -92,38 +103,40 @@ func EdgeName(e graph.Edge) string { return fmt.Sprintf("edge:%d-%d", e.A, e.B) 
 
 // MapSession maps a resource set onto a drinkers session shape: the
 // deduplicated bottle edge indices and the candidate home workers (the
-// nodes adjacent to every mapped edge). It fails when the resources'
+// nodes adjacent to every mapped edge: at most two, in ascending ID
+// order). It fails when the resources'
 // edges share no common endpoint — such a set spans arbitration shards
 // and must be split by the caller.
 func (m *ResourceMapper) MapSession(resources []string) (bottles []int, homes []graph.ProcID, err error) {
 	if len(resources) == 0 {
 		return nil, nil, fmt.Errorf("lockservice: empty resource set")
 	}
-	seen := make(map[int]bool, len(resources))
+	bottles = make([]int, 0, len(resources))
 	for _, r := range resources {
-		_, idx := m.EdgeFor(r)
-		if !seen[idx] {
-			seen[idx] = true
+		if _, idx := m.EdgeFor(r); !slices.Contains(bottles, idx) {
 			bottles = append(bottles, idx)
 		}
 	}
 	sort.Ints(bottles)
-	// Candidate homes: intersection of the edges' endpoint pairs.
-	counts := make(map[graph.ProcID]int)
-	for _, b := range bottles {
-		e := m.g.Edges()[b]
-		counts[e.A]++
-		counts[e.B]++
-	}
-	for p, c := range counts {
-		if c == len(bottles) {
+	// Candidate homes: the endpoints of one edge that every other edge
+	// shares (A < B, so they come out sorted).
+	edges := m.g.Edges()
+	first := edges[bottles[0]]
+	for _, p := range [2]graph.ProcID{first.A, first.B} {
+		shared := true
+		for _, b := range bottles[1:] {
+			if e := edges[b]; e.A != p && e.B != p {
+				shared = false
+				break
+			}
+		}
+		if shared {
 			homes = append(homes, p)
 		}
 	}
 	if len(homes) == 0 {
 		return nil, nil, fmt.Errorf("lockservice: resources %v map to edges with no common worker", resources)
 	}
-	sort.Slice(homes, func(i, j int) bool { return homes[i] < homes[j] })
 	return bottles, homes, nil
 }
 

@@ -52,14 +52,14 @@ func TestWireEndToEndSurvivesMaliciousCrash(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	acquireHold := func(c *wire.Client, resource string, timeout time.Duration) (bool, error) {
-		grant, err := c.Acquire(ctx, []string{resource}, timeout, 0)
+	acquireHold := func(c *wire.Client, timeout time.Duration, resources ...string) (bool, error) {
+		grant, err := c.Acquire(ctx, resources, timeout, 0)
 		if err != nil {
 			return false, err
 		}
-		ledger.granted([]string{resource}, grant.SessionID)
+		ledger.granted(resources, grant.SessionID)
 		time.Sleep(2 * time.Millisecond)
-		ledger.released([]string{resource}, grant.SessionID)
+		ledger.released(resources, grant.SessionID)
 		if err := c.Release(ctx, grant.SessionID); err != nil {
 			return true, fmt.Errorf("release %s: %w", grant.SessionID, err)
 		}
@@ -86,7 +86,7 @@ func TestWireEndToEndSurvivesMaliciousCrash(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < 12; i++ {
 				res := allEdges[(w*5+i*3)%len(allEdges)]
-				ok, err := acquireHold(c, res, 2*time.Second)
+				ok, err := acquireHold(c, 2*time.Second, res)
 				if err != nil {
 					var wireErr *wire.Error
 					if errors.As(err, &wireErr) && wireErr.Code == 408 {
@@ -139,39 +139,39 @@ func TestWireEndToEndSurvivesMaliciousCrash(t *testing.T) {
 		return false, "victim missing from status"
 	})
 
-	// Phase 2: far edges only — both endpoints at distance >= 2 from
-	// the victim must still be granted (failure locality 2), over wire.
-	var farEdges []string
-	for _, e := range g.Edges() {
-		if g.Dist(e.A, victim) >= 2 && g.Dist(e.B, victim) >= 2 {
-			farEdges = append(farEdges, EdgeName(e))
-		}
-	}
-	if len(farEdges) < 8 {
-		t.Fatalf("only %d far edges on the demo grid; topology assumption broken", len(farEdges))
-	}
-	for _, res := range farEdges {
+	// Phase 2: far workers only — overlapping two-lock sets of edges
+	// with both endpoints at distance >= 2 from the victim (farPairs)
+	// must still be granted (failure locality 2), over wire, and some of
+	// them through a dining round, not at hand.
+	pairs := farPairs(t, g, victim)
+	srv := rt.Shard(0)
+	before, eatsBefore := mealBackedGrants(srv), farEats(srv, victim)
+	for _, pair := range pairs {
 		wg.Add(1)
-		go func(res string) {
+		go func(pair [2]string) {
 			defer wg.Done()
 			c := wire.NewClient(wireAddr)
 			defer c.Close()
 			deadline := time.Now().Add(25 * time.Second)
 			for {
-				ok, err := acquireHold(c, res, 1500*time.Millisecond)
+				ok, err := acquireHold(c, 1500*time.Millisecond, pair[0], pair[1])
 				if ok && err == nil {
 					return
 				}
 				if time.Now().After(deadline) {
-					t.Errorf("far lock %s never granted after the crash (last err: %v)", res, err)
+					t.Errorf("far locks %v never granted after the crash (last err: %v)", pair, err)
 					return
 				}
 			}
-		}(res)
+		}(pair)
 	}
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if meals, eats := mealBackedGrants(srv)-before, farEats(srv, victim)-eatsBefore; meals < 1 || eats < 1 {
+		t.Fatalf("%d far sets granted after the crash, %d of them through a dining round (%d far meals): the locality claim went untested",
+			len(pairs), meals, eats)
 	}
 
 	// Phase 3: garbage revival through the admin API; victim-incident
@@ -205,7 +205,7 @@ func TestWireEndToEndSurvivesMaliciousCrash(t *testing.T) {
 			defer c.Close()
 			deadline := time.Now().Add(25 * time.Second)
 			for {
-				ok, err := acquireHold(c, res, 1500*time.Millisecond)
+				ok, err := acquireHold(c, 1500*time.Millisecond, res)
 				if ok && err == nil {
 					return
 				}
