@@ -51,10 +51,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The per-layer micro-benchmarks of the grant path (arbiter cycle, server
-# acquire, substrate hungry→eating), one iteration each: CI runs this so
-# they keep compiling and passing their own assertions.
+# acquire, wire write coalescing, substrate hungry→eating), one iteration
+# each: CI runs this so they keep compiling and passing their own
+# assertions.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^Benchmark(ArbiterCycle|ServerAcquire|HungryToEating|HandoverRounds)$$' -benchtime=1x ./internal/drinkers/ ./internal/lockservice/ ./internal/msgpass/
+	$(GO) test -run='^$$' -bench='^Benchmark(ArbiterCycle|ServerAcquire|WireCoalesce|HungryToEating|HandoverRounds)$$' -benchtime=1x ./internal/drinkers/ ./internal/lockservice/ ./internal/wire/ ./internal/msgpass/
 
 # Machine-readable perf baselines. BENCH_shard.json: core micro
 # benchmarks plus the shard scaling sweep (1/2/4 arbiter shards under

@@ -117,8 +117,8 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 			Graph: g, Seed: seed, Rounds: rounds, Crashes: plan, Trace: trace, Source: src,
 		})
 		printTrace(trace, res.Trace)
-		return res.Failed(), fmt.Sprintf("submitted=%d granted=%d hash=%016x safety=%v history=%v",
-			res.Submitted, res.Granted, res.TraceHash, res.SafetyViolations, res.HistoryViolations)
+		return res.Failed(), fmt.Sprintf("submitted=%d granted=%d at_hand=%d surrendered=%d hash=%016x safety=%v history=%v starvation=%v",
+			res.Submitted, res.Granted, res.AtHand, res.Surrendered, res.TraceHash, res.SafetyViolations, res.HistoryViolations, res.StarvationViolations)
 	case "fork":
 		src, plan := crashPlan(g, seed, crash, rounds, 0)
 		res := detsim.RunFork(detsim.ForkConfig{

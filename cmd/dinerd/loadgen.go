@@ -227,6 +227,7 @@ func printFailoverSummary(ctx context.Context, c *lockservice.Client, scraped ma
 func printSubstrateCounters(scraped map[string]float64) {
 	tbl := seriesTable("substrate counters (server-side)", scraped, [][2]string{
 		{"grants at hand (no dining round)", "dinerd_grants_at_hand_total"},
+		{"  of which surrendered across the edge", "dinerd_bottles_surrendered_total"},
 		{"frames sent", "dinerd_messages_sent_total"},
 		{"frames dropped (full inboxes)", "dinerd_messages_dropped_total"},
 		{"frames lost (loss/partitions)", "dinerd_messages_lost_total"},

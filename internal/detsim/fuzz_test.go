@@ -90,5 +90,8 @@ func FuzzLockHistory(f *testing.F) {
 		if len(res.SafetyViolations) != 0 {
 			t.Fatalf("diners safety broke under plan %v: %v", crashes, res.SafetyViolations)
 		}
+		if len(res.StarvationViolations) != 0 {
+			t.Fatalf("a queued session was passed over without a meal under plan %v: %v", crashes, res.StarvationViolations)
+		}
 	})
 }

@@ -1,9 +1,13 @@
 package detsim
 
 import (
+	"fmt"
+	"slices"
+
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
+	"mcdp/internal/msgpass"
 )
 
 // ServiceConfig describes a deterministic lock-service run: the fair
@@ -42,16 +46,75 @@ type ServiceResult struct {
 	// Submitted, Granted, Released, and Canceled count session events.
 	Submitted, Granted, Released, Canceled int
 	// AtHand is how many of the grants needed no meal: every bottle was
-	// free at the session's home with nobody across the edge asking.
-	AtHand int
+	// free and either at the session's home with nobody across the edge
+	// asking, or surrendered by a live peer with nobody there asking;
+	// Surrendered counts the grants of the second kind.
+	AtHand, Surrendered int
 	// HistoryViolations is the linearizability checker's output over the
 	// recorded history (nil means every grant was legal).
 	HistoryViolations []string
+	// StarvationViolations lists the sessions that were passed over
+	// without a meal (see overtaking); nil means none was.
+	StarvationViolations []string
 }
 
 // Failed reports whether the run violated any checked property.
 func (r *ServiceResult) Failed() bool {
-	return len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0
+	return len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0 || len(r.StarvationViolations) > 0
+}
+
+// overtaking is the service run's starvation check. Meals are rationed
+// by the diners layer — between two meals of a node each hungry live
+// neighbor gets its turn — so a queued session is passed over by meals
+// only boundedly often. Nothing rations a meal-less grant: a session
+// queued at a live home while a bottle it asks for keeps being granted at
+// the bottle's other end without a meal is never served. The at-hand rule
+// therefore owes every such session that this happens not even once, and
+// the oracle holds it to that at the instant of each grant.
+type overtaking struct {
+	g      *graph.Graph
+	nw     *msgpass.Network
+	round  int
+	queued []*drinkers.Session // submit order
+	found  []string
+}
+
+// tap chains the oracle behind the arbiter's lifecycle hooks, which run
+// under the arbiter's mutex at the instant of each transition.
+func (o *overtaking) tap(arb *drinkers.Arbiter) {
+	onSubmit, onGrant, onCancel := arb.OnSubmit, arb.OnGrant, arb.OnCancel
+	leave := func(s *drinkers.Session) {
+		if i := slices.Index(o.queued, s); i >= 0 {
+			o.queued = slices.Delete(o.queued, i, i+1)
+		}
+	}
+	arb.OnSubmit = func(s *drinkers.Session) {
+		onSubmit(s)
+		o.queued = append(o.queued, s)
+	}
+	arb.OnCancel = func(s *drinkers.Session) {
+		onCancel(s)
+		leave(s)
+	}
+	arb.OnGrant = func(s *drinkers.Session) {
+		onGrant(s)
+		leave(s)
+		if lockservice.Eating(o.nw, s.Home) {
+			return
+		}
+		for _, w := range o.queued {
+			if w.Home == s.Home || !lockservice.Alive(o.nw, w.Home) {
+				continue
+			}
+			for _, b := range s.Bottles {
+				if slices.Contains(w.Bottles, b) {
+					o.found = append(o.found, fmt.Sprintf(
+						"round %d: node %d was granted bottle %v without a meal past a session queued for it at live node %d",
+						o.round, s.Home, o.g.Edges()[b], w.Home))
+				}
+			}
+		}
+	}
 }
 
 // grantedSession tracks a live grant until its scheduled release round.
@@ -99,12 +162,15 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 	nw := r.d.Network()
 	lockservice.Couple(arb, nw)
 	g := cfg.Graph
+	passed := &overtaking{g: g, nw: nw}
+	passed.tap(arb)
 
 	res := &ServiceResult{}
 	var live []grantedSession
 	var pendingSubs []*drinkers.Session
 	for t := 0; t < r.cfg.Rounds; t++ {
 		r.fairRound(t)
+		passed.round = t
 		// Release grants whose hold expired.
 		kept := live[:0]
 		for _, gs := range live {
@@ -168,6 +234,7 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 	r.baseline = nil // demand-driven hunger invalidates the locality oracle
 	res.Result = r.finish(true, r.cfg.Rounds)
 	res.HistoryViolations = hist.Check(g)
-	res.AtHand = int(arb.AtHandGrants())
+	res.StarvationViolations = passed.found
+	res.AtHand, res.Surrendered = int(arb.AtHandGrants()), int(arb.SurrenderedGrants())
 	return res
 }

@@ -48,13 +48,18 @@ func (s *Session) Granted() <-chan struct{} { return s.granted }
 // layer: it queues sessions per home node, and grants the head of a
 // queue while an external oracle says that node is inside its exclusive
 // diners window (the paper's enter guard has fired and the node is
-// Eating) — or, with no meal at all, when every bottle the head needs is
-// already at hand (see Pump). Safety is enforced by construction — every
-// bottle is attached to at most one Drinking session at a time — while
-// liveness, fairness, and crash failure locality come from the diners
-// substrate that drives the oracle: a bottle changes endpoint only while
-// its collector is eating, no two neighbors eat at once, so no two
-// competing collectors ever play tug-of-war over a bottle.
+// Eating) — or, with no meal at all, when nobody contends for the bottles
+// the head needs (the at-hand rule, see Pump). Safety is enforced by
+// construction — every bottle is attached to at most one Drinking session
+// at a time — while liveness, fairness, and crash failure locality come
+// from the diners substrate that drives the oracle: a bottle that sessions
+// at both of its endpoints ask for changes endpoint only while its
+// collector is eating, no two neighbors eat at once, so no two competing
+// collectors ever play tug-of-war over a bottle. A bottle only one
+// endpoint asks for has no competition to arbitrate: its live holder
+// surrenders it on request, which is all the drinkers algorithm ever
+// required of a philosopher that neither drinks from a bottle nor thirsts
+// for it.
 //
 // Unlike Sim (which owns a lock-step simulator), an Arbiter is substrate
 // agnostic and safe for concurrent use; internal/lockservice drives one
@@ -84,11 +89,12 @@ type Arbiter struct {
 	g          *graph.Graph
 	queueLimit int
 
-	queues [][]*Session   // per node, FIFO; guarded by mu
-	user   []*Session     // per edge: the Drinking session using the bottle, or nil; guarded by mu
-	holder []graph.ProcID // per edge: the endpoint the bottle sits at (its last collector); guarded by mu
-	active int            // Drinking session count; guarded by mu
-	atHand int64          // grants made without a meal; guarded by mu
+	queues      [][]*Session   // per node, FIFO; guarded by mu
+	user        []*Session     // per edge: the Drinking session using the bottle, or nil; guarded by mu
+	holder      []graph.ProcID // per edge: the endpoint the bottle sits at (the home of the last session that took it); guarded by mu
+	active      int            // Drinking session count; guarded by mu
+	atHand      int64          // grants made without a meal; guarded by mu
+	surrendered int64          // of those, grants that took a bottle its peer surrendered; guarded by mu
 }
 
 // NewArbiter returns an arbiter over g with the given per-node queue
@@ -179,8 +185,9 @@ func (a *Arbiter) Cancel(s *Session) bool {
 
 // Release ends a Drinking session, detaching it from its bottles (the
 // bottles stay at the home node — at hand for its next session — until
-// an eating collector across the edge takes them). It reports whether
-// the session was actually drinking.
+// a session across the edge takes them, by its meal or because nobody
+// here asks for them). It reports whether the session was actually
+// drinking.
 //
 //lint:lease release
 func (a *Arbiter) Release(s *Session) bool {
@@ -243,9 +250,11 @@ func (a *Arbiter) Active() int {
 }
 
 // Holder returns the endpoint the bottle on edge index b sits at: the
-// home of the last session that collected it. The position is
-// load-bearing — the at-hand rule grants without a meal only at the
-// holder — and it changes only inside the collector's meal.
+// home of the last session that took it. The position is load-bearing — it
+// decides which endpoint's queued sessions can keep the bottle from the
+// other one — and it changes in two places only: inside its collector's
+// meal, and at a meal-less grant to a requester whose live peer has no
+// queued session for it (see Pump).
 func (a *Arbiter) Holder(b int) graph.ProcID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -259,6 +268,14 @@ func (a *Arbiter) AtHandGrants() int64 {
 	return a.atHand
 }
 
+// SurrenderedGrants returns how many of the meal-less grants moved at
+// least one bottle across its edge.
+func (a *Arbiter) SurrenderedGrants() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.surrendered
+}
+
 // Pump runs one scheduling pass: for every node that the eating oracle
 // places inside its exclusive window, it tries to collect the head
 // session's bottles and grants as many consecutive head sessions as
@@ -269,14 +286,16 @@ func (a *Arbiter) AtHandGrants() int64 {
 // the sessions granted in this pass (their Granted channels are already
 // closed).
 //
-// Eating is a license to collect bottles, so a head whose bottles need
-// no collecting needs no meal: with Alive set, a node that is not eating
-// still grants its head when every bottle the session needs is at hand
-// (free, already at the home, wanted by no session queued at the
-// bottle's other live endpoint) and the home is alive. Such a grant
-// moves no bottle and overtakes nobody: a waiter across the edge closes
-// the rule until a meal has served it, so a stream of sessions at the
-// holder cannot starve it.
+// Eating is a license to take a bottle somebody else asks for, so a head
+// nobody contends with needs no meal: with Alive set, a node that is not
+// eating still grants its head when the home is alive and every bottle
+// the session needs is free and at hand (see atHandOK) — already at the
+// home, or at a live peer that has no queued session for it and so
+// surrenders it, the bottle moving to the home at that grant. Such a
+// grant overtakes nobody: a session queued at either live endpoint closes
+// the rule for that bottle at the other one until a meal has served it,
+// so neither a stream of sessions at the holder nor one across the edge
+// can starve it, and a bottle asked for at both ends moves only in meals.
 //
 // The oracle may be slightly stale (the msgpass substrate publishes
 // snapshots asynchronously); staleness can only delay grants or cause a
@@ -321,9 +340,9 @@ func (a *Arbiter) PumpNeeds(eating func(p graph.ProcID) bool, needs func(p graph
 }
 
 // TryAtHand grants s on the spot if it heads its home's queue and its
-// bottles are at hand (see Pump), and reports whether s is Drinking. It
-// lets a submitter skip the pump, and the home its hunger, for a session
-// nothing contends with.
+// bottles are at hand (see Pump), wherever they sit, and reports whether
+// s is Drinking. It lets a submitter skip the pump, and the home its
+// hunger, for a session nothing contends with.
 func (a *Arbiter) TryAtHand(s *Session) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -334,22 +353,35 @@ func (a *Arbiter) TryAtHand(s *Session) bool {
 }
 
 // admit reports whether s, the head of its home's queue, may be granted
-// now: by its home's meal when eats, else at hand.
+// now — by its home's meal when eats, else at hand — and brings every
+// bottle of an admitted session to the home. The at-hand rule is decided
+// for the whole set before any bottle moves, so a session that fails it
+// on its second bottle has not taken its first.
 //
 // requires mu
 func (a *Arbiter) admit(s *Session, eats bool) bool {
 	if eats && a.collect(s) {
 		return true
 	}
-	if a.atHandOK(s) {
-		a.atHand++
-		return true
+	if !a.atHandOK(s) {
+		return false
 	}
-	return false
+	a.atHand++
+	crossed := false
+	for _, b := range s.Bottles {
+		if a.holder[b] != s.Home {
+			a.holder[b] = s.Home
+			crossed = true
+		}
+	}
+	if crossed {
+		a.surrendered++
+	}
+	return true
 }
 
 // grant turns the head of its home's queue into a Drinking session
-// attached to its bottles, all of which are free and at the home.
+// attached to its bottles, all of which admit left free and at the home.
 //
 // requires mu
 func (a *Arbiter) grant(s *Session) {
@@ -383,14 +415,30 @@ func (a *Arbiter) collect(s *Session) bool {
 	return all
 }
 
-// inUse reports whether a Drinking session is attached to bottle b. A
-// variable only so the mutation test can take the check out of the
-// at-hand rule and show the history oracle notices.
-var inUse = func(a *Arbiter, b int) bool { return a.user[b] != nil }
+// inUse reports whether a Drinking session is attached to bottle b, and
+// askedFor whether the endpoint p that holds b has a queued session for
+// it. Variables only so the mutation tests can take either check out of
+// the at-hand rule and show that an oracle notices.
+var (
+	inUse    = func(a *Arbiter, b int) bool { return a.user[b] != nil }
+	askedFor = func(a *Arbiter, p graph.ProcID, b int) bool { return a.wanted(p, b) }
+)
 
-// atHandOK is the at-hand rule: s needs no meal when its home is alive
-// and every bottle it needs is free, at the home, and wanted by no
-// session queued at the bottle's other endpoint, if that one is alive.
+// atHandOK is the at-hand rule, the drinkers surrender rule read from the
+// requester's side: s needs no meal when its home is alive and every
+// bottle it needs is free and either
+//
+//   - at the home, with no session queued for it at the bottle's other
+//     endpoint if that one is alive (a waiter stranded at a dead or
+//     departed peer is owed nothing), or
+//   - at the other endpoint, which is alive and has no session queued for
+//     it: a philosopher surrenders on request a bottle it neither drinks
+//     from nor thirsts for. A bottle at a dead or departed peer is not
+//     surrendered by anybody; it waits for the dining round.
+//
+// Either way a queued session at one live endpoint keeps the bottle from
+// meal-less grants at the other, so a bottle both ends ask for takes the
+// dining round and its fairness. atHandOK moves nothing.
 //
 // requires mu
 func (a *Arbiter) atHandOK(s *Session) bool {
@@ -398,10 +446,15 @@ func (a *Arbiter) atHandOK(s *Session) bool {
 		return false
 	}
 	for _, b := range s.Bottles {
-		if inUse(a, b) || a.holder[b] != s.Home {
+		if inUse(a, b) {
 			return false
 		}
-		if peer := a.g.Edges()[b].Other(s.Home); a.wanted(peer, b) && a.Alive(peer) {
+		peer := a.g.Edges()[b].Other(s.Home)
+		if a.holder[b] == s.Home {
+			if a.wanted(peer, b) && a.Alive(peer) {
+				return false
+			}
+		} else if askedFor(a, peer, b) || !a.Alive(peer) {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package drinkers
 import (
 	"errors"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -258,13 +257,15 @@ func neverEating(graph.ProcID) bool { return false }
 func allAlive(graph.ProcID) bool { return true }
 
 // TestArbiterAtHandRule walks the at-hand rule's conditions one by one
-// on ring(4), where bottle (0,1) starts at node 0 and bottle (1,2) at
-// node 1: each case queues sessions, pumps with nobody eating, and says
-// whether the probe session must come out granted.
+// on ring(4), where bottles (0,1) and (0,3) start at node 0, (1,2) at
+// node 1 and (2,3) at node 2: each case queues sessions, pumps with
+// nobody eating, and says whether the probe session must come out
+// granted and where the named bottles must sit afterwards.
 func TestArbiterAtHandRule(t *testing.T) {
 	g := graph.Ring(4)
-	b01, b12, b03 := g.EdgeIndex(0, 1), g.EdgeIndex(1, 2), g.EdgeIndex(0, 3)
+	b01, b12, b23, b03 := g.EdgeIndex(0, 1), g.EdgeIndex(1, 2), g.EdgeIndex(2, 3), g.EdgeIndex(0, 3)
 	type arb = *Arbiter
+	type holders = map[int]graph.ProcID
 	submit := func(t *testing.T, a arb, home graph.ProcID, bottles ...int) *Session {
 		t.Helper()
 		s, err := a.Submit(home, bottles)
@@ -273,132 +274,269 @@ func TestArbiterAtHandRule(t *testing.T) {
 		}
 		return s
 	}
+	// blockedAt queues, at home, a session that cannot be granted (its
+	// first bottle is in use by a session of the same home) and that also
+	// asks for the wanted bottles — as the queue's head, or behind another
+	// blocked head.
+	blockedAt := func(t *testing.T, a arb, behindHead bool, home graph.ProcID, busy int, wanted ...int) {
+		t.Helper()
+		submit(t, a, home, busy)
+		a.Pump(neverEating) // drinks from busy ...
+		if behindHead {
+			submit(t, a, home, busy) // ... so this head is blocked ...
+			submit(t, a, home, wanted...)
+			return
+		}
+		submit(t, a, home, append([]int{busy}, wanted...)...) // ... and so is this one
+	}
+	notZero := func(p graph.ProcID) bool { return p != 0 }
 	cases := []struct {
 		name  string
 		alive func(graph.ProcID) bool
 		probe func(t *testing.T, a arb) *Session
 		want  bool
+		at    holders // where these bottles must sit after the pass
 	}{
 		{"free bottle at its home", allAlive, func(t *testing.T, a arb) *Session {
 			return submit(t, a, 0, b01)
-		}, true},
+		}, true, holders{b01: 0}},
 		{"two bottles, both at the home", allAlive, func(t *testing.T, a arb) *Session {
 			return submit(t, a, 0, b01, b03)
-		}, true},
+		}, true, holders{b01: 0, b03: 0}},
 		{"no liveness hook: every grant needs a meal", nil, func(t *testing.T, a arb) *Session {
-			return submit(t, a, 0, b01)
-		}, false},
+			return submit(t, a, 1, b01)
+		}, false, holders{b01: 0}},
 		{"bottle across the edge", allAlive, func(t *testing.T, a arb) *Session {
 			return submit(t, a, 1, b01)
-		}, false},
+		}, true, holders{b01: 1}},
 		{"one of two bottles across the edge", allAlive, func(t *testing.T, a arb) *Session {
 			return submit(t, a, 1, b01, b12)
-		}, false},
+		}, true, holders{b01: 1, b12: 1}},
+		{"both bottles surrendered by two peers", allAlive, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 3, b03, b23)
+		}, true, holders{b03: 3, b23: 3}},
+		{"bottle across the edge, peer dead or departed", notZero, func(t *testing.T, a arb) *Session {
+			return submit(t, a, 1, b01)
+		}, false, holders{b01: 0}},
+		{"bottle across the edge, peer asks for it", allAlive, func(t *testing.T, a arb) *Session {
+			blockedAt(t, a, false, 0, b03, b01)
+			return submit(t, a, 1, b01)
+		}, false, holders{b01: 0}},
+		{"bottle across the edge, peer asks from behind its blocked head", allAlive, func(t *testing.T, a arb) *Session {
+			blockedAt(t, a, true, 0, b03, b01)
+			return submit(t, a, 1, b01)
+		}, false, holders{b01: 0}},
+		{"bottle asked for at both ends", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 0, b01) // the holder's own head is held back too
+			return submit(t, a, 1, b01)
+		}, false, holders{b01: 0}},
+		{"second of two bottles across and its peer asks: the first has not moved", allAlive, func(t *testing.T, a arb) *Session {
+			blockedAt(t, a, false, 2, b12, b23)
+			return submit(t, a, 3, b03, b23)
+		}, false, holders{b03: 0, b23: 2}},
+		{"second of two bottles across and in use: the first has not moved", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 2, b23)
+			a.Pump(neverEating)
+			return submit(t, a, 3, b03, b23)
+		}, false, holders{b03: 0, b23: 2}},
 		{"bottle in use", allAlive, func(t *testing.T, a arb) *Session {
 			submit(t, a, 0, b01)
 			a.Pump(neverEating) // the first session drinks from b01
 			return submit(t, a, 0, b01)
-		}, false},
+		}, false, holders{b01: 0}},
+		{"bottle in use across the edge", allAlive, func(t *testing.T, a arb) *Session {
+			submit(t, a, 0, b01)
+			a.Pump(neverEating)
+			return submit(t, a, 1, b01)
+		}, false, holders{b01: 0}},
 		{"bottle wanted by a session queued at the peer", allAlive, func(t *testing.T, a arb) *Session {
-			submit(t, a, 1, b01)
+			blockedAt(t, a, false, 1, b12, b01)
 			return submit(t, a, 0, b01)
-		}, false},
+		}, false, holders{b01: 0}},
 		{"bottle wanted by a session queued behind the peer's head", allAlive, func(t *testing.T, a arb) *Session {
-			submit(t, a, 1, b12)
-			a.Pump(neverEating)  // drinks from b12 ...
-			submit(t, a, 1, b12) // ... so this head is blocked ...
-			submit(t, a, 1, b01) // ... with the waiter for b01 behind it
+			blockedAt(t, a, true, 1, b12, b01)
 			return submit(t, a, 0, b01)
-		}, false},
+		}, false, holders{b01: 0}},
 		{"behind a blocked head", allAlive, func(t *testing.T, a arb) *Session {
 			submit(t, a, 0, b01)
 			a.Pump(neverEating)
 			submit(t, a, 0, b01) // blocked: b01 is in use
 			return submit(t, a, 0, b03)
-		}, false},
-		{"home dead or departed", func(p graph.ProcID) bool { return p != 0 }, func(t *testing.T, a arb) *Session {
+		}, false, holders{b03: 0}},
+		{"home dead or departed", notZero, func(t *testing.T, a arb) *Session {
 			return submit(t, a, 0, b01)
-		}, false},
+		}, false, holders{b01: 0}},
 		{"the peer's waiter is stranded at a dead peer", func(p graph.ProcID) bool { return p != 1 }, func(t *testing.T, a arb) *Session {
 			submit(t, a, 1, b01)
 			return submit(t, a, 0, b01)
-		}, true},
+		}, true, holders{b01: 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewArbiter(g, 8)
-			a.Alive = tc.alive
-			before := a.AtHandGrants()
-			s := tc.probe(t, a)
-			a.Pump(neverEating)
-			if got := a.Status(s) == Drinking; got != tc.want {
-				t.Fatalf("granted at hand = %v, want %v", got, tc.want)
+			run := func(grant func(a arb, s *Session) bool) {
+				t.Helper()
+				a := NewArbiter(g, 8)
+				a.Alive = tc.alive
+				s := tc.probe(t, a)
+				atHand, moved := a.AtHandGrants(), a.SurrenderedGrants()
+				if got := grant(a, s); got != tc.want {
+					t.Fatalf("granted at hand = %v, want %v", got, tc.want)
+				}
+				if got := a.AtHandGrants() - atHand; got != btoi(tc.want) {
+					t.Errorf("the probe moved AtHandGrants by %d", got)
+				}
+				crossed := false
+				for b, p := range tc.at {
+					if a.Holder(b) != p {
+						t.Errorf("bottle %v sits at %d, want %d", g.Edges()[b], a.Holder(b), p)
+					}
+					crossed = crossed || (tc.want && g.Edges()[b].A != p)
+				}
+				if got := a.SurrenderedGrants() - moved; got != btoi(crossed) {
+					t.Errorf("the probe moved SurrenderedGrants by %d, crossed=%v", got, crossed)
+				}
 			}
-			if tc.want && a.AtHandGrants() == before {
-				t.Error("an at-hand grant was not counted")
-			}
+			run(func(a arb, s *Session) bool {
+				a.Pump(neverEating)
+				return a.Status(s) == Drinking
+			})
 			// TryAtHand is the same rule for one session.
-			a2 := NewArbiter(g, 8)
-			a2.Alive = tc.alive
-			if got := a2.TryAtHand(tc.probe(t, a2)); got != tc.want {
-				t.Fatalf("TryAtHand = %v, want %v", got, tc.want)
-			}
+			run(func(a arb, s *Session) bool { return a.TryAtHand(s) })
 		})
 	}
 }
 
-// TestArbiterWaiterAtPeerClosesFastPath: a stream of sessions at the
-// holder cannot starve a waiter across the edge — once it queues, the
-// holder's next session needs a meal like everybody else, the waiter's
-// meal takes the bottle over, and the bottle then is at hand there.
+func btoi(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestArbiterWaiterAtPeerClosesFastPath: with uncontended sessions at both ends
+// of one edge the bottle goes back and forth without a meal — and once a
+// session is queued for it at either end, no further meal-less grant of
+// that bottle happens at the other until a meal has served the waiter, so
+// a stream of sessions on one side cannot starve it. Both halves of the
+// rule are walked: the waiter across the edge from the holder, and the
+// waiter at the holder (blocked on a second bottle) whose bottle a stream
+// across the edge asks for.
 func TestArbiterWaiterAtPeerClosesFastPath(t *testing.T) {
 	g := graph.Ring(4)
 	a := NewArbiter(g, 8)
 	a.Alive = allAlive
-	b01 := g.EdgeIndex(0, 1)
+	b01, b12 := g.EdgeIndex(0, 1), g.EdgeIndex(1, 2)
 	eatingOnly := func(p graph.ProcID) func(graph.ProcID) bool {
 		return func(q graph.ProcID) bool { return q == p }
 	}
-
-	s1, _ := a.Submit(0, []int{b01})
-	if grants := a.Pump(neverEating); len(grants) != 1 || grants[0] != s1 {
-		t.Fatalf("lone session at the holder not granted at hand: %v", grants)
+	submit := func(home graph.ProcID, bottles ...int) *Session {
+		t.Helper()
+		s, err := a.Submit(home, bottles)
+		if err != nil {
+			t.Fatalf("Submit(%d, %v): %v", home, bottles, err)
+		}
+		return s
 	}
-	w, _ := a.Submit(1, []int{b01})
-	s2, _ := a.Submit(0, []int{b01})
-	a.Release(s1)
-	for i := 0; i < 3; i++ {
-		if grants := a.Pump(neverEating); len(grants) != 0 {
-			t.Fatalf("granted %v at hand past a waiter at the peer", grants)
+	// stream submits one more session of the stream at home and reports
+	// whether it was granted without a meal; a refused one leaves the queue
+	// again so the probe changes nothing.
+	stream := func(home graph.ProcID) bool {
+		t.Helper()
+		s := submit(home, b01)
+		if a.TryAtHand(s) {
+			a.Release(s)
+			return true
+		}
+		if !a.Cancel(s) {
+			t.Fatal("a refused probe could not be withdrawn")
+		}
+		return false
+	}
+
+	// Nobody waits: the two streams hand the bottle back and forth.
+	for i := 0; i < 6; i++ {
+		home := graph.ProcID(i % 2)
+		if !stream(home) || a.Holder(b01) != home {
+			t.Fatalf("turn %d: uncontended session at %d not granted meal-less (bottle at %d)", i, home, a.Holder(b01))
 		}
 	}
-	if grants := a.Pump(eatingOnly(1)); len(grants) != 1 || grants[0] != w {
+	if got := a.SurrenderedGrants(); got != 5 {
+		t.Fatalf("SurrenderedGrants = %d after six alternating turns, want 5", got)
+	}
+
+	// A waiter across the edge from the holder: the bottle is at 1 and in
+	// use there when w queues at 0.
+	s1 := submit(1, b01)
+	if !a.TryAtHand(s1) {
+		t.Fatal("lone session at the holder not granted at hand")
+	}
+	w := submit(0, b01)
+	a.Release(s1)
+	for i := 0; i < 3; i++ {
+		if stream(1) {
+			t.Fatalf("the holder's stream was granted at hand past a waiter at the peer (turn %d)", i)
+		}
+	}
+	// The waiter alone gets the free bottle surrendered; with the holder's
+	// next session queued too, both ends ask and only a meal decides.
+	s2 := submit(1, b01)
+	for i := 0; i < 3; i++ {
+		if grants := a.Pump(neverEating); len(grants) != 0 {
+			t.Fatalf("granted %v without a meal with sessions queued at both ends", grants)
+		}
+	}
+	if grants := a.Pump(eatingOnly(0)); len(grants) != 1 || grants[0] != w {
 		t.Fatalf("the waiter's meal granted %v, want the waiter", grants)
 	}
-	if a.Holder(b01) != 1 {
-		t.Fatalf("bottle at %d after the waiter's meal, want 1", a.Holder(b01))
+	if a.Holder(b01) != 0 {
+		t.Fatalf("bottle at %d after the waiter's meal, want 0", a.Holder(b01))
+	}
+	if grants := a.Pump(neverEating); len(grants) != 0 {
+		t.Fatalf("granted %v with the bottle in use", grants)
 	}
 	a.Release(w)
-	if grants := a.Pump(neverEating); len(grants) != 0 {
-		t.Fatalf("granted %v at hand with the bottle across the edge", grants)
-	}
-	if grants := a.Pump(eatingOnly(0)); len(grants) != 1 || grants[0] != s2 {
-		t.Fatalf("node 0's meal granted %v, want its queued session", grants)
+	// Served: nobody is queued at 0 any more, so 0 surrenders the bottle
+	// to the session that has been waiting at 1.
+	if grants := a.Pump(neverEating); len(grants) != 1 || grants[0] != s2 || a.Holder(b01) != 1 {
+		t.Fatalf("after the waiter was served: granted %v, bottle at %d; want the queued session at 1", grants, a.Holder(b01))
 	}
 	a.Release(s2)
-	// Served: the rule is open again, now at node 0 where the bottle is.
-	s3, _ := a.Submit(0, []int{b01})
-	if !a.TryAtHand(s3) {
-		t.Fatal("fast path still closed after the waiter was served")
+
+	// A waiter at the holder: h needs b01 (at its home, free) and b12, which
+	// a session of node 2 drinks from, so it stays queued. The stream across
+	// the edge may not pull b01 out from under it.
+	busy := submit(2, b12)
+	if !a.TryAtHand(busy) {
+		t.Fatal("lone session at node 2 not granted")
 	}
-	if got := a.AtHandGrants(); got != 2 {
-		t.Errorf("AtHandGrants = %d, want 2 (s1 and s3)", got)
+	h := submit(1, b01, b12)
+	if a.TryAtHand(h) {
+		t.Fatal("session granted while one of its bottles is in use")
+	}
+	for i := 0; i < 3; i++ {
+		if stream(0) {
+			t.Fatalf("the stream across the edge took a bottle its holder has a queued session for (turn %d)", i)
+		}
+	}
+	if a.Holder(b01) != 1 {
+		t.Fatalf("bottle moved to %d from under a waiter", a.Holder(b01))
+	}
+	a.Release(busy)
+	if grants := a.Pump(eatingOnly(1)); len(grants) != 1 || grants[0] != h {
+		t.Fatalf("the waiter's meal granted %v, want the waiter", grants)
+	}
+	a.Release(h)
+	if !stream(0) {
+		t.Fatal("fast path still closed after the waiter was served")
 	}
 }
 
-// TestArbiterBottlesMoveOnlyInMeals: whatever is submitted, granted at
-// hand, released or canceled while nobody eats, no bottle changes
-// endpoint — only a collector's meal moves one.
+// TestArbiterBottlesMoveOnlyInMeals — or by surrender: over a random walk of submits,
+// cancels, passes under a random eating oracle, direct at-hand attempts
+// and releases, a bottle changes Holder in two ways only — inside its
+// collector's meal, or at a meal-less grant to a requester whose peer has
+// no queued session for it at that instant — and a pass granted nothing
+// it was not the head of a queue for.
 func TestArbiterBottlesMoveOnlyInMeals(t *testing.T) {
 	g := graph.Grid(3, 4)
 	a := NewArbiter(g, 8)
@@ -410,58 +548,122 @@ func TestArbiterBottlesMoveOnlyInMeals(t *testing.T) {
 		}
 		return out
 	}
+	var (
+		before      []graph.ProcID
+		eating      = neverEating
+		surrendered = make(map[int]bool) // bottles that crossed at a meal-less grant of this step
+		crossings   int
+	)
+	// The grant hook runs under the arbiter's mutex at the instant of the
+	// grant, after its bottles came home: the peer's queue is exactly what
+	// the rule saw.
+	a.OnGrant = func(s *Session) {
+		if eating(s.Home) {
+			return // whatever came home did so in the collector's meal
+		}
+		for _, b := range s.Bottles {
+			peer := g.Edges()[b].Other(s.Home)
+			if before[b] != peer {
+				continue
+			}
+			if a.wanted(peer, b) {
+				t.Errorf("bottle %v crossed to %d without a meal past a session queued at %d", g.Edges()[b], s.Home, peer)
+			}
+			surrendered[b] = true
+			crossings++
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
-	var drinking []*Session
-	atHand := 0
+	var pending, drinking []*Session
+	settle := func() { // move granted sessions from pending to drinking
+		kept := pending[:0]
+		for _, s := range pending {
+			switch a.Status(s) {
+			case Drinking:
+				drinking = append(drinking, s)
+			case Pending:
+				kept = append(kept, s)
+			}
+		}
+		pending = kept
+	}
+	atHand, mealMoves := 0, 0
 	for i := 0; i < 2000; i++ {
-		before := holders()
-		switch rng.Intn(3) {
+		before = holders()
+		clear(surrendered)
+		eating = neverEating
+		switch rng.Intn(5) {
 		case 0:
 			home := graph.ProcID(rng.Intn(g.N()))
 			idxs := g.IncidentEdgeIndices(home)
-			if s, err := a.Submit(home, idxs[:1+rng.Intn(len(idxs))]); err == nil && rng.Intn(4) == 0 {
-				a.Cancel(s)
+			if s, err := a.Submit(home, idxs[:1+rng.Intn(len(idxs))]); err == nil {
+				if rng.Intn(4) == 0 {
+					a.Cancel(s)
+				} else {
+					pending = append(pending, s)
+				}
 			}
 		case 1:
-			grants := a.Pump(neverEating)
-			atHand += len(grants)
-			drinking = append(drinking, grants...)
+			atHand += len(a.Pump(neverEating))
 		case 2:
+			mask := rng.Intn(1 << g.N())
+			eating = func(p graph.ProcID) bool { return mask>>int(p)&1 == 1 }
+			a.Pump(eating)
+		case 3:
+			if len(pending) > 0 && a.TryAtHand(pending[rng.Intn(len(pending))]) {
+				atHand++
+			}
+		case 4:
 			if len(drinking) > 0 {
 				j := rng.Intn(len(drinking))
 				a.Release(drinking[j])
 				drinking = append(drinking[:j], drinking[j+1:]...)
 			}
 		}
-		if after := holders(); !slices.Equal(before, after) {
-			t.Fatalf("step %d moved a bottle with nobody eating: %v -> %v", i, before, after)
+		settle()
+		for b, now := range holders() {
+			if now == before[b] {
+				continue
+			}
+			switch {
+			case eating(now):
+				mealMoves++
+			case !surrendered[b]:
+				t.Fatalf("step %d: bottle %v moved %d -> %d with %d not eating and no meal-less grant that asked for it",
+					i, g.Edges()[b], before[b], now, now)
+			}
 		}
 	}
-	if atHand == 0 {
-		t.Fatal("no session was granted at hand; the walk tested nothing")
+	if atHand == 0 || crossings == 0 || mealMoves == 0 {
+		t.Fatalf("the walk saw %d at-hand grants, %d surrendered bottles and %d bottles moved by meals; it must exercise all three",
+			atHand, crossings, mealMoves)
 	}
-	moved := holders()
-	a.Pump(alwaysEating)
-	if slices.Equal(moved, holders()) {
-		t.Error("a pass with everybody eating collected no bottle across an edge")
+	if got := a.SurrenderedGrants(); got == 0 || got > int64(crossings) {
+		t.Errorf("SurrenderedGrants = %d for %d surrendered bottles", got, crossings)
 	}
 }
 
 // TestArbiterPumpNeedsReportsHunger: the hunger report comes from the
-// state the pass leaves behind — a node whose head was granted at hand
-// is not hungry, a node whose head waits for a bottle across the edge is.
+// state the pass leaves behind — a node whose head was granted at hand,
+// at its home or surrendered across the edge, is not hungry; nodes whose
+// heads ask for one bottle from both ends are.
 func TestArbiterPumpNeedsReportsHunger(t *testing.T) {
 	g := graph.Ring(4)
 	a := NewArbiter(g, 8)
 	a.Alive = allAlive
-	atHand, _ := a.Submit(0, []int{g.EdgeIndex(0, 1)})
+	atHome, _ := a.Submit(0, []int{g.EdgeIndex(0, 1)})
 	across, _ := a.Submit(2, []int{g.EdgeIndex(1, 2)})
+	tugA, _ := a.Submit(2, []int{g.EdgeIndex(2, 3)})
+	tugB, _ := a.Submit(3, []int{g.EdgeIndex(2, 3)})
 	pending := make(map[graph.ProcID]bool)
 	grants := a.PumpNeeds(neverEating, func(p graph.ProcID, want bool) { pending[p] = want })
-	if len(grants) != 1 || grants[0] != atHand || a.Status(across) != Pending {
-		t.Fatalf("granted %v, want only the at-hand session", grants)
+	if len(grants) != 2 || grants[0] != atHome || grants[1] != across {
+		t.Fatalf("granted %v, want the session at its bottle's home and the one across an idle edge", grants)
 	}
-	want := map[graph.ProcID]bool{0: false, 1: false, 2: true, 3: false}
+	if a.Status(tugA) != Pending || a.Status(tugB) != Pending {
+		t.Fatal("a bottle asked for at both ends was granted without a meal")
+	}
+	want := map[graph.ProcID]bool{0: false, 1: false, 2: true, 3: true}
 	for p, w := range want {
 		if got, ok := pending[p]; !ok || got != w {
 			t.Errorf("node %d reported hungry=%v (reported=%v), want %v", p, got, ok, w)

@@ -18,13 +18,18 @@
 // drinks and releases the diners level. Diners liveness gives drinkers
 // liveness; diners failure locality gives drinkers failure locality.
 //
-// The license is only ever needed to collect. A bottle stays with the
-// process that last drank from it, so a thirsty process that already
-// holds every bottle of its session, none of them requested from across
-// its edge, drinks without becoming hungry at all — Chandy & Misra's
-// own rule, and the Arbiter's at-hand rule. That makes a bottle's
-// position (Arbiter.Holder) load-bearing state, not a display value: it
-// changes only inside the collector's meal.
+// The license is only ever needed to take a bottle from somebody who
+// wants it too. A bottle stays with the process that last drank from it,
+// so a thirsty process that already holds every bottle of its session,
+// none of them requested from across its edge, drinks without becoming
+// hungry at all; and a process that neither drinks from a bottle nor
+// thirsts for it surrenders it on request, so a session whose missing
+// bottles sit with live neighbors that have no use for them does not
+// become hungry either — Chandy & Misra's own rules, and the two halves
+// of the Arbiter's at-hand rule. That makes a bottle's position
+// (Arbiter.Holder) load-bearing state, not a display value: it decides
+// whose queued sessions can hold the bottle back, and it changes only
+// inside the collector's meal or at such a surrender.
 package drinkers
 
 import (

@@ -10,7 +10,7 @@ import (
 	"mcdp/internal/msgpass"
 )
 
-func waitCond(t *testing.T, d time.Duration, what string, pred func() bool) {
+func waitCond(t testing.TB, d time.Duration, what string, pred func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
@@ -62,6 +62,11 @@ func TestLeaveFencesLeasesAndReroutes(t *testing.T) {
 	}
 	if g2.Node == g1.Node {
 		t.Fatalf("departed node %d granted a session", g2.Node)
+	}
+	// The bottle still sits at the departed worker, and nobody is left
+	// there to surrender it: this grant took worker 1 a dining round.
+	if got := s.Arbiter().AtHandGrants(); got != 1 {
+		t.Fatalf("AtHandGrants = %d after the reroute, want 1: a bottle at a departed peer was granted without a meal", got)
 	}
 	s.Release(g2.SessionID)
 }

@@ -65,7 +65,8 @@ func (s *Server) families() []stats.Family {
 	return []stats.Family{
 		stats.Counter("dinerd_acquire_requests_total", "Acquire requests received.", m.AcquireRequests.Load),
 		stats.Counter("dinerd_grants_total", "Sessions granted.", m.Grants.Load),
-		stats.Counter("dinerd_grants_at_hand_total", "Sessions granted without a dining round: every lock was free and already at the home worker, with nobody across the edge asking.", s.arb.AtHandGrants),
+		stats.Counter("dinerd_grants_at_hand_total", "Sessions granted without a dining round: every lock was free and nobody across its edge asked for it — already at the home worker, or surrendered by the live worker across the edge.", s.arb.AtHandGrants),
+		stats.Counter("dinerd_bottles_surrendered_total", "Sessions granted without a dining round that took at least one lock surrendered by the live worker across its edge (a subset of dinerd_grants_at_hand_total).", s.arb.SurrenderedGrants),
 		stats.Counter("dinerd_releases_total", "Sessions released by clients.", m.Releases.Load),
 		stats.Counter("dinerd_lease_renewals_total", "Lease TTL extensions granted.", m.Renewals.Load),
 		stats.Counter("dinerd_lease_expirations_total", "Leases expired by the server-side TTL janitor.", m.Expirations.Load),

@@ -110,7 +110,7 @@ type Grant struct {
 }
 
 // lease is a live grant tracked for TTL expiry. home is the worker that
-// backed the grant, by its eating window or by holding the bottles at
+// backed the grant, by its eating window or by having the bottles at
 // hand: when that worker restarts, the new incarnation's protocol state
 // no longer vouches for the lease, so RestartNode fences every lease
 // homed there.
@@ -336,7 +336,10 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 			return nil, err
 		}
 	}
-	wait := time.Since(start)
+	// One clock reading is the end of the wait, the lease's grant time and
+	// the base of its deadline.
+	now := time.Now()
+	wait := now.Sub(start)
 	if ttl <= 0 {
 		ttl = s.cfg.DefaultTTL
 	}
@@ -345,8 +348,8 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		sess:      sess,
 		resources: append([]string(nil), resources...),
 		home:      home,
-		grantedAt: time.Now(),
-		deadline:  time.Now().Add(ttl),
+		grantedAt: now,
+		deadline:  now.Add(ttl),
 	}
 	s.mu.Lock()
 	s.leases[l.id] = l
@@ -698,9 +701,10 @@ func (s *Server) enqueue(resources []string) (*drinkers.Session, error) {
 }
 
 // serve gets a queued session its grant: on the spot, on the caller's
-// goroutine, when its bottles are at hand — the pump is not involved and
-// the home never turns hungry — and otherwise, reporting false, by making
-// the home hungry for the meal that will collect them.
+// goroutine, when its bottles are at hand (at the home, or surrendered by
+// a live peer that has no session for them) — the pump is not involved
+// and the home never turns hungry — and otherwise, reporting false, by
+// making the home hungry for the meal that will collect them.
 func (s *Server) serve(sess *drinkers.Session) (granted bool) {
 	if s.arb.TryAtHand(sess) {
 		return true
@@ -765,9 +769,10 @@ func (s *Server) Healthy() bool {
 // holds nothing, and the adopted set is mutually conflict-free — the
 // leases were held concurrently on the old primary, so their bottle
 // sets are disjoint — which is why a bounded ctx suffices: every
-// adoption is grantable without waiting on another lease, and one whose
-// bottles start at its home is granted at hand, before the substrate
-// has eaten at all.
+// adoption is grantable without waiting on another lease, and — every
+// worker of a fresh substrate being alive with nothing queued — granted
+// at hand whichever end its bottles start at, before the substrate has
+// eaten at all.
 //
 // The session counter embedded in the ID is folded into idCtr so the
 // new primary can never mint a duplicate of an adopted ID.

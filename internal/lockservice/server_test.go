@@ -23,7 +23,7 @@ func fastConfig(g *graph.Graph) Config {
 	}
 }
 
-func startServer(t *testing.T, cfg Config) *Server {
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s := NewServer(cfg)
 	s.Start()

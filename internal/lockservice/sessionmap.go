@@ -1,12 +1,14 @@
 // Package lockservice exposes the malicious-crash diners core as a
 // long-running network lock service (`dinerd`): a Server runs one
 // goroutine per worker node on the msgpass runtime, maps client
-// Acquire/Release requests onto drinkers sessions, and lets a lock
-// change hands between workers only when the paper's enter guard has
-// fired for the collecting session's home node — so every contended
-// grant inherits the paper's stabilization and crash failure locality 2
-// by construction, and a lock already at its home with nobody across
-// the edge asking for it is granted without a dining round at all.
+// Acquire/Release requests onto drinkers sessions, and lets a lock that
+// sessions at both of its workers ask for change hands only when the
+// paper's enter guard has fired for the collecting session's home node
+// — so every contended grant inherits the paper's stabilization and
+// crash failure locality 2 by construction — while a lock nobody across
+// its edge asks for is granted without a dining round at all: on the
+// spot if it is already at its home, surrendered by the live worker
+// across the edge if it is there.
 //
 // The resource model is the drinking-philosophers one: every edge of
 // the worker topology carries one named lock (a bottle); a request

@@ -374,7 +374,9 @@ func (c *Client) roundTrip(ctx context.Context, req Msg, timeout time.Duration) 
 	}
 	cc.waiters[corr] = waiter
 	cc.mu.Unlock()
+	cc.inflight.Add(1)
 	defer func() {
+		cc.inflight.Add(-1)
 		cc.mu.Lock()
 		delete(cc.waiters, corr)
 		cc.mu.Unlock()
@@ -498,6 +500,9 @@ type clientConn struct {
 	corr   atomic.Uint64
 	stats  *ClientStats
 	max    int
+	// inflight counts round trips between registering their waiter and
+	// returning: entries queued for the writer plus responses awaited.
+	inflight atomic.Int64
 	// budget is the server's default acquire wait budget from the
 	// hello (0 if the server predates the field); immutable after dial.
 	budget time.Duration
@@ -563,7 +568,8 @@ func (cc *clientConn) readLoop() {
 }
 
 // writeLoop coalesces queued entries into batched frames: one blocking
-// receive, then an opportunistic drain, one write, one flush. Under
+// receive, then an opportunistic drain (with one scheduler yield while
+// other callers are in flight, see coalesce), one write, one flush. Under
 // concurrency this is where pipelining pays — many goroutines' ops
 // ride one TCP segment. The drain caps by entry count; frameGroups
 // additionally splits the batch by encoded size, so a run of maximal
@@ -578,15 +584,7 @@ func (cc *clientConn) writeLoop() {
 		case first := <-cc.sendq:
 			batch = append(batch[:0], first)
 		}
-	drain:
-		for len(batch) < cc.max {
-			select {
-			case m := <-cc.sendq:
-				batch = append(batch, m)
-			default:
-				break drain
-			}
-		}
+		batch = coalesce(batch, cc.sendq, cc.max, &cc.inflight)
 		buf = buf[:0]
 		for _, group := range frameGroups(batch) {
 			buf = AppendFrame(buf, group[0].Type, group)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 )
 
 // Msg is one decoded protocol entry. Type discriminates which fields
@@ -296,6 +298,41 @@ func frameGroups(batch []Msg) [][]Msg {
 		i = j
 	}
 	return groups
+}
+
+// coalesce tops batch up, without blocking, with what is queued on ch (to
+// at most max entries) — the opportunistic drain both write loops run
+// after their one blocking receive. inflight is the connection's count of
+// operations that still owe or await an entry; while it exceeds what the
+// batch already holds, more entries are about to be queued by goroutines
+// that are runnable right now, so coalesce yields the processor to them
+// once — a scheduler yield, never a timer or a sleep — and drains again:
+// entries that complete within one scheduler pass leave in one frame and
+// one write. A lone caller has nothing else in flight and never yields.
+func coalesce(batch []Msg, ch <-chan Msg, max int, inflight *atomic.Int64) []Msg {
+	batch = drain(batch, ch, max)
+	if len(batch) < max && inflight.Load() > int64(len(batch)) {
+		runtime.Gosched()
+		batch = drain(batch, ch, max)
+	}
+	return batch
+}
+
+// drain appends the entries already queued on ch to batch, to at most max
+// in all, and never blocks; a closed ch ends it like an empty one.
+func drain(batch []Msg, ch <-chan Msg, max int) []Msg {
+	for len(batch) < max {
+		select {
+		case m, ok := <-ch:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, m)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // Check validates m against the protocol's encode bounds, returning an

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -295,4 +297,46 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("ReadFrame disagrees with DecodeFrame: %v", sErr)
 		}
 	})
+}
+
+// TestCoalesceYieldsOnlyUnderConcurrency pins the write loops' batching
+// rule on one processor, where a goroutine that is ready to queue an
+// entry runs only if the writer yields: with nothing else in flight the
+// batch leaves as it is (a lone caller's flush is never delayed), with
+// more in flight than the batch holds one yield lets the ready entry in,
+// and the entry cap and a closed queue end the drain.
+func TestCoalesceYieldsOnlyUnderConcurrency(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ping := func(corr uint64) Msg { return Msg{Type: TypePing, Corr: corr} }
+	var inflight atomic.Int64
+
+	ch := make(chan Msg, 8)
+	late := make(chan struct{})
+	go func() { ch <- ping(2); close(late) }()
+	inflight.Store(1)
+	if got := coalesce([]Msg{ping(1)}, ch, 64, &inflight); len(got) != 1 {
+		t.Fatalf("a lone caller's batch grew to %d entries: the writer yielded", len(got))
+	}
+	<-late
+
+	ch = make(chan Msg, 8)
+	ch <- ping(2)
+	go func() { ch <- ping(3) }()
+	inflight.Store(3)
+	if got := coalesce([]Msg{ping(1)}, ch, 64, &inflight); len(got) != 3 {
+		t.Fatalf("batch of %d entries with three operations in flight and one of them ready to queue, want 3", len(got))
+	}
+
+	ch = make(chan Msg, 8)
+	for corr := uint64(2); corr <= 6; corr++ {
+		ch <- ping(corr)
+	}
+	inflight.Store(64)
+	if got := coalesce([]Msg{ping(1)}, ch, 4, &inflight); len(got) != 4 || len(ch) != 2 {
+		t.Fatalf("batch of %d entries with %d left queued, want the cap of 4 and 2", len(got), len(ch))
+	}
+	close(ch)
+	if got := coalesce([]Msg{ping(1)}, ch, 64, &inflight); len(got) != 3 {
+		t.Fatalf("batch of %d entries from a closed queue holding two, want 3", len(got))
+	}
 }

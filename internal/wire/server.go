@@ -176,11 +176,14 @@ func (s *Server) serveConn(c net.Conn) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	out := make(chan Msg, 256)
+	// inflight counts operations read off the connection whose responses
+	// the writer has not yet put in a frame.
+	var inflight atomic.Int64
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeLoop(c, bw, out, cancel)
+		s.writeLoop(c, bw, out, &inflight, cancel)
 	}()
 	var opWG sync.WaitGroup
 	defer func() {
@@ -204,6 +207,7 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		s.stats.FramesIn.Add(1)
 		s.stats.EntriesIn.Add(int64(len(entries)))
+		inflight.Add(int64(len(entries)))
 		for i := range entries {
 			m := entries[i]
 			switch typ {
@@ -283,14 +287,16 @@ func errMsg(corr uint64, err error) Msg {
 	return Msg{Type: TypeError, Corr: corr, Code: e.Code, Text: text, RingGen: e.RingGen}
 }
 
-// writeLoop drains responses, coalescing whatever is pending (up to
-// MaxBatch) into one flush: entries are split into per-type,
-// size-bounded frame groups (frameGroups), each group encoded as one
-// batched frame, faults applied per frame. On exit — error or out
-// closed — it cancels the connection context so blocked send()s (the
-// reader's synchronous ops, parked acquire goroutines) unwedge instead
-// of filling out forever behind a dead writer.
-func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, cancel context.CancelFunc) {
+// writeLoop drains responses, coalescing whatever is pending — and, while
+// other operations are in flight on the connection, whatever one
+// scheduler yield lets complete (coalesce) — up to MaxBatch into one
+// flush: entries are split into per-type, size-bounded frame groups
+// (frameGroups), each group encoded as one batched frame, faults applied
+// per frame. On exit — error or out closed — it cancels the connection
+// context so blocked send()s (the reader's synchronous ops, parked
+// acquire goroutines) unwedge instead of filling out forever behind a
+// dead writer.
+func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, inflight *atomic.Int64, cancel context.CancelFunc) {
 	defer cancel()
 	batch := make([]Msg, 0, s.cfg.MaxBatch)
 	var buf []byte
@@ -299,29 +305,23 @@ func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, cancel 
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], first)
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case m, ok := <-out:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, m)
-			default:
-				break drain
-			}
-		}
+		batch = coalesce(append(batch[:0], first), out, s.cfg.MaxBatch, inflight)
+		inflight.Add(-int64(len(batch)))
 		buf = buf[:0]
 		for _, group := range frameGroups(batch) {
-			frame := AppendFrame(nil, group[0].Type, group)
-			frame, skip := s.applyFaults(frame)
-			if skip {
-				continue
+			if s.cfg.Faults == nil {
+				buf = AppendFrame(buf, group[0].Type, group)
+			} else {
+				// The injector may keep, grow or replace the frame it is
+				// handed, so each one is built on its own.
+				frame, skip := s.applyFaults(AppendFrame(nil, group[0].Type, group))
+				if skip {
+					continue
+				}
+				buf = append(buf, frame...)
 			}
 			s.stats.FramesOut.Add(1)
 			s.stats.EntriesOut.Add(int64(len(group)))
-			buf = append(buf, frame...)
 		}
 		if len(buf) == 0 {
 			continue
@@ -341,13 +341,10 @@ func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, cancel 
 // dropped frames are skipped, duplicates appended, corruption flips
 // bits in a copy (the CRC turns that into a client-side connection
 // drop), and stalls sleep the writer — the whole connection stalls,
-// which is what a stalled TCP stream looks like.
+// which is what a stalled TCP stream looks like. The write loop calls it
+// only when an injector is configured.
 func (s *Server) applyFaults(frame []byte) ([]byte, bool) {
-	in := s.cfg.Faults
-	if in == nil {
-		return frame, false
-	}
-	d := in.Decide(0, 0, 0)
+	d := s.cfg.Faults.Decide(0, 0, 0)
 	if d.DelayTicks > 0 {
 		s.stats.FaultsStalled.Add(1)
 		time.Sleep(time.Duration(d.DelayTicks) * s.cfg.FaultTick)
