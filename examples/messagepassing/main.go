@@ -1,5 +1,6 @@
-// Messagepassing: the Section 4 transformation running for real — one
-// goroutine per philosopher, reliable channels, and a self-stabilizing
+// Messagepassing: the Section 4 transformation running for real — every
+// philosopher stepped by one wall-clock event loop over reliable FIFO
+// channels, and a self-stabilizing
 // Dijkstra K-state token per edge that serializes the shared priority
 // variable and doubles as the fork. A philosopher crashes maliciously
 // mid-run; the rest of the table keeps dining and no two neighbors'
@@ -23,7 +24,7 @@ func main() {
 		Seed:             42,
 	})
 
-	fmt.Printf("starting %d philosopher goroutines on %v\n", g.N(), g)
+	fmt.Printf("starting %d philosophers on %v\n", g.N(), g)
 	nw.Start()
 	time.Sleep(150 * time.Millisecond)
 

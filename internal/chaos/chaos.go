@@ -61,8 +61,9 @@ func (f Faults) Zero() bool {
 
 // Injector implements msgpass.FaultInjector: one seeded splitmix64
 // stream, advanced by an atomic counter, drives every per-frame
-// decision. Under the goroutine runtime the counter order follows the
-// race of delivery, so rates hold but traces differ; under a
+// decision. Under the wall-clock event loop the counter order follows
+// the timing of ticks, wakes and TCP reads, so rates hold but traces
+// differ; under a
 // single-threaded driver (detsim) the call order is deterministic and
 // the whole fault trace replays exactly from the seed.
 type Injector struct {

@@ -565,8 +565,8 @@ func (r *runner) deliver(t int, f msgpass.Frame) {
 // can fake a second token) and the one every real transport here gives.
 // Frames carrying an injector delay are held instead: each round in
 // flight decrements the hold, and only frames whose hold has expired
-// enter the delivery window; like the goroutine runtime's transmit, the
-// hold stalls the whole channel, so frames behind a held frame wait with
+// enter the delivery window; like the production event loop's holds,
+// the hold stalls the whole channel, so frames behind a held frame wait with
 // it. The reordering faults exhibit is channels overtaking one another.
 // The FIFO remap costs no schedule draws.
 func (r *runner) fairRound(t int) {

@@ -14,7 +14,7 @@ import (
 // frame is emitted, nobody is eating, and meal counts are frozen — with
 // the victim at exactly zero meals, every survivor at most one
 // transient meal, and not a single meal completing after the quiescent
-// round. On the goroutine runtime "starves forever" could only be
+// round. On the wall-clock runtime "starves forever" could only be
 // sampled through sleep windows; here it is decided, because a frozen
 // fair deterministic system provably never moves again.
 func TestForkCrashStarvesRing(t *testing.T) {

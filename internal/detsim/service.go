@@ -126,7 +126,8 @@ type grantedSession struct {
 // RunService executes one deterministic lock-service run. Each round,
 // after the diners substrate steps: due grants are released, a workload
 // draw may submit (or cancel) a session, and the arbiter advances by
-// lockservice.PumpStep — the very step Server.pumpLoop runs.
+// lockservice.PumpStep — the very step the Server runs on its
+// network's event loop and after every arbiter change.
 //
 // The step's eating oracle excludes dead and departed nodes but trusts
 // the published state of a node inside a malicious window: a server

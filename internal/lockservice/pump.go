@@ -39,9 +39,11 @@ func Couple(arb *drinkers.Arbiter, nw *msgpass.Network) {
 // worker is made hungry exactly when sessions are still queued at it. A
 // worker whose hunger changed is woken, so the new demand is served at
 // transport latency, not tick latency (a no-op on a driven network). The
-// Server's pump loop and the detsim harnesses all advance through this
-// one function, so the service and its model cannot disagree on who may
-// grant or who is hungry.
+// Server — on its network's event loop when a worker enters Eating, on the
+// caller's goroutine after every other change — and the detsim harnesses
+// all advance through this one function, so the service and its model
+// cannot disagree on who may grant or who is hungry. It never waits on
+// the event loop, which is what lets the loop call it.
 func PumpStep(arb *drinkers.Arbiter, nw *msgpass.Network) []*drinkers.Session {
 	return arb.PumpNeeds(func(p graph.ProcID) bool {
 		return Eating(nw, p)

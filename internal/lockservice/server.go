@@ -136,9 +136,10 @@ type Server struct {
 	metrics *Metrics
 	fams    stats.Families
 
-	wake chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
+
+	eating []bool // per worker: last published live and Eating; OnSnapshot's own
 
 	mu       sync.Mutex        //lint:order rank lockservice 20
 	leases   map[string]*lease // guarded by mu
@@ -184,8 +185,8 @@ func NewServer(cfg Config) *Server {
 		mapper:  NewResourceMapper(cfg.Graph),
 		arb:     drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit),
 		metrics: NewMetrics(),
-		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
+		eating:  make([]bool, cfg.Graph.N()),
 		leases:  make(map[string]*lease),
 	}
 	if cfg.History != nil {
@@ -203,11 +204,15 @@ func NewServer(cfg Config) *Server {
 		Faults:           cfg.Faults,
 		Seed:             cfg.Seed,
 		OnSnapshot: func(p graph.ProcID, snap msgpass.Snapshot) {
-			// Nudge the scheduler only on windows it can use; the pump
-			// re-reads all state anyway, so coalescing loses nothing.
-			if snap.State == core.Eating && !snap.Dead {
-				s.nudge()
+			// A live worker entering Eating opens the window meal-backed
+			// grants need, so the loop pumps right here. Every other change
+			// a grant can wait on pumps at its own call site, so later
+			// publishes of an open window have nothing new to offer.
+			eating := snap.State == core.Eating && !snap.Dead
+			if eating && !s.eating[p] {
+				PumpStep(s.arb, s.nw)
 			}
+			s.eating[p] = eating
 		},
 	})
 	Couple(s.arb, s.nw)
@@ -224,8 +229,9 @@ func (s *Server) Mapper() *ResourceMapper { return s.mapper }
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Start launches the diners network, the scheduler, and the lease
-// janitor. It may be called once.
+// Start launches the diners network's event loop, which also runs the
+// grant pump (see OnSnapshot in NewServer), and the lease janitor. It
+// may be called once.
 func (s *Server) Start() {
 	s.mu.Lock()
 	if s.started {
@@ -236,34 +242,11 @@ func (s *Server) Start() {
 	s.startAt = time.Now()
 	s.mu.Unlock()
 	s.nw.Start()
-	s.wg.Add(2)
-	go s.pumpLoop()
+	s.wg.Add(1)
 	go s.janitor()
 	if s.cfg.Supervise != nil {
 		s.wg.Add(1)
 		go s.superviseLoop()
-	}
-}
-
-// nudge wakes the scheduler without ever blocking.
-func (s *Server) nudge() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pumpLoop turns eating windows, and freed bottles at hand, into grants:
-// every nudge runs one PumpStep.
-func (s *Server) pumpLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.wake:
-		}
-		PumpStep(s.arb, s.nw)
 	}
 }
 
@@ -294,7 +277,7 @@ func (s *Server) janitor() {
 		for _, l := range expired {
 			s.arb.Release(l.sess)
 			s.metrics.Expirations.Add(1)
-			s.nudge()
+			PumpStep(s.arb, s.nw)
 			s.emit(LeaseEvent{Op: ReplOpExpire, ID: l.id})
 		}
 	}
@@ -390,12 +373,7 @@ func (s *Server) await(ctx context.Context, sess *drinkers.Session) error {
 	defer timer.Stop()
 
 	abort := func(reject *atomic.Int64, err error) error {
-		if !s.arb.Cancel(sess) {
-			// Granted in the race; nobody will ever release it but us.
-			s.arb.Release(sess)
-		}
-		s.nw.SetNeeds(sess.Home, s.arb.HasPending(sess.Home))
-		s.nudge()
+		s.withdraw(sess)
 		reject.Add(1)
 		return err
 	}
@@ -409,6 +387,16 @@ func (s *Server) await(ctx context.Context, sess *drinkers.Session) error {
 	case <-s.done:
 		return abort(&s.metrics.RejectedDraining, ErrDraining)
 	}
+}
+
+// withdraw gives up a session nobody will take: it is canceled, or
+// released if its grant won the race (nobody else will ever release it),
+// and the pump re-derives its home's hunger from what is still queued.
+func (s *Server) withdraw(sess *drinkers.Session) {
+	if !s.arb.Cancel(sess) {
+		s.arb.Release(sess)
+	}
+	PumpStep(s.arb, s.nw)
 }
 
 // Release ends the lease with the given session ID.
@@ -430,7 +418,7 @@ func (s *Server) Release(sessionID string) error {
 	s.arb.Release(l.sess)
 	s.metrics.Releases.Add(1)
 	s.metrics.HoldHist.Observe(time.Since(l.grantedAt).Seconds())
-	s.nudge()
+	PumpStep(s.arb, s.nw)
 	s.emit(LeaseEvent{Op: ReplOpRelease, ID: l.id})
 	return nil
 }
@@ -519,7 +507,7 @@ func (s *Server) InjectCrash(node graph.ProcID, steps int) error {
 		s.nw.Kill(node)
 	}
 	s.metrics.CrashesInjected.Add(1)
-	s.nudge()
+	PumpStep(s.arb, s.nw)
 	return nil
 }
 
@@ -539,7 +527,7 @@ func (s *Server) RestartNode(node graph.ProcID, mode msgpass.RestartMode) (int, 
 	fenced := s.fenceLeases(node)
 	s.nw.Restart(node, mode)
 	s.metrics.NodeRestarts.Add(1)
-	s.nudge()
+	PumpStep(s.arb, s.nw)
 	return fenced, nil
 }
 
@@ -590,7 +578,7 @@ func (s *Server) LeaveNode(node graph.ProcID) (int, error) {
 	}
 	fenced := s.fenceLeases(node)
 	s.metrics.NodeLeaves.Add(1)
-	s.nudge()
+	PumpStep(s.arb, s.nw)
 	return fenced, nil
 }
 
@@ -617,7 +605,7 @@ func (s *Server) JoinNode(node graph.ProcID) error {
 		return err
 	}
 	s.metrics.NodeJoins.Add(1)
-	s.nudge()
+	PumpStep(s.arb, s.nw)
 	return nil
 }
 
@@ -709,9 +697,7 @@ func (s *Server) serve(sess *drinkers.Session) (granted bool) {
 	if s.arb.TryAtHand(sess) {
 		return true
 	}
-	s.nw.SetNeeds(sess.Home, true)
-	s.nw.Wake(sess.Home)
-	s.nudge()
+	PumpStep(s.arb, s.nw) // sess is queued: its home turns hungry and is woken
 	return false
 }
 
@@ -746,7 +732,7 @@ func (s *Server) emit(ev LeaseEvent) {
 // kill-primary switch. Halt is never cleared.
 func (s *Server) Halt() {
 	s.halted.Store(true)
-	s.nudge()
+	PumpStep(s.arb, s.nw)
 }
 
 // Halted reports whether the server was fail-stopped by Halt.
@@ -791,16 +777,10 @@ func (s *Server) AdoptLease(ctx context.Context, id string, resources []string, 
 		select {
 		case <-sess.Granted():
 		case <-ctx.Done():
-			if !s.arb.Cancel(sess) {
-				s.arb.Release(sess)
-			}
-			s.nw.SetNeeds(home, s.arb.HasPending(home))
-			s.nudge()
+			s.withdraw(sess)
 			return fmt.Errorf("%w: adoption of %s: %v", ErrTimeout, id, ctx.Err())
 		case <-s.done:
-			if !s.arb.Cancel(sess) {
-				s.arb.Release(sess)
-			}
+			s.withdraw(sess)
 			return ErrDraining
 		}
 	}

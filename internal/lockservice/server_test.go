@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -259,4 +260,62 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("metrics output missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 50ms, so goroutines earlier tests are still tearing down do not
+// skew a baseline.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 50 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
+// waitGoroutines waits until exactly want goroutines run.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerStartAddsLoopAndJanitor: a started shard is two goroutines —
+// its network's event loop, which also runs the grant pump, and the lease
+// janitor — whatever its worker count, and it grants through them.
+func TestServerStartAddsLoopAndJanitor(t *testing.T) {
+	base := settledGoroutines()
+	s := NewServer(fastConfig(graph.Grid(3, 3)))
+	s.Start()
+	waitGoroutines(t, base+2)
+	g, err := s.Acquire(context.Background(), []string{"edge:0-1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(g.SessionID); err != nil {
+		t.Fatal(err)
+	}
+	s.Stop(context.Background())
+	waitGoroutines(t, base)
+}
+
+// TestRouterShardsRunTwoGoroutinesEach: four grid(3x3) shards are eight
+// goroutines, not one per worker.
+func TestRouterShardsRunTwoGoroutinesEach(t *testing.T) {
+	base := settledGoroutines()
+	r := NewRouter(RouterConfig{Shards: 4, Base: fastConfig(graph.Grid(3, 3))})
+	r.Start()
+	waitGoroutines(t, base+8)
+	r.Stop(context.Background())
+	waitGoroutines(t, base)
 }

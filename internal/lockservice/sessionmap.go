@@ -1,6 +1,6 @@
 // Package lockservice exposes the malicious-crash diners core as a
-// long-running network lock service (`dinerd`): a Server runs one
-// goroutine per worker node on the msgpass runtime, maps client
+// long-running network lock service (`dinerd`): a Server runs its worker
+// nodes on one msgpass event loop, maps client
 // Acquire/Release requests onto drinkers sessions, and lets a lock that
 // sessions at both of its workers ask for change hands only when the
 // paper's enter guard has fired for the collecting session's home node

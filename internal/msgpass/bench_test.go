@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkHungryToEating times the substrate's share of one grant on the
-// goroutine runtime, the way the lock service drives it: a grid on which
+// wall-clock event loop, the way the lock service drives it: a grid on which
 // nobody else wants to eat, one worker made hungry and woken, the clock
 // stopped at its first Eating snapshot; the worker changes every time, so
 // its tokens are usually elsewhere. It is the `go test -bench` sibling of

@@ -1,15 +1,17 @@
-// Driven mode: the same runtime, stepped by an external single-threaded
-// driver instead of goroutines and wall-clock tickers.
+// Driven mode: the node logic as four primitives an external
+// single-threaded driver steps.
 //
-// The goroutine loop (runGuarded) is only a scheduler: it interleaves
-// three primitives — the initial gossip, "one tick event" (pollControl +
-// onEvent + gossipAll), and "one frame delivery" (pollControl + receive).
-// Driven exposes exactly those primitives, captures every frame the node
-// logic emits instead of pushing it into channels, and reads time from a
-// pluggable clock. A deterministic scheduler (internal/detsim) that owns
-// the interleaving, the in-flight frame pool, and a virtual clock can
-// therefore replay any schedule byte-for-byte while running the very same
-// protocol code the production goroutine runtime executes.
+// The primitives are the initial gossip (Boot), "one tick event"
+// (pollControl + onEvent + gossipAll), "one frame delivery" (pollControl
+// + receive) and "one demand-driven event" (pollControl + onEvent, and a
+// gossip if the event moved the node into or out of Thinking). Each
+// returns the frames the node logic emitted, and time comes from a
+// pluggable clock. There are two drivers. The production one is the
+// network's event loop (Network.Start, loop.go), which steps them on a
+// wall clock. The other is a deterministic scheduler (internal/detsim)
+// that owns the interleaving, the in-flight frame pool and a virtual
+// clock, and so replays any schedule byte-for-byte while running the very
+// same protocol code production runs.
 //
 //lint:deterministic
 package msgpass
@@ -29,9 +31,9 @@ type Frame struct {
 	// To and From are the receiving and sending endpoints.
 	To, From graph.ProcID
 
-	// Delay is the fault injector's remaining hold, in driver rounds: a
-	// deterministic driver must keep the frame pending for this many
-	// rounds before delivering it (zero for normal frames).
+	// Delay is the fault injector's remaining hold: the driver must keep
+	// the frame's channel stalled for this many rounds (ticks, under the
+	// event loop) before delivering it (zero for normal frames).
 	Delay int
 
 	m message
@@ -56,8 +58,7 @@ func (f Frame) EdgeIndex() int { return f.m.edgeIdx }
 // SetPartitioned, InitArbitrary) and accessors (Eats, Sessions,
 // Snapshot, ...) work as usual; Start must not be called.
 type Driven struct {
-	nw  *Network
-	out []Frame
+	nw *Network
 }
 
 // NewDriven builds a driven network. clock supplies the network's notion
@@ -68,52 +69,56 @@ func NewDriven(cfg Config, clock func() time.Time) *Driven {
 	if clock != nil {
 		nw.now = clock
 	}
-	d := &Driven{nw: nw}
-	nw.sendFrame = func(to graph.ProcID, m message, delayTicks int) bool {
-		d.out = append(d.out, Frame{To: to, From: m.from, Delay: delayTicks, m: m})
-		return true
-	}
-	return d
+	return &Driven{nw: nw}
 }
 
 // Network returns the underlying network for control and inspection.
 func (d *Driven) Network() *Network { return d.nw }
 
-// take drains the frames captured since the last step.
-func (d *Driven) take() []Frame {
-	out := d.out
-	d.out = nil
-	return out
+// take drains the frames emitted since the last step.
+func take[F any](out *[]F) []F {
+	f := *out
+	*out = nil
+	return f
 }
 
-// Boot performs each node's initial gossip (the goroutine loop's first
-// act) and returns the emitted frames. Call once, before any stepping.
+// Boot performs each node's initial gossip and returns the emitted
+// frames. Call once, before any stepping.
 func (d *Driven) Boot() []Frame {
 	for _, nd := range d.nw.procs.Load().nodes {
 		nd.gossipAll()
 	}
-	return d.take()
+	return take(&d.nw.out)
 }
 
-// Tick delivers one scheduler tick to node p — exactly the ticker arm of
-// the goroutine loop — and returns the frames it emitted.
+// Tick delivers one scheduler tick to node p and returns the frames it
+// emitted.
 func (d *Driven) Tick(p graph.ProcID) []Frame {
 	nd := d.nw.procs.Load().nodes[p]
 	nd.pollControl()
 	nd.tick()
-	return d.take()
+	return take(&d.nw.out)
 }
 
-// Deliver hands frame f to its destination — exactly the inbox arm of
-// the goroutine loop — and returns the frames emitted in response: a
-// token handover on f's edge from a node that has not just eaten, a
-// gossip on every edge if the event turned the node Hungry, usually
-// nothing.
+// Deliver hands frame f to its destination and returns the frames
+// emitted in response: a token handover on f's edge from a node that has
+// not just eaten, a gossip on every edge if the event turned the node
+// Hungry, usually nothing.
 func (d *Driven) Deliver(f Frame) []Frame {
 	nd := d.nw.procs.Load().nodes[f.To]
 	nd.pollControl()
 	nd.receive(f.m)
-	return d.take()
+	return take(&d.nw.out)
+}
+
+// Wake runs one demand-driven event at node p — what a pending
+// Network.Wake asks for — and returns the frames it emitted: a gossip on
+// every edge if the event moved p into or out of Thinking, else nothing.
+func (d *Driven) Wake(p graph.ProcID) []Frame {
+	nd := d.nw.procs.Load().nodes[p]
+	nd.pollControl()
+	nd.wake()
+	return take(&d.nw.out)
 }
 
 // Finish closes any open eating session at the current (virtual)
@@ -160,8 +165,8 @@ func (r *DrivenReader) Malicious(p graph.ProcID) bool { return r.nw.procs.Load()
 // by a departure, or about to be rebooted — not a live protocol state;
 // safety oracles exempt the window exactly as they exempt the dead.
 func (r *DrivenReader) Halting(p graph.ProcID) bool {
-	ros := r.nw.procs.Load()
-	return ros.kill[p].Load() || ros.restart[p].Load() != 0
+	c := r.nw.ctl(p)
+	return c.kill.Load() || c.restart.Load() != 0
 }
 
 // Priority returns the believed holder of the shared priority variable
@@ -200,11 +205,11 @@ func (f ForkFrame) String() string {
 }
 
 // ForkDriven is a ForkNetwork in single-threaded, externally driven
-// mode — the deterministic counterpart of the goroutine baseline, used
-// to pin the classic protocol's crash behavior exactly.
+// mode: the primitives its event loop steps on a wall clock, here owned
+// by a deterministic driver that pins the classic protocol's crash
+// behavior exactly.
 type ForkDriven struct {
-	nw  *ForkNetwork
-	out []ForkFrame
+	nw *ForkNetwork
 }
 
 // NewForkDriven builds a driven Chandy-Misra network with the given
@@ -215,40 +220,29 @@ func NewForkDriven(cfg ForkConfig, clock func() time.Time) *ForkDriven {
 	if clock != nil {
 		nw.now = clock
 	}
-	d := &ForkDriven{nw: nw}
-	nw.sendFrame = func(to graph.ProcID, m forkMsg) bool {
-		d.out = append(d.out, ForkFrame{To: to, From: m.from, m: m})
-		return true
-	}
-	return d
+	return &ForkDriven{nw: nw}
 }
 
 // Network returns the underlying network for control and inspection.
 func (d *ForkDriven) Network() *ForkNetwork { return d.nw }
 
-func (d *ForkDriven) take() []ForkFrame {
-	out := d.out
-	d.out = nil
-	return out
-}
-
-// Tick delivers one self-check tick to philosopher p (the ticker arm of
-// the goroutine loop) and returns the frames it emitted.
+// Tick delivers one self-check tick to philosopher p and returns the
+// frames it emitted.
 func (d *ForkDriven) Tick(p graph.ProcID) []ForkFrame {
 	nd := d.nw.nodes[p]
 	nd.poll()
 	nd.act()
-	return d.take()
+	return take(&d.nw.out)
 }
 
-// Deliver hands frame f to its destination (the inbox arm of the
-// goroutine loop) and returns the frames emitted in response.
+// Deliver hands frame f to its destination and returns the frames
+// emitted in response.
 func (d *ForkDriven) Deliver(f ForkFrame) []ForkFrame {
 	nd := d.nw.nodes[f.To]
 	nd.poll()
 	nd.handle(f.m)
 	nd.act()
-	return d.take()
+	return take(&d.nw.out)
 }
 
 // Finish closes any open eating session at the current (virtual)

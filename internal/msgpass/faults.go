@@ -1,5 +1,5 @@
 // Transport fault injection: a pluggable per-frame decision hook on the
-// delivery path, shared by the in-process channel transport, the TCP
+// delivery path, shared by the event loop's in-process queue, the TCP
 // transport, and the driven (detsim) mode. The protocol's stabilization
 // claim is exactly that none of these faults can break it — frames are
 // full-state gossip, so drops and delays only slow convergence,
@@ -8,8 +8,6 @@
 package msgpass
 
 import (
-	"time"
-
 	"mcdp/internal/core"
 	"mcdp/internal/graph"
 )
@@ -31,10 +29,11 @@ type FaultDecision struct {
 	DelayTicks int
 }
 
-// FaultInjector decides per-frame transport faults. Implementations
-// must be safe for concurrent use in the goroutine runtime; under a
-// single-threaded driver the call order is deterministic, so a seeded
-// injector makes whole fault campaigns replayable (internal/chaos).
+// FaultInjector decides per-frame transport faults. Decide runs on the
+// goroutine stepping the sender — the network's event loop, or a
+// single-threaded driver, under which the call order is deterministic,
+// so a seeded injector makes whole fault campaigns replayable
+// (internal/chaos).
 type FaultInjector interface {
 	Decide(from, to graph.ProcID, edgeIdx int) FaultDecision
 }
@@ -66,64 +65,19 @@ type delayKey struct {
 	from graph.ProcID
 }
 
-// transmit forwards one frame copy, honoring a delay. Delay is
-// head-of-line blocking, not per-frame lateness: a delayed frame stalls
-// its whole channel, and frames sent behind it queue in order until the
-// delay expires. Per-channel FIFO is the one ordering property the
-// K-state handshake needs — a stale counter delivered after newer
-// frames can fake a second token — and it is the property every real
-// transport here provides (Go channels, one TCP connection per edge).
-// Other channels overtake the stalled one freely, which is where the
-// observable reordering comes from. In the goroutine runtime a timer
-// flushes the channel after roughly DelayTicks gossip periods; in
-// driven mode the delay rides on the captured Frame and the
-// deterministic driver holds the channel for that many virtual rounds.
+// transmit emits one frame copy for the stepper to carry, the injector's
+// delay riding on the Frame. Delay is head-of-line blocking, not
+// per-frame lateness: the stepper stalls the whole channel, frames sent
+// behind the delayed one wait in order, and other channels overtake it,
+// which is where the observable reordering comes from. Per-channel FIFO
+// is the one ordering property the K-state handshake needs — a stale
+// counter delivered after newer frames can fake a second token — and
+// every transport here provides it.
 func (nw *Network) transmit(p graph.ProcID, m message, delayTicks int) {
-	if nw.driven {
-		if delayTicks > 0 {
-			nw.faultsDelayed.Add(1)
-		}
-		nw.sendFrame(p, m, delayTicks)
-		return
+	if delayTicks > 0 {
+		nw.faultsDelayed.Add(1)
 	}
-	key := delayKey{m.edgeIdx, m.from}
-	nw.delayMu.Lock()
-	if q, ok := nw.delayed[key]; ok {
-		// Channel already stalled: queue behind the delayed frame. A
-		// nested delay verdict is subsumed by the stall in progress.
-		nw.delayed[key] = append(q, m)
-		nw.delayMu.Unlock()
-		return
-	}
-	if delayTicks <= 0 {
-		nw.delayMu.Unlock()
-		nw.transmitNow(p, m)
-		return
-	}
-	nw.faultsDelayed.Add(1)
-	nw.delayed[key] = []message{m}
-	nw.delayMu.Unlock()
-	time.AfterFunc(time.Duration(delayTicks)*nw.cfg.TickEvery, func() {
-		nw.delayMu.Lock()
-		q := nw.delayed[key]
-		delete(nw.delayed, key)
-		nw.delayMu.Unlock()
-		for _, qm := range q {
-			nw.transmitNow(p, qm)
-		}
-	})
-}
-
-// transmitNow hands the frame to the transport (or the in-process
-// inbox) immediately.
-func (nw *Network) transmitNow(p graph.ProcID, m message) {
-	if nw.sendFrame != nil {
-		if !nw.sendFrame(p, m, 0) {
-			nw.lost.Add(1) // transport failure: gossip will retransmit
-		}
-		return
-	}
-	nw.inject(p, m)
+	nw.out = append(nw.out, Frame{To: p, From: m.from, Delay: delayTicks, m: m})
 }
 
 // corruptMessage scrambles a frame's payload with domain-respecting

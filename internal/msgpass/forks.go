@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the classic Chandy & Misra hygienic
-// dining-philosophers protocol over channels — the fork-collection route
+// dining-philosophers protocol over FIFO channels — the fork-collection route
 // to message passing that the paper's Section 4 calls cumbersome and
 // that Tsay & Bagrodia and Sivilotti et al. follow. It serves as the
 // message-passing baseline for experiment E8: correct and frugal when
@@ -61,11 +61,10 @@ type forkNode struct {
 	state        uint8 // 0 thinking-ish (always hungry), 1 eating
 	eatRemaining int
 	edges        []forkEdge
-	inbox        chan forkMsg
 	dead         bool
 }
 
-// ForkNetwork runs Chandy-Misra hygienic diners on goroutines.
+// ForkNetwork runs Chandy-Misra hygienic diners on one event loop.
 type ForkNetwork struct {
 	g        *graph.Graph
 	wg       sync.WaitGroup
@@ -78,17 +77,17 @@ type ForkNetwork struct {
 	eatEvents int
 	tick      time.Duration
 
-	// driven and the pluggable clock/transport mirror Network's driven
-	// mode (see NewForkDriven): a deterministic driver substitutes its
-	// virtual clock and captures frames instead of channel pushes.
-	driven    bool
-	now       func() time.Time
-	sendFrame func(to graph.ProcID, m forkMsg) bool
+	// driven and the pluggable clock mirror Network's driven mode (see
+	// NewForkDriven): a deterministic driver substitutes its virtual
+	// clock.
+	driven bool
+	now    func() time.Time
+	// out collects the frames emitted during one step for the stepper
+	// (the event loop or a driver) to take.
+	out []ForkFrame
 
-	mu        sync.Mutex
-	eats      []int64      // guarded by mu
-	sessions  []EatSession // guarded by mu
-	openSince []time.Time  // guarded by mu
+	mu    sync.Mutex
+	meals meals // guarded by mu
 
 	sent atomic.Int64
 }
@@ -101,8 +100,6 @@ type ForkConfig struct {
 	EatEvents int
 	// TickEvery is the node self-check period (default 1ms).
 	TickEvery time.Duration
-	// InboxSize is each node's channel capacity (default 256).
-	InboxSize int
 }
 
 // NewForkNetwork builds the classic runtime in its legitimate initial
@@ -117,16 +114,12 @@ func NewForkNetwork(cfg ForkConfig) *ForkNetwork {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = time.Millisecond
 	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 256
-	}
 	g := cfg.Graph
 	nw := &ForkNetwork{
 		g:         g,
 		now:       time.Now,
 		done:      make(chan struct{}),
-		eats:      make([]int64, g.N()),
-		openSince: make([]time.Time, g.N()),
+		meals:     newMeals(g.N()),
 		killFlag:  make([]atomic.Bool, g.N()),
 		eatEvents: cfg.EatEvents,
 		tick:      cfg.TickEvery,
@@ -134,7 +127,7 @@ func NewForkNetwork(cfg ForkConfig) *ForkNetwork {
 	nw.nodes = make([]*forkNode, g.N())
 	for p := 0; p < g.N(); p++ {
 		pid := graph.ProcID(p)
-		nd := &forkNode{net: nw, id: pid, inbox: make(chan forkMsg, cfg.InboxSize)}
+		nd := &forkNode{net: nw, id: pid}
 		nbrs := g.Neighbors(pid)
 		idxs := g.IncidentEdgeIndices(pid)
 		nd.edges = make([]forkEdge, len(nbrs))
@@ -154,7 +147,7 @@ func NewForkNetwork(cfg ForkConfig) *ForkNetwork {
 	return nw
 }
 
-// Start launches the philosopher goroutines.
+// Start launches the event loop (see run).
 func (nw *ForkNetwork) Start() {
 	if nw.driven {
 		panic("msgpass: a driven ForkNetwork is stepped by its driver, not Started")
@@ -163,13 +156,38 @@ func (nw *ForkNetwork) Start() {
 		panic("msgpass: ForkNetwork.Start called twice")
 	}
 	nw.started = true
-	for _, nd := range nw.nodes {
-		nw.wg.Add(1)
-		go nd.run()
+	nw.wg.Add(1)
+	go nw.run()
+}
+
+// run is the wall-clock driver of ForkDriven's primitives in detsim's
+// fair-round shape: each period every philosopher ticks, then the frames
+// sent so far are delivered in send order (FIFO per channel), and what
+// the deliveries send waits for the next period.
+func (nw *ForkNetwork) run() {
+	defer nw.wg.Done()
+	d := &ForkDriven{nw: nw}
+	t := time.NewTicker(nw.tick)
+	defer t.Stop()
+	var queue []ForkFrame
+	for {
+		select {
+		case <-nw.done:
+			return
+		case <-t.C:
+		}
+		for p := range nw.nodes {
+			queue = append(queue, d.Tick(graph.ProcID(p))...)
+		}
+		round := queue
+		queue = nil
+		for _, f := range round {
+			queue = append(queue, d.Deliver(f)...)
+		}
 	}
 }
 
-// Stop terminates and waits for the goroutines.
+// Stop terminates and waits for the event loop.
 func (nw *ForkNetwork) Stop() {
 	if !nw.started || nw.stopped {
 		return
@@ -185,13 +203,7 @@ func (nw *ForkNetwork) Stop() {
 func (nw *ForkNetwork) finishSessions() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	now := nw.now()
-	for p, since := range nw.openSince {
-		if !since.IsZero() {
-			nw.sessions = append(nw.sessions, EatSession{Proc: graph.ProcID(p), Start: since, End: now})
-			nw.openSince[p] = time.Time{}
-		}
-	}
+	nw.meals.closeAll(nw.now())
 }
 
 // Kill benignly crashes philosopher p (it halts at its next event,
@@ -203,14 +215,14 @@ func (nw *ForkNetwork) Kill(p graph.ProcID) { nw.killFlag[p].Store(true) }
 func (nw *ForkNetwork) Eats() []int64 {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return append([]int64(nil), nw.eats...)
+	return append([]int64(nil), nw.meals.eats...)
 }
 
 // Sessions returns completed eating sessions.
 func (nw *ForkNetwork) Sessions() []EatSession {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return append([]EatSession(nil), nw.sessions...)
+	return append([]EatSession(nil), nw.meals.sessions...)
 }
 
 // MessagesSent counts protocol frames.
@@ -219,39 +231,7 @@ func (nw *ForkNetwork) MessagesSent() int64 { return nw.sent.Load() }
 // OverlappingNeighborSessions returns overlapping neighbor meals (safety
 // violations).
 func (nw *ForkNetwork) OverlappingNeighborSessions() []string {
-	sessions := nw.Sessions()
-	var bad []string
-	for i := 0; i < len(sessions); i++ {
-		for j := i + 1; j < len(sessions); j++ {
-			a, b := sessions[i], sessions[j]
-			if a.Proc == b.Proc || !nw.g.HasEdge(a.Proc, b.Proc) {
-				continue
-			}
-			if a.Start.Before(b.End) && b.Start.Before(a.End) {
-				bad = append(bad, a.Start.String())
-			}
-		}
-	}
-	return bad
-}
-
-func (n *forkNode) run() {
-	defer n.net.wg.Done()
-	ticker := time.NewTicker(n.net.tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.net.done:
-			return
-		case m := <-n.inbox:
-			n.poll()
-			n.handle(m)
-			n.act()
-		case <-ticker.C:
-			n.poll()
-			n.act()
-		}
-	}
+	return overlaps(nw.Sessions(), nw.g.HasEdge)
 }
 
 func (n *forkNode) poll() {
@@ -299,8 +279,12 @@ func (n *forkNode) act() {
 			n.eatRemaining--
 			return
 		}
-		// Exit: all forks dirty; honor deferred requests.
+		// Exit: all forks dirty; honor deferred requests. The session
+		// closes before any fork leaves: the instant a fork is sent a
+		// neighbor may receive it and open its own session, and a close
+		// stamped after that would overlap it.
 		n.state = 0
+		n.net.recordEnd(n.id)
 		for i := range n.edges {
 			e := &n.edges[i]
 			e.dirty = true
@@ -308,7 +292,6 @@ func (n *forkNode) act() {
 				n.sendFork(e)
 			}
 		}
-		n.net.recordEnd(n.id)
 		return
 	}
 	// Hungry (always): request every missing fork we can, check for a
@@ -341,34 +324,22 @@ func (n *forkNode) sendFork(e *forkEdge) {
 	n.send(e.peer, forkMsg{edgeIdx: e.idx, from: n.id, kind: forkTransfer})
 }
 
+// send emits a frame for the stepper to carry. CM relies on reliable
+// channels, so no frame is ever dropped; the queue stays small because
+// each edge carries at most one fork and one request in flight.
 func (n *forkNode) send(to graph.ProcID, m forkMsg) {
 	n.net.sent.Add(1)
-	if n.net.sendFrame != nil {
-		n.net.sendFrame(to, m)
-		return
-	}
-	select {
-	case n.net.nodes[to].inbox <- m:
-	default:
-		// CM relies on reliable channels; a full inbox would be a frame
-		// loss the protocol cannot recover from. The capacity is sized
-		// so this cannot happen (each edge carries at most one fork and
-		// one request in flight), but never block the event loop.
-	}
+	n.net.out = append(n.net.out, ForkFrame{To: to, From: m.from, m: m})
 }
 
 func (nw *ForkNetwork) recordStart(p graph.ProcID) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	nw.openSince[p] = nw.now()
+	nw.meals.open(p, nw.now(), false)
 }
 
 func (nw *ForkNetwork) recordEnd(p graph.ProcID) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	nw.eats[p]++
-	if since := nw.openSince[p]; !since.IsZero() {
-		nw.sessions = append(nw.sessions, EatSession{Proc: p, Start: since, End: nw.now()})
-		nw.openSince[p] = time.Time{}
-	}
+	nw.meals.close(p, nw.now(), true)
 }

@@ -30,16 +30,15 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"mcdp/internal/core"
 	"mcdp/internal/graph"
 )
 
 // edgeOp is one pending splice on a node's incident edge set. Ops are
-// queued by the membership layer under memMu and applied on the owning
-// node's goroutine (pollControl), preserving the rule that only the
-// owner writes its edge state.
+// queued by the membership layer under memMu and applied at the owning
+// node's next step (pollControl), preserving the rule that only the
+// stepper writes its edge state.
 type edgeOp struct {
 	remove bool
 	peer   graph.ProcID
@@ -71,9 +70,11 @@ func (nw *Network) Leaves() int64 { return nw.leaves.Load() }
 // token, so the join cannot disturb any meal in progress. The node
 // inherits the network-wide diameter constant D; callers growing the
 // graph beyond the configured bound should have passed a generous
-// DiameterOverride up front. Safe to call from any goroutine.
+// DiameterOverride up front. A running event loop ticks the new process
+// from its next period on, like every other (a driver steps it
+// explicitly). Safe to call from any goroutine.
 func (nw *Network) AddProcess(neighbors []graph.ProcID) (graph.ProcID, error) {
-	if nw.external {
+	if nw.transport != nil {
 		return 0, ErrExternalTransport
 	}
 	nw.memMu.Lock()
@@ -85,9 +86,7 @@ func (nw *Network) AddProcess(neighbors []graph.ProcID) (graph.ProcID, error) {
 		return 0, err
 	}
 	hungry := nw.cfg.Hungry == nil // explicit hunger maps leave joiners to SetNeeds
-	nros := ros.grow(nil)
-	nros.needs[pid].Store(hungry)
-	nd := nw.newNode(pid, hungry, nros)
+	nd := nw.newNode(pid, hungry)
 	nd.edges = make([]edgeState, 0, len(nbrs))
 	for _, q := range nbrs {
 		joiner, incumbent := nw.spliceEdgeLocked(pid, q)
@@ -95,14 +94,12 @@ func (nw *Network) AddProcess(neighbors []graph.ProcID) (graph.ProcID, error) {
 		nw.queueOpLocked(q, edgeOp{peer: pid, es: incumbent})
 	}
 	nd.refreshNeighbors()
-	nros.nodes[pid] = nd
 	nw.departed = append(nw.departed, false)
 	nw.growAccountingLocked()
-	nw.procs.Store(nros)
-	nw.rebuildGraphLocked(nros.n())
+	nw.procs.Store(&roster{nodes: append(append([]*node(nil), ros.nodes...), nd)})
+	nw.rebuildGraphLocked(ros.n() + 1)
 	nw.memMu.Unlock()
 	nw.joins.Add(1)
-	nw.spawn(nd)
 	return pid, nil
 }
 
@@ -113,7 +110,7 @@ func (nw *Network) AddProcess(neighbors []graph.ProcID) (graph.ProcID, error) {
 // bring p back; Kill/Restart on a departed process are no-ops. Safe to
 // call from any goroutine.
 func (nw *Network) RemoveProcess(p graph.ProcID) error {
-	if nw.external {
+	if nw.transport != nil {
 		return ErrExternalTransport
 	}
 	nw.memMu.Lock()
@@ -133,9 +130,10 @@ func (nw *Network) RemoveProcess(p graph.ProcID) error {
 		nw.queueOpLocked(p, edgeOp{remove: true, peer: q})
 	}
 	// Cancel pending revivals, then halt: a departed vertex stays down.
-	ros.restart[p].Store(0)
-	ros.mal[p].Store(0)
-	ros.kill[p].Store(true)
+	c := nw.ctl(p)
+	c.restart.Store(0)
+	c.mal.Store(0)
+	c.kill.Store(true)
 	nw.rebuildGraphLocked(ros.n())
 	nw.memMu.Unlock()
 	// The departure is effective NOW — the edges are already gone — but
@@ -153,7 +151,7 @@ func (nw *Network) RemoveProcess(p graph.ProcID) error {
 // revives through the clean-restart path, so it reboots humble over
 // the freshly spliced edge set. Safe to call from any goroutine.
 func (nw *Network) JoinProcess(p graph.ProcID, neighbors []graph.ProcID) error {
-	if nw.external {
+	if nw.transport != nil {
 		return ErrExternalTransport
 	}
 	nw.memMu.Lock()
@@ -180,9 +178,10 @@ func (nw *Network) JoinProcess(p graph.ProcID, neighbors []graph.ProcID) error {
 	// Revive through the normal humble-reboot path. applyRestart runs
 	// after the edge ops in the same pollControl pass, so the clean
 	// reboot covers the new edge set.
-	ros.kill[p].Store(false)
-	ros.mal[p].Store(0)
-	ros.restart[p].Store(int32(RestartClean))
+	c := nw.ctl(p)
+	c.kill.Store(false)
+	c.mal.Store(0)
+	c.restart.Store(int32(RestartClean))
 	nw.rebuildGraphLocked(ros.n())
 	nw.memMu.Unlock()
 	nw.joins.Add(1)
@@ -256,7 +255,7 @@ func (nw *Network) spliceEdgeLocked(p, q graph.ProcID) (joiner, incumbent edgeSt
 // requires memMu
 func (nw *Network) queueOpLocked(p graph.ProcID, op edgeOp) {
 	nw.pendingOps[p] = append(nw.pendingOps[p], op)
-	nw.procs.Load().edgeOps[p].Store(true)
+	nw.ctl(p).edgeOps.Store(true)
 }
 
 // takeEdgeOps drains p's pending splice queue.
@@ -276,10 +275,8 @@ func (nw *Network) growAccountingLocked() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	nw.table = append(nw.table, Snapshot{State: core.Thinking})
-	nw.eats = append(nw.eats, 0)
-	nw.openSince = append(nw.openSince, time.Time{})
+	nw.meals.grow()
 	nw.garbagePending = append(nw.garbagePending, false)
-	nw.openPostGarbage = append(nw.openPostGarbage, false)
 }
 
 // rebuildGraphLocked freezes the current adjacency into a fresh
@@ -313,18 +310,4 @@ func (nw *Network) everAdjSnapshot() map[graph.Edge]bool {
 		out[e] = true
 	}
 	return out
-}
-
-// spawn starts a freshly added node's goroutine if the network is
-// running in goroutine mode; driven networks step the node explicitly.
-func (nw *Network) spawn(nd *node) {
-	if nw.driven {
-		return
-	}
-	nw.lifeMu.Lock()
-	defer nw.lifeMu.Unlock()
-	if nw.started && !nw.stopped {
-		nw.wg.Add(1)
-		go nd.runGuarded()
-	}
 }

@@ -1,6 +1,8 @@
 // Package msgpass realizes the paper's Section 4: the transformation of
 // the shared-memory algorithm to an asynchronous message-passing system,
-// here one goroutine per philosopher connected by reliable channels.
+// here one philosopher state machine per process, exchanging frames over
+// FIFO channels that one event loop per network (or a deterministic
+// driver) carries.
 //
 // The synchronization substrate is the one the paper points at — a
 // stabilizing handshake derived from Dijkstra's K-state token circulation
@@ -40,6 +42,7 @@
 package msgpass
 
 import (
+	"fmt"
 	"time"
 
 	"mcdp/internal/core"
@@ -81,6 +84,72 @@ type EatSession struct {
 	PostGarbage bool
 }
 
+// meals is the eating-session book both runtimes keep for the safety
+// oracles. Its owner guards it with its own mutex.
+type meals struct {
+	eats        []int64      // completed meals per process
+	sessions    []EatSession // closed sessions
+	openSince   []time.Time  // zero: no session open
+	openGarbage []bool       // the open session is PostGarbage
+}
+
+func newMeals(n int) meals {
+	return meals{eats: make([]int64, n), openSince: make([]time.Time, n), openGarbage: make([]bool, n)}
+}
+
+func (b *meals) grow() {
+	b.eats = append(b.eats, 0)
+	b.openSince = append(b.openSince, time.Time{})
+	b.openGarbage = append(b.openGarbage, false)
+}
+
+func (b *meals) open(p graph.ProcID, now time.Time, postGarbage bool) {
+	b.openSince[p], b.openGarbage[p] = now, postGarbage
+}
+
+// close ends p's session at now, if one is open, counting it as a meal
+// if meal is set.
+func (b *meals) close(p graph.ProcID, now time.Time, meal bool) {
+	since := b.openSince[p]
+	if since.IsZero() {
+		return
+	}
+	if meal {
+		b.eats[p]++
+	}
+	b.sessions = append(b.sessions, EatSession{Proc: p, Start: since, End: now, PostGarbage: b.openGarbage[p]})
+	b.openSince[p], b.openGarbage[p] = time.Time{}, false
+}
+
+// closeAll ends every open session at now, counting no meal, so interval
+// checks see them.
+func (b *meals) closeAll(now time.Time) {
+	for p := range b.openSince {
+		b.close(graph.ProcID(p), now, false)
+	}
+}
+
+// overlaps returns the pairs of sessions by adjacent processes whose
+// intervals overlap: safety violations. Sessions flagged PostGarbage are
+// exempt: a garbage-restarted node's first meal sits inside the
+// stabilization window, where the paper promises convergence, not
+// exclusion.
+func overlaps(sessions []EatSession, adjacent func(a, b graph.ProcID) bool) []string {
+	var bad []string
+	for i, a := range sessions {
+		for _, b := range sessions[i+1:] {
+			if a.Proc == b.Proc || a.PostGarbage || b.PostGarbage || !adjacent(a.Proc, b.Proc) {
+				continue
+			}
+			if a.Start.Before(b.End) && b.Start.Before(a.End) {
+				bad = append(bad, fmt.Sprintf("%d@[%v,%v] overlaps %d@[%v,%v]",
+					a.Proc, a.Start, a.End, b.Proc, b.Start, b.End))
+			}
+		}
+	}
+	return bad
+}
+
 // Config tunes a Network.
 type Config struct {
 	// Graph is the topology. Required.
@@ -102,8 +171,6 @@ type Config struct {
 	// and an idle holder's handover are sent the moment they happen, so
 	// a grant in an idle neighborhood does not wait for it.
 	TickEvery time.Duration
-	// InboxSize is each node's channel capacity (default 256).
-	InboxSize int
 	// LossRate drops each frame independently with this probability
 	// (0..1). The protocol is built to tolerate loss: every frame is a
 	// full-state gossip retransmitted each tick, so loss only delays.
@@ -117,11 +184,12 @@ type Config struct {
 	// internal/chaos for the seeded, replayable implementation.
 	Faults FaultInjector
 	// OnSnapshot, if non-nil, is called after every snapshot publish with
-	// the publishing node's fresh snapshot. It runs on node goroutines
-	// outside the network's locks and must be fast and non-blocking —
-	// typically a non-blocking nudge on a channel. Hunger set through
-	// SetNeeds plus this hook is what lets an external controller (the
-	// lock service in internal/lockservice) drive and observe the system
-	// without touching node-owned state.
+	// the publishing node's fresh snapshot. It runs on the goroutine that
+	// steps the node — the network's event loop, or a driver — outside
+	// the network's locks. It may call any Network method (SetNeeds and
+	// Wake included) but must never wait on the loop: the loop is busy
+	// running it. Hunger set through SetNeeds plus this hook is what lets
+	// an external controller (the lock service in internal/lockservice)
+	// drive and observe the system without touching node-owned state.
 	OnSnapshot func(p graph.ProcID, s Snapshot)
 }

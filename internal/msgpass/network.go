@@ -1,7 +1,6 @@
 package msgpass
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -61,40 +60,31 @@ func (m RestartMode) String() string {
 	return "clean"
 }
 
-// roster is the per-process control plane: the node handles and the
-// atomic control flags node goroutines poll. It is replaced wholesale
-// (copy-on-write) behind Network.procs so runtime membership
-// (AddProcess) can extend it while node goroutines and controllers keep
-// reading lock-free: elements are pointers, so an element's address is
-// stable across growth, and a stale roster load still resolves every
-// process that existed when it was taken.
+// roster is the process list. It is replaced wholesale (copy-on-write)
+// behind Network.procs so runtime membership (AddProcess) can extend it
+// while the event loop and controllers keep reading lock-free: elements
+// are pointers, so a stale roster load still resolves every process
+// that existed when it was taken.
 type roster struct {
-	nodes    []*node
-	kill     []*atomic.Bool
-	mal      []*atomic.Int32 // pending malicious window (steps)
-	restart  []*atomic.Int32 // pending RestartMode (0 = none)
-	needs    []*atomic.Bool  // dynamic needs():p, refreshed by nodes per event
-	isolated []*atomic.Bool  // transiently partitioned nodes
-	edgeOps  []*atomic.Bool  // hint: pending membership edge ops for p
+	nodes []*node
 }
 
 // n returns the process count of this roster generation.
 func (r *roster) n() int { return len(r.nodes) }
 
-// grow returns a new roster with nd appended. Existing flag pointers are
-// shared, so controllers holding the old roster still command the same
-// processes.
-func (r *roster) grow(nd *node) *roster {
-	return &roster{
-		nodes:    append(append([]*node(nil), r.nodes...), nd),
-		kill:     append(append([]*atomic.Bool(nil), r.kill...), new(atomic.Bool)),
-		mal:      append(append([]*atomic.Int32(nil), r.mal...), new(atomic.Int32)),
-		restart:  append(append([]*atomic.Int32(nil), r.restart...), new(atomic.Int32)),
-		needs:    append(append([]*atomic.Bool(nil), r.needs...), new(atomic.Bool)),
-		isolated: append(append([]*atomic.Bool(nil), r.isolated...), new(atomic.Bool)),
-		edgeOps:  append(append([]*atomic.Bool(nil), r.edgeOps...), new(atomic.Bool)),
-	}
+// control is one process's control plane: the flags controllers set from
+// any goroutine and the node polls at each step.
+type control struct {
+	kill     atomic.Bool
+	mal      atomic.Int32 // pending malicious window (steps)
+	restart  atomic.Int32 // pending RestartMode (0 = none)
+	needs    atomic.Bool  // dynamic needs():p, refreshed by the node per event
+	isolated atomic.Bool  // transiently partitioned
+	edgeOps  atomic.Bool  // hint: pending membership edge ops
 }
+
+// ctl returns process p's control flags.
+func (nw *Network) ctl(p graph.ProcID) *control { return &nw.procs.Load().nodes[p].ctl }
 
 // Network assembles and runs a message-passing diners system.
 type Network struct {
@@ -102,19 +92,22 @@ type Network struct {
 	wg   sync.WaitGroup
 	done chan struct{}
 
-	// lifeMu orders Start/Stop against membership goroutine spawns, so a
-	// process added mid-run never races the final wg.Wait.
-	lifeMu  sync.Mutex
-	started bool // guarded by lifeMu
-	stopped bool // guarded by lifeMu
+	started, stopped atomic.Bool
 
 	// driven marks a network owned by an external single-threaded driver
-	// (see NewDriven): Start must not spawn the goroutine loop.
+	// (see NewDriven): Start must not launch the event loop.
 	driven bool
-	// now is the network's clock. The goroutine runtime uses time.Now; a
+	// now is the network's clock. The event loop uses time.Now; a
 	// deterministic driver substitutes a virtual clock so eating-session
 	// intervals become exact, replayable instants.
 	now func() time.Time
+	// out collects the frames node logic emits during one step, for the
+	// stepper (the event loop or a driver) to take. Only the goroutine
+	// stepping nodes touches it.
+	out []Frame
+	// in is the event loop's intake from other goroutines: frames from
+	// transport readers and pending Wakes.
+	in intake
 
 	// procs is the current process roster (copy-on-write; see roster).
 	procs atomic.Pointer[roster]
@@ -136,22 +129,13 @@ type Network struct {
 	nextEdgeID int                       // guarded by memMu
 	pendingOps map[graph.ProcID][]edgeOp // guarded by memMu
 
-	// external marks a network whose frames ride an external transport
-	// (TCP): runtime membership is disabled there, because the transport
-	// pins one socket per static edge.
-	external bool
-
-	mu        sync.Mutex
-	table     []Snapshot   // guarded by mu
-	eats      []int64      // guarded by mu
-	sessions  []EatSession // guarded by mu
-	openSince []time.Time  // guarded by mu
+	mu    sync.Mutex
+	table []Snapshot // guarded by mu
+	meals meals      // guarded by mu
 	// garbagePending marks nodes with a garbage restart issued but no
 	// session opened since; the next session they open carries the
-	// EatSession.PostGarbage exemption. openPostGarbage carries that
-	// mark from open to close. Both guarded by mu.
-	garbagePending  []bool
-	openPostGarbage []bool
+	// EatSession.PostGarbage exemption. Guarded by mu.
+	garbagePending []bool
 
 	sent    atomic.Int64
 	dropped atomic.Int64
@@ -168,17 +152,15 @@ type Network struct {
 	joins  atomic.Int64
 	leaves atomic.Int64
 
-	delayMu sync.Mutex
-	delayed map[delayKey][]message // stalled channels' queued frames; guarded by delayMu
-
-	// sendFrame, when non-nil, carries frames over an external transport
-	// (e.g. TCP; see NewTCPNetwork) instead of the in-process channel
-	// push. The transport calls inject on the receiving side. delayTicks
-	// is only non-zero in driven mode, where the driver owns delays.
-	sendFrame func(to graph.ProcID, m message, delayTicks int) bool
-	// onStop tears the external transport down; it runs after the node
-	// goroutines are signaled and before they are awaited, so blocked
-	// transport reads unblock.
+	// transport, when non-nil, carries frames the event loop releases
+	// over an external transport (e.g. TCP; see NewTCPNetwork) instead of
+	// the loop's own queue. The transport calls inject on the receiving
+	// side. It pins one socket per static edge, so it also disables
+	// runtime membership.
+	transport func(to graph.ProcID, m message) bool
+	// onStop tears the external transport down; it runs after the event
+	// loop is signaled and before it and the transport's readers are
+	// awaited, so blocked transport reads unblock.
 	onStop func()
 	// onRestart lets the transport react to a node revival (the TCP
 	// transport severs the node's sockets so its edges reconnect).
@@ -200,25 +182,20 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = time.Millisecond
 	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 256
-	}
 	g := cfg.Graph
 	nw := &Network{
-		cfg:             cfg,
-		now:             time.Now,
-		done:            make(chan struct{}),
-		table:           make([]Snapshot, g.N()),
-		eats:            make([]int64, g.N()),
-		openSince:       make([]time.Time, g.N()),
-		garbagePending:  make([]bool, g.N()),
-		openPostGarbage: make([]bool, g.N()),
-		curAdj:          make(map[graph.Edge]bool, g.EdgeCount()),
-		everAdj:         make(map[graph.Edge]bool, g.EdgeCount()),
-		departed:        make([]bool, g.N()),
-		nextEdgeID:      g.EdgeCount(),
-		pendingOps:      make(map[graph.ProcID][]edgeOp),
-		delayed:         make(map[delayKey][]message),
+		cfg:            cfg,
+		now:            time.Now,
+		done:           make(chan struct{}),
+		table:          make([]Snapshot, g.N()),
+		meals:          newMeals(g.N()),
+		garbagePending: make([]bool, g.N()),
+		curAdj:         make(map[graph.Edge]bool, g.EdgeCount()),
+		everAdj:        make(map[graph.Edge]bool, g.EdgeCount()),
+		departed:       make([]bool, g.N()),
+		nextEdgeID:     g.EdgeCount(),
+		pendingOps:     make(map[graph.ProcID][]edgeOp),
+		in:             intake{kick: make(chan struct{}, 1)},
 	}
 	nw.curGraph.Store(g)
 	for _, e := range g.Edges() {
@@ -230,31 +207,14 @@ func NewNetwork(cfg Config) *Network {
 		d = cfg.DiameterOverride
 	}
 	nw.d = d
-	ros := &roster{
-		nodes:    make([]*node, g.N()),
-		kill:     make([]*atomic.Bool, g.N()),
-		mal:      make([]*atomic.Int32, g.N()),
-		restart:  make([]*atomic.Int32, g.N()),
-		needs:    make([]*atomic.Bool, g.N()),
-		isolated: make([]*atomic.Bool, g.N()),
-		edgeOps:  make([]*atomic.Bool, g.N()),
-	}
-	for p := 0; p < g.N(); p++ {
-		ros.kill[p] = new(atomic.Bool)
-		ros.mal[p] = new(atomic.Int32)
-		ros.restart[p] = new(atomic.Int32)
-		ros.needs[p] = new(atomic.Bool)
-		ros.isolated[p] = new(atomic.Bool)
-		ros.edgeOps[p] = new(atomic.Bool)
-	}
+	ros := &roster{nodes: make([]*node, g.N())}
 	for p := 0; p < g.N(); p++ {
 		pid := graph.ProcID(p)
 		hungry := true
 		if cfg.Hungry != nil {
 			hungry = cfg.Hungry[p]
 		}
-		ros.needs[p].Store(hungry)
-		nd := nw.newNode(pid, hungry, ros)
+		nd := nw.newNode(pid, hungry)
 		nbrs := g.Neighbors(pid)
 		idxs := g.IncidentEdgeIndices(pid)
 		nd.edges = make([]edgeState, len(nbrs))
@@ -277,9 +237,8 @@ func NewNetwork(cfg Config) *Network {
 	return nw
 }
 
-// newNode allocates node pid with its control-flag pointers taken from
-// ros (which must already have slot pid).
-func (nw *Network) newNode(pid graph.ProcID, hungry bool, ros *roster) *node {
+// newNode allocates node pid.
+func (nw *Network) newNode(pid graph.ProcID, hungry bool) *node {
 	nd := &node{
 		net:        nw,
 		id:         pid,
@@ -291,98 +250,37 @@ func (nw *Network) newNode(pid graph.ProcID, hungry bool, ros *roster) *node {
 		hungry:     hungry,
 		d:          nw.d,
 		rng:        rand.New(rand.NewSource(nw.cfg.Seed + int64(pid)*7919)),
-		inbox:      make(chan message, nw.cfg.InboxSize),
-		wakeCh:     make(chan struct{}, 1),
-		ctlKill:    ros.kill[pid],
-		ctlMal:     ros.mal[pid],
-		ctlRst:     ros.restart[pid],
-		ctlNeed:    ros.needs[pid],
-		ctlOps:     ros.edgeOps[pid],
 	}
 	nd.view.n = nd
+	nd.ctl.needs.Store(hungry)
 	return nd
 }
 
 // InitArbitrary corrupts every node's variables, caches, and counters
 // with domain-respecting garbage before Start — the message-passing
 // equivalent of a transient fault hitting the whole system.
-//
-//lint:allow edgeownership fault injector: deliberately violates the write model, single-threaded before Start
 func (nw *Network) InitArbitrary(seed int64) {
-	nw.lifeMu.Lock()
-	started := nw.started
-	nw.lifeMu.Unlock()
-	if started {
+	if nw.started.Load() {
 		panic("msgpass: InitArbitrary must precede Start")
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, nd := range nw.procs.Load().nodes {
-		nd.state = core.State(rng.Intn(3) + 1)
-		nd.depth = rng.Intn(2*nd.d + 4)
-		for i := range nd.edges {
-			e := &nd.edges[i]
-			e.counter = uint8(rng.Intn(kStates))
-			e.peerCounter = uint8(rng.Intn(kStates))
-			e.peerState = core.State(rng.Intn(3) + 1)
-			e.peerDepth = rng.Intn(2*nd.d + 4)
-			if rng.Intn(2) == 0 {
-				e.priority = nd.id
-			} else {
-				e.priority = e.peer
-			}
-			e.pendingYield = rng.Intn(4) == 0
-		}
+		nd.scramble(rng)
 	}
 }
 
-// Start launches one goroutine per node. It may be called once.
+// Start launches the network's event loop: one goroutine that steps
+// every node, processes added later included, through Driven's
+// primitives on a wall clock (see run). It may be called once.
 func (nw *Network) Start() {
 	if nw.driven {
 		panic("msgpass: a driven network is stepped by its driver, not Started")
 	}
-	nw.lifeMu.Lock()
-	if nw.started {
-		nw.lifeMu.Unlock()
+	if !nw.started.CompareAndSwap(false, true) {
 		panic("msgpass: Start called twice")
 	}
-	nw.started = true
-	for _, nd := range nw.procs.Load().nodes {
-		nw.wg.Add(1)
-		go nd.runGuarded()
-	}
-	nw.lifeMu.Unlock()
-}
-
-// runGuarded wraps run with the control-flag polling.
-func (n *node) runGuarded() {
-	defer n.net.wg.Done()
-	ticker := time.NewTicker(n.net.cfg.TickEvery)
-	defer ticker.Stop()
-	n.gossipAll()
-	for {
-		select {
-		case <-n.net.done:
-			return
-		case m := <-n.inbox:
-			n.pollControl()
-			n.receive(m)
-		case <-ticker.C:
-			n.pollControl()
-			n.tick()
-		case <-n.wakeCh:
-			// Demand-driven event: run one event now so a fresh needs()
-			// value is acted on at transport latency, not tick latency.
-			// Gossip only on news — an unchanged node has nothing to
-			// announce, and unconditional gossip here would turn a hot
-			// demand source into a frame storm.
-			n.pollControl()
-			before := n.state
-			n.onEvent()
-			if n.announces(before) {
-				n.gossipAll()
-			}
-		}
-	}
+	nw.wg.Add(1)
+	go nw.run()
 }
 
 // pollControl applies pending membership splices and kill /
@@ -393,32 +291,29 @@ func (n *node) runGuarded() {
 // session, and the safety property exempts it ("two neighbors eat
 // together only if both are dead").
 func (n *node) pollControl() {
-	if n.ctlOps.Load() && n.ctlOps.Swap(false) {
+	if n.ctl.edgeOps.Load() && n.ctl.edgeOps.Swap(false) {
 		n.applyEdgeOps()
 	}
-	if v := n.ctlRst.Swap(0); v != 0 {
+	if v := n.ctl.restart.Swap(0); v != 0 {
 		n.applyRestart(RestartMode(v))
 	}
-	if n.ctlKill.Load() && !n.dead {
+	if n.ctl.kill.Load() && !n.dead {
 		n.dead = true
 		n.net.closeOpenSession(n.id)
 		n.publish()
 	}
-	if v := n.ctlMal.Swap(0); v > 0 && !n.dead && n.malSteps == 0 {
+	if v := n.ctl.mal.Swap(0); v > 0 && !n.dead && n.malSteps == 0 {
 		n.malSteps = int(v)
 		n.net.closeOpenSession(n.id)
 	}
 }
 
-// Stop terminates all node goroutines and waits for them.
+// Stop terminates the event loop and the transport's goroutines and
+// waits for them.
 func (nw *Network) Stop() {
-	nw.lifeMu.Lock()
-	if !nw.started || nw.stopped {
-		nw.lifeMu.Unlock()
+	if !nw.started.Load() || !nw.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	nw.stopped = true
-	nw.lifeMu.Unlock()
 	close(nw.done)
 	if nw.onStop != nil {
 		nw.onStop()
@@ -432,18 +327,11 @@ func (nw *Network) Stop() {
 func (nw *Network) finishSessions() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	now := nw.now()
-	for p, since := range nw.openSince {
-		if !since.IsZero() {
-			nw.sessions = append(nw.sessions, EatSession{Proc: graph.ProcID(p), Start: since, End: now, PostGarbage: nw.openPostGarbage[p]})
-			nw.openSince[p] = time.Time{}
-			nw.openPostGarbage[p] = false
-		}
-	}
+	nw.meals.closeAll(nw.now())
 }
 
 // Kill benignly crashes node p: it halts at its next event.
-func (nw *Network) Kill(p graph.ProcID) { nw.procs.Load().kill[p].Store(true) }
+func (nw *Network) Kill(p graph.ProcID) { nw.ctl(p).kill.Store(true) }
 
 // Restart revives node p at its next event — the inverse of Kill the
 // paper's recovery story needs. The node reboots into a new incarnation
@@ -462,15 +350,15 @@ func (nw *Network) Restart(p graph.ProcID, mode RestartMode) {
 	if mode != RestartArbitrary {
 		mode = RestartClean
 	}
-	ros := nw.procs.Load()
-	ros.kill[p].Store(false)
-	ros.mal[p].Store(0)
+	c := nw.ctl(p)
+	c.kill.Store(false)
+	c.mal.Store(0)
 	if mode == RestartArbitrary {
 		nw.mu.Lock()
 		nw.garbagePending[p] = true
 		nw.mu.Unlock()
 	}
-	ros.restart[p].Store(int32(mode))
+	c.restart.Store(int32(mode))
 	nw.restarts.Add(1)
 	if nw.onRestart != nil {
 		nw.onRestart(p)
@@ -497,7 +385,7 @@ func (nw *Network) FaultsInjected() (dropped, duplicated, corrupted, delayed int
 // guard evaluations still agree (the paper lets needs() "evaluate to true
 // arbitrarily"). This is the control surface external demand sources
 // (e.g. the lock service) use to turn client requests into hunger.
-func (nw *Network) SetNeeds(p graph.ProcID, hungry bool) { nw.procs.Load().needs[p].Store(hungry) }
+func (nw *Network) SetNeeds(p graph.ProcID, hungry bool) { nw.ctl(p).needs.Store(hungry) }
 
 // Wake schedules an immediate extra event for node p, so a needs()
 // change just written with SetNeeds is acted on now instead of at p's
@@ -508,18 +396,17 @@ func (nw *Network) SetNeeds(p graph.ProcID, hungry bool) { nw.procs.Load().needs
 // (see node.receive), and the node enters on the frame that completes its
 // set — hungry → eating costs one frame round trip, whatever TickEvery
 // is. A neighbor that has eaten within the last tick period answers on
-// its tick instead. Wakes coalesce (capacity-1 channel) and are a no-op
-// on a driven network, whose driver owns all event scheduling. Safe to
-// call from any goroutine.
+// its tick instead. Wake only marks p pending for the event loop, so
+// wakes coalesce and never block, from any goroutine or from the loop
+// itself (an OnSnapshot hook). On a driven network it is a no-op.
 func (nw *Network) Wake(p graph.ProcID) {
-	select {
-	case nw.procs.Load().nodes[p].wakeCh <- struct{}{}:
-	default:
+	if !nw.driven {
+		nw.in.wake(p)
 	}
 }
 
 // Needs returns the currently requested needs():p value.
-func (nw *Network) Needs(p graph.ProcID) bool { return nw.procs.Load().needs[p].Load() }
+func (nw *Network) Needs(p graph.ProcID) bool { return nw.ctl(p).needs.Load() }
 
 // Graph returns the network's current topology. With runtime membership
 // the returned graph is an immutable generation: splices install a new
@@ -543,7 +430,7 @@ func (nw *Network) Snapshot(p graph.ProcID) Snapshot {
 // protocol resynchronize without any special recovery path — the
 // stabilization property doing its job at the transport level.
 func (nw *Network) SetPartitioned(p graph.ProcID, isolated bool) {
-	nw.procs.Load().isolated[p].Store(isolated)
+	nw.ctl(p).isolated.Store(isolated)
 }
 
 // CrashMaliciously gives node p a window of arbitrarySteps garbage events
@@ -553,17 +440,16 @@ func (nw *Network) CrashMaliciously(p graph.ProcID, arbitrarySteps int) {
 		nw.Kill(p)
 		return
 	}
-	nw.procs.Load().mal[p].Store(int32(arbitrarySteps))
+	nw.ctl(p).mal.Store(int32(arbitrarySteps))
 }
 
-// deliver routes a frame to p's inbox without blocking; overflow drops
-// the frame (the periodic gossip retransmits all protocol state), and the
-// configured loss rate drops frames at random, which the protocol must
-// likewise absorb.
+// deliver puts a frame to p on the wire: partitions and the configured
+// loss rate drop it at random (the periodic gossip retransmits all
+// protocol state, so the protocol absorbs it), the fault injector may
+// mangle it, and what survives is emitted for the stepper to carry.
 func (nw *Network) deliver(p graph.ProcID, m message) {
 	nw.sent.Add(1)
-	ros := nw.procs.Load()
-	if ros.isolated[p].Load() || ros.isolated[m.from].Load() {
+	if nw.ctl(p).isolated.Load() || nw.ctl(m.from).isolated.Load() {
 		nw.lost.Add(1) // partitioned: the frame is lost in transit
 		return
 	}
@@ -578,15 +464,14 @@ func (nw *Network) deliver(p graph.ProcID, m message) {
 		nw.applyFaults(p, m)
 		return
 	}
-	nw.transmitNow(p, m)
+	nw.transmit(p, m, 0)
 }
 
-// inject pushes a frame into p's inbox without blocking; overflow drops
-// the frame. External transports call this on the receiving side.
+// inject hands a frame an external transport received for p to the
+// event loop without blocking; past the loop's queue bound the frame is
+// dropped. Transport readers call this on the receiving side.
 func (nw *Network) inject(p graph.ProcID, m message) {
-	select {
-	case nw.procs.Load().nodes[p].inbox <- m:
-	default:
+	if !nw.in.push(Frame{To: p, From: m.from, m: m}, nw.queueLimit()) {
 		nw.dropped.Add(1)
 	}
 }
@@ -603,7 +488,7 @@ func splitmix(x uint64) uint64 {
 }
 
 // publish records a node's observable state and notifies the snapshot
-// hook (outside the lock).
+// hook (outside the lock, on the stepping goroutine).
 func (nw *Network) publish(p graph.ProcID, s core.State, depth int, dead bool, events, inc int64) {
 	nw.mu.Lock()
 	snap := Snapshot{
@@ -611,7 +496,7 @@ func (nw *Network) publish(p graph.ProcID, s core.State, depth int, dead bool, e
 		Depth:       depth,
 		Dead:        dead,
 		Events:      events,
-		Eats:        nw.eats[p],
+		Eats:        nw.meals.eats[p],
 		Incarnation: inc,
 	}
 	nw.table[p] = snap
@@ -626,11 +511,7 @@ func (nw *Network) publish(p graph.ProcID, s core.State, depth int, dead bool, e
 func (nw *Network) closeOpenSession(p graph.ProcID) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if since := nw.openSince[p]; !since.IsZero() {
-		nw.sessions = append(nw.sessions, EatSession{Proc: p, Start: since, End: nw.now(), PostGarbage: nw.openPostGarbage[p]})
-		nw.openSince[p] = time.Time{}
-		nw.openPostGarbage[p] = false
-	}
+	nw.meals.close(p, nw.now(), false)
 }
 
 // recordEatStart opens an eating session for p. The first session after
@@ -638,8 +519,7 @@ func (nw *Network) closeOpenSession(p graph.ProcID) {
 func (nw *Network) recordEatStart(p graph.ProcID) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	nw.openSince[p] = nw.now()
-	nw.openPostGarbage[p] = nw.garbagePending[p]
+	nw.meals.open(p, nw.now(), nw.garbagePending[p])
 	nw.garbagePending[p] = false
 }
 
@@ -652,14 +532,7 @@ func (nw *Network) recordEatStart(p graph.ProcID) {
 func (nw *Network) recordEatEnd(p graph.ProcID) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	since := nw.openSince[p]
-	if since.IsZero() {
-		return
-	}
-	nw.eats[p]++
-	nw.sessions = append(nw.sessions, EatSession{Proc: p, Start: since, End: nw.now(), PostGarbage: nw.openPostGarbage[p]})
-	nw.openSince[p] = time.Time{}
-	nw.openPostGarbage[p] = false
+	nw.meals.close(p, nw.now(), true)
 }
 
 // Table returns a copy of the current snapshot table.
@@ -675,20 +548,21 @@ func (nw *Network) Table() []Snapshot {
 func (nw *Network) Eats() []int64 {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return append([]int64(nil), nw.eats...)
+	return append([]int64(nil), nw.meals.eats...)
 }
 
 // Sessions returns all completed eating sessions.
 func (nw *Network) Sessions() []EatSession {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return append([]EatSession(nil), nw.sessions...)
+	return append([]EatSession(nil), nw.meals.sessions...)
 }
 
 // MessagesSent returns the total frames sent (including dropped).
 func (nw *Network) MessagesSent() int64 { return nw.sent.Load() }
 
-// MessagesDropped returns frames dropped to full inboxes.
+// MessagesDropped returns frames dropped past the event loop's queue
+// bound.
 func (nw *Network) MessagesDropped() int64 { return nw.dropped.Load() }
 
 // MessagesLost returns frames dropped by the configured loss rate.
@@ -703,27 +577,8 @@ func (nw *Network) MessagesLost() int64 { return nw.lost.Load() }
 // two sessions can only overlap while their edge exists, because a
 // departing node's edges vanish only once it is dead and a joining
 // node's first meal waits for the token its incumbent holds.) Sessions
-// flagged PostGarbage are exempt: a garbage-restarted node's first meal
-// sits inside the stabilization window, where the paper promises
-// convergence, not exclusion.
+// flagged PostGarbage are exempt (see overlaps).
 func (nw *Network) OverlappingNeighborSessions() []string {
-	sessions := nw.Sessions()
 	ever := nw.everAdjSnapshot()
-	var bad []string
-	for i := 0; i < len(sessions); i++ {
-		for j := i + 1; j < len(sessions); j++ {
-			a, b := sessions[i], sessions[j]
-			if a.Proc == b.Proc || !ever[graph.EdgeBetween(a.Proc, b.Proc)] {
-				continue
-			}
-			if a.PostGarbage || b.PostGarbage {
-				continue
-			}
-			if a.Start.Before(b.End) && b.Start.Before(a.End) {
-				bad = append(bad, fmt.Sprintf("%d@[%v,%v] overlaps %d@[%v,%v]",
-					a.Proc, a.Start, a.End, b.Proc, b.Start, b.End))
-			}
-		}
-	}
-	return bad
+	return overlaps(nw.Sessions(), func(a, b graph.ProcID) bool { return ever[graph.EdgeBetween(a, b)] })
 }

@@ -2,7 +2,6 @@ package msgpass
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"mcdp/internal/core"
 	"mcdp/internal/graph"
@@ -67,8 +66,9 @@ func (e *edgeState) pass() {
 	}
 }
 
-// node is one philosopher goroutine's state. All fields are owned by the
-// node's goroutine; the Network reads published snapshots instead.
+// node is one philosopher's state. All fields are owned by the goroutine
+// stepping the node (the event loop or a driver); the Network reads
+// published snapshots instead.
 type node struct {
 	net *Network
 	id  graph.ProcID
@@ -103,20 +103,7 @@ type node struct {
 	inc      int64 // incarnation: restarts survived
 	rng      *rand.Rand
 
-	inbox chan message
-	// wakeCh coalesces demand-driven wake requests (Network.Wake): a
-	// pending token means "run one event now instead of waiting for the
-	// tick". Capacity 1; wakes are level-triggered, not counted.
-	wakeCh chan struct{}
-
-	// ctl* are this node's control-flag cells, shared with the roster.
-	// The pointers are set at construction and never change, so the node
-	// polls them without loading the (copy-on-write) roster.
-	ctlKill *atomic.Bool
-	ctlMal  *atomic.Int32
-	ctlRst  *atomic.Int32
-	ctlNeed *atomic.Bool
-	ctlOps  *atomic.Bool
+	ctl control // the only fields other goroutines touch
 }
 
 // refreshNeighbors rebuilds the cached neighbor list from the edge set.
@@ -127,8 +114,8 @@ func (n *node) refreshNeighbors() {
 	}
 }
 
-// applyEdgeOps drains and applies pending membership splices on the
-// node's own goroutine, keeping the edge set sorted by peer. A splice-in
+// applyEdgeOps drains and applies pending membership splices at the
+// node's next step, keeping the edge set sorted by peer. A splice-in
 // for an existing peer replaces the edge (leave→join collapses in one
 // poll); a splice-out for an unknown peer is a stale no-op.
 func (n *node) applyEdgeOps() {
@@ -171,12 +158,12 @@ func (n *node) applyEdgeOps() {
 // period the meal fell in, and one full period after it.
 const lingerTicks = 2
 
-// receive is the inbox arm of the event loop: it runs the frame's event
+// receive is the frame-delivery step: it runs the frame's event
 // through handle and then answers at transport latency what an idle
 // neighborhood can answer, instead of leaving it to the next gossip tick:
 //
-//   - a node the event turned Hungry announces it on all edges, as the
-//     wake arm would have (a frame can slip in between SetNeeds and Wake);
+//   - a node the event turned Hungry announces it on all edges, as wake
+//     would have (a frame can slip in between SetNeeds and Wake);
 //   - a node that has not eaten for a full tick period hands over a held
 //     token the frame made grantable on the edge it arrived on (the peer
 //     just announced hunger).
@@ -185,7 +172,7 @@ const lingerTicks = 2
 // nothing, lost frames, stabilization from garbage — and every handover
 // out of a node that has just eaten (linger > 0). The last is what keeps a
 // loaded neighborhood on the tick's clock. Without it tokens rotate as
-// fast as the CPU runs the event loops: throughput under load doubles,
+// fast as the CPU runs the event loop: throughput under load doubles,
 // but it is then bound by the CPU alone, costs all of it, and moves with
 // every change in the machine's speed (EXPERIMENTS.md E29). An idle
 // holder — the case where a lone grant used to wait 1.3-1.6 ms for
@@ -209,9 +196,9 @@ func (n *node) receive(m message) {
 	}
 }
 
-// tick is the ticker arm of the event loop: one event, the full gossip
-// that carries retransmission, stabilization and every handover a busy
-// neighborhood makes, and one tick off the post-meal linger.
+// tick is the periodic step: one event, the full gossip that carries
+// retransmission, stabilization and every handover a busy neighborhood
+// makes, and one tick off the post-meal linger.
 func (n *node) tick() {
 	n.onEvent()
 	n.gossipAll()
@@ -220,17 +207,23 @@ func (n *node) tick() {
 	}
 }
 
-// announces reports whether the wake arm's event, which began in state
-// before, must be gossiped now rather than at the next tick: it moved the
-// node into or out of Thinking. That is the only fact about a neighbor's
-// state any decision here reads — join, leave and enter test "ancestor is
-// Thinking", shouldGrant tests "peer is not Thinking", and enter's
-// "no descendant Eating" is implied by holding the descendant's token —
-// so Hungry → Eating is news to nobody and waits for the tick. The
-// comparison spans the whole event, so join/leave flapping inside one
-// event announces nothing.
-func (n *node) announces(before core.State) bool {
-	return (before == core.Thinking) != (n.state == core.Thinking)
+// wake is the demand-driven step (Network.Wake): one event now, so a
+// fresh needs() value is acted on at transport latency, not tick
+// latency. It gossips only on news — unconditional gossip here would
+// turn a hot demand source into a frame storm — and the only news is a
+// move into or out of Thinking. That is the only fact about a
+// neighbor's state any decision here reads — join, leave and enter test
+// "ancestor is Thinking", shouldGrant tests "peer is not Thinking", and
+// enter's "no descendant Eating" is implied by holding the descendant's
+// token — so Hungry → Eating is news to nobody and waits for the tick.
+// The comparison spans the whole event, so join/leave flapping inside
+// one event announces nothing.
+func (n *node) wake() {
+	before := n.state
+	n.onEvent()
+	if (before == core.Thinking) != (n.state == core.Thinking) {
+		n.gossipAll()
+	}
 }
 
 // handle processes one incoming frame: it folds the frame into the edge's
@@ -300,7 +293,7 @@ func (n *node) onEvent() {
 	n.events++
 	// Refresh dynamic hunger once per event so all guard evaluations of
 	// this event agree on needs():p.
-	n.hungry = n.ctlNeed.Load()
+	n.hungry = n.ctl.needs.Load()
 	if n.malSteps > 0 {
 		n.maliciousStep()
 		return
@@ -343,10 +336,10 @@ func (n *node) act() {
 			}
 			if n.state != before {
 				n.applyPendingYields()
-				// No gossip from inside the action loop: the event-loop
-				// arm that ran this event compares the dining state
-				// before and after the whole event and gossips at most
-				// once (see receive, announces). One gossip per action
+				// No gossip from inside the action loop: the step that
+				// ran this event compares the dining state before and
+				// after the whole event and gossips at most once (see
+				// receive, wake). One gossip per action
 				// would turn intra-event churn — join/leave flapping, an
 				// exit/fixdepth cycle — into a frame burst each.
 			}
@@ -405,7 +398,7 @@ func (n *node) gossipEdge(e *edgeState) {
 		}
 		e.pass()
 	}
-	n.send(e, message{
+	n.net.deliver(e.peer, message{
 		edgeIdx:  e.idx,
 		from:     n.id,
 		counter:  e.counter,
@@ -436,12 +429,6 @@ func (n *node) shouldGrant(e *edgeState) bool {
 	return e.priority == e.peer // both compete: the ancestor wins
 }
 
-// send delivers a frame without ever blocking the event loop: a full peer
-// inbox drops the frame, which the periodic gossip retransmits.
-func (n *node) send(e *edgeState, m message) {
-	n.net.deliver(e.peer, m)
-}
-
 // maliciousStep emits one garbage frame per edge with arbitrary counters,
 // states, depths, and priorities, then counts the window down; at zero the
 // node halts for good.
@@ -459,7 +446,7 @@ func (n *node) maliciousStep() {
 		// The malicious node also corrupts its own variables.
 		e.counter = garbage.counter
 		e.priority = garbage.priority
-		n.send(e, garbage)
+		n.net.deliver(e.peer, garbage)
 	}
 	n.state = core.State(n.rng.Intn(3) + 1)
 	n.depth = n.rng.Intn(2*n.d + 4)
@@ -481,8 +468,8 @@ func (n *node) publish() {
 // with domain-respecting garbage (the recovery analogue of
 // InitArbitrary). Either way the peers' caches still describe the old
 // incarnation, so convergence is stabilization's job, not a handshake's.
-// Runs on the node's own goroutine (via pollControl), preserving the
-// rule that only the owner writes node state.
+// Runs at the node's next step (via pollControl), preserving the rule
+// that only the stepper writes node state.
 func (n *node) applyRestart(mode RestartMode) {
 	n.net.closeOpenSession(n.id)
 	n.dead = false
@@ -491,22 +478,7 @@ func (n *node) applyRestart(mode RestartMode) {
 	n.eatRemaining = 0
 	n.linger = 0
 	if mode == RestartArbitrary {
-		n.state = core.State(n.rng.Intn(3) + 1)
-		n.depth = n.rng.Intn(2*n.d + 4)
-		for i := range n.edges {
-			e := &n.edges[i]
-			e.counter = uint8(n.rng.Intn(kStates))
-			e.peerCounter = uint8(n.rng.Intn(kStates))
-			e.peerState = core.State(n.rng.Intn(3) + 1)
-			e.peerDepth = n.rng.Intn(2*n.d + 4)
-			if n.rng.Intn(2) == 0 {
-				e.priority = n.id
-			} else {
-				e.priority = e.peer
-			}
-			e.pendingYield = n.rng.Intn(4) == 0
-			e.heard = true // arbitrary state is arbitrary: no humility owed
-		}
+		n.scramble(n.rng)
 	} else {
 		// Clean means humble, not factory-fresh: the boot-time convention
 		// (lower ID holds the tokens and the priority) assumed everyone
@@ -531,6 +503,29 @@ func (n *node) applyRestart(mode RestartMode) {
 	}
 	n.publish()
 	n.gossipAll() // announce the revival without waiting for the tick
+}
+
+// scramble overwrites the node's variables and edge caches with
+// domain-respecting garbage drawn from rng: what a transient fault or a
+// garbage restart leaves behind. Arbitrary state is arbitrary, so no
+// humility is owed: every edge counts as heard.
+func (n *node) scramble(rng *rand.Rand) {
+	n.state = core.State(rng.Intn(3) + 1)
+	n.depth = rng.Intn(2*n.d + 4)
+	for i := range n.edges {
+		e := &n.edges[i]
+		e.counter = uint8(rng.Intn(kStates))
+		e.peerCounter = uint8(rng.Intn(kStates))
+		e.peerState = core.State(rng.Intn(3) + 1)
+		e.peerDepth = rng.Intn(2*n.d + 4)
+		if rng.Intn(2) == 0 {
+			e.priority = n.id
+		} else {
+			e.priority = e.peer
+		}
+		e.pendingYield = rng.Intn(4) == 0
+		e.heard = true
+	}
 }
 
 // edgeByIdx locates the incident edge with the given graph edge index.

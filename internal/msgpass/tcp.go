@@ -13,7 +13,7 @@ import (
 
 // This file puts the Section 4 transformation on real sockets: the same
 // node logic and K-state protocol, with frames traveling over one TCP
-// connection per edge on localhost instead of in-process channels. The
+// connection per edge on localhost instead of the event loop's queue. The
 // protocol needs nothing from the transport beyond best effort — frames
 // are full-state gossip retransmitted every tick, so connection drops,
 // write failures, and in-flight losses only delay convergence. That is
@@ -92,7 +92,6 @@ type tcpConn struct {
 // and partitions apply before the transport, so they compose.
 func NewTCPNetwork(cfg Config) (*Network, error) {
 	nw := NewNetwork(cfg)
-	nw.external = true // sockets pin the edge set: no runtime membership
 	tr := &tcpTransport{
 		nw:        nw,
 		conns:     make(map[int]map[graph.ProcID]*tcpConn),
@@ -134,7 +133,7 @@ func NewTCPNetwork(cfg Config) (*Network, error) {
 		go tr.readLoop(i, e.A, c)
 	}
 
-	nw.sendFrame = tr.send
+	nw.transport = tr.send
 	nw.onStop = tr.close
 	nw.onRestart = tr.sever
 	return nw, nil
@@ -204,6 +203,7 @@ func (tr *tcpTransport) acceptLoop(ln net.Listener) {
 func (tr *tcpTransport) readLoop(edgeIdx int, receiver graph.ProcID, c net.Conn) {
 	defer tr.nw.wg.Done()
 	tr.pump(receiver, gob.NewDecoder(c))
+	_ = c.Close() // see pump
 	e := tr.nw.cfg.Graph.Edges()[edgeIdx]
 	tr.mu.Lock()
 	if byEdge := tr.conns[edgeIdx]; byEdge != nil {
@@ -221,9 +221,14 @@ func (tr *tcpTransport) pumpAccepted(edgeIdx int, conn *tcpConn, dec *gob.Decode
 	defer tr.nw.wg.Done()
 	e := tr.nw.cfg.Graph.Edges()[edgeIdx]
 	tr.pump(e.B, dec)
+	_ = conn.c.Close() // see pump
 	tr.deregister(edgeIdx, e.B, conn)
 }
 
+// pump hands decoded frames to the event loop until the socket dies or
+// its stream stops decoding. The caller then closes the socket: one that
+// nobody reads would fill up and block the event loop's next write to it,
+// where a closed one fails the write and gets the edge redialed.
 func (tr *tcpTransport) pump(receiver graph.ProcID, dec *gob.Decoder) {
 	for {
 		var wf wireFrame
@@ -329,7 +334,7 @@ func (tr *tcpTransport) sever(p graph.ProcID) {
 }
 
 // send writes the frame on the sender's socket for that edge.
-func (tr *tcpTransport) send(to graph.ProcID, m message, _ int) bool {
+func (tr *tcpTransport) send(to graph.ProcID, m message) bool {
 	tr.mu.Lock()
 	byEdge := tr.conns[m.edgeIdx]
 	var conn *tcpConn
