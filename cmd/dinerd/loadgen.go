@@ -229,7 +229,7 @@ func printSubstrateCounters(scraped map[string]float64) {
 		{"grants at hand (no dining round)", "dinerd_grants_at_hand_total"},
 		{"  of which surrendered across the edge", "dinerd_bottles_surrendered_total"},
 		{"frames sent", "dinerd_messages_sent_total"},
-		{"frames dropped (full inboxes)", "dinerd_messages_dropped_total"},
+		{"frames dropped (full loop queue)", "dinerd_messages_dropped_total"},
 		{"frames lost (loss/partitions)", "dinerd_messages_lost_total"},
 		{"faults: dropped", "dinerd_faults_dropped_total"},
 		{"faults: duplicated", "dinerd_faults_duplicated_total"},

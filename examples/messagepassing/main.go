@@ -47,7 +47,7 @@ func main() {
 	}
 
 	overlaps := nw.OverlappingNeighborSessions()
-	fmt.Printf("\nmessages sent: %d (dropped to full inboxes: %d)\n",
+	fmt.Printf("\nmessages sent: %d (dropped to a full loop queue: %d)\n",
 		nw.MessagesSent(), nw.MessagesDropped())
 	fmt.Printf("overlapping neighbor eating sessions: %d\n", len(overlaps))
 

@@ -82,7 +82,7 @@ func (s *Server) families() []stats.Family {
 		stats.Counter("dinerd_leases_fenced_total", "Leases revoked because their home worker restarted.", m.LeasesFenced.Load),
 		stats.Counter("dinerd_leases_adopted_total", "Replicated leases re-granted by a promoted standby.", m.LeasesAdopted.Load),
 		stats.Counter("dinerd_messages_sent_total", "Frames sent by the diners substrate.", s.nw.MessagesSent),
-		stats.Counter("dinerd_messages_dropped_total", "Frames dropped to full inboxes.", s.nw.MessagesDropped),
+		stats.Counter("dinerd_messages_dropped_total", "Frames dropped because the event loop's frame queue (256 per worker) was full.", s.nw.MessagesDropped),
 		stats.Counter("dinerd_messages_lost_total", "Frames lost in transit (loss injection / partitions).", s.nw.MessagesLost),
 		stats.Counter("dinerd_transport_reconnects_total", "TCP edge reconnections after restarts or socket loss.", s.nw.Reconnects),
 		stats.Counter("dinerd_faults_dropped_total", "Frames dropped by the chaos fault injector.", func() int64 { d, _, _, _ := s.nw.FaultsInjected(); return d }),

@@ -327,7 +327,7 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		ttl = s.cfg.DefaultTTL
 	}
 	l := &lease{
-		id:        fmt.Sprintf("k%d:s%08x-%d", s.cfg.ShardID, s.idCtr.Add(1), home),
+		id:        leaseID(s.cfg.ShardID, s.idCtr.Add(1), home),
 		sess:      sess,
 		resources: append([]string(nil), resources...),
 		home:      home,
@@ -843,6 +843,24 @@ func (s *Server) maxLeaseDeadline() time.Time {
 		}
 	}
 	return max
+}
+
+// leaseID renders a lease's session ID, "k<shard>:s<counter hex>-<home>"
+// with the counter zero-padded to eight digits — byte for byte
+// fmt.Sprintf("k%d:s%08x-%d", shard, counter, home), built without
+// fmt's reflection.
+func leaseID(shard int, counter uint64, home graph.ProcID) string {
+	var b [48]byte
+	var x [16]byte
+	hex := strconv.AppendUint(x[:0], counter, 16)
+	id := append(b[:0], 'k')
+	id = strconv.AppendInt(id, int64(shard), 10)
+	id = append(id, ':', 's')
+	id = append(id, "00000000"[min(len(hex), 8):]...)
+	id = append(id, hex...)
+	id = append(id, '-')
+	id = strconv.AppendInt(id, int64(home), 10)
+	return string(id)
 }
 
 // sessionCounter extracts the hex counter from a session ID of the form

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -318,4 +319,74 @@ func TestRouterShardsRunTwoGoroutinesEach(t *testing.T) {
 	waitGoroutines(t, base+8)
 	r.Stop(context.Background())
 	waitGoroutines(t, base)
+}
+
+// TestLeaseIDMatchesSprintf: leaseID builds the session ID byte for byte
+// as fmt.Sprintf("k%d:s%08x-%d") did, padding included, and
+// sessionCounter parses every one back.
+func TestLeaseIDMatchesSprintf(t *testing.T) {
+	for _, ctr := range []uint64{0, 1, 0xf, 0x10, 0x1234567, 0xffffffff, 1 << 40} {
+		for _, shard := range []int{0, 17} {
+			for _, home := range []graph.ProcID{0, 11} {
+				want := fmt.Sprintf("k%d:s%08x-%d", shard, ctr, home)
+				got := leaseID(shard, ctr, home)
+				if got != want {
+					t.Errorf("leaseID(%d, %#x, %d) = %q, want %q", shard, ctr, home, got, want)
+				}
+				if n, ok := sessionCounter(got); !ok || n != ctr {
+					t.Errorf("sessionCounter(%q) = %#x, %v; want %#x, true", got, n, ok, ctr)
+				}
+			}
+		}
+	}
+}
+
+// TestAcquireCtxCarriesBudgetWithoutTimer: a wire acquire's timeout_ms
+// reaches the shard as a deadline on a context that is never canceled by
+// it — no timer behind it — while an earlier deadline already on the
+// caller's context wins.
+func TestAcquireCtxCarriesBudgetWithoutTimer(t *testing.T) {
+	bg := context.Background()
+	if ctx := acquireCtx(bg, wire.AcquireReq{}); ctx != bg {
+		t.Fatal("no timeout: acquireCtx must pass the context through")
+	}
+	before := time.Now()
+	ctx := acquireCtx(bg, wire.AcquireReq{Timeout: time.Hour})
+	dl, ok := ctx.Deadline()
+	if !ok || dl.Before(before.Add(time.Hour)) || dl.After(time.Now().Add(time.Hour)) {
+		t.Fatalf("deadline %v (set %v), want one hour from the call", dl, ok)
+	}
+	if ctx.Done() != nil || ctx.Err() != nil {
+		t.Fatal("the budget context must not cancel itself: Done and Err are its parent's")
+	}
+	short, cancel := context.WithTimeout(bg, time.Minute)
+	defer cancel()
+	if ctx := acquireCtx(short, wire.AcquireReq{Timeout: time.Hour}); ctx != short {
+		t.Fatal("an earlier deadline on the caller's context must win")
+	}
+}
+
+// TestWireAcquireBudgetExpires: over the wire backend a rival acquire of
+// a held lock is rejected 408 once its timeout_ms passes — enforced by
+// the shard's one wait timer, since the budget context never fires.
+func TestWireAcquireBudgetExpires(t *testing.T) {
+	rt := startRouter(t, 1, fastConfig(graph.Grid(2, 2)))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	held, err := rt.Acquire(ctx, []string{"edge:0-1"}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Release(held.SessionID)
+	const budget = 100 * time.Millisecond
+	start := time.Now()
+	_, err = rt.WireBackend().Acquire(context.Background(), wire.AcquireReq{Resources: []string{"edge:0-1"}, Timeout: budget})
+	took := time.Since(start)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != 408 {
+		t.Fatalf("rival wire acquire of a held lock: %v, want a 408", err)
+	}
+	if took < budget || took > 2*time.Second {
+		t.Fatalf("rejected after %v, want its %v budget (server default 5s)", took, budget)
+	}
 }

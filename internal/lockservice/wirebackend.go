@@ -21,14 +21,35 @@ func wireErr(err error, ringGen uint64) *wire.Error {
 	return e
 }
 
-// acquireCtx applies the request's wait budget as a context deadline —
-// the same translation the HTTP handlers perform for timeout_ms.
-func acquireCtx(ctx context.Context, req wire.AcquireReq) (context.Context, context.CancelFunc) {
-	if req.Timeout > 0 {
-		return context.WithTimeout(ctx, req.Timeout)
+// acquireCtx carries the request's wait budget — the wire's timeout_ms —
+// to the shard as a deadline, the same budget the HTTP handlers derive
+// for timeout_ms, but without arming a timer: Server.await reads the
+// deadline and enforces it with the one timer it arms, and only a
+// session that is not granted at hand gets that far. An earlier deadline
+// already on ctx wins.
+func acquireCtx(ctx context.Context, req wire.AcquireReq) context.Context {
+	if req.Timeout <= 0 {
+		return ctx
 	}
-	return ctx, func() {}
+	dl := time.Now().Add(req.Timeout)
+	if cur, ok := ctx.Deadline(); ok && !dl.Before(cur) {
+		return ctx
+	}
+	return deadlineCtx{ctx, dl}
 }
+
+// deadlineCtx reports a deadline it never enforces: it never cancels
+// itself, and its Done and Err are its parent's. Whoever reads Deadline
+// must enforce it, as Server.await does. Nothing may derive a timeout
+// or deadline context from it: the context package trusts a parent
+// whose deadline is earlier to cancel on its own, so the derived
+// context would never expire.
+type deadlineCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 // routerBackend adapts a sharded Router onto wire.Backend.
 type routerBackend struct{ r *Router }
@@ -39,9 +60,7 @@ type routerBackend struct{ r *Router }
 func (r *Router) WireBackend() wire.Backend { return routerBackend{r} }
 
 func (b routerBackend) Acquire(ctx context.Context, req wire.AcquireReq) (wire.GrantInfo, error) {
-	ctx, cancel := acquireCtx(ctx, req)
-	defer cancel()
-	g, err := b.r.Acquire(ctx, req.Resources, req.TTL, req.RingGen)
+	g, err := b.r.Acquire(acquireCtx(ctx, req), req.Resources, req.TTL, req.RingGen)
 	if err != nil {
 		return wire.GrantInfo{}, wireErr(err, b.r.generation())
 	}

@@ -130,3 +130,78 @@ func TestDrivenReaderMatchesControlSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestExitClosesSessionBeforeItsFramesLand pins where a meal ends: a
+// worker that leaves Eating has its session closed inside the step that
+// exits (recordEatEnd in act), stamped with that step's instant, before
+// any frame the step — or a later one — emits can be delivered. So when
+// a neighbour's Deliver of the handover runs, Sessions() already shows
+// the sender's last meal ended, at or before the neighbour's start.
+func TestExitClosesSessionBeforeItsFramesLand(t *testing.T) {
+	g := graph.Ring(4)
+	vnow := time.Unix(1000, 0).UTC()
+	d := NewDriven(drivenConfig(g), func() time.Time { return vnow })
+	rd := d.Reader()
+	// ended reports whether p has a completed session that ended at end.
+	ended := func(p graph.ProcID, end time.Time) bool {
+		for _, s := range d.Network().Sessions() {
+			if s.Proc == p && s.End.Equal(end) {
+				return true
+			}
+		}
+		return false
+	}
+	// inFlight is a frame plus the instant its sender last left Eating
+	// before emitting it (zero if it never had).
+	type inFlight struct {
+		f        Frame
+		lastExit time.Time
+	}
+	lastExit := make([]time.Time, g.N())
+	var pending []inFlight
+	for _, f := range d.Boot() {
+		pending = append(pending, inFlight{f: f})
+	}
+	// step runs one primitive at p at the next instant and queues what it
+	// emitted; it reports whether p entered Eating.
+	step := func(p graph.ProcID, run func() []Frame) (entered bool) {
+		vnow = vnow.Add(time.Millisecond)
+		was := rd.State(p) == core.Eating
+		out := run()
+		is := rd.State(p) == core.Eating
+		if was && !is {
+			if !ended(p, vnow) {
+				t.Fatalf("node %d left Eating at %v but its session is not closed at that instant when the step returns", p, vnow)
+			}
+			lastExit[p] = vnow
+		}
+		for _, f := range out {
+			pending = append(pending, inFlight{f: f, lastExit: lastExit[p]})
+		}
+		return !was && is
+	}
+	handovers := 0
+	for round := 0; round < 200; round++ {
+		for p := 0; p < g.N(); p++ {
+			step(graph.ProcID(p), func() []Frame { return d.Tick(graph.ProcID(p)) })
+		}
+		window := pending
+		pending = nil
+		for _, fl := range window {
+			from := fl.f.From
+			if !fl.lastExit.IsZero() && !ended(from, fl.lastExit) {
+				t.Fatalf("frame %v delivered while node %d's meal that ended at %v is not recorded", fl.f, from, fl.lastExit)
+			}
+			if step(fl.f.To, func() []Frame { return d.Deliver(fl.f) }) && !fl.lastExit.IsZero() {
+				handovers++
+				if vnow.Before(fl.lastExit) {
+					t.Fatalf("node %d started eating at %v, before neighbour %d's meal ended at %v", fl.f.To, vnow, from, fl.lastExit)
+				}
+			}
+		}
+	}
+	if handovers == 0 {
+		t.Fatal("no neighbour entered Eating on a frame from a worker that had eaten; the test proves nothing")
+	}
+	t.Logf("%d handovers from workers that had eaten", handovers)
+}

@@ -44,11 +44,14 @@ type Client struct {
 	// wait budget before a missing response is declared lost (default
 	// 10s). A response lost in transit (dropped frame) is otherwise
 	// indistinguishable from a slow server; the guard converts it into
-	// a retryable transport fault. The guard timer is the operation's
+	// a retryable transport fault. A call's guard deadline is its
 	// effective budget — the caller's explicit timeout, or the server's
-	// default budget advertised in the hello — plus this slack, so a
-	// legitimately slow grant inside the server's budget is never
-	// misread as a lost response.
+	// default budget advertised in the hello — plus this slack after
+	// the request is queued, so a legitimately slow grant inside the
+	// server's budget is never misread as a lost response. Each
+	// connection sweeps its calls' deadlines every OpTimeout/4 (at most
+	// once a millisecond), so a lost response fails between
+	// budget + OpTimeout and budget + 1.25 × OpTimeout after the send.
 	OpTimeout time.Duration
 
 	// jitter is the backoff PRNG state, lazily seeded on first use.
@@ -355,65 +358,118 @@ func (c *Client) call(ctx context.Context, build func() (Msg, error), timeout ti
 }
 
 // roundTrip sends one request entry on a pooled connection and waits
-// for its correlated response.
+// for its correlated response. It arms no timer and waits on no
+// connection-wide channel: the reply, or the failure that close or the
+// lost-response sweep hands it instead, arrives on the call's own pooled
+// waiter, and the caller's context is the only other channel it watches.
 func (c *Client) roundTrip(ctx context.Context, req Msg, timeout time.Duration) (Msg, error) {
 	cc, err := c.getConn(ctx)
 	if err != nil {
 		return Msg{}, err
 	}
 	c.stats.Ops.Add(1)
-	corr := cc.corr.Add(1)
-	req.Corr = corr
-	// Buffered so a duplicated response never blocks the reader.
-	waiter := make(chan Msg, 2)
+	req.Corr = cc.corr.Add(1)
+	w := waiterPool.Get().(*waiter)
+	w.deadline.Store(0)
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
+		waiterPool.Put(w)
 		return Msg{}, err
 	}
-	cc.waiters[corr] = waiter
+	cc.waiters[req.Corr] = w
 	cc.mu.Unlock()
 	cc.inflight.Add(1)
-	defer func() {
-		cc.inflight.Add(-1)
-		cc.mu.Lock()
-		delete(cc.waiters, corr)
-		cc.mu.Unlock()
-	}()
+	defer cc.inflight.Add(-1)
 
 	select {
 	case cc.sendq <- req:
-	case <-cc.closed:
-		return Msg{}, cc.closeErr()
-	case <-ctx.Done():
-		return Msg{}, ctx.Err()
+	default:
+		select {
+		case cc.sendq <- req:
+		case r := <-w.ch: // the connection closed before the writer took it
+			waiterPool.Put(w)
+			return r.m, r.err
+		case <-ctx.Done():
+			return Msg{}, cc.abandon(req.Corr, w, ctx.Err())
+		}
 	}
 
-	// Client-side guard: the server owns the wait budget (it rejects
-	// with 408), so this timer only fires when the response itself was
-	// lost in transit — transport territory, retried on a fresh frame.
-	// The budget is the caller's explicit timeout, falling back to the
-	// server's default advertised in the hello, so an acquire sent with
-	// timeout=0 against a long server budget is never misclassified as
-	// a lost response while it legitimately waits.
+	// Lost-response guard: the server owns the wait budget (it rejects
+	// with 408), so the sweep only fails a call whose response was lost in
+	// transit — transport territory, retried on a fresh frame. The budget
+	// is the caller's explicit timeout, falling back to the server's
+	// default advertised in the hello, so an acquire sent with timeout=0
+	// against a long server budget is never misclassified as a lost
+	// response while it legitimately waits.
 	budget := timeout
 	if budget <= 0 {
 		budget = cc.budget
 	}
-	t := time.NewTimer(budget + c.opTimeout())
-	defer t.Stop()
-	guard := t.C
+	w.deadline.Store(monotonic() + int64(budget+c.opTimeout()))
+	var r reply
 	select {
-	case m := <-waiter:
-		return m, nil
-	case <-cc.closed:
-		return Msg{}, cc.closeErr()
-	case <-guard:
-		return Msg{}, fmt.Errorf("%w: response timed out", ErrTransport)
+	case r = <-w.ch:
 	case <-ctx.Done():
-		return Msg{}, ctx.Err()
+		return Msg{}, cc.abandon(req.Corr, w, ctx.Err())
 	}
+	waiterPool.Put(w)
+	return r.m, r.err
+}
+
+// waiter is one round trip's slot on a connection: the channel its one
+// reply arrives on, and when the sweep may declare the response lost.
+// Every waiter taken out of a connection's map by someone other than its
+// caller gets exactly one reply, sent under cc.mu as it is removed, so a
+// duplicated response finds no waiter and is dropped; a waiter goes back
+// to the pool only with its channel empty.
+type waiter struct {
+	ch chan reply // capacity 1
+	// deadline is the monotonic instant (see monotonic) past which the
+	// sweep fails the call; 0 until the request is queued for the writer.
+	deadline atomic.Int64
+}
+
+// reply is what a waiter receives: a response entry, or the transport
+// failure that ended the call.
+type reply struct {
+	m   Msg
+	err error
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan reply, 1)} }}
+
+// clockBase anchors monotonic.
+var clockBase = time.Now()
+
+// monotonic reads the monotonic clock as nanoseconds since clockBase.
+func monotonic() int64 { return int64(time.Since(clockBase)) }
+
+// abandon takes back the waiter of a call whose caller stopped waiting
+// and returns it to the pool. If a reply beat the caller to cc.mu, it
+// already sits in the channel's one slot; draining it keeps the pooled
+// waiter empty.
+func (cc *clientConn) abandon(corr uint64, w *waiter, err error) error {
+	cc.mu.Lock()
+	if _, ok := cc.waiters[corr]; ok {
+		delete(cc.waiters, corr)
+	} else {
+		<-w.ch
+	}
+	cc.mu.Unlock()
+	waiterPool.Put(w)
+	return err
+}
+
+// finish removes a waiter from the map and hands it its one reply. The
+// send never blocks: the channel holds one reply and this is the only
+// send of the registration.
+//
+// requires mu
+func (cc *clientConn) finish(corr uint64, w *waiter, r reply) {
+	delete(cc.waiters, corr)
+	w.ch <- r
 }
 
 // getConn returns the next pooled connection, dialing a replacement
@@ -459,7 +515,7 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 		bw:      bufio.NewWriterSize(raw, 1<<16),
 		sendq:   make(chan Msg, 256),
 		closed:  make(chan struct{}),
-		waiters: make(map[uint64]chan Msg),
+		waiters: make(map[uint64]*waiter),
 		stats:   &c.stats,
 		max:     c.maxBatch(),
 	}
@@ -485,12 +541,13 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 	cc.corr.Store(1) // 1 was the hello
 	go cc.readLoop()
 	go cc.writeLoop()
+	go cc.sweepLoop(max(c.opTimeout()/4, time.Millisecond))
 	return cc, nil
 }
 
 // clientConn is one pooled connection: a writer that batches the send
-// queue into frames and a reader that dispatches responses by
-// correlation ID.
+// queue into frames, a reader that dispatches responses by correlation
+// ID, and a sweep that fails calls whose response never came.
 type clientConn struct {
 	c      net.Conn
 	br     *bufio.Reader
@@ -507,9 +564,9 @@ type clientConn struct {
 	// hello (0 if the server predates the field); immutable after dial.
 	budget time.Duration
 
-	mu      sync.Mutex          //lint:order rank wireclient 30
-	waiters map[uint64]chan Msg // guarded by mu
-	err     error               // guarded by mu
+	mu      sync.Mutex         //lint:order rank wireclient 30
+	waiters map[uint64]*waiter // guarded by mu
+	err     error              // guarded by mu
 }
 
 func (cc *clientConn) dead() bool {
@@ -521,29 +578,24 @@ func (cc *clientConn) dead() bool {
 	}
 }
 
-func (cc *clientConn) closeErr() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.err != nil {
-		return cc.err
-	}
-	return fmt.Errorf("%w: connection closed", ErrTransport)
-}
-
-// close tears the connection down once, failing every pending waiter.
+// close tears the connection down once and fails every registered
+// waiter with err.
 func (cc *clientConn) close(err error) {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
 		close(cc.closed)
+		for corr, w := range cc.waiters { //lint:sorted each waiter gets its own failure; no order is observable
+			cc.finish(corr, w, reply{err: err})
+		}
 	}
 	cc.mu.Unlock()
 	cc.c.Close()
 }
 
-// readLoop dispatches response entries to their waiters. Unknown
-// correlation IDs (duplicated frames, responses to abandoned calls)
-// are dropped. Any framing or CRC error kills the connection: the
+// readLoop hands response entries to their waiters. Unknown correlation
+// IDs (duplicated frames, responses to abandoned or already failed
+// calls) are dropped. Any framing or CRC error kills the connection: the
 // stream cannot be resynced.
 func (cc *clientConn) readLoop() {
 	for {
@@ -552,18 +604,38 @@ func (cc *clientConn) readLoop() {
 			cc.close(fmt.Errorf("%w: read: %v", ErrTransport, err))
 			return
 		}
+		cc.mu.Lock()
 		for i := range entries {
-			cc.mu.Lock()
-			w := cc.waiters[entries[i].Corr]
-			cc.mu.Unlock()
-			if w == nil {
-				continue
-			}
-			select {
-			case w <- entries[i]:
-			default: // duplicate beyond the waiter's buffer
+			if w := cc.waiters[entries[i].Corr]; w != nil {
+				cc.finish(entries[i].Corr, w, reply{m: entries[i]})
 			}
 		}
+		cc.mu.Unlock()
+	}
+}
+
+// sweepLoop fails, every interval, each call whose response is overdue
+// (its waiter's deadline has passed) with a retryable ErrTransport. One
+// sweep per connection replaces a timer per call: a lost response is
+// declared between its deadline and one interval later. The interval
+// must be positive.
+func (cc *clientConn) sweepLoop(interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-cc.closed:
+			return
+		case <-t.C:
+		}
+		now := monotonic()
+		cc.mu.Lock()
+		for corr, w := range cc.waiters { //lint:sorted each overdue waiter gets its own failure; no order is observable
+			if dl := w.deadline.Load(); dl != 0 && dl <= now {
+				cc.finish(corr, w, reply{err: fmt.Errorf("%w: response timed out", ErrTransport)})
+			}
+		}
+		cc.mu.Unlock()
 	}
 }
 
@@ -577,6 +649,7 @@ func (cc *clientConn) readLoop() {
 func (cc *clientConn) writeLoop() {
 	batch := make([]Msg, 0, cc.max)
 	var buf []byte
+	var groups [][]Msg
 	for {
 		select {
 		case <-cc.closed:
@@ -586,7 +659,8 @@ func (cc *clientConn) writeLoop() {
 		}
 		batch = coalesce(batch, cc.sendq, cc.max, &cc.inflight)
 		buf = buf[:0]
-		for _, group := range frameGroups(batch) {
+		groups = frameGroups(groups[:0], batch)
+		for _, group := range groups {
 			buf = AppendFrame(buf, group[0].Type, group)
 		}
 		cc.stats.observeBatch(len(batch))

@@ -275,13 +275,14 @@ func entrySize(m *Msg) int {
 	return n
 }
 
-// frameGroups splits a batch into per-frame entry runs: consecutive
-// same-type entries group together (frames carry one type only), and a
-// run is cut whenever appending the next entry would push the frame's
-// payload past MaxPayload. Relative order is preserved throughout, so
-// batching never reorders a connection's responses.
-func frameGroups(batch []Msg) [][]Msg {
-	var groups [][]Msg
+// frameGroups splits a batch into per-frame entry runs and appends them
+// to groups: consecutive same-type entries group together (frames carry
+// one type only), and a run is cut whenever appending the next entry
+// would push the frame's payload past MaxPayload. Relative order is
+// preserved throughout, so batching never reorders a connection's
+// responses. The write loops pass their previous result truncated to
+// zero length, so a steady stream of writes allocates no group slice.
+func frameGroups(groups [][]Msg, batch []Msg) [][]Msg {
 	for i := 0; i < len(batch); {
 		typ := batch[i].Type
 		size := entrySize(&batch[i])

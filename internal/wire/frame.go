@@ -140,16 +140,23 @@ func frameCRC(frame []byte) uint32 {
 // the stream is undecodable. io.EOF passes through cleanly only at a
 // frame boundary.
 func ReadFrame(br *bufio.Reader) (byte, []Msg, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
+	// The header is read through the bufio.Reader's own methods, never
+	// an io.Reader, so it stays on the stack.
+	magic, err := br.ReadByte()
+	if err != nil {
 		return 0, nil, err // EOF at a boundary is a clean close
 	}
-	if hdr[0] != frameMagic {
-		return 0, nil, fmt.Errorf("%w: magic 0x%02x", ErrBadFrame, hdr[0])
+	if magic != frameMagic {
+		return 0, nil, fmt.Errorf("%w: magic 0x%02x", ErrBadFrame, magic)
 	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
+	rest, err := br.Peek(headerSize - 1)
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: short header: %v", ErrBadFrame, err)
 	}
+	var hdr [headerSize]byte
+	hdr[0] = magic
+	copy(hdr[1:], rest)
+	_, _ = br.Discard(headerSize - 1)
 	typ := hdr[1]
 	count := int(binary.LittleEndian.Uint16(hdr[2:4]))
 	n := int(binary.LittleEndian.Uint32(hdr[4:8]))

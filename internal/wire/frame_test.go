@@ -209,7 +209,7 @@ func TestFrameGroupsSplitOversizedBatch(t *testing.T) {
 		batch[i] = Msg{Type: TypeAcquire, Corr: uint64(i + 1), Resources: resources}
 	}
 
-	groups := frameGroups(batch)
+	groups := frameGroups(nil, batch)
 	if len(groups) < 2 {
 		t.Fatalf("oversized batch produced %d group(s); expected a split", len(groups))
 	}
@@ -240,7 +240,7 @@ func TestFrameGroupsSplitOversizedBatch(t *testing.T) {
 		{Type: TypeReleased, Corr: 3},
 		{Type: TypePong, Corr: 4},
 	}
-	if got := len(frameGroups(mixed)); got != 3 {
+	if got := len(frameGroups(nil, mixed)); got != 3 {
 		t.Fatalf("mixed-type batch produced %d groups, want 3", got)
 	}
 }

@@ -208,18 +208,18 @@ func (s *Server) serveConn(c net.Conn) {
 		s.stats.FramesIn.Add(1)
 		s.stats.EntriesIn.Add(int64(len(entries)))
 		inflight.Add(int64(len(entries)))
-		for i := range entries {
-			m := entries[i]
+		for _, m := range entries {
 			switch typ {
 			case TypeAcquire:
 				// Acquires block until grant or rejection; each gets its
 				// own goroutine so one contended lock cannot head-of-line
-				// block the connection.
+				// block the connection. m goes by value, so the entries
+				// the reader serves inline never move to the heap.
 				opWG.Add(1)
-				go func() {
+				go func(m Msg) {
 					defer opWG.Done()
 					s.send(ctx, out, s.doAcquire(ctx, m))
-				}()
+				}(m)
 			case TypeRelease:
 				s.send(ctx, out, s.doRelease(ctx, m))
 			case TypeRenew:
@@ -235,8 +235,15 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// send enqueues one response unless the connection is going away.
+// send enqueues one response unless the connection is going away. A
+// queue with room takes it without a select over the connection's
+// shared context.
 func (s *Server) send(ctx context.Context, out chan<- Msg, m Msg) {
+	select {
+	case out <- m:
+		return
+	default:
+	}
 	select {
 	case out <- m:
 	case <-ctx.Done():
@@ -300,6 +307,7 @@ func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, infligh
 	defer cancel()
 	batch := make([]Msg, 0, s.cfg.MaxBatch)
 	var buf []byte
+	var groups [][]Msg
 	for {
 		first, ok := <-out
 		if !ok {
@@ -308,7 +316,8 @@ func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, infligh
 		batch = coalesce(append(batch[:0], first), out, s.cfg.MaxBatch, inflight)
 		inflight.Add(-int64(len(batch)))
 		buf = buf[:0]
-		for _, group := range frameGroups(batch) {
+		groups = frameGroups(groups[:0], batch)
+		for _, group := range groups {
 			if s.cfg.Faults == nil {
 				buf = AppendFrame(buf, group[0].Type, group)
 			} else {
