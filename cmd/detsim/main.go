@@ -117,8 +117,8 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 			Graph: g, Seed: seed, Rounds: rounds, Crashes: plan, Trace: trace, Source: src,
 		})
 		printTrace(trace, res.Trace)
-		return res.Failed(), fmt.Sprintf("submitted=%d granted=%d at_hand=%d surrendered=%d hash=%016x safety=%v history=%v starvation=%v",
-			res.Submitted, res.Granted, res.AtHand, res.Surrendered, res.TraceHash, res.SafetyViolations, res.HistoryViolations, res.StarvationViolations)
+		return res.Failed(), fmt.Sprintf("submitted=%d granted=%d at_hand=%d surrendered=%d hash=%016x safety=%v history=%v starvation=%v lease=%v",
+			res.Submitted, res.Granted, res.AtHand, res.Surrendered, res.TraceHash, res.SafetyViolations, res.HistoryViolations, res.StarvationViolations, res.LeaseViolations)
 	case "fork":
 		src, plan := crashPlan(g, seed, crash, rounds, 0)
 		res := detsim.RunFork(detsim.ForkConfig{
@@ -166,10 +166,10 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 			res = detsim.SweepSpan(g, seed, rounds, shards, trace)
 		}
 		printTrace(trace, res.Trace)
-		return res.Failed(), fmt.Sprintf("spans=%d commits=%d rollbacks=%d displaced=%d hash=%016x partial=%v overlap=%v orphan=%v safety=%v history=%v",
+		return res.Failed(), fmt.Sprintf("spans=%d commits=%d rollbacks=%d displaced=%d hash=%016x partial=%v overlap=%v orphan=%v safety=%v history=%v lease=%v",
 			res.Spans, res.Commits, res.Rollbacks, res.Displaced, res.TraceHash,
 			res.PartialCommits, res.OverlapViolations, res.OrphanedSpans,
-			res.SafetyViolations, res.HistoryViolations)
+			res.SafetyViolations, res.HistoryViolations, res.LeaseViolations)
 	case "migrate", "migrate-auto":
 		// Key-migration harness: the fence/drain/commit protocol under a
 		// hot-key workload, judged by the dual-grant, lost-waiter, and
@@ -189,11 +189,11 @@ func runSeed(g *graph.Graph, seed int64, rounds, crash, churn, shards, replicas,
 			res = detsim.SweepMigrate(g, seed, rounds, shards, migrations, trace)
 		}
 		printTrace(trace, res.Trace)
-		return res.Failed(), fmt.Sprintf("granted=%d migrations=%d/%d aborted=%d bounced=%d+%d gen=%d hash=%016x dual=%v lost=%v diverge=%v safety=%v history=%v",
+		return res.Failed(), fmt.Sprintf("granted=%d migrations=%d/%d aborted=%d bounced=%d+%d gen=%d hash=%016x dual=%v lost=%v diverge=%v safety=%v history=%v lease=%v",
 			res.Granted, res.Migrations, res.MigrationsStarted, res.MigrationsAborted,
 			res.FenceBounced, res.Bounced, res.Generation, res.TraceHash,
 			res.DualGrants, res.LostWaiters, res.Divergence,
-			res.SafetyViolations, res.HistoryViolations)
+			res.SafetyViolations, res.HistoryViolations, res.LeaseViolations)
 	case "replica", "replica-adversarial", "replica-promokill":
 		// Shard-replica failover harness: one shard's primary plus hot
 		// standbys under seed-drawn kill-primary campaigns (-replicas,

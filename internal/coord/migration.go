@@ -95,6 +95,23 @@ type Migration struct {
 // Fences reports whether acquires naming the key must bounce at now.
 func (m *Migration) Fences(now int64) bool { return now <= m.Deadline }
 
+// Placed is the placement rule a grant on shard must still satisfy
+// before its client sees it: every key resolves to shard under lookup
+// (the ring's), and none is fenced at now by its in-flight migration
+// (migrating returns nil for a key with none). The Router's post-grant
+// check and detsim's harnesses both ask it.
+func Placed(keys []string, shard int, now int64, lookup func(key string) (int, bool), migrating func(key string) *Migration) bool {
+	for _, k := range keys {
+		if m := migrating(k); m != nil && m.Fences(now) {
+			return false
+		}
+		if s, ok := lookup(k); !ok || s != shard {
+			return false
+		}
+	}
+	return true
+}
+
 // DrainVerdict is one look at the source's lease table.
 type DrainVerdict uint8
 

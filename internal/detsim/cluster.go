@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"time"
 
+	"mcdp/internal/coord"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
@@ -95,6 +97,9 @@ type ClusterResult struct {
 	// linearizability violations, both shard-prefixed.
 	SafetyViolations  []string
 	HistoryViolations []string
+	// LeaseViolations concatenates every shard's lease-oracle findings
+	// (Result.LeaseViolations), shard-prefixed.
+	LeaseViolations []string
 }
 
 // record appends one violation to list, which holds at most maxRecorded.
@@ -120,18 +125,17 @@ func (t *coordTrace) event(format string, args ...any) {
 	}
 }
 
-// cluster is the running K-shard substrate: per shard a runner, an
-// arbiter and its lock history; the placement ring, the key catalog and
-// the resource mapper (every shard arbitrates the same graph); the
-// schedule source and the coordinator trace.
+// cluster is the running K-shard substrate: per shard a runner, the
+// lockservice.ShardCore over it and its arbiter's lock history; the
+// placement ring and the key catalog; the schedule source and the
+// coordinator trace.
 type cluster struct {
 	cfg     ClusterConfig
 	src     Source
 	ring    *shard.Ring
 	runners []*runner
-	arbs    []*drinkers.Arbiter
+	cores   []*lockservice.ShardCore
 	hists   []*lockservice.History
-	mapper  *lockservice.ResourceMapper
 	keys    []string
 	h       *coordTrace
 }
@@ -160,11 +164,10 @@ func newCluster(cfg ClusterConfig, what string) *cluster {
 		src = NewRand(cfg.Seed)
 	}
 	c := &cluster{
-		cfg:    cfg,
-		src:    src,
-		ring:   shard.New(uint64(cfg.Seed)+1, cfg.Vnodes),
-		mapper: lockservice.NewResourceMapper(cfg.Graph),
-		h:      &coordTrace{hash: fnv.New64a(), keep: cfg.Trace},
+		cfg:  cfg,
+		src:  src,
+		ring: shard.New(uint64(cfg.Seed)+1, cfg.Vnodes),
+		h:    &coordTrace{hash: fnv.New64a(), keep: cfg.Trace},
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		rcfg := Config{
@@ -179,12 +182,9 @@ func newCluster(cfg ClusterConfig, what string) *cluster {
 		rcfg.Faults = planFor(cfg.Faults, s)
 		rn := newRunner(rcfg)
 		rn.boot()
-		arb := drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit)
 		hist := lockservice.NewHistory()
-		hist.Tap(arb)
-		lockservice.Couple(arb, rn.d.Network())
 		c.runners = append(c.runners, rn)
-		c.arbs = append(c.arbs, arb)
+		c.cores = append(c.cores, rn.attach(s, cfg.QueueLimit, hist))
 		c.hists = append(c.hists, hist)
 		if err := c.ring.Add(s); err != nil {
 			panic(err) // fresh ring, dense ids: unreachable
@@ -206,6 +206,18 @@ func planFor[T any](plans []T, s int) (plan T) {
 	return plan
 }
 
+// attach makes shard s's lease core — the Server's ShardCore — over
+// rn's network, recording into hist, the runner's core.
+func (rn *runner) attach(s, queueLimit int, hist *lockservice.History) *lockservice.ShardCore {
+	rn.core = lockservice.NewShardCore(lockservice.Config{
+		Graph:      rn.cfg.Graph,
+		ShardID:    s,
+		QueueLimit: queueLimit,
+		History:    hist,
+	}, rn.d.Network())
+	return rn.core
+}
+
 // advance moves every shard's substrate one lockstep round.
 func (c *cluster) advance(t int) {
 	for _, rn := range c.runners {
@@ -216,66 +228,86 @@ func (c *cluster) advance(t int) {
 		for i := 0; i < c.cfg.AdvSteps; i++ {
 			rn.advStep(t)
 		}
+		rn.endRound(t)
 	}
 }
 
-// live reports whether node p of shard s can home a session.
-func (c *cluster) live(s int, p graph.ProcID) bool {
-	return lockservice.Alive(c.runners[s].d.Network(), p)
+// client is a harness's caller of one shard's core: queued and served by
+// submit, polled until granted, leased on its runner's clock, ended.
+type client struct {
+	rn      *runner
+	keys    []string
+	shard   int
+	sess    *drinkers.Session
+	born    int
+	id      string // lease ID once leased
+	release int    // the round the holder means to release it
+	done    bool
 }
 
-// pump advances shard s's arbiter one lockservice.PumpStep — grants by
-// meal or at hand, then hunger from queue state — and returns the
-// sessions it granted.
-func (c *cluster) pump(s int) []*drinkers.Session {
-	return lockservice.PumpStep(c.arbs[s], c.runners[s].d.Network())
-}
-
-// submit queues a mapped session at shard s, choosing the first live
-// candidate home (the deterministic analog of the server's
-// queue-depth-sorted home choice), and turns that home hungry, as
-// Server.serve does; nil means no live home or a full queue. The grant,
-// at hand or by meal, comes from the next pump.
-func (c *cluster) submit(s int, bottles []int, homes []graph.ProcID) *drinkers.Session {
-	for _, home := range homes {
-		if c.live(s, home) {
-			sess, err := c.arbs[s].Submit(home, bottles)
-			if err != nil {
-				return nil
-			}
-			c.runners[s].d.Network().SetNeeds(home, true)
-			return sess
-		}
+// submit enqueues and serves a session for keys, as Server.Acquire
+// does; nil when the core refuses it.
+func (rn *runner) submit(keys []string, s, t int) *client {
+	sess, err := rn.core.Enqueue(keys)
+	if err != nil {
+		return nil
 	}
-	return nil
+	rn.core.Serve(sess)
+	return &client{rn: rn, keys: keys, shard: s, sess: sess, born: t}
 }
 
-// fencedNodes calls fn for every node whose restart or membership leave
-// fires at round t — the events at which Server.fenceLeases revokes the
-// leases and queue entries homed there.
-func (c *cluster) fencedNodes(t int, fn func(s int, node graph.ProcID)) {
-	for s, rn := range c.runners {
-		for _, rs := range rn.cfg.Restarts {
-			if rs.Round == t {
-				fn(s, rs.Node)
-			}
+// granted reports whether a queued client's session has been granted.
+func (cl *client) granted() bool {
+	return cl.id == "" && cl.rn.core.Arbiter().Status(cl.sess) == drinkers.Drinking
+}
+
+// lease turns the granted session into a lease living ShardCore.TTL(ttl).
+func (cl *client) lease(ttl time.Duration) {
+	cl.id = cl.rn.core.Grant(cl.sess, cl.keys, ttl, cl.rn.vnow).ID
+}
+
+// renew renews the lease for ttl, reporting whether it was still live.
+func (cl *client) renew(ttl time.Duration) bool {
+	_, _, err := cl.rn.core.Renew(cl.id, ttl, cl.rn.vnow)
+	return err == nil
+}
+
+// live reports whether the lease is still in the core's table.
+func (cl *client) live() bool {
+	_, ok := cl.rn.core.Deadline(cl.id)
+	return ok
+}
+
+// end releases the lease (gone already if expired or fenced) or, still
+// queued, withdraws the session as Server.await gives up.
+func (cl *client) end() {
+	if cl.id != "" {
+		_, _, _ = cl.rn.core.Release(cl.id, cl.rn.vnow)
+	} else {
+		cl.rn.core.Withdraw(cl.sess)
+	}
+	cl.done = true
+}
+
+// drain ends every live client at the end of a run, counting releases
+// and withdrawals.
+func drain(clients []*client, released, withdrawn *int) {
+	for _, cl := range clients {
+		switch {
+		case cl.done:
+			continue
+		case cl.id != "":
+			*released++
+		default:
+			*withdrawn++
 		}
-		for _, l := range rn.cfg.Leaves {
-			if l.Round == t {
-				fn(s, l.Node)
-			}
-		}
+		cl.end()
 	}
 }
 
 // placed reports whether every key still resolves to shard s.
 func (c *cluster) placed(keys []string, s int) bool {
-	for _, k := range keys {
-		if at, ok := c.ring.Lookup(k); !ok || at != s {
-			return false
-		}
-	}
-	return true
+	return coord.Placed(keys, s, 0, c.ring.Lookup, func(string) *coord.Migration { return nil })
 }
 
 // migrationTarget resolves a KeyMigration's destination for a key placed
@@ -301,6 +333,7 @@ func (c *cluster) finish() ClusterResult {
 	comb := fnv.New64a()
 	fmt.Fprintf(comb, "%016x\n", c.h.hash.Sum64())
 	for s, rn := range c.runners {
+		rn.drained()
 		rn.baseline = nil // demand-driven hunger: no locality promise
 		sub := rn.finish(!c.cfg.Adversarial, c.cfg.Rounds)
 		fmt.Fprintf(comb, "%016x\n", sub.TraceHash)
@@ -309,6 +342,9 @@ func (c *cluster) finish() ClusterResult {
 		}
 		for _, v := range c.hists[s].Check(c.cfg.Graph) {
 			record(&res.HistoryViolations, "shard %d: %s", s, v)
+		}
+		for _, v := range sub.LeaseViolations {
+			record(&res.LeaseViolations, "shard %d: %s", s, v)
 		}
 	}
 	res.TraceHash = comb.Sum64()

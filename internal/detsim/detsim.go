@@ -44,6 +44,7 @@ import (
 
 	"mcdp/internal/core"
 	"mcdp/internal/graph"
+	"mcdp/internal/lockservice"
 	"mcdp/internal/msgpass"
 	"mcdp/internal/sim"
 	"mcdp/internal/spec"
@@ -196,6 +197,10 @@ type Result struct {
 	// leave freed them, given at least 20 remaining rounds — fair mode
 	// only.
 	ChurnViolations []string
+	// LeaseViolations lists the lease oracle's findings (runs with a lease
+	// core): a live lease whose home's incarnation changed since its
+	// grant, or leases left after the end-of-run drain.
+	LeaseViolations []string
 	// Joins and Leaves count executed membership changes.
 	Joins, Leaves int64
 	// Recoveries reports per-restart convergence: rounds from each
@@ -215,7 +220,8 @@ type Result struct {
 // Failed reports whether the run violated any checked property.
 func (r *Result) Failed() bool {
 	return len(r.SafetyViolations) > 0 || len(r.LocalityViolations) > 0 ||
-		len(r.RestartViolations) > 0 || len(r.ChurnViolations) > 0
+		len(r.RestartViolations) > 0 || len(r.ChurnViolations) > 0 ||
+		len(r.LeaseViolations) > 0
 }
 
 // maxPending bounds the adversarial in-flight pool; overflow drops the
@@ -242,6 +248,12 @@ type runner struct {
 
 	vnow    time.Time
 	pending []msgpass.Frame
+
+	// core, when set, is the lease lifecycle over this runner's network:
+	// planned restarts and leaves go through it, so it fences them, and
+	// every round ends with its janitor and the lease oracle.
+	core   *lockservice.ShardCore
+	leases []string // lease-oracle violations
 
 	h     hash.Hash64
 	trace []string
@@ -381,6 +393,11 @@ func (r *runner) event(format string, args ...any) {
 	}
 }
 
+// roundTime is the virtual time one lockstep round takes: each round
+// ends on a whole virtual second (see endRound), so a lease TTL of k
+// roundTimes lasts k rounds.
+const roundTime = time.Second
+
 // step advances the virtual clock by one instant and counts the step.
 // Every atomic step gets its own instant, so eating-session intervals
 // are exact and strictly ordered.
@@ -423,7 +440,11 @@ func (r *runner) applyFaults(t int) {
 		if rs.Garbage {
 			mode = msgpass.RestartArbitrary
 		}
-		nw.Restart(rs.Node, mode)
+		if r.core != nil {
+			r.core.Restart(rs.Node, mode)
+		} else {
+			nw.Restart(rs.Node, mode)
+		}
 		r.event("t%d restart %d mode=%s", t, rs.Node, mode)
 		if rs.Garbage {
 			r.garbageUntil[rs.Node] = t + garbageGraceRounds
@@ -449,7 +470,11 @@ func (r *runner) applyFaults(t int) {
 			}
 			waiters = append(waiters, displaced{waiter: q, round: t, eats: eats[q]})
 		}
-		if err := nw.RemoveProcess(l.Node); err != nil {
+		remove := nw.RemoveProcess
+		if r.core != nil {
+			remove = func(p graph.ProcID) error { _, err := r.core.Leave(p); return err }
+		}
+		if err := remove(l.Node); err != nil {
 			r.event("t%d leave %d err", t, l.Node)
 			continue
 		}
@@ -499,6 +524,31 @@ func (r *runner) applyFaults(t int) {
 		if t > r.lastRestart {
 			r.lastRestart = t
 		}
+	}
+}
+
+// endRound moves the virtual clock to round t's end; with a lease core
+// the janitor then expires what it outlived, and the lease oracle runs.
+func (r *runner) endRound(t int) {
+	if end := time.Unix(0, 0).UTC().Add(time.Duration(t+1) * roundTime); r.vnow.Before(end) {
+		r.vnow = end
+	}
+	if r.core == nil {
+		return
+	}
+	for _, ev := range r.core.Expire(r.vnow) {
+		r.event("t%d expire %s", t, ev.ID)
+	}
+	for _, id := range r.core.StaleLeases() {
+		record(&r.leases, "t%d: lease %s outlived the incarnation of its home that granted it", t, id)
+	}
+}
+
+// drained is the end-of-run half of the lease oracle: after the
+// harness's shutdown drain the core holds no lease.
+func (r *runner) drained() {
+	if n := r.core.ActiveLeases(); n != 0 {
+		record(&r.leases, "%d leases still live after the shutdown drain", n)
 	}
 }
 
@@ -611,6 +661,7 @@ func (r *runner) fairRound(t int) {
 		queues[key] = queues[key][1:]
 		r.deliver(t, window[j])
 	}
+	r.endRound(t)
 	if t == r.baselineRound {
 		r.baseline = r.d.Network().Eats()
 		r.event("t%d baseline %v", t, r.baseline)
@@ -702,6 +753,7 @@ func (r *runner) finish(fair bool, executed int) *Result {
 	}
 	res.FaultsDropped, res.FaultsDuplicated, res.FaultsCorrupted, res.FaultsDelayed = nw.FaultsInjected()
 	res.SafetyViolations = r.safety
+	res.LeaseViolations = r.leases
 	// Interval cross-check on virtual timestamps: sessions only open on
 	// legitimate enter transitions (crash closes them), so any overlap
 	// between live neighbors the per-step oracle somehow missed shows

@@ -8,13 +8,14 @@
 // machine's verdicts against the ring: a drain probe is a count of the
 // source's client-visible grants, the commit step lands a drawn few
 // rounds after the drain was observed (the coordinator being descheduled
-// between its last look and taking the placement lock). What is the
-// harness's own: the workload, the plans, the fault model and the
-// oracles, which check the properties the protocol owes its clients:
+// between its last look and taking the placement lock). Every lease
+// lives in a shard's lockservice.ShardCore. What is the harness's own:
+// the workload, the plans, the fault model and the oracles, which check
+// the properties the protocol owes its clients:
 //
-//   - dual-grant-across-epochs: no round may show client-visible
-//     grants for one key on two shards — exclusion must span the
-//     placement epoch change, not just each shard's arbiter;
+//   - dual-grant-across-epochs: no round may show live leases for one
+//     key on two shards — exclusion must span the placement epoch
+//     change, not just each shard's arbiter;
 //   - lost-waiter: every client terminates (grant+release, 409
 //     bounce, or timeout) within its budget even when its key is
 //     fenced or its queue entry is stranded on the old home;
@@ -32,7 +33,6 @@ package detsim
 import (
 	"mcdp/internal/control"
 	"mcdp/internal/coord"
-	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
 	"mcdp/internal/shard"
 )
@@ -86,8 +86,8 @@ type MigrateResult struct {
 	MigrationsStarted, Migrations, MigrationsAborted int
 	// Generation is the final ring generation.
 	Generation uint64
-	// DualGrants lists rounds where one key was client-visibly granted
-	// on two shards at once — the cross-epoch exclusion violation.
+	// DualGrants lists rounds where one key was leased on two shards at
+	// once — the cross-epoch exclusion violation.
 	DualGrants []string
 	// LostWaiters lists clients that never terminated within budget.
 	LostWaiters []string
@@ -99,19 +99,7 @@ type MigrateResult struct {
 // Failed reports whether the run violated any checked property.
 func (r *MigrateResult) Failed() bool {
 	return len(r.DualGrants) > 0 || len(r.LostWaiters) > 0 || len(r.Divergence) > 0 ||
-		len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0
-}
-
-// migSession is one single-key client: submitted at the key's placed
-// shard, granted and held for a drawn window, then released.
-type migSession struct {
-	key     string
-	shard   int
-	sess    *drinkers.Session
-	born    int
-	granted bool
-	release int
-	done    bool
+		len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0 || len(r.LeaseViolations) > 0
 }
 
 // migMigration is one in-flight migration: the machine plus where its
@@ -143,7 +131,7 @@ type migHarness struct {
 	*cluster
 	cfg MigrateConfig
 
-	sessions  []*migSession
+	sessions  []*client
 	migrating []*migMigration // in fence order
 
 	// Closed-loop sensors: the detsim twin of Router.ctl.
@@ -199,19 +187,20 @@ func newMigHarness(cfg MigrateConfig) *migHarness {
 
 // fence returns the migration currently fencing key at round t, nil
 // when none does — an expired fence is as good as absent.
-func (h *migHarness) fence(key string, t int) *migMigration {
+func (h *migHarness) fence(key string, t int) *coord.Migration {
 	for _, m := range h.migrating {
 		if m.Key == key && m.Fences(int64(t)) {
-			return m
+			return &m.Migration
 		}
 	}
 	return nil
 }
 
-// round advances everything by one lockstep round.
+// round advances everything by one lockstep round (node fences and the
+// janitor run inside advance: a client whose lease they revoked finds
+// out when it releases).
 func (h *migHarness) round(t int) {
 	h.advance(t)
-	h.fencedNodes(t, func(s int, node graph.ProcID) { h.fenceNode(t, s, node) })
 	h.releaseDue(t)
 	h.stepMigrations(t)
 	h.timeoutPending(t)
@@ -223,40 +212,13 @@ func (h *migHarness) round(t int) {
 	}
 }
 
-// end terminates a client at round t: a granted lease is released, a
-// pending request canceled and counted in *pending — unless it was
-// granted in the meantime, in which case it stays for its hold.
-func (h *migHarness) end(t int, ms *migSession, why string, pending *int) {
-	if ms.granted {
-		h.arbs[ms.shard].Release(ms.sess)
-		h.res.Released++
-	} else if h.arbs[ms.shard].Cancel(ms.sess) {
-		*pending++
-	} else {
-		return
-	}
-	ms.done = true
-	h.h.event("t%d %s %s shard%d node%d", t, why, ms.key, ms.shard, ms.sess.Home)
-}
-
-// fenceNode is Server.fenceLeases seen from the clients: a node
-// restart or leave revokes the leases and queue entries homed there.
-// For a migration mid-drain this is the interesting case — the fence
-// empties the source's lease table, so the drain completes through the
-// crash.
-func (h *migHarness) fenceNode(t, s int, node graph.ProcID) {
-	for _, ms := range h.sessions {
-		if !ms.done && ms.shard == s && ms.sess.Home == node {
-			h.end(t, ms, "fence", &h.res.Canceled)
-		}
-	}
-}
-
 // releaseDue releases grants whose hold expired.
 func (h *migHarness) releaseDue(t int) {
 	for _, ms := range h.sessions {
-		if !ms.done && ms.granted && ms.release <= t {
-			h.end(t, ms, "release", nil)
+		if !ms.done && ms.id != "" && ms.release <= t {
+			ms.end()
+			h.res.Released++
+			h.h.event("t%d release %s shard%d node%d", t, ms.keys[0], ms.shard, ms.sess.Home)
 		}
 	}
 }
@@ -302,7 +264,7 @@ func (h *migHarness) stepMigrations(t int) {
 	kept := h.migrating[:0]
 	for _, m := range h.migrating {
 		if m.commitAt < 0 {
-			switch m.Drain(int64(t), h.liveGrants(m.Key, m.Src)) {
+			switch m.Drain(int64(t), h.cores[m.Src].LeasesOn(m.Key)) {
 			case coord.Drained:
 				m.drained = true
 				m.commitAt = t + h.commitLag()
@@ -315,7 +277,7 @@ func (h *migHarness) stepMigrations(t int) {
 			continue
 		}
 		placedAt, _ := h.ring.Lookup(m.Key)
-		verdict := migCommit(&m.Migration, int64(t), m.drained, h.liveGrants(m.Key, m.Src), h.ring.Has(m.Dst), placedAt)
+		verdict := migCommit(&m.Migration, int64(t), m.drained, h.cores[m.Src].LeasesOn(m.Key), h.ring.Has(m.Dst), placedAt)
 		var err error
 		switch verdict {
 		case coord.CommitOverride:
@@ -337,25 +299,16 @@ func (h *migHarness) stepMigrations(t int) {
 	h.migrating = kept
 }
 
-// liveGrants counts client-visible grants on key at shard s.
-func (h *migHarness) liveGrants(key string, s int) int {
-	n := 0
-	for _, ms := range h.sessions {
-		if !ms.done && ms.granted && ms.key == key && ms.shard == s {
-			n++
-		}
-	}
-	return n
-}
-
-// timeoutPending cancels clients whose wait budget elapsed — the
+// timeoutPending withdraws clients whose wait budget elapsed — the
 // round-domain DefaultTimeout. Waiters stranded on a migrated key's
 // old home terminate here if the post-grant bounce does not get them
 // first; either way the lost-waiter oracle stays quiet.
 func (h *migHarness) timeoutPending(t int) {
 	for _, ms := range h.sessions {
-		if !ms.done && !ms.granted && t-ms.born >= h.cfg.AcquireRounds {
-			h.end(t, ms, "timeout", &h.res.Timeouts)
+		if !ms.done && ms.id == "" && t-ms.born >= h.cfg.AcquireRounds {
+			ms.end()
+			h.res.Timeouts++
+			h.h.event("t%d timeout %s shard%d node%d", t, ms.keys[0], ms.shard, ms.sess.Home)
 		}
 	}
 }
@@ -380,69 +333,61 @@ func (h *migHarness) drawClient(t int) {
 	if !ok {
 		return
 	}
-	bottles, homes, err := h.mapper.MapSession([]string{key})
-	if err != nil {
+	ms := h.runners[s].submit([]string{key}, s, t)
+	if ms == nil {
 		return
 	}
-	sess := h.submit(s, bottles, homes)
-	if sess == nil {
-		return
-	}
-	h.sessions = append(h.sessions, &migSession{key: key, shard: s, sess: sess, born: t})
+	h.sessions = append(h.sessions, ms)
 	h.res.Submitted++
-	h.h.event("t%d submit %s shard%d home=%d", t, key, s, sess.Home)
+	h.h.event("t%d submit %s shard%d home=%d", t, key, s, ms.sess.Home)
 }
 
-// pumpClients advances every arbiter and classifies fresh grants: a
-// grant on a fenced or re-placed key is released before the client sees
-// it (the router's post-grant check); the rest become client-visible
-// holds and feed the sensors. The Unfenced control skips the check —
-// that is the whole point of the control.
+// pumpClients pumps every core and turns each fresh grant into a lease,
+// then applies the router's post-grant check (coord.Placed): a lease on
+// a fenced or re-placed key is released before the client sees it; the
+// rest become client-visible holds and feed the sensors. The Unfenced
+// control skips the check — that is the whole point of the control.
 func (h *migHarness) pumpClients(t int) {
-	for s, arb := range h.arbs {
-		for _, g := range h.pump(s) {
-			var ms *migSession
-			for _, c := range h.sessions {
-				if c.sess == g && !c.done {
-					ms = c
-					break
-				}
-			}
-			if ms == nil {
-				continue
-			}
-			cur, _ := h.ring.Lookup(ms.key)
-			if !h.cfg.Unfenced && (h.fence(ms.key, t) != nil || cur != ms.shard) {
-				arb.Release(ms.sess)
-				ms.done = true
-				h.res.Bounced++
-				h.h.event("t%d bounce %s shard%d (placed shard%d)", t, ms.key, ms.shard, cur)
-				continue
-			}
-			ms.granted = true
-			ms.release = t + 1 + h.src.Intn(h.cfg.MaxHoldRounds)
-			h.res.Granted++
-			h.sketches[ms.shard].Observe(ms.key, 1)
-			h.loads[ms.shard]++
-			h.h.event("t%d grant %s shard%d hold=%d", t, ms.key, ms.shard, ms.release-t)
+	for _, core := range h.cores {
+		core.Pump()
+	}
+	migrating := func(key string) *coord.Migration { return h.fence(key, t) }
+	for _, ms := range h.sessions {
+		if ms.done || !ms.granted() {
+			continue
 		}
+		ms.lease(0)
+		if !h.cfg.Unfenced && !coord.Placed(ms.keys, ms.shard, int64(t), h.ring.Lookup, migrating) {
+			ms.end()
+			h.res.Bounced++
+			cur, _ := h.ring.Lookup(ms.keys[0])
+			h.h.event("t%d bounce %s shard%d (placed shard%d)", t, ms.keys[0], ms.shard, cur)
+			continue
+		}
+		ms.release = t + 1 + h.src.Intn(h.cfg.MaxHoldRounds)
+		h.res.Granted++
+		h.sketches[ms.shard].Observe(ms.keys[0], 1)
+		h.loads[ms.shard]++
+		h.h.event("t%d grant %s shard%d hold=%d", t, ms.keys[0], ms.shard, ms.release-t)
 	}
 }
 
 // checkDualGrants is the cross-epoch exclusion oracle: after the
-// post-grant checks, no key may be client-visibly granted on two
-// shards in the same round.
+// post-grant checks, no key may be leased on two shards in the same
+// round.
 func (h *migHarness) checkDualGrants(t int) {
-	byKey := make(map[string]int) // key -> first shard seen holding it
-	for _, ms := range h.sessions {
-		if ms.done || !ms.granted {
-			continue
+	for _, key := range h.keys {
+		first := -1
+		for s, core := range h.cores {
+			if core.LeasesOn(key) == 0 {
+				continue
+			}
+			if first >= 0 {
+				record(&h.res.DualGrants, "t%d: key %s granted on shards %d and %d", t, key, first, s)
+				break
+			}
+			first = s
 		}
-		if prev, ok := byKey[ms.key]; ok && prev != ms.shard {
-			record(&h.res.DualGrants, "t%d: key %s granted on shards %d and %d", t, ms.key, prev, ms.shard)
-			continue
-		}
-		byKey[ms.key] = ms.shard
 	}
 }
 
@@ -510,14 +455,10 @@ func (h *migHarness) finish() *MigrateResult {
 	for _, ms := range h.sessions {
 		if !ms.done && rounds-ms.born >= budget {
 			record(&res.LostWaiters, "client for %s on shard %d born t%d never terminated in %d rounds",
-				ms.key, ms.shard, ms.born, rounds-ms.born)
+				ms.keys[0], ms.shard, ms.born, rounds-ms.born)
 		}
 	}
-	for _, ms := range h.sessions {
-		if !ms.done {
-			h.end(rounds, ms, "drain", &res.Canceled)
-		}
-	}
+	drain(h.sessions, &res.Released, &res.Canceled)
 	res.Generation = h.ring.Generation()
 	res.ClusterResult = h.cluster.finish()
 	return res
@@ -556,12 +497,14 @@ func SweepMigrateAdversarial(g *graph.Graph, seed int64, rounds, shards, moves i
 // SweepMigrateChaos is the crash-during-migration campaign: each shard
 // draws kills (some malicious) with clean-or-garbage restarts while
 // the migration plan runs — restarts fence leases mid-drain, and the
-// oracles must hold through both. Holds are long against a tight
-// drain budget, so the sweep exercises the drain-timeout abort path
-// alongside commits.
+// oracles must hold through both. A killed worker is restarted 1–4
+// rounds later, as promptly as a supervisor would, so a restart lands
+// while leases the worker granted are still held. Holds are long
+// against a tight drain budget, so the sweep exercises the
+// drain-timeout abort path alongside commits.
 func SweepMigrateChaos(g *graph.Graph, seed int64, rounds, shards, moves, kills int, trace bool) *MigrateResult {
 	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
-	c.crashCampaign(kills, rounds/2, 6, 8, 16)
+	c.crashCampaign(kills, rounds/2, 6, 1, 4)
 	return RunMigrate(MigrateConfig{
 		ClusterConfig: c,
 		MaxHoldRounds: 8,

@@ -31,7 +31,10 @@ type ServiceConfig struct {
 	// is submitted at a drawn home node (default 60).
 	SubmitPercent int
 	// MaxHoldRounds bounds how long a granted session is held before
-	// release (default 3).
+	// release (default 4: the core's home choice spreads single-lock
+	// clients over both ends of their edge, and shorter holds leave too
+	// little contention at both ends for the starvation oracle to see a
+	// demand-blind surrender).
 	MaxHoldRounds int
 	// QueueLimit is the arbiter's per-node queue capacity (default 8).
 	QueueLimit int
@@ -60,7 +63,8 @@ type ServiceResult struct {
 
 // Failed reports whether the run violated any checked property.
 func (r *ServiceResult) Failed() bool {
-	return len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0 || len(r.StarvationViolations) > 0
+	return len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0 || len(r.StarvationViolations) > 0 ||
+		len(r.LeaseViolations) > 0
 }
 
 // overtaking is the service run's starvation check. Meals are rationed
@@ -117,17 +121,11 @@ func (o *overtaking) tap(arb *drinkers.Arbiter) {
 	}
 }
 
-// grantedSession tracks a live grant until its scheduled release round.
-type grantedSession struct {
-	s       *drinkers.Session
-	release int
-}
-
-// RunService executes one deterministic lock-service run. Each round,
-// after the diners substrate steps: due grants are released, a workload
-// draw may submit (or cancel) a session, and the arbiter advances by
-// lockservice.PumpStep — the very step the Server runs on its
-// network's event loop and after every arbiter change.
+// RunService executes one deterministic lock-service run over a
+// lockservice.ShardCore, the Server's lease lifecycle. Each round, after
+// the diners substrate steps: clients whose hold ended release, a
+// workload draw may submit a client (or withdraw a queued one), the core
+// pumps, and every client whose session was granted takes its lease.
 //
 // The step's eating oracle excludes dead and departed nodes but trusts
 // the published state of a node inside a malicious window: a server
@@ -139,7 +137,7 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 		cfg.SubmitPercent = 60
 	}
 	if cfg.MaxHoldRounds <= 0 {
-		cfg.MaxHoldRounds = 3
+		cfg.MaxHoldRounds = 4
 	}
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 8
@@ -157,85 +155,71 @@ func RunService(cfg ServiceConfig) *ServiceResult {
 		Source:    cfg.Source,
 	})
 	r.boot()
-	arb := drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit)
 	hist := lockservice.NewHistory()
-	hist.Tap(arb)
+	core := r.attach(0, cfg.QueueLimit, hist)
 	nw := r.d.Network()
-	lockservice.Couple(arb, nw)
 	g := cfg.Graph
 	passed := &overtaking{g: g, nw: nw}
-	passed.tap(arb)
+	passed.tap(core.Arbiter())
 
 	res := &ServiceResult{}
-	var live []grantedSession
-	var pendingSubs []*drinkers.Session
+	var clients []*client // in submit order
 	for t := 0; t < r.cfg.Rounds; t++ {
 		r.fairRound(t)
 		passed.round = t
-		// Release grants whose hold expired.
-		kept := live[:0]
-		for _, gs := range live {
-			if gs.release <= t {
-				arb.Release(gs.s)
+		var queued []*client
+		for _, c := range clients {
+			switch {
+			case c.done:
+			case c.id == "":
+				queued = append(queued, c)
+			case c.release <= t:
+				c.end()
 				res.Released++
-				r.event("t%d release home=%d", t, gs.s.Home)
-				continue
+				r.event("t%d release home=%d", t, c.sess.Home)
 			}
-			kept = append(kept, gs)
 		}
-		live = kept
-		// Workload draw: usually submit, occasionally cancel a pending
-		// session (both decisions and all parameters from the source).
+		// Workload draw: usually submit, occasionally withdraw a queued
+		// client (both decisions and all parameters from the source).
 		if r.src.Intn(100) < cfg.SubmitPercent {
 			home := graph.ProcID(r.src.Intn(g.N()))
 			incident := g.IncidentEdgeIndices(home)
 			want := 1 + r.src.Intn(len(incident))
-			bottles := make([]int, 0, want)
+			keys := make([]string, 0, want)
 			for _, i := range perm(r.src, len(incident))[:want] {
-				bottles = append(bottles, incident[i])
+				keys = append(keys, lockservice.EdgeName(g.Edges()[incident[i]]))
 			}
-			if s, err := arb.Submit(home, bottles); err == nil {
-				pendingSubs = append(pendingSubs, s)
+			if c := r.submit(keys, 0, t); c != nil {
+				clients = append(clients, c)
 				res.Submitted++
-				r.event("t%d submit home=%d bottles=%v", t, home, bottles)
+				r.event("t%d submit home=%d bottles=%v", t, c.sess.Home, c.sess.Bottles)
 			}
-		} else if len(pendingSubs) > 0 && r.src.Intn(4) == 0 {
-			i := r.src.Intn(len(pendingSubs))
-			if arb.Cancel(pendingSubs[i]) {
-				res.Canceled++
-				r.event("t%d cancel home=%d", t, pendingSubs[i].Home)
-			}
-			pendingSubs = append(pendingSubs[:i], pendingSubs[i+1:]...)
-		}
-		// Advance the arbiter and schedule holds for its grants.
-		for _, s := range lockservice.PumpStep(arb, nw) {
-			res.Granted++
-			hold := 1 + r.src.Intn(cfg.MaxHoldRounds)
-			live = append(live, grantedSession{s: s, release: t + hold})
-			r.event("t%d grant home=%d bottles=%v hold=%d", t, s.Home, s.Bottles, hold)
-			for i, ps := range pendingSubs {
-				if ps == s {
-					pendingSubs = append(pendingSubs[:i], pendingSubs[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	// Shutdown drain: release live grants, cancel still-pending queue
-	// entries, so every submitted session has a recorded end.
-	for _, gs := range live {
-		arb.Release(gs.s)
-		res.Released++
-	}
-	for _, s := range pendingSubs {
-		if arb.Cancel(s) {
+		} else if len(queued) > 0 && r.src.Intn(4) == 0 {
+			c := queued[r.src.Intn(len(queued))]
+			c.end()
 			res.Canceled++
+			r.event("t%d cancel home=%d", t, c.sess.Home)
+		}
+		core.Pump()
+		for _, c := range clients {
+			if c.done || !c.granted() {
+				continue
+			}
+			hold := 1 + r.src.Intn(cfg.MaxHoldRounds)
+			c.lease(0)
+			c.release = t + hold
+			res.Granted++
+			r.event("t%d grant home=%d bottles=%v hold=%d", t, c.sess.Home, c.sess.Bottles, hold)
 		}
 	}
+	// Shutdown drain: release live grants, withdraw still-queued clients,
+	// so every submitted session has a recorded end.
+	drain(clients, &res.Released, &res.Canceled)
+	r.drained()
 	r.baseline = nil // demand-driven hunger invalidates the locality oracle
 	res.Result = r.finish(true, r.cfg.Rounds)
 	res.HistoryViolations = hist.Check(g)
 	res.StarvationViolations = passed.found
-	res.AtHand, res.Surrendered = int(arb.AtHandGrants()), int(arb.SurrenderedGrants())
+	res.AtHand, res.Surrendered = int(core.Arbiter().AtHandGrants()), int(core.Arbiter().SurrenderedGrants())
 	return res
 }

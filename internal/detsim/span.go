@@ -3,17 +3,20 @@
 // diners shards advances under one schedule Source while this harness
 // plays the Router's part of the driver: it decomposes drawn key sets by
 // ring placement, walks coord.Ascending parts, and executes whatever the
-// machine asks for — a sub-acquire is a session queued at the shard's
-// arbiter and polled each round, a renew is a check and extension of the
-// sub-lease's deadline in rounds, a release frees the session. What is
-// the harness's own: the workload, the ring-churn, migration and node
-// fault plans, the model of the server side of a sub-lease (its TTL, its
-// janitor, node fences), and the oracles. The spanOracle asserts the
-// property the protocol owes its clients: no schedule, fault plan, or
-// ring-churn plan may ever surface a partially committed span.
+// machine asks for against each shard's lockservice.ShardCore — a
+// sub-acquire is a session queued there and polled each round until it
+// becomes a lease, a refresh or commit renews that lease, a release
+// releases it. The server side of a sub-lease (its TTL, its janitor,
+// node fences) is the core's, on the runner's virtual clock. What is the
+// harness's own: the workload, the ring-churn, migration and node fault
+// plans, and the oracles, which assert the property the protocol owes
+// its clients: no schedule, fault plan, or ring-churn plan may ever
+// surface a partially committed span.
 package detsim
 
 import (
+	"time"
+
 	"mcdp/internal/coord"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
@@ -41,10 +44,13 @@ type SpanConfig struct {
 	// the sub-acquire gives up (default 25).
 	AcquireRounds int
 	// PrepareRounds is the prepare-lease budget in rounds: an early
-	// grant not refreshed within this many rounds expires server-side —
-	// the round-domain twin of RouterConfig.PrepareTTL (default 20).
+	// grant is leased for PrepareRounds round times, and one not
+	// refreshed within them expires server-side — the round-domain twin
+	// of RouterConfig.PrepareTTL (default 20).
 	PrepareRounds int
-	// MaxHoldRounds bounds how long a committed span is held (default 3).
+	// MaxHoldRounds bounds how long a committed span is held (default 8:
+	// parts at hand are granted inside the acquire, as the Router's are,
+	// so only long holds leave spans waiting and in flight).
 	MaxHoldRounds int
 	// RingChurn is the ring-membership plan.
 	RingChurn []RingChurn
@@ -92,25 +98,18 @@ type SpanResult struct {
 func (r *SpanResult) Failed() bool {
 	return len(r.PartialCommits) > 0 || len(r.OverlapViolations) > 0 ||
 		len(r.OrphanedSpans) > 0 || len(r.SafetyViolations) > 0 ||
-		len(r.HistoryViolations) > 0
+		len(r.HistoryViolations) > 0 || len(r.LeaseViolations) > 0
 }
 
-// simSpan is one span: its ascending parts mapped onto their shards'
-// arbiters, the protocol machine, and the driver-side state of each
-// sub-lease.
+// simSpan is one span: its ascending parts, the protocol machine, and
+// each part's sub-acquire — its session, then its sub-lease.
 type simSpan struct {
-	id      int
-	keys    []string
-	parts   []coord.Part
-	bottles [][]int
-	homes   [][]graph.ProcID
-	m       coord.Span
-	gen0    uint64 // ring generation the parts were resolved under
-	sess    []*drinkers.Session
-	// lease[i] is the round at which part i's sub-lease expires on its
-	// shard: set at grant, extended by every refresh, cut to "now" by a
-	// node fence.
-	lease       []int
+	id          int
+	keys        []string
+	parts       []coord.Part
+	m           coord.Span
+	gen0        uint64    // ring generation the parts were resolved under
+	subs        []*client // each part's sub-acquire, once submitted
 	submitRound int
 	born        int
 	committed   bool
@@ -129,6 +128,7 @@ var spanDone = (*coord.Span).Done
 type spanHarness struct {
 	*cluster
 	cfg   SpanConfig
+	prep  time.Duration // the prepare-lease TTL: PrepareRounds round times
 	spans []*simSpan
 	res   *SpanResult
 }
@@ -156,30 +156,29 @@ func newSpanHarness(cfg SpanConfig) *spanHarness {
 		cfg.PrepareRounds = 20
 	}
 	if cfg.MaxHoldRounds <= 0 {
-		cfg.MaxHoldRounds = 3
+		cfg.MaxHoldRounds = 8
 	}
 	c := newCluster(cfg.ClusterConfig, "span")
 	cfg.ClusterConfig = c.cfg
 	return &spanHarness{
 		cluster: c,
 		cfg:     cfg,
+		prep:    time.Duration(cfg.PrepareRounds) * roundTime,
 		res:     &SpanResult{},
 	}
 }
 
-// round advances every shard one lockstep round, applies ring churn
-// and sub-lease fencing, steps each span's driver, and draws new
-// workload.
+// round advances every shard one lockstep round (node fences and the
+// janitor run inside it), applies ring churn, steps each span's driver,
+// and draws new workload.
 func (h *spanHarness) round(t int) {
 	h.advance(t)
 	h.applyRingChurn(t)
 	h.applyMigrations(t)
-	h.fencedNodes(t, func(s int, node graph.ProcID) { h.fence(t, s, node) })
-	for s := range h.arbs {
-		h.pump(s)
+	for _, core := range h.cores {
+		core.Pump()
 	}
 	for _, sp := range h.spans {
-		h.expireLeases(t, sp)
 		h.stepSpan(t, sp)
 	}
 	h.drawWorkload(t)
@@ -266,47 +265,6 @@ func (h *spanHarness) fenceRemapped(t int) {
 	}
 }
 
-// fence is Server.fenceLeases seen from the spans: a node restart or
-// membership leave inside shard s revokes the sub-leases homed there. A
-// span still collecting prepares finds out the way the Router does — at
-// its next refresh or at commit; a committed one is torn down at once
-// (production detects it on the client's next renew and releases the
-// survivors), because holding the other parts would be exactly the
-// partial commit the protocol forbids.
-func (h *spanHarness) fence(t, s int, node graph.ProcID) {
-	for _, sp := range h.spans {
-		if sp.done || sp.mustAbort {
-			continue
-		}
-		for i := 0; i < sp.m.Held(); i++ {
-			if sp.parts[i].Shard == s && sp.sess[i].Home == node {
-				if sp.committed {
-					sp.mustAbort = true
-				} else if sp.lease[i] > t {
-					sp.lease[i] = t
-				}
-				h.displace(t, sp)
-				h.h.event("t%d span%d fenced at shard %d node %d", t, sp.id, s, node)
-				break
-			}
-		}
-	}
-}
-
-// expireLeases is each shard's janitor: a prepare whose deadline passed
-// is gone — its session is released and somebody else may be granted
-// its keys.
-func (h *spanHarness) expireLeases(t int, sp *simSpan) {
-	if sp.done || sp.committed {
-		return
-	}
-	for i := 0; i < sp.m.Held(); i++ {
-		if sp.lease[i] <= t && h.arbs[sp.parts[i].Shard].Release(sp.sess[i]) {
-			h.h.event("t%d span%d prepare on shard %d expired", t, sp.id, sp.parts[i].Shard)
-		}
-	}
-}
-
 // stepSpan polls one span for a round. An uncommitted live span is
 // always waiting on the sub-acquire the machine last asked for: every
 // other action completes within settle.
@@ -316,11 +274,19 @@ func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	}
 	if sp.committed {
 		// The hold is the client's: release when it ends, or at once when
-		// a committed part was fenced or displaced. All-or-nothing is
-		// preserved by tearing the span down, not by keeping it.
+		// a part was displaced or is gone — a node fence revoked it, found
+		// as production finds it on the client's next renew. All-or-nothing
+		// is preserved by tearing the span down, not by keeping it.
+		for _, cl := range sp.subs {
+			if !cl.live() && !sp.mustAbort {
+				sp.mustAbort = true
+				h.displace(t, sp)
+				h.h.event("t%d span%d lost its lease on shard %d", t, sp.id, cl.shard)
+			}
+		}
 		if sp.mustAbort || sp.releaseAt <= t {
-			for i := range sp.parts {
-				h.arbs[sp.parts[i].Shard].Release(sp.sess[i])
+			for _, cl := range sp.subs {
+				cl.end()
 			}
 			sp.done = true
 			if sp.mustAbort {
@@ -334,13 +300,11 @@ func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 		return
 	}
 	k := sp.m.Next().Part
-	switch status := h.arbs[sp.parts[k].Shard].Status(sp.sess[k]); {
+	switch status := sp.subs[k].rn.core.Arbiter().Status(sp.subs[k].sess); {
 	case sp.mustAbort:
 		h.failPrepare(t, sp, "displaced")
 	case status == drinkers.Drinking:
-		sp.lease[k] = t + h.cfg.PrepareRounds
-		h.h.event("t%d span%d part%d granted", t, sp.id, k)
-		h.settle(t, sp, spanDone(&sp.m, true))
+		h.settle(t, sp, h.granted(t, sp, k))
 	case status == drinkers.Done:
 		// Canceled or released out from under us — cannot happen from
 		// this coordinator; treat as a lost sub-session.
@@ -350,13 +314,19 @@ func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	}
 }
 
-// failPrepare withdraws the pending sub-acquire — a grant cannot be
-// canceled, only released — and reports the failure to the machine.
+// granted turns part k's granted session into its prepare sub-lease and
+// reports the success to the machine.
+func (h *spanHarness) granted(t int, sp *simSpan, k int) coord.SpanAction {
+	sp.subs[k].lease(h.prep)
+	h.h.event("t%d span%d part%d granted", t, sp.id, k)
+	return spanDone(&sp.m, true)
+}
+
+// failPrepare withdraws the pending sub-acquire and reports the failure
+// to the machine.
 func (h *spanHarness) failPrepare(t int, sp *simSpan, why string) {
 	k := sp.m.Next().Part
-	if arb := h.arbs[sp.parts[k].Shard]; !arb.Cancel(sp.sess[k]) {
-		arb.Release(sp.sess[k])
-	}
+	sp.subs[k].end()
 	h.h.event("t%d span%d part%d on shard %d failed: %s", t, sp.id, k, sp.parts[k].Shard, why)
 	h.settle(t, sp, spanDone(&sp.m, false))
 }
@@ -369,17 +339,20 @@ func (h *spanHarness) settle(t int, sp *simSpan, act coord.SpanAction) {
 		switch act.Op {
 		case coord.SpanPrepare:
 			h.checkRefreshed(t, sp)
-			pt := sp.parts[act.Part]
-			if sp.sess[act.Part] = h.submit(pt.Shard, sp.bottles[act.Part], sp.homes[act.Part]); sp.sess[act.Part] != nil {
-				sp.submitRound = t
-				h.h.event("t%d span%d submit part%d shard%d home=%d", t, sp.id, act.Part, pt.Shard, sp.sess[act.Part].Home)
+			k, pt := act.Part, sp.parts[act.Part]
+			if sp.subs[k] = h.runners[pt.Shard].submit(pt.Keys, pt.Shard, t); sp.subs[k] == nil {
+				ok = false
+				break
+			}
+			sp.submitRound = t
+			h.h.event("t%d span%d submit part%d shard%d home=%d", t, sp.id, k, pt.Shard, sp.subs[k].sess.Home)
+			if !sp.subs[k].granted() { // not at hand: polled by stepSpan
 				return
 			}
-			ok = false
+			act = h.granted(t, sp, k)
+			continue
 		case coord.SpanRefresh:
-			if ok = sp.lease[act.Part] > t; ok {
-				sp.lease[act.Part] = t + h.cfg.PrepareRounds
-			}
+			ok = sp.subs[act.Part].renew(h.prep)
 		case coord.SpanEpoch:
 			h.checkRefreshed(t, sp)
 			ok = h.ring.Generation() == sp.gen0
@@ -388,9 +361,9 @@ func (h *spanHarness) settle(t int, sp *simSpan, act coord.SpanAction) {
 				ok = ok && h.placed(pt.Keys, pt.Shard)
 			}
 		case coord.SpanCommit:
-			ok = sp.lease[act.Part] > t
+			ok = sp.subs[act.Part].renew(0) // the client's TTL: the default
 		case coord.SpanRelease:
-			h.arbs[sp.parts[act.Part].Shard].Release(sp.sess[act.Part])
+			sp.subs[act.Part].end()
 		case coord.SpanCommitted:
 			h.commit(t, sp)
 			return
@@ -410,22 +383,23 @@ func (h *spanHarness) settle(t int, sp *simSpan, act coord.SpanAction) {
 // full prepare budget, or a prepare has to outlive more than ONE
 // shard's wait — the bound PrepareRounds is sized for.
 func (h *spanHarness) checkRefreshed(t int, sp *simSpan) {
-	for i := 0; i < sp.m.Held(); i++ {
-		if sp.lease[i] != t+h.cfg.PrepareRounds {
-			record(&h.res.OrphanedSpans, "t%d: span %d moved on with the prepare on shard %d expiring at t%d, not refreshed to t%d",
-				t, sp.id, sp.parts[i].Shard, sp.lease[i], t+h.cfg.PrepareRounds)
+	for _, cl := range sp.subs[:sp.m.Held()] {
+		want := cl.rn.vnow.Add(h.prep)
+		if dl, ok := cl.rn.core.Deadline(cl.id); !ok || !dl.Equal(want) {
+			record(&h.res.OrphanedSpans, "t%d: span %d moved on with the prepare on shard %d expiring at %v, not refreshed to %v",
+				t, sp.id, cl.shard, dl, want)
 		}
 	}
 }
 
 // commit records a committed span's hold — and first runs the
-// partial-commit oracle: at this instant every part's session must
-// actually hold its bottles.
+// partial-commit oracle: at this instant every part's sub-lease must be
+// live and its session actually hold its bottles.
 func (h *spanHarness) commit(t int, sp *simSpan) {
-	for i := range sp.parts {
-		if h.arbs[sp.parts[i].Shard].Status(sp.sess[i]) != drinkers.Drinking {
+	for i, cl := range sp.subs {
+		if !cl.live() || cl.rn.core.Arbiter().Status(cl.sess) != drinkers.Drinking {
 			record(&h.res.PartialCommits, "t%d: span %d committed while part %d (shard %d) was not held",
-				t, sp.id, i, sp.parts[i].Shard)
+				t, sp.id, i, cl.shard)
 		}
 	}
 	sp.committed = true
@@ -473,16 +447,12 @@ func (h *spanHarness) drawWorkload(t int) {
 		parts:       coord.Ascending(parts),
 		m:           coord.NewSpan(len(parts)),
 		gen0:        h.ring.Generation(),
-		bottles:     make([][]int, len(parts)),
-		homes:       make([][]graph.ProcID, len(parts)),
-		sess:        make([]*drinkers.Session, len(parts)),
-		lease:       make([]int, len(parts)),
+		subs:        make([]*client, len(parts)),
 		born:        t,
 		displacedAt: -1,
 	}
-	for i, pt := range sp.parts {
-		var err error
-		if sp.bottles[i], sp.homes[i], err = h.mapper.MapSession(pt.Keys); err != nil {
+	for _, pt := range sp.parts {
+		if _, _, err := h.cores[pt.Shard].Mapper().MapSession(pt.Keys); err != nil {
 			return // part unmappable within its shard: skip the draw
 		}
 	}
@@ -527,8 +497,8 @@ func (h *spanHarness) finish() *SpanResult {
 			h.failPrepare(rounds, sp, "shutdown drain")
 			continue
 		}
-		for i := range sp.parts {
-			h.arbs[sp.parts[i].Shard].Release(sp.sess[i])
+		for _, cl := range sp.subs {
+			cl.end()
 		}
 		sp.done = true
 	}

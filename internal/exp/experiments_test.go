@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -10,6 +12,26 @@ import (
 // who wins, what is bounded, what diverges — not absolute numbers.
 
 func seeds2() []int64 { return []int64{1, 2} }
+
+// suiteIDs are the quick suite's experiment IDs, in index order.
+var suiteIDs = []string{"E1", "E1b", "E2", "E2b", "E3", "E4", "E4b", "E5", "E5b", "E6", "E7", "E8", "E8b", "E9", "E10a", "E10b", "E10c", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "F1/F2"}
+
+// quickSuite is the quick suite with every experiment computed at most
+// once per test binary, on first use: each shape test asserts on its own
+// experiment's result, and TestRunSuiteQuickProducesAllExperiments on
+// all of them. Each experiment runs with its shape test's parameters —
+// seeds2() and the quick sizes, and E2 over three seeds.
+var quickSuite = func() []func() Result {
+	exps := experiments(SuiteOptions{Seeds: seeds2(), Quick: true, MsgPassWall: 400 * time.Millisecond})
+	exps[slices.Index(suiteIDs, "E2")] = func() Result { return E2Stabilization([]int64{1, 2, 3}) }
+	for i, run := range exps {
+		exps[i] = sync.OnceValue(run)
+	}
+	return exps
+}()
+
+// quick returns experiment id's result from the quick suite.
+func quick(id string) Result { return quickSuite[slices.Index(suiteIDs, id)]() }
 
 // rows extracts the rendered table rows (after the separator line) as
 // whitespace-split cells.
@@ -23,7 +45,8 @@ func rows(r Result) [][]string {
 }
 
 func TestE1ShapeLocalityTwoVsUnbounded(t *testing.T) {
-	res := E1FailureLocality(seeds2(), []int{8, 16})
+	t.Parallel()
+	res := quick("E1")
 	for _, row := range rows(res) {
 		alg, n, radius := row[0], row[1], row[2]
 		switch alg {
@@ -41,7 +64,8 @@ func TestE1ShapeLocalityTwoVsUnbounded(t *testing.T) {
 }
 
 func TestE1bShapeMaliciousLocality(t *testing.T) {
-	res := E1bLocalityTopologies(seeds2())
+	t.Parallel()
+	res := quick("E1b")
 	for _, row := range rows(res) {
 		radius := row[3] // topology, victim, daemon, radius, count
 		if radius != "-1" && radius != "0" && radius != "1" && radius != "2" {
@@ -52,7 +76,8 @@ func TestE1bShapeMaliciousLocality(t *testing.T) {
 }
 
 func TestE2ShapeThresholdGap(t *testing.T) {
-	res := E2Stabilization([]int64{1, 2, 3})
+	t.Parallel()
+	res := quick("E2")
 	for _, row := range rows(res) {
 		topo, threshold, demand, converged := row[0], row[1], row[2], row[3]
 		if threshold == "n-1" && converged != "3" {
@@ -70,7 +95,8 @@ func TestE2ShapeThresholdGap(t *testing.T) {
 }
 
 func TestE3ShapeNoMonotonicityViolations(t *testing.T) {
-	res := E3Safety(seeds2())
+	t.Parallel()
+	res := quick("E3")
 	for _, row := range rows(res) {
 		if v := row[len(row)-1]; v != "0" {
 			t.Errorf("topology %s: %s monotonicity violations, want 0", row[0], v)
@@ -79,7 +105,8 @@ func TestE3ShapeNoMonotonicityViolations(t *testing.T) {
 }
 
 func TestE5ShapeDepthMachineryNecessity(t *testing.T) {
-	res := E5CycleBreaking(seeds2(), []int{4, 8})
+	t.Parallel()
+	res := quick("E5")
 	for _, row := range rows(res) {
 		alg, demand, recovered := row[0], row[1], row[3]
 		switch {
@@ -92,7 +119,8 @@ func TestE5ShapeDepthMachineryNecessity(t *testing.T) {
 }
 
 func TestE6ShapeBoundedRecovery(t *testing.T) {
-	res := E6MaliciousVsBenign(seeds2())
+	t.Parallel()
+	res := quick("E6")
 	rs := rows(res)
 	for _, row := range rs {
 		if row[1] != "2" {
@@ -106,7 +134,8 @@ func TestE6ShapeBoundedRecovery(t *testing.T) {
 }
 
 func TestE7ShapeMasking(t *testing.T) {
-	res := E7Masking(seeds2())
+	t.Parallel()
+	res := quick("E7")
 	for _, row := range rows(res) {
 		if row[1] != "0" {
 			t.Errorf("seed %s: %s relativized safety violations, want 0", row[0], row[1])
@@ -115,7 +144,8 @@ func TestE7ShapeMasking(t *testing.T) {
 }
 
 func TestE9ShapeExhaustiveVerdicts(t *testing.T) {
-	res := E9ModelCheck()
+	t.Parallel()
+	res := quick("E9")
 	for _, row := range rows(res) {
 		threshold := row[1]
 		check := strings.Join(row[2:len(row)-2], " ")
@@ -130,7 +160,8 @@ func TestE9ShapeExhaustiveVerdicts(t *testing.T) {
 }
 
 func TestE10ShapesAllRecover(t *testing.T) {
-	for _, res := range []Result{E10DepthChoice(seeds2()), E10DiameterOverestimate(seeds2())} {
+	t.Parallel()
+	for _, res := range []Result{quick("E10a"), quick("E10b")} {
 		for _, row := range rows(res) {
 			if row[1] != "2" {
 				t.Errorf("%s: row %v did not recover in all trials", res.ID, row)
@@ -140,7 +171,8 @@ func TestE10ShapesAllRecover(t *testing.T) {
 }
 
 func TestE10bRecoveryScalesWithThreshold(t *testing.T) {
-	res := E10DiameterOverestimate(seeds2())
+	t.Parallel()
+	res := quick("E10b")
 	rs := rows(res)
 	first := rs[0][2]
 	last := rs[len(rs)-1][2]
@@ -150,7 +182,8 @@ func TestE10bRecoveryScalesWithThreshold(t *testing.T) {
 }
 
 func TestE11ShapeOnlyMCDPInGoodQuadrant(t *testing.T) {
-	res := E11CapabilityMatrix(seeds2())
+	t.Parallel()
+	res := quick("E11")
 	for _, row := range rows(res) {
 		alg, local, stab := row[0], row[2], row[3]
 		wantLocal := map[string]string{"mcdp": "yes", "nodepth": "yes", "noyield": "NO", "hygienic": "NO"}[alg]
@@ -162,7 +195,8 @@ func TestE11ShapeOnlyMCDPInGoodQuadrant(t *testing.T) {
 }
 
 func TestE12ShapeUnlimitedFailures(t *testing.T) {
-	res := E12MultiCrash(seeds2())
+	t.Parallel()
+	res := quick("E12")
 	for _, row := range rows(res) {
 		outside, far := row[2], row[len(row)-1]
 		if outside != "0" {
@@ -175,7 +209,8 @@ func TestE12ShapeUnlimitedFailures(t *testing.T) {
 }
 
 func TestE13ShapeAllConverge(t *testing.T) {
-	res := E13ConvergenceScaling(seeds2())
+	t.Parallel()
+	res := quick("E13")
 	for _, row := range rows(res) {
 		// mean steps present and positive for every family/size.
 		if row[3] == "0" {
@@ -185,7 +220,8 @@ func TestE13ShapeAllConverge(t *testing.T) {
 }
 
 func TestE17ShapeAdversaryAchievesEverything(t *testing.T) {
-	res := E17OmniscientAdversary(seeds2())
+	t.Parallel()
+	res := quick("E17")
 	for _, row := range rows(res) {
 		achieved := row[len(row)-1]
 		if achieved != "2" {
@@ -195,7 +231,8 @@ func TestE17ShapeAdversaryAchievesEverything(t *testing.T) {
 }
 
 func TestE16ShapeZeroConflicts(t *testing.T) {
-	res := E16DrinkersInheritance(seeds2())
+	t.Parallel()
+	res := quick("E16")
 	for _, row := range rows(res) {
 		if row[2] != "0" {
 			t.Errorf("%s: %s conflicting sessions, want 0", row[0], row[2])
@@ -207,7 +244,8 @@ func TestE16ShapeZeroConflicts(t *testing.T) {
 }
 
 func TestE15ShapeNoFarViolationsDuringWindow(t *testing.T) {
-	res := E15MaskingGap(seeds2())
+	t.Parallel()
+	res := quick("E15")
 	for _, row := range rows(res) {
 		if row[1] != "0" {
 			t.Errorf("window %s: %s distance>=3 safety violations during the window, want 0",
@@ -217,7 +255,8 @@ func TestE15ShapeNoFarViolationsDuringWindow(t *testing.T) {
 }
 
 func TestE14ShapeRefinementPreservesLocality(t *testing.T) {
-	res := E14AtomicityRefinement(seeds2())
+	t.Parallel()
+	res := quick("E14")
 	for _, row := range rows(res) {
 		if row[1] != "register" {
 			continue
@@ -230,17 +269,17 @@ func TestE14ShapeRefinementPreservesLocality(t *testing.T) {
 }
 
 func TestRunSuiteQuickProducesAllExperiments(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full suite is slow")
 	}
-	results := RunSuite(SuiteOptions{Seeds: []int64{1, 2}, Quick: true, MsgPassWall: 400 * time.Millisecond})
-	wantIDs := []string{"E1", "E1b", "E2", "E2b", "E3", "E4", "E4b", "E5", "E5b", "E6", "E7", "E8", "E8b", "E9", "E10a", "E10b", "E10c", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "F1/F2"}
-	if len(results) != len(wantIDs) {
-		t.Fatalf("suite produced %d results, want %d", len(results), len(wantIDs))
+	if len(quickSuite) != len(suiteIDs) {
+		t.Fatalf("suite lists %d experiments, want %d", len(quickSuite), len(suiteIDs))
 	}
-	for i, r := range results {
-		if r.ID != wantIDs[i] {
-			t.Errorf("result %d has ID %q, want %q", i, r.ID, wantIDs[i])
+	for i, run := range quickSuite {
+		r := run()
+		if r.ID != suiteIDs[i] {
+			t.Errorf("result %d has ID %q, want %q", i, r.ID, suiteIDs[i])
 		}
 		if r.Table == nil || len(rows(r)) == 0 {
 			t.Errorf("%s has an empty table", r.ID)

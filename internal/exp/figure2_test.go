@@ -9,6 +9,7 @@ import (
 )
 
 func TestFigure2GraphShape(t *testing.T) {
+	t.Parallel()
 	g := Figure2Graph()
 	if g.N() != 7 {
 		t.Fatalf("Figure 2 graph has %d vertices, want 7", g.N())
@@ -22,6 +23,7 @@ func TestFigure2GraphShape(t *testing.T) {
 }
 
 func TestFigure2InitialClassification(t *testing.T) {
+	t.Parallel()
 	// In the first depicted state: a (dead), b, c are red; d is red too
 	// once it has left... initially d is HUNGRY with a red-hungry
 	// ancestor b — by RD's hungry rule d needs ancestors red AND
@@ -38,6 +40,7 @@ func TestFigure2InitialClassification(t *testing.T) {
 }
 
 func TestFigure2Storyline(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 		out := RunFigure2(seed, 20000)
 		if !out.Holds() {
@@ -52,6 +55,7 @@ func TestFigure2Storyline(t *testing.T) {
 }
 
 func TestFigure2StorylineManySeeds(t *testing.T) {
+	t.Parallel()
 	// Over a wide seed sweep the unconditional storyline always holds,
 	// whichever way the daemon lets the cycle dissolve.
 	for seed := int64(1); seed <= 200; seed++ {
@@ -63,6 +67,7 @@ func TestFigure2StorylineManySeeds(t *testing.T) {
 }
 
 func TestFigure2LocalityBoundary(t *testing.T) {
+	t.Parallel()
 	// d sits at distance 2 from the crashed a and must never be stuck in
 	// Hungry at the end (the dynamic threshold parks it Thinking); e at
 	// distance 3 eats.

@@ -22,6 +22,7 @@ import (
 //     distance 2 of the dead set;
 //   - the eating-pair count is monotone under I (Theorem 3).
 func TestSoakChaos(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("soak test is slow")
 	}

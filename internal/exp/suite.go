@@ -37,6 +37,20 @@ func QuickSuiteOptions() SuiteOptions {
 // RunSuite executes every experiment, stamping each result with its
 // wall time, and returns them in index order.
 func RunSuite(o SuiteOptions) []Result {
+	exps := experiments(o)
+	results := make([]Result, 0, len(exps))
+	for _, run := range exps {
+		start := time.Now()
+		r := run()
+		r.Elapsed = time.Since(start)
+		results = append(results, r)
+	}
+	return results
+}
+
+// experiments lists the suite's experiments in index order, each bound
+// to its share of o.
+func experiments(o SuiteOptions) []func() Result {
 	sizes := []int{8, 16, 32, 64}
 	e4sizes := []int{6, 12, 24}
 	e5sizes := []int{4, 6, 8, 12}
@@ -45,7 +59,7 @@ func RunSuite(o SuiteOptions) []Result {
 		e4sizes = []int{6, 12}
 		e5sizes = []int{4, 8}
 	}
-	experiments := []func() Result{
+	return []func() Result{
 		func() Result { return E1FailureLocality(o.Seeds, sizes) },
 		func() Result { return E1bLocalityTopologies(o.Seeds) },
 		func() Result { return E2Stabilization(o.Seeds) },
@@ -72,14 +86,6 @@ func RunSuite(o SuiteOptions) []Result {
 		func() Result { return E17OmniscientAdversary(o.Seeds[:min(3, len(o.Seeds))]) },
 		func() Result { return FigureIndex(o.Seeds) },
 	}
-	results := make([]Result, 0, len(experiments))
-	for _, run := range experiments {
-		start := time.Now()
-		r := run()
-		r.Elapsed = time.Since(start)
-		results = append(results, r)
-	}
-	return results
 }
 
 // FigureIndex reports the paper-artifact reproductions (Figures 1 and 2).

@@ -158,7 +158,7 @@ type MembershipResponse struct {
 // Status assembles the current status report.
 func (s *Server) Status() StatusReport {
 	table := s.nw.Table()
-	depths := s.arb.QueueDepths()
+	depths := s.core.arb.QueueDepths()
 	rep := StatusReport{
 		Topology: s.g.String(),
 		ShardID:  s.cfg.ShardID,

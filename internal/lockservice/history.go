@@ -114,13 +114,6 @@ func (h *History) Events() []HistoryEvent {
 	return append([]HistoryEvent(nil), h.events...)
 }
 
-// Len returns the number of recorded events.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.events)
-}
-
 // Check verifies the recorded history against g's locks and returns all
 // violations found (nil means the history is clean). See CheckEvents.
 func (h *History) Check(g *graph.Graph) []string { return CheckEvents(g, h.Events()) }

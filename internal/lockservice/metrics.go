@@ -54,7 +54,7 @@ func (s *Server) families() []stats.Family {
 	m := s.metrics
 	perNode := func(f func(snap msgpass.Snapshot, queued int) int64) func() []float64 {
 		return func() []float64 {
-			table, depths := s.nw.Table(), s.arb.QueueDepths()
+			table, depths := s.nw.Table(), s.core.arb.QueueDepths()
 			out := make([]float64, len(table))
 			for p, snap := range table {
 				out[p] = float64(f(snap, depths[p]))
@@ -65,8 +65,8 @@ func (s *Server) families() []stats.Family {
 	return []stats.Family{
 		stats.Counter("dinerd_acquire_requests_total", "Acquire requests received.", m.AcquireRequests.Load),
 		stats.Counter("dinerd_grants_total", "Sessions granted.", m.Grants.Load),
-		stats.Counter("dinerd_grants_at_hand_total", "Sessions granted without a dining round: every lock was free and nobody across its edge asked for it — already at the home worker, or surrendered by the live worker across the edge.", s.arb.AtHandGrants),
-		stats.Counter("dinerd_bottles_surrendered_total", "Sessions granted without a dining round that took at least one lock surrendered by the live worker across its edge (a subset of dinerd_grants_at_hand_total).", s.arb.SurrenderedGrants),
+		stats.Counter("dinerd_grants_at_hand_total", "Sessions granted without a dining round: every lock was free and nobody across its edge asked for it — already at the home worker, or surrendered by the live worker across the edge.", s.core.arb.AtHandGrants),
+		stats.Counter("dinerd_bottles_surrendered_total", "Sessions granted without a dining round that took at least one lock surrendered by the live worker across its edge (a subset of dinerd_grants_at_hand_total).", s.core.arb.SurrenderedGrants),
 		stats.Counter("dinerd_releases_total", "Sessions released by clients.", m.Releases.Load),
 		stats.Counter("dinerd_lease_renewals_total", "Lease TTL extensions granted.", m.Renewals.Load),
 		stats.Counter("dinerd_lease_expirations_total", "Leases expired by the server-side TTL janitor.", m.Expirations.Load),
@@ -91,7 +91,7 @@ func (s *Server) families() []stats.Family {
 		stats.Counter("dinerd_faults_delayed_total", "Channel stalls injected by the chaos fault injector.", func() int64 { _, _, _, d := s.nw.FaultsInjected(); return d }),
 		stats.Gauge("dinerd_queue_depth", "Pending sessions across all worker queues.", func() float64 {
 			total := 0
-			for _, d := range s.arb.QueueDepths() {
+			for _, d := range s.core.arb.QueueDepths() {
 				total += d
 			}
 			return float64(total)

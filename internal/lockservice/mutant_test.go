@@ -1,0 +1,111 @@
+package lockservice_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"mcdp/internal/detsim"
+	"mcdp/internal/drinkers"
+	"mcdp/internal/graph"
+	"mcdp/internal/lockservice"
+)
+
+// haltMidGrant halts a server from its arbiter's OnGrant hook — between
+// a lone acquire's grant and its publication — and reports everything
+// that escaped the halt: the acquire must fail with ErrHalted, the tap
+// must see no grant, and the arbiter must hold nothing.
+func haltMidGrant(t *testing.T) (escaped []string) {
+	t.Helper()
+	s := lockservice.NewServer(lockservice.Config{Graph: graph.Grid(2, 2), Seed: 1, TickEvery: time.Hour})
+	var granted []string
+	s.SetLeaseTap(func(ev lockservice.LeaseEvent) {
+		if ev.Op == lockservice.ReplOpGrant {
+			granted = append(granted, ev.ID)
+		}
+	})
+	var sess *drinkers.Session
+	s.Arbiter().OnGrant = func(g *drinkers.Session) {
+		sess = g
+		s.Halt()
+	}
+	s.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		s.Stop(ctx)
+	}()
+	_, err := s.Acquire(context.Background(), []string{"edge:0-1"}, 0)
+	if !errors.Is(err, lockservice.ErrHalted) {
+		escaped = append(escaped, "acquire returned "+errString(err)+", want ErrHalted")
+	}
+	if len(granted) > 0 {
+		escaped = append(escaped, "the tap published grants "+granted[0])
+	}
+	if sess == nil {
+		t.Fatal("the acquire was never granted: nothing to halt in front of")
+	}
+	if st := s.Arbiter().Status(sess); st != drinkers.Done {
+		escaped = append(escaped, "the arbiter still holds the session")
+	}
+	return escaped
+}
+
+func errString(err error) string {
+	if err == nil {
+		return "a grant"
+	}
+	return err.Error()
+}
+
+// TestHaltBetweenGrantAndPublication: a Halt that lands after the
+// arbiter granted an acquire but before the grant was replicated
+// swallows it — no client and no standby ever sees it.
+func TestHaltBetweenGrantAndPublication(t *testing.T) {
+	if escaped := haltMidGrant(t); len(escaped) > 0 {
+		t.Fatalf("halt mid-grant leaked: %v", escaped)
+	}
+}
+
+// TestMutantGrantIgnoringHaltTripsHaltTest: without Acquire's
+// post-insert halt check, the halt test must see the grant escape.
+func TestMutantGrantIgnoringHaltTripsHaltTest(t *testing.T) {
+	restore := lockservice.MutateGrantIgnoresHalt()
+	escaped := haltMidGrant(t)
+	restore()
+	if len(escaped) == 0 {
+		t.Fatal("an acquire that publishes past a halt survived the halt test")
+	}
+}
+
+// TestMutantFenceSkippingGarbageRestartTripsLeaseOracle: a garbage
+// restart that fences nothing leaves leases live whose home runs a new
+// incarnation. detsim's migration chaos sweep drives the same ShardCore
+// the Server does, and its lease oracle must catch the mutant within 20
+// seeds — and stay quiet on those seeds with the fence in place. Every
+// worker of both shards is crashed and restarted once per run, so the
+// restarts meet held leases.
+func TestMutantFenceSkippingGarbageRestartTripsLeaseOracle(t *testing.T) {
+	run := func(seed int64) *detsim.MigrateResult {
+		return detsim.SweepMigrateChaos(graph.Grid(3, 3), seed, 180, 2, 3, 9, false)
+	}
+	const seeds = 20
+	killed := 0
+	for s := int64(0); s < seeds; s++ {
+		seed := 9_600_000 + s
+		if res := run(seed); res.Failed() {
+			t.Errorf("seed %d: the real fence failed: lease=%v history=%v dual=%v", seed, res.LeaseViolations, res.HistoryViolations, res.DualGrants)
+		}
+		restore := lockservice.MutateFenceSkipsGarbageRestart()
+		res := run(seed)
+		restore()
+		if len(res.LeaseViolations) > 0 {
+			killed++
+		}
+	}
+	t.Logf("garbage-restart fence mutant tripped the lease oracle on %d/%d seeds", killed, seeds)
+	if killed == 0 {
+		t.Fatalf("a restart that keeps the ended incarnation's leases survived %d migration chaos runs", seeds)
+	}
+}

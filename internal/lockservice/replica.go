@@ -286,7 +286,7 @@ func (rs *replicaSet) renew(sessionID string, ttl time.Duration) (time.Duration,
 // a migration's drain probe. Reads the serving primary, so a promotion
 // mid-drain is probed against the successor that adopted the leases.
 func (rs *replicaSet) leasesOn(resource string) int {
-	return rs.Primary().LeasesOn(resource)
+	return rs.Primary().core.LeasesOn(resource)
 }
 
 // noteSpan replicates a router span decision (prepare/commit/rollback)
@@ -362,7 +362,7 @@ func (rs *replicaSet) heartbeat() {
 		return
 	}
 	var us uint64
-	if dl := srv.maxLeaseDeadline(); !dl.IsZero() {
+	if dl := srv.core.maxLeaseDeadline(); !dl.IsZero() {
 		us = uint64(dl.UnixMicro())
 	}
 	for _, l := range links {

@@ -415,11 +415,3 @@ func (b *standby) snapshot() []LeaseEvent {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// Leases returns the number of leases in the shadow table (tests and
-// status).
-func (b *standby) Leases() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.table)
-}

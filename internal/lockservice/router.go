@@ -472,7 +472,7 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		// that fence must not reach the client — release it and bounce,
 		// exactly as if the client had routed under a stale generation.
 		// Steady state (generation unchanged) pays one atomic load.
-		if err == nil && r.generation() != cur && !r.stillPlaced(resources, home) {
+		if err == nil && r.generation() != cur && !r.stillPlaced(parts) {
 			_ = r.sets[home].release(g.SessionID)
 			r.metrics.MigrationFences.Add(1)
 			return nil, fmt.Errorf("%w: placement of %q moved mid-acquire", ErrWrongShard, resources[0])
@@ -485,28 +485,17 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 	return r.acquireSpan(ctx, resources, parts, ttl, cur)
 }
 
-// stillPlaced reports whether every resource still resolves to home
-// and none is fenced by an in-flight migration — the post-grant check
-// that makes a grant racing a migration fence invisible to clients.
-func (r *Router) stillPlaced(resources []string, home int) bool {
+// stillPlaced reports whether every part's keys still resolve to its
+// shard and none is fenced by an in-flight migration (coord.Placed) —
+// the post-grant check that makes a grant racing a migration fence
+// invisible to clients.
+func (r *Router) stillPlaced(parts []coord.Part) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
-	for _, res := range resources {
-		if r.fencedLocked(res, now) != nil {
-			return false
-		}
-		if s, ok := r.ring.Lookup(res); !ok || s != home {
-			return false
-		}
-	}
-	return true
-}
-
-// partsStillPlaced is stillPlaced for a span's decomposition.
-func (r *Router) partsStillPlaced(parts []coord.Part) bool {
+	migrating := func(res string) *coord.Migration { return r.migrating[res] }
 	for _, pt := range parts {
-		if !r.stillPlaced(pt.Keys, pt.Shard) {
+		if !coord.Placed(pt.Keys, pt.Shard, now, r.ring.Lookup, migrating) {
 			return false
 		}
 	}
@@ -545,7 +534,7 @@ func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []co
 			case coord.SpanEpoch:
 				ok = r.generation() == gen0
 			case coord.SpanPlacement:
-				ok = r.partsStillPlaced(parts)
+				ok = r.stillPlaced(parts)
 			case coord.SpanCommit:
 				if _, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, ttl); cause == nil {
 					r.sets[parts[act.Part].Shard].noteSpan(ReplOpSpanCommit, subs[act.Part].SessionID)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,29 +106,15 @@ type Grant struct {
 	Wait time.Duration
 }
 
-// lease is a live grant tracked for TTL expiry. home is the worker that
-// backed the grant, by its eating window or by having the bottles at
-// hand: when that worker restarts, the new incarnation's protocol state
-// no longer vouches for the lease, so RestartNode fences every lease
-// homed there.
-type lease struct {
-	id        string
-	sess      *drinkers.Session
-	resources []string
-	home      graph.ProcID
-	grantedAt time.Time
-	deadline  time.Time
-}
-
-// Server is the dinerd core: the msgpass diners network, the drinkers
-// session arbiter, and the lease bookkeeping — one in-process shard.
-// Create with NewServer, then Start; clients reach it through a Router,
-// which owns the HTTP and wire surfaces.
+// Server is one in-process shard: the wall-clock shell around its
+// ShardCore — the diners network's event loop, the lease janitor,
+// waits, drain, halt, metrics and the replication tap. Create with
+// NewServer, then Start; clients reach it through a Router, which owns
+// the HTTP and wire surfaces.
 type Server struct {
 	cfg     Config
 	g       *graph.Graph
-	mapper  *ResourceMapper
-	arb     *drinkers.Arbiter
+	core    *ShardCore
 	nw      *msgpass.Network
 	metrics *Metrics
 	fams    stats.Families
@@ -141,13 +124,11 @@ type Server struct {
 
 	eating []bool // per worker: last published live and Eating; OnSnapshot's own
 
-	mu       sync.Mutex        //lint:order rank lockservice 20
-	leases   map[string]*lease // guarded by mu
-	draining bool              // guarded by mu
-	started  bool              // guarded by mu
-	startAt  time.Time         // guarded by mu
+	mu       sync.Mutex //lint:order rank lockservice 20
+	draining bool       // guarded by mu
+	started  bool       // guarded by mu
+	startAt  time.Time  // guarded by mu
 
-	idCtr   atomic.Uint64
 	ringGen atomic.Uint64 // set by the Router on ring membership changes
 	halted  atomic.Bool   // fail-stop flag: set by Halt, never cleared
 	// adviseBackoff, when non-zero, overrides Supervise.BackoffBase —
@@ -162,8 +143,9 @@ type Server struct {
 	tap func(LeaseEvent)
 }
 
-// NewServer builds a server; it does not start any goroutines.
-func NewServer(cfg Config) *Server {
+// withDefaults fills in every unset field NewServer and NewShardCore
+// default.
+func (cfg Config) withDefaults() Config {
 	if cfg.Graph == nil {
 		cfg.Graph = DemoTopology()
 	}
@@ -179,18 +161,18 @@ func NewServer(cfg Config) *Server {
 	if cfg.DefaultTTL <= 0 {
 		cfg.DefaultTTL = 30 * time.Second
 	}
+	return cfg
+}
+
+// NewServer builds a server; it does not start any goroutines.
+func NewServer(cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		g:       cfg.Graph,
-		mapper:  NewResourceMapper(cfg.Graph),
-		arb:     drinkers.NewArbiter(cfg.Graph, cfg.QueueLimit),
 		metrics: NewMetrics(),
 		done:    make(chan struct{}),
 		eating:  make([]bool, cfg.Graph.N()),
-		leases:  make(map[string]*lease),
-	}
-	if cfg.History != nil {
-		cfg.History.Tap(s.arb)
 	}
 	hungry := make([]bool, cfg.Graph.N()) // nobody hungry until demand arrives
 	s.nw = msgpass.NewNetwork(msgpass.Config{
@@ -210,12 +192,12 @@ func NewServer(cfg Config) *Server {
 			// publishes of an open window have nothing new to offer.
 			eating := snap.State == core.Eating && !snap.Dead
 			if eating && !s.eating[p] {
-				PumpStep(s.arb, s.nw)
+				s.core.Pump()
 			}
 			s.eating[p] = eating
 		},
 	})
-	Couple(s.arb, s.nw)
+	s.core = NewShardCore(cfg, s.nw)
 	s.fams.Register(s.families()...)
 	return s
 }
@@ -224,7 +206,7 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Graph() *graph.Graph { return s.g }
 
 // Mapper returns the server's resource mapper.
-func (s *Server) Mapper() *ResourceMapper { return s.mapper }
+func (s *Server) Mapper() *ResourceMapper { return s.core.mapper }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -261,31 +243,16 @@ func (s *Server) janitor() {
 			return
 		case <-t.C:
 		}
-		now := time.Now()
-		s.mu.Lock()
-		var expired []*lease
-		for id, l := range s.leases {
-			if now.After(l.deadline) {
-				expired = append(expired, l)
-				delete(s.leases, id)
-			}
-		}
-		s.mu.Unlock()
-		// Map order must not reach the arbiter: release in lease-id order
-		// so expiry cascades replay identically run to run.
-		sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
-		for _, l := range expired {
-			s.arb.Release(l.sess)
+		for _, ev := range s.core.Expire(time.Now()) {
 			s.metrics.Expirations.Add(1)
-			PumpStep(s.arb, s.nw)
-			s.emit(LeaseEvent{Op: ReplOpExpire, ID: l.id})
+			s.emit(ev)
 		}
 	}
 }
 
 // Acquire blocks until the resource set is granted, the context or the
-// server's wait budget expires, or the server drains. ttl <= 0 uses the
-// configured default lease TTL.
+// server's wait budget expires, or the server drains. The lease lives
+// for ShardCore.TTL(ttl).
 //
 //lint:lease acquire
 func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Duration) (*Grant, error) {
@@ -300,7 +267,7 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		s.metrics.RejectedDraining.Add(1)
 		return nil, ErrDraining
 	}
-	sess, err := s.enqueue(resources)
+	sess, err := s.core.Enqueue(resources)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrUnmappable):
@@ -312,9 +279,8 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		}
 		return nil, err
 	}
-	home := sess.Home
 	start := time.Now()
-	if !s.serve(sess) {
+	if !s.core.Serve(sess) {
 		if err := s.await(ctx, sess); err != nil {
 			return nil, err
 		}
@@ -323,38 +289,27 @@ func (s *Server) Acquire(ctx context.Context, resources []string, ttl time.Durat
 	// the base of its deadline.
 	now := time.Now()
 	wait := now.Sub(start)
-	if ttl <= 0 {
-		ttl = s.cfg.DefaultTTL
-	}
-	l := &lease{
-		id:        leaseID(s.cfg.ShardID, s.idCtr.Add(1), home),
-		sess:      sess,
-		resources: append([]string(nil), resources...),
-		home:      home,
-		grantedAt: now,
-		deadline:  now.Add(ttl),
-	}
-	s.mu.Lock()
-	s.leases[l.id] = l
-	s.mu.Unlock()
-	if s.halted.Load() {
+	ev := s.core.Grant(sess, resources, ttl, now)
+	if haltedAfterGrant(s) {
 		// Halt landed between the grant and its publication: swallow the
 		// lease rather than hand out a grant the promoted successor never
-		// saw (the replication tap below has not run yet).
-		s.mu.Lock()
-		delete(s.leases, l.id)
-		s.mu.Unlock()
-		s.arb.Release(sess)
+		// saw (the replication tap below has not run yet). A lease the
+		// janitor took meanwhile is gone already.
+		_, _, _ = s.core.Release(ev.ID, now)
 		return nil, ErrHalted
 	}
 	// Replicate before the client sees the grant: any client-visible
 	// lease was offered to the standbys first (semi-synchronous taps
 	// block here until acked or degraded).
-	s.emit(LeaseEvent{Op: ReplOpGrant, ID: l.id, Resources: l.resources, Deadline: l.deadline})
+	s.emit(ev)
 	s.metrics.Grants.Add(1)
 	s.metrics.WaitHist.Observe(wait.Seconds())
-	return &Grant{SessionID: l.id, Node: home, Resources: l.resources, Wait: wait}, nil
+	return &Grant{SessionID: ev.ID, Node: sess.Home, Resources: ev.Resources, Wait: wait}, nil
 }
+
+// haltedAfterGrant is Acquire's post-insert halt check. The mutation
+// test swaps it for one that never sees the halt.
+var haltedAfterGrant = (*Server).Halted
 
 // await blocks until sess is granted, or gives it up — canceled, or
 // released if the grant won the race — when the context, the server's
@@ -373,7 +328,7 @@ func (s *Server) await(ctx context.Context, sess *drinkers.Session) error {
 	defer timer.Stop()
 
 	abort := func(reject *atomic.Int64, err error) error {
-		s.withdraw(sess)
+		s.core.Withdraw(sess)
 		reject.Add(1)
 		return err
 	}
@@ -389,16 +344,6 @@ func (s *Server) await(ctx context.Context, sess *drinkers.Session) error {
 	}
 }
 
-// withdraw gives up a session nobody will take: it is canceled, or
-// released if its grant won the race (nobody else will ever release it),
-// and the pump re-derives its home's hunger from what is still queued.
-func (s *Server) withdraw(sess *drinkers.Session) {
-	if !s.arb.Cancel(sess) {
-		s.arb.Release(sess)
-	}
-	PumpStep(s.arb, s.nw)
-}
-
 // Release ends the lease with the given session ID.
 //
 //lint:lease release
@@ -406,82 +351,36 @@ func (s *Server) Release(sessionID string) error {
 	if s.halted.Load() {
 		return ErrHalted
 	}
-	s.mu.Lock()
-	l, ok := s.leases[sessionID]
-	if ok {
-		delete(s.leases, sessionID)
+	ev, held, err := s.core.Release(sessionID, time.Now())
+	if err != nil {
+		return err
 	}
-	s.mu.Unlock()
-	if !ok {
-		return ErrNotFound
-	}
-	s.arb.Release(l.sess)
 	s.metrics.Releases.Add(1)
-	s.metrics.HoldHist.Observe(time.Since(l.grantedAt).Seconds())
-	PumpStep(s.arb, s.nw)
-	s.emit(LeaseEvent{Op: ReplOpRelease, ID: l.id})
+	s.metrics.HoldHist.Observe(held.Seconds())
+	s.emit(ev)
 	return nil
 }
 
-// Renew extends a live lease's TTL from now (ttl <= 0 uses the
-// configured default) and returns the granted lifetime. Renewing a
-// lease that has expired, been fenced, or was never granted reports
-// ErrNotFound — the fencing rules are unchanged: a restart of the
-// lease's home still revokes it no matter how recently it was renewed.
+// Renew extends a live lease's TTL from now, by ShardCore.TTL(ttl),
+// and returns the granted lifetime; ErrNotFound when the lease expired,
+// was fenced — however recently renewed — or never existed.
 //
 //lint:lease renew
 func (s *Server) Renew(sessionID string, ttl time.Duration) (time.Duration, error) {
 	if s.halted.Load() {
 		return 0, ErrHalted
 	}
-	if ttl <= 0 {
-		ttl = s.cfg.DefaultTTL
-	}
-	if ttl > s.cfg.MaxTimeout && s.cfg.MaxTimeout > 0 {
-		// Leases cannot outlive the service's largest budget in one hop;
-		// long-lived holders renew repeatedly instead.
-		ttl = s.cfg.MaxTimeout
-	}
-	s.mu.Lock()
-	l, ok := s.leases[sessionID]
-	var deadline time.Time
-	if ok {
-		l.deadline = time.Now().Add(ttl)
-		deadline = l.deadline
-	}
-	s.mu.Unlock()
-	if !ok {
-		return 0, ErrNotFound
+	ev, granted, err := s.core.Renew(sessionID, ttl, time.Now())
+	if err != nil {
+		return 0, err
 	}
 	s.metrics.Renewals.Add(1)
-	s.emit(LeaseEvent{Op: ReplOpRenew, ID: sessionID, Deadline: deadline})
-	return ttl, nil
+	s.emit(ev)
+	return granted, nil
 }
 
 // ActiveLeases returns the number of live leases.
-func (s *Server) ActiveLeases() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.leases)
-}
-
-// LeasesOn counts live leases naming resource — the drain probe a key
-// migration polls until the source shard provably holds no grant on
-// the moving key.
-func (s *Server) LeasesOn(resource string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, l := range s.leases {
-		for _, res := range l.resources {
-			if res == resource {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
+func (s *Server) ActiveLeases() int { return s.core.ActiveLeases() }
 
 // AdviseRestartBackoff sets the supervisor's restart-backoff base from
 // the rebalance controller's observed-latency advice; zero restores
@@ -507,16 +406,13 @@ func (s *Server) InjectCrash(node graph.ProcID, steps int) error {
 		s.nw.Kill(node)
 	}
 	s.metrics.CrashesInjected.Add(1)
-	PumpStep(s.arb, s.nw)
+	s.core.Pump()
 	return nil
 }
 
 // RestartNode revives a worker, clean or with arbitrary garbage state,
-// returning how many leases it fenced. Leases homed at the node were
-// granted by its pre-restart incarnation, whose eating window is gone;
-// leaving them live would let a client hold a lock the protocol no
-// longer backs, so they are revoked (fenced) before the node rejoins —
-// a later Release on a fenced lease reports ErrNotFound.
+// after fencing the leases its ending incarnation backed
+// (ShardCore.Restart), and returns how many it fenced.
 func (s *Server) RestartNode(node graph.ProcID, mode msgpass.RestartMode) (int, error) {
 	if node < 0 || int(node) >= s.g.N() {
 		return 0, fmt.Errorf("lockservice: node %d out of range [0,%d)", node, s.g.N())
@@ -524,35 +420,19 @@ func (s *Server) RestartNode(node graph.ProcID, mode msgpass.RestartMode) (int, 
 	if s.Departed(node) {
 		return 0, fmt.Errorf("%w: node %d (use join to readmit)", ErrDeparted, node)
 	}
-	fenced := s.fenceLeases(node)
-	s.nw.Restart(node, mode)
+	fenced := s.fenced(s.core.Restart(node, mode))
 	s.metrics.NodeRestarts.Add(1)
-	PumpStep(s.arb, s.nw)
 	return fenced, nil
 }
 
-// fenceLeases revokes every lease homed at node and returns the count.
-// Called whenever the node's current incarnation ends (restart or
-// leave): its eating windows no longer back those grants.
-func (s *Server) fenceLeases(node graph.ProcID) int {
-	s.mu.Lock()
-	var fenced []*lease
-	for id, l := range s.leases {
-		if l.home == node {
-			fenced = append(fenced, l)
-			delete(s.leases, id)
-		}
-	}
-	s.mu.Unlock()
-	// Map order must not reach the arbiter (same rule as the janitor):
-	// release in lease-id order so fencing replays identically.
-	sort.Slice(fenced, func(i, j int) bool { return fenced[i].id < fenced[j].id })
-	for _, l := range fenced {
-		s.arb.Release(l.sess)
+// fenced counts and publishes a fence's events and returns how many
+// leases it revoked.
+func (s *Server) fenced(evs []LeaseEvent) int {
+	for _, ev := range evs {
 		s.metrics.LeasesFenced.Add(1)
-		s.emit(LeaseEvent{Op: ReplOpFence, ID: l.id})
+		s.emit(ev)
 	}
-	return len(fenced)
+	return len(evs)
 }
 
 // Departed reports whether node has left the service.
@@ -573,12 +453,12 @@ func (s *Server) LeaveNode(node graph.ProcID) (int, error) {
 	if s.Departed(node) {
 		return 0, fmt.Errorf("%w: node %d", ErrDeparted, node)
 	}
-	if err := s.nw.RemoveProcess(node); err != nil {
+	evs, err := s.core.Leave(node)
+	if err != nil {
 		return 0, err
 	}
-	fenced := s.fenceLeases(node)
+	fenced := s.fenced(evs)
 	s.metrics.NodeLeaves.Add(1)
-	PumpStep(s.arb, s.nw)
 	return fenced, nil
 }
 
@@ -605,7 +485,7 @@ func (s *Server) JoinNode(node graph.ProcID) error {
 		return err
 	}
 	s.metrics.NodeJoins.Add(1)
-	PumpStep(s.arb, s.nw)
+	s.core.Pump()
 	return nil
 }
 
@@ -633,10 +513,7 @@ func (s *Server) Stop(ctx context.Context) {
 	// lease copies live on (were adopted by) the successor, and no
 	// client can release through it anyway.
 	for !s.halted.Load() {
-		s.mu.Lock()
-		n := len(s.leases)
-		s.mu.Unlock()
-		if n == 0 || ctx.Err() != nil {
+		if s.core.ActiveLeases() == 0 || ctx.Err() != nil {
 			break
 		}
 		select {
@@ -648,57 +525,6 @@ func (s *Server) Stop(ctx context.Context) {
 		s.nw.Stop()
 		s.wg.Wait()
 	}
-}
-
-// enqueue maps resources onto a drinkers session and queues it at the
-// live candidate home with the shortest queue.
-func (s *Server) enqueue(resources []string) (*drinkers.Session, error) {
-	bottles, homes, err := s.mapper.MapSession(resources)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnmappable, err)
-	}
-	// Departed homes are excluded even before their kill lands: a session
-	// queued there would wait on a worker that is never coming back.
-	live := homes[:0]
-	for _, p := range homes {
-		if Alive(s.nw, p) {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("%w: homes %v all dead", ErrUnserviceable, homes)
-	}
-	// Shortest queue first, ties to the lower ID. A bottle has two
-	// endpoints, so there are at most two candidates, in ID order.
-	if len(live) == 2 && s.arb.QueueDepth(live[1]) < s.arb.QueueDepth(live[0]) {
-		live[0], live[1] = live[1], live[0]
-	}
-	var sess *drinkers.Session
-	for _, p := range live {
-		if sess, err = s.arb.Submit(p, bottles); err == nil {
-			break
-		}
-	}
-	if errors.Is(err, drinkers.ErrQueueFull) {
-		return nil, ErrQueueFull
-	}
-	if err != nil {
-		return nil, err
-	}
-	return sess, nil
-}
-
-// serve gets a queued session its grant: on the spot, on the caller's
-// goroutine, when its bottles are at hand (at the home, or surrendered by
-// a live peer that has no session for them) — the pump is not involved
-// and the home never turns hungry — and otherwise, reporting false, by
-// making the home hungry for the meal that will collect them.
-func (s *Server) serve(sess *drinkers.Session) (granted bool) {
-	if s.arb.TryAtHand(sess) {
-		return true
-	}
-	PumpStep(s.arb, s.nw) // sess is queued: its home turns hungry and is woken
-	return false
 }
 
 // Uptime returns time since Start (0 before Start).
@@ -729,11 +555,9 @@ func (s *Server) emit(ev LeaseEvent) {
 // is drained or torn down, so a "dead" primary keeps its goroutines and
 // lease table exactly as a wedged process would. The supervisor promotes
 // a standby in its place; the chaos harness and tests use Halt as the
-// kill-primary switch. Halt is never cleared.
-func (s *Server) Halt() {
-	s.halted.Store(true)
-	PumpStep(s.arb, s.nw)
-}
+// kill-primary switch. Halt is never cleared, touches neither arbiter
+// nor substrate, and may be called from an arbiter hook.
+func (s *Server) Halt() { s.halted.Store(true) }
 
 // Halted reports whether the server was fail-stopped by Halt.
 func (s *Server) Halted() bool { return s.halted.Load() }
@@ -751,139 +575,37 @@ func (s *Server) Healthy() bool {
 
 // AdoptLease re-grants, under the lease's original session ID and
 // deadline, a lease proven (replicated and unexpired) by a standby that
-// is being promoted. Adoption runs on a fresh substrate whose arbiter
-// holds nothing, and the adopted set is mutually conflict-free — the
-// leases were held concurrently on the old primary, so their bottle
-// sets are disjoint — which is why a bounded ctx suffices: every
-// adoption is grantable without waiting on another lease, and — every
-// worker of a fresh substrate being alive with nothing queued — granted
-// at hand whichever end its bottles start at, before the substrate has
-// eaten at all.
-//
-// The session counter embedded in the ID is folded into idCtr so the
-// new primary can never mint a duplicate of an adopted ID.
+// is being promoted (ShardCore.Adopt). Adoption runs on a fresh
+// substrate whose arbiter holds nothing, and the adopted set is mutually
+// conflict-free — the leases were held concurrently on the old primary —
+// so every adoption is granted at hand, before the substrate has eaten
+// at all, and a bounded ctx suffices.
 //
 //lint:lease acquire
 func (s *Server) AdoptLease(ctx context.Context, id string, resources []string, deadline time.Time) error {
 	if s.halted.Load() {
 		return ErrHalted
 	}
-	sess, err := s.enqueue(resources)
+	sess, err := s.core.Enqueue(resources)
 	if err != nil {
 		return err
 	}
-	home := sess.Home
-	if !s.serve(sess) {
-		select {
-		case <-sess.Granted():
-		case <-ctx.Done():
-			s.withdraw(sess)
-			return fmt.Errorf("%w: adoption of %s: %v", ErrTimeout, id, ctx.Err())
-		case <-s.done:
-			s.withdraw(sess)
-			return ErrDraining
+	if !s.core.Serve(sess) {
+		if err := s.await(ctx, sess); err != nil {
+			return fmt.Errorf("adoption of %s: %w", id, err)
 		}
 	}
-	if n, ok := sessionCounter(id); ok {
-		for {
-			cur := s.idCtr.Load()
-			if cur >= n || s.idCtr.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-	}
-	l := &lease{
-		id:        id,
-		sess:      sess,
-		resources: append([]string(nil), resources...),
-		home:      home,
-		grantedAt: time.Now(),
-		deadline:  deadline,
-	}
-	s.mu.Lock()
-	s.leases[l.id] = l
-	s.mu.Unlock()
+	ev := s.core.Adopt(sess, id, resources, deadline, time.Now())
 	s.metrics.LeasesAdopted.Add(1)
 	// Adoptions replicate as grants: to a surviving standby the adopted
 	// lease is an idempotent upsert, so the stream doubles as the new
 	// primary's state snapshot.
-	s.emit(LeaseEvent{Op: ReplOpGrant, ID: l.id, Resources: l.resources, Deadline: l.deadline})
+	s.emit(ev)
 	return nil
-}
-
-// LeaseSnapshot returns the live lease table as grant events, sorted by
-// lease ID (replay determinism). Promotion streams it to surviving
-// standbys so they converge on the new primary's state.
-func (s *Server) LeaseSnapshot() []LeaseEvent {
-	s.mu.Lock()
-	out := make([]LeaseEvent, 0, len(s.leases))
-	for _, l := range s.leases {
-		out = append(out, LeaseEvent{
-			Op:        ReplOpGrant,
-			ID:        l.id,
-			Resources: append([]string(nil), l.resources...),
-			Deadline:  l.deadline,
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// maxLeaseDeadline returns the latest deadline across live leases
-// (zero when the table is empty) — the TTL-drain bound heartbeats
-// advertise to standbys.
-func (s *Server) maxLeaseDeadline() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var max time.Time
-	for _, l := range s.leases { //lint:sorted max over values is order-insensitive
-		if l.deadline.After(max) {
-			max = l.deadline
-		}
-	}
-	return max
-}
-
-// leaseID renders a lease's session ID, "k<shard>:s<counter hex>-<home>"
-// with the counter zero-padded to eight digits — byte for byte
-// fmt.Sprintf("k%d:s%08x-%d", shard, counter, home), built without
-// fmt's reflection.
-func leaseID(shard int, counter uint64, home graph.ProcID) string {
-	var b [48]byte
-	var x [16]byte
-	hex := strconv.AppendUint(x[:0], counter, 16)
-	id := append(b[:0], 'k')
-	id = strconv.AppendInt(id, int64(shard), 10)
-	id = append(id, ':', 's')
-	id = append(id, "00000000"[min(len(hex), 8):]...)
-	id = append(id, hex...)
-	id = append(id, '-')
-	id = strconv.AppendInt(id, int64(home), 10)
-	return string(id)
-}
-
-// sessionCounter extracts the hex counter from a session ID of the form
-// "k<shard>:s<counter hex>-<home>". ok is false for foreign formats.
-func sessionCounter(id string) (uint64, bool) {
-	i := strings.Index(id, ":s")
-	if i < 0 {
-		return 0, false
-	}
-	rest := id[i+2:]
-	j := strings.IndexByte(rest, '-')
-	if j < 0 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(rest[:j], 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // Network exposes the underlying msgpass network (tests and status).
 func (s *Server) Network() *msgpass.Network { return s.nw }
 
 // Arbiter exposes the underlying session arbiter (tests and status).
-func (s *Server) Arbiter() *drinkers.Arbiter { return s.arb }
+func (s *Server) Arbiter() *drinkers.Arbiter { return s.core.arb }
