@@ -116,12 +116,14 @@ span-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCrossShardAcquire -fuzztime=10s ./internal/detsim/
 
 # Failover smoke: race-checked kill-primary e2e + fencing parity over
-# both transports, the detsim replica-oracle sweeps (fair kill-primary,
-# adversarial standby strikes, kill-during-promotion), a live
-# kill-primary chaos campaign against a replicated router, and a fuzz
-# burst over random kill/stall schedules (docs/SHARD.md).
+# both transports, the replica core's apply rule and the two mutants the
+# detsim replica sweeps must kill, the detsim replica-oracle sweeps (fair
+# kill-primary, adversarial standby strikes, kill-during-promotion), a
+# live kill-primary chaos campaign against a replicated router, and a
+# fuzz burst over random kill/stall schedules (docs/SHARD.md).
 failover-smoke:
 	$(GO) test -race -run 'TestFailoverEndToEnd|TestGenerationFencingParity|TestFailoverAdminEndpoint' ./internal/lockservice/
+	$(GO) test -race -run 'TestReplicaCoreApply|TestMutantGrantSkippingIncarnationFenceTripsDualPrimary|TestMutantPromotionIgnoringLagTripsUndrained' ./internal/lockservice/
 	$(GO) run ./cmd/detsim -mode replica -seeds 0..30 -replicas 3 -kills 3
 	$(GO) run ./cmd/detsim -mode replica-adversarial -seeds 0..20 -replicas 3 -kills 3
 	$(GO) run ./cmd/detsim -mode replica-promokill -seeds 0..20 -replicas 3 -kills 2

@@ -261,9 +261,12 @@ func (cl *client) granted() bool {
 	return cl.id == "" && cl.rn.core.Arbiter().Status(cl.sess) == drinkers.Drinking
 }
 
-// lease turns the granted session into a lease living ShardCore.TTL(ttl).
-func (cl *client) lease(ttl time.Duration) {
-	cl.id = cl.rn.core.Grant(cl.sess, cl.keys, ttl, cl.rn.vnow).ID
+// lease turns the granted session into a lease living ShardCore.TTL(ttl)
+// and returns its grant event.
+func (cl *client) lease(ttl time.Duration) lockservice.LeaseEvent {
+	ev := cl.rn.core.Grant(cl.sess, cl.keys, ttl, cl.rn.vnow)
+	cl.id = ev.ID
+	return ev
 }
 
 // renew renews the lease for ttl, reporting whether it was still live.

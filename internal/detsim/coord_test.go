@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mcdp/internal/coord"
 	"mcdp/internal/graph"
+	"mcdp/internal/lockservice"
 )
 
-// The three mutation tests are the reason internal/coord exists: each
+// The two mutation tests are the reason internal/coord exists: each
 // swaps ONE shared decision for a wrong one through the package's
 // unexported hook and requires a detsim oracle to notice. A mutant that
 // survives means the sweeps certify something other than the protocol
@@ -76,44 +78,6 @@ func TestMutantSkippedRefreshTripsOrphanOracle(t *testing.T) {
 	t.Logf("skip-refresh mutant tripped the orphan/partial-commit oracles on %d/%d seeds", killed, seeds)
 	if killed == 0 {
 		t.Fatal("a span machine that skips the refresh of earlier prepares survived the fair span sweep")
-	}
-}
-
-// laggedStandbyRun kills the primary while the only standby has been
-// stalled for a few rounds: too briefly to look stale, long enough that
-// leases the clients already hold never reached it. Replication lag is
-// the only evidence of the loss.
-func laggedStandbyRun(seed int64) *ReplicaResult {
-	return RunReplica(ReplicaConfig{
-		Replicas: 2,
-		Rounds:   160,
-		Seed:     seed,
-		Kills:    []ReplicaKill{{Round: 60, Target: -1}},
-		Stalls:   []ReplicaStall{{Replica: 1, From: 55, Until: 90}},
-	})
-}
-
-// TestMutantPromotionIgnoringLagTripsUndrained: with lag dropped from
-// the gap predicate the promotion serves over leases it cannot prove.
-func TestMutantPromotionIgnoringLagTripsUndrained(t *testing.T) {
-	killed, holds := 0, 0
-	for seed := int64(0); seed < 40; seed++ {
-		res := laggedStandbyRun(seed)
-		if res.Failed() {
-			t.Errorf("seed %d: real predicate failed: dual=%v excl=%v undrained=%v",
-				seed, res.DualPrimaryViolations, res.ExclusionViolations, res.UndrainedViolations)
-		}
-		holds += res.Holds
-		promotionGap = func(ev coord.Evidence) bool { ev.Lag = 0; return ev.Gap() }
-		res = laggedStandbyRun(seed)
-		promotionGap = coord.Evidence.Gap
-		if len(res.UndrainedViolations) > 0 {
-			killed++
-		}
-	}
-	t.Logf("ignore-lag mutant tripped the undrained-lease oracle on %d/40 seeds (real predicate: %d holds)", killed, holds)
-	if killed == 0 {
-		t.Fatal("a promotion that ignores lag>0 survived the lagged-standby runs")
 	}
 }
 
@@ -197,21 +161,38 @@ func TestReplicaSupervisorCooloffHoldsFlappingShard(t *testing.T) {
 }
 
 // TestReplicaGapRuleOneSpelling: a stream that opens on a heartbeat
-// echoing sequence 0 and then delivers record 2 has lost record 1.
-// lockservice's standby.reader always said so (applied >= baseSeq);
-// this harness spelled the same rule `started` and did not.
-// TestStandbyGapRuleOneSpelling feeds lockservice the same frames.
+// echoing sequence 0 and then delivers record 2 has lost record 1. The
+// harness's delivery applies both frames through ReplicaCore.Apply, and
+// promoting that standby must judge the stream lossy; the same stream
+// without the hole must not. TestStandbyGapRuleOneSpelling feeds the
+// Router's stream reader the same frames.
 func TestReplicaGapRuleOneSpelling(t *testing.T) {
-	h := newReplicaHarness(ReplicaConfig{Replicas: 2, Seed: 1, LagMax: 8})
-	st := h.streams[1]
-	st.queue = []repRecord{
-		{seq: 0, op: repHeartbeat, inc: 1},
-		{seq: 2, op: repGrant, lease: 0, key: "key-00", deadline: 30, inc: 1},
-	}
-	for t0 := 0; len(st.queue) > 0 && t0 < 50; t0++ {
-		h.deliver(t0)
-	}
-	if st.recv.Applied() != 2 || !st.recv.Gap() {
-		t.Fatalf("applied=%d gap=%v, want record 2 applied and the hole behind it flagged", st.recv.Applied(), st.recv.Gap())
+	for _, tc := range []struct {
+		seq uint64
+		gap bool
+	}{{seq: 2, gap: true}, {seq: 1, gap: false}} {
+		h := newReplicaHarness(ReplicaConfig{Replicas: 2, Seed: 1})
+		r := h.reps[1]
+		r.queue = []lockservice.ReplRecord{
+			{LeaseEvent: lockservice.LeaseEvent{Op: lockservice.ReplOpHeartbeat}, Seq: 0, Inc: 1},
+			{LeaseEvent: lockservice.LeaseEvent{Op: lockservice.ReplOpGrant, ID: "a", Resources: []string{"key-00"}, Deadline: roundEnd(100)}, Seq: tc.seq, Inc: 1},
+		}
+		var now time.Time
+		for t0 := 0; len(r.queue) > 0 && t0 < 50; t0++ {
+			now = roundEnd(t0)
+			h.deliver(t0, now)
+		}
+		if len(r.queue) > 0 || len(h.rc.Snapshot(1)) != 1 || !h.rc.Acked(1, tc.seq) {
+			t.Fatalf("record %d: queue=%d shadow=%v, want it applied and acked", tc.seq, len(r.queue), h.rc.Snapshot(1))
+		}
+		p, err := h.rc.Promote(now, func(int) bool { return true })
+		if err != nil {
+			t.Fatalf("record %d: promote: %v", tc.seq, err)
+		}
+		h.rc.Adopt(p, now, func(lockservice.LeaseEvent) bool { return true })
+		h.rc.Complete(p, now, func(int) bool { return true })
+		if p.Adopted != 1 || p.Gap != tc.gap {
+			t.Fatalf("heartbeat 0 then record %d: adopted=%d gap=%v, want 1 adopted and gap=%v", tc.seq, p.Adopted, p.Gap, tc.gap)
+		}
 	}
 }

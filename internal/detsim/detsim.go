@@ -248,14 +248,20 @@ type runner struct {
 
 	vnow    time.Time
 	pending []msgpass.Frame
+	// window and spare are fairRound's reused buffers: this round's
+	// delivery window, and the next round's held frames.
+	window, spare []msgpass.Frame
 
 	// core, when set, is the lease lifecycle over this runner's network:
 	// planned restarts and leaves go through it, so it fences them, and
-	// every round ends with its janitor and the lease oracle.
+	// every round ends with its janitor and the lease oracle. tap, when
+	// set, receives the janitor's expire events, as a Server's lease tap
+	// does.
 	core   *lockservice.ShardCore
+	tap    func(lockservice.LeaseEvent)
 	leases []string // lease-oracle violations
 
-	h     hash.Hash64
+	h     hash.Hash64 // nil when nothing reads the runner's trace
 	trace []string
 
 	steps     int64
@@ -383,8 +389,12 @@ func newRunner(cfg Config) *runner {
 	return r
 }
 
-// event appends one line to the trace hash (and the retained trace).
+// event appends one line to the trace hash (and the retained trace);
+// it formats nothing for a runner with no trace hash.
 func (r *runner) event(format string, args ...any) {
+	if r.h == nil {
+		return
+	}
 	line := fmt.Sprintf(format, args...)
 	r.h.Write([]byte(line))
 	r.h.Write([]byte{'\n'})
@@ -397,6 +407,9 @@ func (r *runner) event(format string, args ...any) {
 // ends on a whole virtual second (see endRound), so a lease TTL of k
 // roundTimes lasts k rounds.
 const roundTime = time.Second
+
+// roundEnd is the virtual instant round t ends on.
+func roundEnd(t int) time.Time { return time.Unix(0, 0).UTC().Add(time.Duration(t+1) * roundTime) }
 
 // step advances the virtual clock by one instant and counts the step.
 // Every atomic step gets its own instant, so eating-session intervals
@@ -530,14 +543,21 @@ func (r *runner) applyFaults(t int) {
 // endRound moves the virtual clock to round t's end; with a lease core
 // the janitor then expires what it outlived, and the lease oracle runs.
 func (r *runner) endRound(t int) {
-	if end := time.Unix(0, 0).UTC().Add(time.Duration(t+1) * roundTime); r.vnow.Before(end) {
+	if end := roundEnd(t); r.vnow.Before(end) {
 		r.vnow = end
 	}
 	if r.core == nil {
 		return
 	}
-	for _, ev := range r.core.Expire(r.vnow) {
+	evs := r.core.Expire(r.vnow)
+	for _, ev := range evs {
 		r.event("t%d expire %s", t, ev.ID)
+		if r.tap != nil {
+			r.tap(ev)
+		}
+	}
+	if len(evs) > 0 {
+		r.core.Pump()
 	}
 	for _, id := range r.core.StaleLeases() {
 		record(&r.leases, "t%d: lease %s outlived the incarnation of its home that granted it", t, id)
@@ -584,9 +604,11 @@ func (r *runner) checkSafety(t int) {
 func (r *runner) tick(t int, p graph.ProcID) {
 	r.step()
 	frames := r.d.Tick(p)
-	r.event("t%d tick %d s%d dp%d", t, p, r.rd.State(p), r.rd.Depth(p))
-	for _, f := range frames {
-		r.event("+ %s", f)
+	if r.h != nil { // the arguments box even when event drops them
+		r.event("t%d tick %d s%d dp%d", t, p, r.rd.State(p), r.rd.Depth(p))
+		for _, f := range frames {
+			r.event("+ %s", f)
+		}
 	}
 	r.pending = append(r.pending, frames...)
 	r.checkSafety(t)
@@ -597,9 +619,11 @@ func (r *runner) deliver(t int, f msgpass.Frame) {
 	r.step()
 	r.delivered++
 	frames := r.d.Deliver(f)
-	r.event("t%d dlv %s", t, f)
-	for _, g := range frames {
-		r.event("+ %s", g)
+	if r.h != nil {
+		r.event("t%d dlv %s", t, f)
+		for _, g := range frames {
+			r.event("+ %s", g)
+		}
 	}
 	r.pending = append(r.pending, frames...)
 	r.checkSafety(t)
@@ -621,13 +645,16 @@ func (r *runner) deliver(t int, f msgpass.Frame) {
 // The FIFO remap costs no schedule draws.
 func (r *runner) fairRound(t int) {
 	r.applyFaults(t)
-	var window, held []msgpass.Frame
-	stalled := make(map[chanKey]bool)
+	window, held := r.window[:0], r.spare[:0]
+	var stalled map[chanKey]bool // made at the first held frame
 	for _, f := range r.pending {
 		key := chanKey{edge: f.EdgeIndex(), from: f.From}
 		if f.Delay > 0 || stalled[key] {
 			if f.Delay > 0 {
 				f.Delay--
+			}
+			if stalled == nil {
+				stalled = make(map[chanKey]bool)
 			}
 			stalled[key] = true
 			held = append(held, f)
@@ -635,7 +662,7 @@ func (r *runner) fairRound(t int) {
 		}
 		window = append(window, f)
 	}
-	r.pending = held
+	r.window, r.spare, r.pending = window, r.pending[:0], held
 	// N is read from the network, not the config graph: membership joins
 	// grow the roster mid-run, and every process — including retired
 	// ones, whose tick is a no-op — steps once per round.

@@ -1,39 +1,31 @@
-// Shard-replica failover simulation: coord's failover protocol — the
-// lockservice replica set's detector, stream tracker, standby choice,
-// gap predicate and hold-down — driven in rounds. One shard's primary
-// and hot standbys advance under a schedule Source: the primary grants,
-// renews, and releases single-key leases and streams every lease-table
-// delta to each standby over a lossy bounded-backlog FIFO; the
-// supervisor feeds coord.Detector a health probe a round, promotes the
-// standby coord.Choose picks under a bumped incarnation, adopts the
-// leases the standby can prove, and holds new grants down for as long as
-// coord.HoldUntil says. The harness's own: the model of servers, lease
-// tables and FIFO queues, the kill schedules that fail-stop the primary
-// (cleanly or as a zombie that keeps serving stragglers), standbys, or
-// the standby mid-promotion, the stall windows that model replication
-// lag, and the oracles, which assert what the protocol owes clients:
-// no grant from a deposed incarnation ever becomes client-visible
-// (dual primary), no two client-visible leases on one key ever overlap
-// (lost committed grant), and every unproven lease is either adopted
-// or outlived by the hold-down (zombie lease).
+// Shard-replica failover simulation: the lockservice replica set's
+// protocol driven in rounds. Each member server is a lockservice
+// ShardCore over its own driven diners runner, and one
+// lockservice.ReplicaCore — the Router's replica set without its wall
+// clock — decides everything the protocol decides: which member serves
+// under which incarnation, every stream's book and the standby's apply
+// of it, the semi-synchronous ack rule and stream demotion, heartbeats,
+// the promotion step (choice, incarnation bump, loss evidence, adoption,
+// hold-down) and the post-grant fence. The harness's own: the client
+// workload, the lossy bounded FIFO each stream rides on and its stall
+// windows (replication lag), the supervisor's failure detector, the kill
+// schedules that fail-stop the primary (cleanly or as a zombie that
+// keeps serving stragglers), standbys, or the standby mid-promotion, and
+// the oracles, which assert what the protocol owes clients: no grant
+// from a deposed incarnation ever becomes client-visible (dual primary),
+// no two client-visible leases on one key ever overlap (lost committed
+// grant), and every unproven lease is either adopted or outlived by the
+// hold-down (zombie lease).
 package detsim
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"time"
 
 	"mcdp/internal/coord"
-)
-
-// Replica-stream record ops (round-domain twins of the lockservice
-// ReplOp codes; span markers are owned by the span harness).
-const (
-	repGrant byte = iota + 1
-	repRenew
-	repRelease
-	repExpire
-	repHeartbeat
+	"mcdp/internal/graph"
+	"mcdp/internal/lockservice"
 )
 
 // ReplicaKill schedules one fail-stop in a replica run.
@@ -62,40 +54,9 @@ type ReplicaConfig struct {
 	Replicas int
 	// Rounds is the run length (default 300).
 	Rounds int
-	// Keys is the single-key lease keyspace size (default 8).
-	Keys int
-	// GrantPercent / RenewPercent / ReleasePercent are the per-round
-	// workload chances (defaults 60/20/30).
-	GrantPercent, RenewPercent, ReleasePercent int
-	// TTLRounds is every lease's time-to-live (default 30).
-	TTLRounds int
-	// AckRounds is the semi-synchronous ack budget: a grant becomes
-	// client-visible once every stream acked it or this many rounds
-	// passed (default 3).
-	AckRounds int
-	// HeartbeatEvery is the heartbeat cadence in rounds (default 2).
-	HeartbeatEvery int
-	// DetectMisses is how many consecutive failed health checks start a
-	// promotion (default 3).
-	DetectMisses int
-	// PromoteRounds is how long a promotion takes — the window a
-	// kill-during-promotion schedule aims at (default 2).
-	PromoteRounds int
-	// StaleRounds is the stream silence beyond which a promotion
-	// presumes loss (default 10).
-	StaleRounds int
-	// Backlog bounds each stream's in-flight queue; overflow drops the
-	// record, exactly like the production enqueue (default 16).
-	Backlog int
-	// LagMax is the most records a standby applies per round; each
-	// round's count is drawn from [0, LagMax] (default 4).
-	LagMax int
 	// Kills and Stalls are the fault plans.
 	Kills  []ReplicaKill
 	Stalls []ReplicaStall
-	// Unsafe disables the incarnation fence and every promotion gap
-	// check — the negative control proving the oracles can fire.
-	Unsafe bool
 	// Trace retains the event trace in the result.
 	Trace bool
 	// Seed names the run; Source overrides the schedule source (nil
@@ -104,6 +65,27 @@ type ReplicaConfig struct {
 	Source Source
 }
 
+// The replica run's workload and timings, in rounds.
+const (
+	replicaKeys           = 8  // single-key lease keyspace
+	replicaGrantPercent   = 60 // per-round workload chances
+	replicaRenewPercent   = 20
+	replicaReleasePercent = 30
+	replicaTTLRounds      = 30 // every lease's time-to-live
+	replicaAckRounds      = 3  // the semi-synchronous ack budget
+	replicaHeartbeatEvery = 2
+	replicaDetectMisses   = 3 // failed health checks that start a promotion
+	replicaPromoteRounds  = 2 // the window a kill-during-promotion aims at
+	replicaStaleRounds    = 10
+	replicaBacklog        = 16 // each stream's in-flight bound; overflow drops
+	replicaLagMax         = 4  // most records a standby applies per round
+	replicaCooloffRounds  = 10 // the round-domain FailoverConfig.Cooloff
+)
+
+// replicaGraph is every member's diners substrate, as in the
+// lockservice failover tests.
+var replicaGraph = graph.Grid(2, 3)
+
 // ReplicaResult is the outcome of one replica-failover run.
 type ReplicaResult struct {
 	Seed      int64
@@ -111,8 +93,8 @@ type ReplicaResult struct {
 	Replicas  int
 	TraceHash uint64
 	Trace     []string
-	// Workload counters.
-	Grants, Renews, Releases, Expirations int
+	// Grants counts leases that became client-visible.
+	Grants int
 	// FencedGrants counts grants surrendered to the incarnation fence —
 	// the split-brain attempts the protocol turned away.
 	FencedGrants int
@@ -146,66 +128,59 @@ func (r *ReplicaResult) Failed() bool {
 		len(r.UndrainedViolations) > 0
 }
 
-// repRecord is one stream record.
-type repRecord struct {
-	seq      uint64
-	op       byte
-	lease    int
-	key      string
-	deadline int
-	inc      uint64
-}
-
-// repStream is one primary→standby replication stream: the primary
-// side's sequence/ack/drop counters, the bounded in-flight queue, and
-// the standby side's apply state. Streams survive promotions of other
-// replicas, exactly like the production links.
-type repStream struct {
-	seq     uint64
-	acked   uint64
-	dropped int
-	queue   []repRecord
-	// recv is the standby side's tracker.
-	recv coord.Stream
-}
-
-// shadowLease is one entry of a replica's lease table (authoritative
-// on the primary, stream-applied shadow on standbys).
-type shadowLease struct {
-	key      string
-	deadline int
-}
-
-// repReplica is one member server.
-type repReplica struct {
+// replica is one member server: a ShardCore over its own runner, which
+// steps only while the member serves, and its inbound stream's lossy
+// FIFO.
+type replica struct {
+	rn     *runner
 	alive  bool
 	zombie bool
-	table  map[int]shadowLease
+	queue  []lockservice.ReplRecord
+}
+
+// request is one client acquire: gated under incarnation inc, queued at
+// replica by.
+type request struct {
+	*client
+	inc uint64
+	by  int
+}
+
+// adoption is one proven lease's session on the promoted member.
+type adoption struct {
+	*client
+	lease string
 }
 
 // ledgerLease is the client's view of one grant — the oracle substrate.
 type ledgerLease struct {
-	id       int
+	id       string
 	key      string
-	inc      uint64
-	by       int // issuing replica
+	inc      uint64 // the incarnation the request was gated under
+	by       int    // issuing replica
 	granted  int
-	deadline int
+	deadline time.Time
 	// visibleAt is -1 while the grant waits on replication acks;
 	// endedAt is -1 while the client still holds the lease.
 	visibleAt, endedAt int
 	fenced, lapsed     bool
-	waitSeqs           map[int]uint64 // stream (standby index) -> record seq
+	wait               *lockservice.ReplWait
 }
 
-// window returns the client-held interval [from, to) of a visible
+// window returns the client-held round interval [from, to) of a visible
 // lease, clamping the end to release or expiry.
 func (l *ledgerLease) window() (int, int) {
-	to := l.deadline
+	to := roundOf(l.deadline)
 	if l.endedAt >= 0 && l.endedAt < to {
 		to = l.endedAt
 	}
 	return l.visibleAt, to
+}
+
+// roundOf is the round in which instant at falls due: the first whose
+// end is not before it.
+func roundOf(at time.Time) int {
+	return int((at.Sub(roundEnd(-1))+roundTime-1)/roundTime) - 1
 }
 
 type replicaHarness struct {
@@ -214,22 +189,20 @@ type replicaHarness struct {
 	res *ReplicaResult
 	h   *coordTrace
 
-	reps    []*repReplica
-	streams map[int]*repStream
-	primary int
-	inc     uint64
+	reps     []*replica
+	rc       *lockservice.ReplicaCore
+	detector coord.Detector
 
-	// Supervisor state.
-	detector    coord.Detector
-	promoting   bool
+	promo       *lockservice.Promotion // in flight
 	promoteEnd  int
-	chosen      int
-	holdUntil   int
-	zombieUntil int // deposed zombie keeps serving stragglers until here
+	adopting    []adoption // the promotion's adoption sessions
+	zombieUntil int        // deposed zombie keeps serving stragglers until here
 	zombieIdx   int
 
+	requests []*request
 	leases   []*ledgerLease
-	blackout int // current consecutive non-serving rounds
+	waits    []*lockservice.ReplWait // renews' and lapsed grants' waits
+	blackout int                     // current consecutive non-serving rounds
 }
 
 // RunReplica executes one deterministic replica-failover run.
@@ -248,42 +221,6 @@ func newReplicaHarness(cfg ReplicaConfig) *replicaHarness {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 300
 	}
-	if cfg.Keys <= 0 {
-		cfg.Keys = 8
-	}
-	if cfg.GrantPercent <= 0 {
-		cfg.GrantPercent = 60
-	}
-	if cfg.RenewPercent <= 0 {
-		cfg.RenewPercent = 20
-	}
-	if cfg.ReleasePercent <= 0 {
-		cfg.ReleasePercent = 30
-	}
-	if cfg.TTLRounds <= 0 {
-		cfg.TTLRounds = 30
-	}
-	if cfg.AckRounds <= 0 {
-		cfg.AckRounds = 3
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 2
-	}
-	if cfg.DetectMisses <= 0 {
-		cfg.DetectMisses = 3
-	}
-	if cfg.PromoteRounds <= 0 {
-		cfg.PromoteRounds = 2
-	}
-	if cfg.StaleRounds <= 0 {
-		cfg.StaleRounds = 10
-	}
-	if cfg.Backlog <= 0 {
-		cfg.Backlog = 16
-	}
-	if cfg.LagMax <= 0 {
-		cfg.LagMax = 4
-	}
 	src := cfg.Source
 	if src == nil {
 		src = NewRand(cfg.Seed)
@@ -293,89 +230,77 @@ func newReplicaHarness(cfg ReplicaConfig) *replicaHarness {
 		src:       src,
 		res:       &ReplicaResult{Seed: cfg.Seed, Rounds: cfg.Rounds, Replicas: cfg.Replicas},
 		h:         &coordTrace{hash: fnv.New64a(), keep: cfg.Trace},
-		streams:   make(map[int]*repStream),
-		inc:       1,
 		zombieIdx: -1,
-		detector:  coord.Detector{Misses: cfg.DetectMisses, Cooloff: replicaCooloffRounds},
+		detector:  coord.Detector{Misses: replicaDetectMisses, Cooloff: replicaCooloffRounds},
 	}
-	for i := 0; i < cfg.Replicas; i++ {
-		h.reps = append(h.reps, &repReplica{alive: true, table: make(map[int]shadowLease)})
-		if i != h.primary {
-			h.streams[i] = &repStream{}
-		}
+	cores := make([]*lockservice.ShardCore, cfg.Replicas)
+	for m := range cores {
+		rn := newRunner(Config{
+			Graph:  replicaGraph,
+			Seed:   cfg.Seed + int64(m)*101,
+			Rounds: cfg.Rounds,
+			Hungry: make([]bool, replicaGraph.N()), // demand arrives with sessions
+			Source: src,
+		})
+		rn.h = nil // the run's trace is the harness's own (h.h)
+		rn.boot()
+		cores[m] = rn.attach(0, 8, nil)
+		rn.tap = func(ev lockservice.LeaseEvent) { h.rc.Publish(m, ev, rn.vnow) }
+		h.reps = append(h.reps, &replica{rn: rn, alive: true})
 	}
+	h.rc = lockservice.NewReplicaCore(cores, replicaAckRounds*roundTime, replicaStaleRounds*roundTime, h.enqueue)
 	h.h.event("replica run replicas=%d seed=%d", cfg.Replicas, cfg.Seed)
 	return h
 }
 
-func (h *replicaHarness) key(i int) string { return fmt.Sprintf("key-%02d", i) }
-
-func (h *replicaHarness) healthy(i int) bool {
-	return h.reps[i].alive && !h.reps[i].zombie
-}
-
-// serving reports whether the shard accepts new grants this round.
-func (h *replicaHarness) serving(t int) bool {
-	return h.healthy(h.primary) && !h.promoting && t >= h.holdUntil
-}
-
-// standbyIndexes returns the live stream targets in index order (map
-// iteration must never steer the schedule).
-func (h *replicaHarness) standbyIndexes() []int {
-	out := make([]int, 0, len(h.streams))
-	for i := range h.streams {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// send fans one record out on every stream, honoring the backlog bound.
-func (h *replicaHarness) send(op byte, lease int, key string, deadline int, waits map[int]uint64) {
-	for _, i := range h.standbyIndexes() {
-		st := h.streams[i]
-		st.seq++
-		if waits != nil {
-			waits[i] = st.seq
-		}
-		if len(st.queue) >= h.cfg.Backlog {
-			st.dropped++
+// enqueue is the lossy bounded FIFO every stream rides on: overflow
+// drops the record, exactly like the production enqueue.
+func (h *replicaHarness) enqueue(m int, rec lockservice.ReplRecord) bool {
+	r := h.reps[m]
+	if len(r.queue) >= replicaBacklog {
+		if rec.Op != lockservice.ReplOpHeartbeat {
 			h.res.DroppedRecords++
-			continue
 		}
-		st.queue = append(st.queue, repRecord{seq: st.seq, op: op, lease: lease, key: key, deadline: deadline, inc: h.inc})
+		return false
 	}
+	r.queue = append(r.queue, rec)
+	return true
 }
 
-// heartbeat enqueues a liveness record on every stream: a seq echo (no
-// new number) plus the primary's latest lease deadline.
-func (h *replicaHarness) heartbeat(t int) {
-	max := 0
-	for _, sl := range h.reps[h.primary].table { //lint:sorted max over values is order-insensitive
-		if sl.deadline > max {
-			max = sl.deadline
-		}
+func (h *replicaHarness) alive(m int) bool { return h.reps[m].alive }
+
+func (h *replicaHarness) healthy(m int) bool {
+	return h.reps[m].alive && !h.reps[m].zombie
+}
+
+// serving reports whether the shard accepts new grants at now.
+func (h *replicaHarness) serving(now time.Time) bool {
+	p, _, wait := h.rc.Gate(now, roundTime)
+	return wait == 0 && h.healthy(p)
+}
+
+// zombie returns the deposed zombie still serving stragglers in round t,
+// -1 when there is none.
+func (h *replicaHarness) zombie(t int) int {
+	if h.zombieIdx >= 0 && t < h.zombieUntil && h.reps[h.zombieIdx].alive {
+		return h.zombieIdx
 	}
-	for _, i := range h.standbyIndexes() {
-		st := h.streams[i]
-		if len(st.queue) >= h.cfg.Backlog {
-			continue // heartbeats are droppable and never acked
-		}
-		st.queue = append(st.queue, repRecord{seq: st.seq, op: repHeartbeat, deadline: max, inc: h.inc})
-	}
+	return -1
 }
 
 func (h *replicaHarness) round(t int) {
+	now := roundEnd(t)
 	h.applyKills(t)
-	h.workload(t)
-	h.deliver(t)
-	h.resolvePending(t)
-	h.expire(t)
-	h.supervise(t)
-	if h.serving(t) {
-		if h.blackout > h.res.MaxBlackout {
-			h.res.MaxBlackout = h.blackout
-		}
+	h.step(t)
+	h.workload(t, now)
+	h.deliver(t, now)
+	h.resolve(t, now)
+	h.supervise(t, now)
+	if t%replicaHeartbeatEvery == 0 {
+		h.rc.Heartbeat(h.healthy(h.rc.Primary()))
+	}
+	if h.serving(now) {
+		h.res.MaxBlackout = max(h.res.MaxBlackout, h.blackout)
 		h.blackout = 0
 	} else {
 		h.blackout++
@@ -390,17 +315,17 @@ func (h *replicaHarness) applyKills(t int) {
 		}
 		target := k.Target
 		if target == -1 {
-			target = h.primary
+			target = h.rc.Primary()
 		} else if target == -2 {
-			if !h.promoting {
+			if h.promo == nil {
 				continue
 			}
-			target = h.chosen
+			target = h.promo.Chosen
 		}
 		if target < 0 || target >= len(h.reps) || !h.reps[target].alive {
 			continue
 		}
-		if k.Zombie && target == h.primary {
+		if k.Zombie && target == h.rc.Primary() {
 			h.reps[target].zombie = true
 			h.h.event("t%d zombie kill replica %d (primary)", t, target)
 		} else {
@@ -411,106 +336,100 @@ func (h *replicaHarness) applyKills(t int) {
 	}
 }
 
-// workload draws the current primary's grants, renews, and releases —
-// and the deposed zombie's straggler grants, which the incarnation
-// fence must turn away.
-func (h *replicaHarness) workload(t int) {
-	if h.serving(t) {
-		h.drawGrant(t, h.primary, h.inc)
-		h.drawRenew(t)
-		h.drawRelease(t)
-		if t%h.cfg.HeartbeatEvery == 0 {
-			h.heartbeat(t)
-		}
-	}
-	if h.zombieIdx >= 0 && t < h.zombieUntil && h.reps[h.zombieIdx].alive {
-		// The deposed zombie still serves clients that have not yet
-		// re-resolved the ring. Its grants carry its stale incarnation
-		// and no replication stream backs them.
-		h.drawGrant(t, h.zombieIdx, h.inc-1)
-	}
-}
-
-// drawGrant maybe issues one grant from replica by under incarnation
-// inc: a free key is chosen, the lease enters by's table, and — when by
-// is the live primary — the record fans out semi-synchronously.
-func (h *replicaHarness) drawGrant(t, by int, inc uint64) {
-	if h.src.Intn(100) >= h.cfg.GrantPercent {
-		return
-	}
-	key := h.key(h.src.Intn(h.cfg.Keys))
-	for _, sl := range h.reps[by].table {
-		if sl.key == key && sl.deadline > t {
-			return // key held on this replica's view
-		}
-	}
-	id := len(h.leases)
-	deadline := t + h.cfg.TTLRounds
-	h.reps[by].table[id] = shadowLease{key: key, deadline: deadline}
-	l := &ledgerLease{
-		id: id, key: key, inc: inc, by: by,
-		granted: t, deadline: deadline,
-		visibleAt: -1, endedAt: -1,
-	}
-	if by == h.primary && inc == h.inc {
-		l.waitSeqs = make(map[int]uint64)
-		h.send(repGrant, id, key, deadline, l.waitSeqs)
-	}
-	h.leases = append(h.leases, l)
-	h.h.event("t%d grant %d key=%s by=%d inc=%d", t, id, key, by, inc)
-}
-
-// heldIDs returns the primary-table lease IDs whose grants are client
-// visible, sorted for deterministic draws.
-func (h *replicaHarness) heldIDs(t int) []int {
-	var ids []int
-	for id, sl := range h.reps[h.primary].table {
-		if sl.deadline <= t {
+// step runs round t on the substrate of every member that serves: the
+// primary and a deposed zombie. The janitor's expiries are published
+// through the runner's tap; then the core pumps, and each queued request
+// whose session was granted takes its lease, published semi-synchronously.
+func (h *replicaHarness) step(t int) {
+	for m, r := range h.reps {
+		if !r.alive || (m != h.rc.Primary() && m != h.zombie(t)) {
 			continue
 		}
-		l := h.leases[id]
-		if l.visibleAt >= 0 && l.endedAt < 0 {
-			ids = append(ids, id)
+		if start := roundEnd(t - 1); r.rn.vnow.Before(start) {
+			r.rn.vnow = start // it sat out rounds as a standby
+		}
+		r.rn.fairRound(t)
+		r.rn.core.Pump()
+	}
+	kept := h.requests[:0]
+	for _, rq := range h.requests {
+		if rq.done || !h.reps[rq.by].alive {
+			continue
+		}
+		if !rq.granted() {
+			kept = append(kept, rq)
+			continue
+		}
+		ev := rq.lease(replicaTTLRounds * roundTime)
+		rq.done = true
+		h.leases = append(h.leases, &ledgerLease{
+			id: ev.ID, key: rq.keys[0], inc: rq.inc, by: rq.by,
+			granted: t, deadline: ev.Deadline,
+			visibleAt: -1, endedAt: -1,
+			wait: h.rc.Publish(rq.by, ev, rq.rn.vnow),
+		})
+		h.h.event("t%d grant %s key=%s by=%d inc=%d", t, ev.ID, rq.keys[0], rq.by, rq.inc)
+	}
+	h.requests = kept
+}
+
+// workload draws the serving primary's acquires, renews and releases,
+// and the deposed zombie's straggler acquires, gated under the
+// incarnation its clients have not yet seen replaced.
+func (h *replicaHarness) workload(t int, now time.Time) {
+	if p := h.rc.Primary(); h.serving(now) {
+		h.acquire(t, p, h.rc.Incarnation())
+		if h.src.Intn(100) < replicaRenewPercent {
+			if l := h.drawHeld(p); l != nil {
+				ev, _, _ := h.reps[p].rn.core.Renew(l.id, replicaTTLRounds*roundTime, now)
+				l.deadline = ev.Deadline
+				if w := h.rc.Publish(p, ev, now); w != nil {
+					h.waits = append(h.waits, w)
+				}
+				h.h.event("t%d renew %s", t, l.id)
+			}
+		}
+		if h.src.Intn(100) < replicaReleasePercent {
+			if l := h.drawHeld(p); l != nil {
+				ev, _, _ := h.reps[p].rn.core.Release(l.id, now)
+				h.rc.Publish(p, ev, now)
+				l.endedAt = t
+				h.h.event("t%d release %s", t, l.id)
+			}
 		}
 	}
-	sort.Ints(ids)
-	return ids
+	if z := h.zombie(t); z >= 0 {
+		h.acquire(t, z, h.rc.Incarnation()-1)
+	}
 }
 
-func (h *replicaHarness) drawRenew(t int) {
-	if h.src.Intn(100) >= h.cfg.RenewPercent {
+// acquire maybe queues one client request for a drawn key at replica by.
+func (h *replicaHarness) acquire(t, by int, inc uint64) {
+	if h.src.Intn(100) >= replicaGrantPercent {
 		return
 	}
-	ids := h.heldIDs(t)
-	if len(ids) == 0 {
-		return
+	key := fmt.Sprintf("key-%02d", h.src.Intn(replicaKeys))
+	if cl := h.reps[by].rn.submit([]string{key}, 0, t); cl != nil {
+		h.requests = append(h.requests, &request{client: cl, inc: inc, by: by})
 	}
-	id := ids[h.src.Intn(len(ids))]
-	deadline := t + h.cfg.TTLRounds
-	sl := h.reps[h.primary].table[id]
-	sl.deadline = deadline
-	h.reps[h.primary].table[id] = sl
-	h.leases[id].deadline = deadline
-	h.send(repRenew, id, sl.key, deadline, nil)
-	h.res.Renews++
-	h.h.event("t%d renew %d", t, id)
 }
 
-func (h *replicaHarness) drawRelease(t int) {
-	if h.src.Intn(100) >= h.cfg.ReleasePercent {
-		return
+// drawHeld draws one client-visible lease the clients still hold and
+// primary p's core still backs, nil when there is none.
+func (h *replicaHarness) drawHeld(p int) *ledgerLease {
+	var held []*ledgerLease
+	for _, l := range h.leases {
+		if l.visibleAt < 0 || l.endedAt >= 0 {
+			continue
+		}
+		if _, ok := h.reps[p].rn.core.Deadline(l.id); ok {
+			held = append(held, l)
+		}
 	}
-	ids := h.heldIDs(t)
-	if len(ids) == 0 {
-		return
+	if len(held) == 0 {
+		return nil
 	}
-	id := ids[h.src.Intn(len(ids))]
-	sl := h.reps[h.primary].table[id]
-	delete(h.reps[h.primary].table, id)
-	h.leases[id].endedAt = t
-	h.send(repRelease, id, sl.key, 0, nil)
-	h.res.Releases++
-	h.h.event("t%d release %d", t, id)
+	return held[h.src.Intn(len(held))]
 }
 
 // stalled reports whether replica i's stream application is paused at t.
@@ -523,262 +442,196 @@ func (h *replicaHarness) stalled(i, t int) bool {
 	return false
 }
 
-// deliver applies up to Intn(LagMax+1) queued records on each live
-// standby through its coord.Stream, like the production reader: records
-// the tracker refuses (a deposed primary's) are never acked, heartbeats
-// update the watermark without acking.
-func (h *replicaHarness) deliver(t int) {
-	for _, i := range h.standbyIndexes() {
-		st := h.streams[i]
-		if !h.reps[i].alive || h.stalled(i, t) {
+// deliver has each live standby apply up to Intn(LagMax+1) queued
+// records through the core and ack what it applied, like the
+// production stream reader.
+func (h *replicaHarness) deliver(t int, now time.Time) {
+	for _, m := range h.rc.Standbys() {
+		r := h.reps[m]
+		if !r.alive || h.stalled(m, t) {
 			continue
 		}
-		n := h.src.Intn(h.cfg.LagMax + 1)
-		for ; n > 0 && len(st.queue) > 0; n-- {
-			rec := st.queue[0]
-			st.queue = st.queue[1:]
-			st.recv.Frame(int64(t))
-			cur := h.inc
-			if h.cfg.Unsafe {
-				cur = rec.inc // no incarnation fence
-			}
-			if !st.recv.Accepts(rec.inc, cur, rec.seq) {
-				continue
-			}
-			if rec.op == repHeartbeat {
-				st.recv.Heartbeat(rec.seq, int64(rec.deadline))
-				continue
-			}
-			st.recv.Record(rec.seq)
-			h.applyShadow(i, rec)
-			if rec.seq > st.acked {
-				st.acked = rec.seq
+		for n := h.src.Intn(replicaLagMax + 1); n > 0 && len(r.queue) > 0; n-- {
+			rec := r.queue[0]
+			r.queue = r.queue[1:]
+			if h.rc.Apply(m, rec, now) {
+				h.rc.Ack(m, rec.Seq)
 			}
 		}
 	}
 }
 
-func (h *replicaHarness) applyShadow(i int, rec repRecord) {
-	tbl := h.reps[i].table
-	switch rec.op {
-	case repGrant:
-		tbl[rec.lease] = shadowLease{key: rec.key, deadline: rec.deadline}
-	case repRenew:
-		if sl, ok := tbl[rec.lease]; ok {
-			sl.deadline = rec.deadline
-			tbl[rec.lease] = sl
+// resolve settles the replication waits that are over and the grants
+// they held back: lapsed when their primary died first, fenced when a
+// promotion overtook their incarnation, else client-visible — which runs
+// the dual-primary oracle. Then client-held leases past their deadline
+// end.
+func (h *replicaHarness) resolve(t int, now time.Time) {
+	waits := h.waits[:0]
+	for _, w := range h.waits {
+		if !h.rc.Settle(w, now) {
+			waits = append(waits, w)
 		}
-	case repRelease, repExpire:
-		delete(tbl, rec.lease)
 	}
-}
-
-// resolvePending settles grants waiting on replication: fenced when
-// their incarnation lost, lapsed when their primary died first, and
-// client-visible once every stream acked or the ack budget lapsed. The
-// moment of visibility runs the exclusion and dual-primary oracles.
-func (h *replicaHarness) resolvePending(t int) {
+	h.waits = waits
 	for _, l := range h.leases {
 		if l.visibleAt >= 0 || l.fenced || l.lapsed {
 			continue
 		}
-		if l.inc != h.inc && !h.cfg.Unsafe {
-			// The replica set's fence: a promotion overtook this grant,
-			// so it is surrendered where it was minted and the client
-			// retries against the successor.
-			l.fenced = true
-			delete(h.reps[l.by].table, l.id)
-			h.res.FencedGrants++
-			h.h.event("t%d fence %d (inc %d != %d)", t, l.id, l.inc, h.inc)
-			continue
-		}
 		if !h.reps[l.by].alive {
 			l.lapsed = true
+			if l.wait != nil {
+				h.waits = append(h.waits, l.wait)
+			}
 			h.res.LapsedGrants++
-			h.h.event("t%d lapse %d (replica %d died)", t, l.id, l.by)
+			h.h.event("t%d lapse %s (replica %d died)", t, l.id, l.by)
 			continue
 		}
-		visible := t-l.granted >= h.cfg.AckRounds
-		if !visible && l.waitSeqs != nil {
-			visible = true
-			for i, seq := range l.waitSeqs {
-				if st, ok := h.streams[i]; ok && h.reps[i].alive && st.acked < seq {
-					visible = false
-					break
-				}
+		if l.wait != nil && !h.rc.Settle(l.wait, now) {
+			continue
+		}
+		if h.rc.Deposed(l.inc) {
+			// The replica set's fence: the grant is surrendered where it
+			// was minted, and the client retries against the successor.
+			if ev, _, err := h.reps[l.by].rn.core.Release(l.id, now); err == nil {
+				h.rc.Publish(l.by, ev, now)
 			}
-		}
-		if !visible && l.waitSeqs == nil {
-			visible = true // zombie grants skip replication entirely
-		}
-		if !visible {
+			l.fenced = true
+			h.res.FencedGrants++
+			h.h.event("t%d fence %s (inc %d != %d)", t, l.id, l.inc, h.rc.Incarnation())
 			continue
 		}
 		l.visibleAt = t
 		h.res.Grants++
-		if l.inc != h.inc {
+		if l.inc != h.rc.Incarnation() {
 			record(&h.res.DualPrimaryViolations,
-				"t%d: grant %d from deposed inc %d became visible under inc %d", t, l.id, l.inc, h.inc)
-		}
-		for _, other := range h.leases {
-			if other == l || other.visibleAt < 0 || other.key != l.key {
-				continue
-			}
-			if from, to := other.window(); from <= t && t < to {
-				record(&h.res.ExclusionViolations,
-					"t%d: leases %d and %d both hold %s", t, other.id, l.id, l.key)
-			}
+				"t%d: grant %s from deposed inc %d became visible under inc %d", t, l.id, l.inc, h.rc.Incarnation())
 		}
 	}
-}
-
-// expire retires leases past their deadline: the client stops believing
-// in them, and the primary prunes its table, replicating the expiry.
-// Standbys never self-expire — like the production shadow table they
-// prune only on stream records or at adoption, because a local prune
-// racing an in-flight renew would silently drop the lease (the renew
-// record is a no-op on a missing entry).
-func (h *replicaHarness) expire(t int) {
 	for _, l := range h.leases {
-		if l.visibleAt >= 0 && l.endedAt < 0 && l.deadline <= t {
+		if l.visibleAt >= 0 && l.endedAt < 0 && !now.Before(l.deadline) {
 			l.endedAt = t
-			h.res.Expirations++
-		}
-	}
-	tbl := h.reps[h.primary].table
-	var dead []int
-	for id, sl := range tbl {
-		if sl.deadline <= t {
-			dead = append(dead, id)
-		}
-	}
-	sort.Ints(dead)
-	for _, id := range dead {
-		key := tbl[id].key
-		delete(tbl, id)
-		if h.serving(t) {
-			h.send(repExpire, id, key, 0, nil)
 		}
 	}
 }
 
-// replicaCooloffRounds is the supervisor's cool-off after a promotion
-// attempt, the round-domain twin of FailoverConfig.Cooloff.
-const replicaCooloffRounds = 10
-
-// promotionGap judges a promotion's loss evidence. The mutation test
-// swaps it for a predicate that ignores replication lag.
-var promotionGap = coord.Evidence.Gap
-
-// supervise drives the failure detector and starts promotions.
-func (h *replicaHarness) supervise(t int) {
-	if h.promoting {
+// supervise drives the failure detector and the promotion step: the
+// core chooses, bumps and takes the evidence at the decision, the
+// chosen member adopts across the promotion window, and the core judges
+// the gap and opens the hold-down when the window closes.
+func (h *replicaHarness) supervise(t int, now time.Time) {
+	if h.promo != nil {
+		h.rc.Adopt(h.promo, now, h.adopter(t, now))
 		if t >= h.promoteEnd {
-			h.completePromotion(t)
+			h.completePromotion(t, now)
 		}
 		return
 	}
-	if !h.detector.Check(h.healthy(h.primary), int64(t)) {
+	old := h.rc.Primary()
+	if !h.detector.Check(h.healthy(old), int64(t)) {
 		return
 	}
-	idx := h.standbyIndexes()
-	views := make([]coord.Standby, len(idx))
-	for k, i := range idx {
-		views[k] = coord.Standby{Live: h.reps[i].alive, Applied: h.streams[i].recv.Applied()}
-	}
-	best := coord.Choose(views)
-	if best == -1 {
+	p, err := h.rc.Promote(now, h.alive)
+	if err != nil {
 		h.detector.Promoted(int64(t))
 		h.res.FailedPromotions++
 		h.h.event("t%d promotion failed: no live standby", t)
 		return
 	}
-	// The incarnation bumps the instant the decision is made: from here
-	// the old primary's stream records and in-flight grants are fenced.
-	if h.reps[h.primary].zombie {
-		h.zombieIdx = h.primary
-		h.zombieUntil = t + h.cfg.PromoteRounds + 2
+	if h.reps[old].zombie {
+		h.zombieIdx = old
+		h.zombieUntil = t + replicaPromoteRounds + 2
 	}
-	h.inc++
-	h.promoting = true
-	h.chosen = idx[best]
-	h.promoteEnd = t + h.cfg.PromoteRounds
-	h.h.event("t%d promote %d starts inc=%d applied=%d", t, h.chosen, h.inc, views[best].Applied)
+	h.reps[p.Chosen].queue = nil // its stream is closed: it IS the primary
+	h.promo, h.promoteEnd = p, t+replicaPromoteRounds
+	h.h.event("t%d promote %d starts inc=%d lag=%d", t, p.Chosen, p.Inc, p.Lag)
+	h.rc.Adopt(p, now, h.adopter(t, now))
 }
 
-// completePromotion installs the chosen standby, adopts what it can
-// prove, and opens a TTL-drain hold-down when coord's gap predicate
-// says the stream showed loss.
-func (h *replicaHarness) completePromotion(t int) {
-	st := h.streams[h.chosen]
-	ev := coord.Evidence{
-		StreamGap: st.recv.Gap(),
-		Lag:       st.seq - st.acked,
-		Dropped:   int64(st.dropped),
-		Stale:     st.recv.Stale(int64(t), int64(h.cfg.StaleRounds)),
-	}
-	delete(h.streams, h.chosen)
-	h.primary = h.chosen
-	h.promoting = false
-	h.detector.Promoted(int64(t))
-	h.res.Promotions++
-
-	np := h.reps[h.primary]
-	if !np.alive {
-		// Killed mid-promotion: installed anyway (the supervisor notices
-		// and promotes again), but nothing it knew — or never heard of —
-		// can be re-granted.
-		ev.FailedAdoptions = len(np.table) + 1
-		h.res.FailedPromotions++
-		h.h.event("t%d promotion of dead %d completes dark", t, h.chosen)
-	} else {
-		// Adopt proven unexpired leases; the adoption grants double as the
-		// new primary's snapshot for the surviving streams.
-		var ids []int
-		for id := range np.table {
-			ids = append(ids, id)
+// adopter is the chosen member's adoption of one proven lease, as
+// Server.AdoptLease: its session is queued and served once, then polled
+// until granted, when the lease is re-minted under its ID and deadline
+// and published. A session still ungranted when the window closes is a
+// failed adoption — AdoptLease's await timing out.
+func (h *replicaHarness) adopter(t int, now time.Time) func(lockservice.LeaseEvent) bool {
+	m := h.promo.Chosen
+	r := h.reps[m]
+	return func(le lockservice.LeaseEvent) bool {
+		if !r.alive {
+			return false
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			if sl := np.table[id]; coord.Adoptable(int64(sl.deadline), int64(t)) {
-				h.res.Adopted++
-				h.send(repGrant, id, sl.key, sl.deadline, nil)
-			} else {
-				delete(np.table, id)
-				h.res.Skipped++
+		var cl *client
+		for _, a := range h.adopting {
+			if a.lease == le.ID {
+				cl = a.client
 			}
 		}
+		if cl == nil {
+			if cl = r.rn.submit(le.Resources, 0, t); cl == nil {
+				return false
+			}
+			h.adopting = append(h.adopting, adoption{cl, le.ID})
+		}
+		if !cl.granted() {
+			return false
+		}
+		ev := r.rn.core.Adopt(cl.sess, le.ID, le.Resources, le.Deadline, now)
+		cl.id, cl.done = le.ID, true
+		if w := h.rc.Publish(m, ev, now); w != nil {
+			h.waits = append(h.waits, w)
+		}
+		return true
 	}
-	gap := promotionGap(ev) && !h.cfg.Unsafe
-	if until := coord.HoldUntil(gap, int64(t), int64(h.cfg.TTLRounds), st.recv.DrainTo()); until > 0 {
-		h.holdUntil = int(until)
+}
+
+// completePromotion closes the promotion window, withdraws the
+// adoptions that never got their grant, and runs the zombie-lease
+// oracle: every client-visible unexpired lease granted under a deposed
+// incarnation must be adopted (same ID) by a live successor or outlived
+// by the hold-down before the shard grants again.
+func (h *replicaHarness) completePromotion(t int, now time.Time) {
+	p := h.promo
+	h.rc.Complete(p, now, h.alive)
+	np := h.reps[p.Chosen]
+	for _, a := range h.adopting {
+		if !a.done {
+			a.end()
+		}
+	}
+	h.promo, h.adopting = nil, nil
+	h.detector.Promoted(int64(t))
+	h.res.Promotions++
+	h.res.Adopted += p.Adopted
+	h.res.Skipped += p.Skipped
+	if !np.alive {
+		// Killed mid-promotion: installed anyway (the supervisor notices
+		// and promotes again).
+		h.res.FailedPromotions++
+		h.h.event("t%d promotion of dead %d completes dark", t, p.Chosen)
+	}
+	if !p.HoldUntil.IsZero() {
 		h.res.Holds++
 	}
-	h.h.event("t%d promote %d done inc=%d adopted=%d gap=%v hold=%d",
-		t, h.primary, h.inc, h.res.Adopted, gap, h.holdUntil)
-
-	// Zombie-lease oracle: every client-visible unexpired lease granted
-	// under a deposed incarnation must be adopted (same ID) or outlived
-	// by the hold-down before the shard grants again.
+	// An earlier promotion's hold-down may still stand.
+	until, hold := h.rc.HoldUntil(), -1
+	if !until.IsZero() {
+		hold = roundOf(until)
+	}
+	h.h.event("t%d promote %d done inc=%d adopted=%d gap=%v hold=%d", t, p.Chosen, p.Inc, p.Adopted, p.Gap, hold)
 	for _, l := range h.leases {
-		if l.visibleAt < 0 || l.endedAt >= 0 || l.deadline <= t || l.inc >= h.inc {
+		if l.visibleAt < 0 || l.endedAt >= 0 || !now.Before(l.deadline) || l.inc >= p.Inc {
 			continue
 		}
-		if _, adopted := np.table[l.id]; adopted && np.alive {
-			continue
-		}
-		if h.holdUntil >= l.deadline {
+		if _, adopted := np.rn.core.Deadline(l.id); (adopted && np.alive) || !until.Before(l.deadline) {
 			continue
 		}
 		record(&h.res.UndrainedViolations,
-			"t%d: unproven lease %d (key %s, deadline t%d) neither adopted nor drained (hold=%d)",
-			t, l.id, l.key, l.deadline, h.holdUntil)
+			"t%d: unproven lease %s (key %s) neither adopted nor drained (hold=%d)", t, l.id, l.key, hold)
 	}
 }
 
-// finish runs the whole-run exclusion oracle (full pairwise pass, in
-// case the incremental check at visibility missed a window) and seals
-// the trace hash.
+// finish runs the exclusion oracle — no two client-visible leases on
+// one key overlap — and seals the trace hash.
 func (h *replicaHarness) finish() *ReplicaResult {
 	res := h.res
 	for i, a := range h.leases {
@@ -793,13 +646,11 @@ func (h *replicaHarness) finish() *ReplicaResult {
 			bf, bt := b.window()
 			if af < bt && bf < at {
 				record(&res.ExclusionViolations,
-					"leases %d [%d,%d) and %d [%d,%d) overlap on %s", a.id, af, at, b.id, bf, bt, a.key)
+					"leases %s [%d,%d) and %s [%d,%d) overlap on %s", a.id, af, at, b.id, bf, bt, a.key)
 			}
 		}
 	}
-	if h.blackout > res.MaxBlackout {
-		res.MaxBlackout = h.blackout
-	}
+	res.MaxBlackout = max(res.MaxBlackout, h.blackout)
 	res.Trace = h.h.lines
 	res.TraceHash = h.h.hash.Sum64()
 	return res
@@ -813,10 +664,7 @@ func RandomReplicaKills(src Source, count, window int) []ReplicaKill {
 	if count <= 0 {
 		return kills
 	}
-	gap := window / count
-	if gap < 1 {
-		gap = 1
-	}
+	gap := max(window/count, 1)
 	for i := 0; i < count; i++ {
 		kills = append(kills, ReplicaKill{
 			Round:  i*gap + src.Intn(gap),

@@ -117,34 +117,22 @@ func TestReplicaLaggedStandbyDrains(t *testing.T) {
 	}
 }
 
-// TestReplicaUnsafeNegativeControl proves the oracles can fire: with
-// the incarnation fence and gap checks disabled, zombie-primary
-// campaigns must produce dual-primary (and typically exclusion)
-// violations across a fixed seed range — and the identical safe runs
-// must fence those same grants instead.
+// TestReplicaUnsafeNegativeControl is the safe half of the zombie
+// negative control (its unsafe half, the post-grant fence mutated away,
+// is lockservice's TestMutantGrantSkippingIncarnationFenceTripsDualPrimary):
+// zombie-primary campaigns across a fixed seed range stay safe, and the
+// zombie's stragglers are fenced rather than never attempted.
 func TestReplicaUnsafeNegativeControl(t *testing.T) {
 	plan := []ReplicaKill{{Round: 30, Target: -1, Zombie: true}}
-	var fired bool
 	var fencedSafe int
 	for seed := int64(0); seed < 40; seed++ {
-		unsafe := RunReplica(ReplicaConfig{
-			Replicas: 3, Rounds: 150, Seed: seed, Kills: plan, Unsafe: true,
-		})
-		safe := RunReplica(ReplicaConfig{
-			Replicas: 3, Rounds: 150, Seed: seed, Kills: plan,
-		})
+		safe := RunReplica(ReplicaConfig{Replicas: 3, Rounds: 150, Seed: seed, Kills: plan})
 		if safe.Failed() {
 			t.Errorf("seed %d: safe run violated: dual=%v excl=%v undrained=%v",
 				seed, safe.DualPrimaryViolations, safe.ExclusionViolations,
 				safe.UndrainedViolations)
 		}
-		if len(unsafe.DualPrimaryViolations) > 0 {
-			fired = true
-		}
 		fencedSafe += safe.FencedGrants
-	}
-	if !fired {
-		t.Fatal("unsafe mode never produced a dual-primary violation; oracle cannot fire")
 	}
 	if fencedSafe == 0 {
 		t.Fatal("safe runs fenced nothing; the zombie never tried to grant")
@@ -235,4 +223,118 @@ func FuzzFailover(f *testing.F) {
 				res.UndrainedViolations, kills, stalls)
 		}
 	})
+}
+
+// TestReplicaStalledStreamIsDemoted: a standby that never acks costs
+// the first grants their whole ack budget, and after degradedAfter
+// misses in a row its stream is demoted — later grants no longer wait
+// on it. (This harness used to wait on every live stream on every
+// grant, whatever it had missed.)
+func TestReplicaStalledStreamIsDemoted(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		h := newReplicaHarness(ReplicaConfig{Replicas: 2, Rounds: 200, Seed: seed,
+			Stalls: []ReplicaStall{{Replica: 1, From: 0, Until: 200}}})
+		for r := 0; r < 200; r++ {
+			h.round(r)
+		}
+		var waited, late int
+		for _, l := range h.leases {
+			if l.visibleAt > l.granted {
+				waited++
+				if l.granted >= 50 {
+					late++
+				}
+			}
+		}
+		if waited == 0 {
+			t.Fatalf("seed %d: no grant ever waited on the stalled stream", seed)
+		}
+		if late > 0 {
+			t.Fatalf("seed %d: %d grants after round 50 still waited on a stream that missed every ack", seed, late)
+		}
+	}
+}
+
+// lossyFailover kills the primary of three at round 60 while both
+// standbys lag (stalled over rounds 56–64), so the promotion at round
+// 62 opens a TTL-drain hold-down until round 94, and kills the promoted
+// primary at round 90, inside it.
+func lossyFailover(seed int64) *replicaHarness {
+	return newReplicaHarness(ReplicaConfig{
+		Replicas: 3, Rounds: 160, Seed: seed,
+		Kills:  []ReplicaKill{{Round: 60, Target: -1}, {Round: 90, Target: -1}},
+		Stalls: []ReplicaStall{{Replica: 1, From: 56, Until: 64}, {Replica: 2, From: 56, Until: 64}},
+	})
+}
+
+// TestReplicaHeartbeatsThroughHoldDown: a primary in its hold-down is
+// healthy and heartbeats, so when it dies a surviving standby whose
+// stream lost nothing is fresh, and its promotion (at round 92) needs no
+// second hold-down. (This harness used to heartbeat only while serving:
+// the stream went stale across the hold-down and forced another.)
+func TestReplicaHeartbeatsThroughHoldDown(t *testing.T) {
+	runs := 0
+	for seed := int64(0); seed < 10; seed++ {
+		h := lossyFailover(seed)
+		for r := 0; r < 92; r++ {
+			h.round(r)
+		}
+		holds := h.res.Holds
+		for r := 92; r < 160; r++ {
+			h.round(r)
+		}
+		res := h.finish()
+		if res.Failed() {
+			t.Errorf("seed %d: dual=%v excl=%v undrained=%v", seed, res.DualPrimaryViolations, res.ExclusionViolations, res.UndrainedViolations)
+		}
+		if holds != 1 || res.Promotions != 2 || res.DroppedRecords > 0 {
+			continue // no first hold-down, or a lossy stream: a second one is owed
+		}
+		runs++
+		if res.Holds != holds {
+			t.Errorf("seed %d: the second promotion held down again: its stream went stale during the first hold-down", seed)
+		}
+	}
+	if runs < 5 {
+		t.Fatalf("only %d of 10 runs held down once over a lossless survivor; the plan missed", runs)
+	}
+}
+
+// TestReplicaExpiriesReplicatedThroughHoldDown: the promoted primary's
+// janitor expires the leases it adopted while its hold-down still
+// stands, and the expiries reach the surviving standby — a lease due
+// five rounds ago is no longer in its shadow table. (This harness used
+// to replicate expiries only while serving.)
+func TestReplicaExpiriesReplicatedThroughHoldDown(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		h := lossyFailover(seed)
+		for r := 0; r < 65; r++ {
+			h.round(r)
+		}
+		p := h.rc.Primary()
+		var adopted []*ledgerLease
+		for _, l := range h.leases {
+			if _, ok := h.reps[p].rn.core.Deadline(l.id); ok {
+				adopted = append(adopted, l)
+			}
+		}
+		for r := 65; r < 89; r++ {
+			h.round(r)
+		}
+		survivor := h.rc.Standbys()[0]
+		stale := 0
+		for _, le := range h.rc.Snapshot(survivor) {
+			for _, l := range adopted {
+				if l.id == le.ID && roundOf(l.deadline) <= 83 {
+					stale++
+				}
+			}
+		}
+		if len(adopted) == 0 {
+			t.Fatalf("seed %d: the promotion adopted nothing", seed)
+		}
+		if stale > 0 {
+			t.Errorf("seed %d: %d of the %d adopted leases expired by round 83 are still in standby %d's shadow at round 88", seed, stale, len(adopted), survivor)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package lockservice
 
 import (
+	"mcdp/internal/coord"
 	"mcdp/internal/graph"
 	"mcdp/internal/msgpass"
 )
@@ -26,4 +27,21 @@ func MutateGrantIgnoresHalt() (restore func()) {
 	real := haltedAfterGrant
 	haltedAfterGrant = func(*Server) bool { return false }
 	return func() { haltedAfterGrant = real }
+}
+
+// MutateGrantSkipsIncarnationFence deletes the post-grant incarnation
+// check — the mutant hands out a grant a promotion overtook — until the
+// returned function is called.
+func MutateGrantSkipsIncarnationFence() (restore func()) {
+	real := deposed
+	deposed = func(*ReplicaCore, uint64) bool { return false }
+	return func() { deposed = real }
+}
+
+// MutatePromotionIgnoresLag drops replication lag from the promotion
+// step's gap predicate until the returned function is called.
+func MutatePromotionIgnoresLag() (restore func()) {
+	real := promotionGap
+	promotionGap = func(ev coord.Evidence) bool { ev.Lag = 0; return real(ev) }
+	return func() { promotionGap = real }
 }

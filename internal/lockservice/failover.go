@@ -89,15 +89,15 @@ func (r *Router) superviseShards() {
 		if now := time.Now(); now.Sub(lastHB) >= r.fo.HeartbeatEvery {
 			lastHB = now
 			for _, set := range r.sets {
-				set.heartbeat()
+				set.core.Heartbeat(set.Primary().Healthy())
 			}
 		}
 		for i, set := range r.sets {
-			if !detectors[i].Check(set.primaryHealthy(), r.now()) {
+			if !detectors[i].Check(set.Primary().Healthy(), r.now()) {
 				continue
 			}
-			lag := set.maxLag()
-			res, err := set.promote()
+			lag := set.core.MaxLag()
+			res, took, err := set.promote()
 			detectors[i].Promoted(r.now())
 			if err != nil {
 				r.fo.Logf("failover: shard %d promotion failed (reason=%d missed health checks, lag=%d records): %v",
@@ -109,10 +109,10 @@ func (r *Router) superviseShards() {
 			r.pushRingGen()
 			r.mu.Unlock()
 			r.metrics.Failovers.Add(1)
-			r.metrics.observePromotion(res.Took)
+			r.metrics.observePromotion(took)
 			r.fo.Logf("failover: shard %d promoted standby inc=%d reason=%d missed health checks lag=%d records adopted=%d skipped=%d failed=%d gap=%v hold=%s took=%s",
 				i, res.Inc, r.fo.Misses, res.Lag, res.Adopted, res.Skipped, res.Failed, res.Gap,
-				res.Hold.Round(time.Millisecond), res.Took.Round(time.Millisecond))
+				max(time.Until(res.HoldUntil), 0).Round(time.Millisecond), took.Round(time.Millisecond))
 		}
 	}
 }
@@ -127,14 +127,14 @@ func (r *Router) Failover(s int, timeout time.Duration) error {
 		return fmt.Errorf("lockservice: shard %d out of range [0,%d)", s, len(r.sets))
 	}
 	set := r.sets[s]
-	if set.standbyCount() == 0 {
+	if len(set.core.Standbys()) == 0 {
 		return fmt.Errorf("lockservice: shard %d has no standby; refusing to kill the only primary", s)
 	}
-	before := set.incarnation()
-	set.killPrimary()
+	before := set.core.Incarnation()
+	set.Primary().Halt()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if set.settled(before) {
+		if set.core.Settled(before) && !set.Primary().Halted() {
 			return nil
 		}
 		time.Sleep(5 * time.Millisecond)

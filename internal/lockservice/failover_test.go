@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -202,12 +201,12 @@ func TestShardLeaderlessRetryAfter(t *testing.T) {
 	if !set.killStandby(0) {
 		t.Fatal("killStandby(0) found no standby")
 	}
-	set.killPrimary()
+	set.Primary().Halt()
 
 	waitCond(t, 5*time.Second, "failed promotion to be logged", func() bool {
 		return lc.contains("promotion failed")
 	})
-	if got := set.incarnation(); got != 1 {
+	if got := set.core.Incarnation(); got != 1 {
 		t.Fatalf("incarnation = %d after failed promotion, want 1 (halted standby never promoted)", got)
 	}
 
@@ -278,7 +277,7 @@ func TestGenerationFencingParity(t *testing.T) {
 		httpRes <- err
 	}()
 	waitCond(t, 5*time.Second, "HTTP acquire to queue", blockedDepth(p1))
-	if _, err := set.promote(); err != nil {
+	if _, _, err := set.promote(); err != nil {
 		t.Fatalf("promote #1: %v", err)
 	}
 	// Unblock the queued acquire on the DEPOSED server: its grant must
@@ -317,7 +316,7 @@ func TestGenerationFencingParity(t *testing.T) {
 		wireRes <- err
 	}()
 	waitCond(t, 5*time.Second, "wire acquire to queue", blockedDepth(p2))
-	if _, err := set.promote(); err != nil {
+	if _, _, err := set.promote(); err != nil {
 		t.Fatalf("promote #2: %v", err)
 	}
 	if err := p2.Release(held.SessionID); err != nil {
@@ -409,13 +408,13 @@ func TestSupervisorCooloffHoldsFlappingShard(t *testing.T) {
 	rt := startReplicatedRouter(t, 1, 2, fo)
 
 	set := rt.sets[0]
-	set.killPrimary()
+	set.Primary().Halt()
 	waitCond(t, 5*time.Second, "first promotion", func() bool {
 		return rt.Metrics().Failovers.Load() == 1
 	})
 	// Flap: the freshly promoted primary dies inside the cool-off
 	// window. The supervisor must hold the second promotion down.
-	set.killPrimary()
+	set.Primary().Halt()
 	time.Sleep(250 * time.Millisecond)
 	if got := rt.Metrics().Failovers.Load(); got != 1 {
 		t.Fatalf("Failovers = %d inside cool-off window, want 1", got)
@@ -476,39 +475,43 @@ func TestFailoverAdminEndpoint(t *testing.T) {
 	}
 }
 
-// TestStandbyGapRuleOneSpelling feeds a standby the frames
-// detsim's TestReplicaGapRuleOneSpelling feeds its model — a stream
-// opening on a heartbeat that echoes sequence 0, then record 2 — and
-// wants the same verdict from the same coord.Stream: record 1 was lost.
-func TestStandbyGapRuleOneSpelling(t *testing.T) {
-	connP, connS := net.Pipe()
-	sb := newStandby(nil, func() uint64 { return 1 })
-	sb.serve(connS)
-	defer func() {
-		connP.Close()
-		connS.Close()
-		sb.join()
-	}()
-	go func() { // drain acks so the reader's write never blocks
-		buf := make([]byte, 512)
-		for {
-			if _, err := connP.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	frame := wire.AppendFrame(nil, wire.TypeReplApply, []wire.Msg{
-		{Type: wire.TypeReplApply, Seq: 0, Inc: 1, Op: ReplOpHeartbeat},
-		{Type: wire.TypeReplApply, Corr: 2, Seq: 2, Inc: 1, Op: ReplOpGrant, Session: "k0:s2", Resources: []string{"a"}, DeadlineUS: 1},
-	})
-	if _, err := connP.Write(frame); err != nil {
-		t.Fatalf("write: %v", err)
+// killStandby fail-stops standby i (test hook); promotions skip
+// halted standbys. Reports whether such a standby existed.
+func (rs *replicaSet) killStandby(i int) bool {
+	sb := rs.core.Standbys()
+	if i < 0 || i >= len(sb) {
+		return false
 	}
-	waitCond(t, 2*time.Second, "record 2 applied", func() bool {
-		st := sb.state()
-		return st.Applied() == 2
-	})
-	if st := sb.state(); !st.Gap() {
-		t.Fatal("standby applied record 2 behind an opening heartbeat 0 without flagging the hole")
+	rs.members[sb[i]].Halt()
+	return true
+}
+
+// TestStandbyGapRuleOneSpelling feeds a standby's stream reader the
+// frames detsim's TestReplicaGapRuleOneSpelling feeds its harness — a
+// stream opening on a heartbeat that echoes sequence 0, then record 2 —
+// and wants the same verdict from ReplicaCore.Apply: record 2 applied
+// and acked, record 1 lost. Record 1 in its place leaves no hole.
+func TestStandbyGapRuleOneSpelling(t *testing.T) {
+	for _, tc := range []struct {
+		seq uint64
+		gap bool
+	}{{seq: 2, gap: true}, {seq: 1, gap: false}} {
+		c := NewReplicaCore(make([]*ShardCore, 2), time.Second, time.Minute, func(int, ReplRecord) bool { return true })
+		l := newLink(c, 1)
+		frame := wire.AppendFrame(nil, wire.TypeReplApply, []wire.Msg{
+			{Type: wire.TypeReplApply, Seq: 0, Inc: 1, Op: ReplOpHeartbeat},
+			{Type: wire.TypeReplApply, Corr: tc.seq, Seq: tc.seq, Inc: 1, Op: ReplOpGrant, Session: "k0:s2", Resources: []string{"a"}, DeadlineUS: 1},
+		})
+		if _, err := l.connP.Write(frame); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		waitCond(t, 2*time.Second, fmt.Sprintf("record %d acked", tc.seq), func() bool { return c.Acked(1, tc.seq) })
+		c.mu.Lock()
+		gap := c.stream(1).recv.Gap()
+		c.mu.Unlock()
+		l.close()
+		if gap != tc.gap {
+			t.Fatalf("heartbeat 0 then record %d: gap = %v, want %v", tc.seq, gap, tc.gap)
+		}
 	}
 }

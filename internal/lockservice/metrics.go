@@ -139,15 +139,15 @@ func (r *Router) families() []stats.Family {
 		stats.Hist("dinerd_promotion_seconds", "Standby promotion latency: decision to serving.", m.PromotionHist),
 		stats.Vec("gauge", "dinerd_shard_role", "Shard role (1=primary serving, 0=halted/leaderless).", "shard",
 			perShard(func(_ int, set *replicaSet) float64 {
-				if set.primaryHealthy() {
+				if set.Primary().Healthy() {
 					return 1
 				}
 				return 0
 			})),
 		stats.Vec("gauge", "dinerd_shard_incarnation", "Primary incarnation per shard (bumped on every promotion).", "shard",
-			perShard(func(_ int, set *replicaSet) float64 { return float64(set.incarnation()) })),
+			perShard(func(_ int, set *replicaSet) float64 { return float64(set.core.Incarnation()) })),
 		stats.Vec("gauge", "dinerd_shard_replication_lag", "Widest standby lag per shard, in lease records.", "shard",
-			perShard(func(_ int, set *replicaSet) float64 { return float64(set.maxLag()) })),
+			perShard(func(_ int, set *replicaSet) float64 { return float64(set.core.MaxLag()) })),
 	}
 }
 

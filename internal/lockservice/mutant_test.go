@@ -109,3 +109,62 @@ func TestMutantFenceSkippingGarbageRestartTripsLeaseOracle(t *testing.T) {
 		t.Fatalf("a restart that keeps the ended incarnation's leases survived %d migration chaos runs", seeds)
 	}
 }
+
+// TestMutantGrantSkippingIncarnationFenceTripsDualPrimary: without the
+// replica set's post-grant incarnation check, a zombie primary's
+// stragglers reach their clients. detsim's replica harness runs the
+// ReplicaCore the Router does, and its dual-primary oracle must catch
+// the mutant on the zombie plan of detsim's
+// TestReplicaUnsafeNegativeControl, which stays clean with the fence.
+func TestMutantGrantSkippingIncarnationFenceTripsDualPrimary(t *testing.T) {
+	const seeds = 40
+	killed := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		restore := lockservice.MutateGrantSkipsIncarnationFence()
+		res := detsim.RunReplica(detsim.ReplicaConfig{Replicas: 3, Rounds: 150, Seed: seed,
+			Kills: []detsim.ReplicaKill{{Round: 30, Target: -1, Zombie: true}}})
+		restore()
+		if len(res.DualPrimaryViolations) > 0 {
+			killed++
+		}
+	}
+	t.Logf("fence-skipping mutant tripped the dual-primary oracle on %d/%d seeds", killed, seeds)
+	if killed == 0 {
+		t.Fatalf("a replica set that hands out deposed grants survived %d zombie runs", seeds)
+	}
+}
+
+// TestMutantPromotionIgnoringLagTripsUndrained: with lag dropped from
+// the promotion step's gap predicate, a promotion serves over leases it
+// cannot prove, and detsim's undrained-lease oracle must say so on the
+// lagged-standby runs — which stay clean, and hold down, with lag.
+func TestMutantPromotionIgnoringLagTripsUndrained(t *testing.T) {
+	// The primary dies while the only standby has been stalled a few
+	// rounds: too briefly to look stale, long enough that leases the
+	// clients hold never reached it. Lag is the only evidence of the loss.
+	lagged := func(seed int64) *detsim.ReplicaResult {
+		return detsim.RunReplica(detsim.ReplicaConfig{Replicas: 2, Rounds: 160, Seed: seed,
+			Kills:  []detsim.ReplicaKill{{Round: 60, Target: -1}},
+			Stalls: []detsim.ReplicaStall{{Replica: 1, From: 55, Until: 90}}})
+	}
+	const seeds = 40
+	killed, holds := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		res := lagged(seed)
+		if res.Failed() {
+			t.Errorf("seed %d: real predicate failed: dual=%v excl=%v undrained=%v",
+				seed, res.DualPrimaryViolations, res.ExclusionViolations, res.UndrainedViolations)
+		}
+		holds += res.Holds
+		restore := lockservice.MutatePromotionIgnoresLag()
+		res = lagged(seed)
+		restore()
+		if len(res.UndrainedViolations) > 0 {
+			killed++
+		}
+	}
+	t.Logf("ignore-lag mutant tripped the undrained-lease oracle on %d/%d seeds (real predicate: %d holds)", killed, seeds, holds)
+	if killed == 0 {
+		t.Fatalf("a promotion that ignores lag>0 survived %d lagged-standby runs", seeds)
+	}
+}

@@ -51,7 +51,7 @@ func (r *Router) MigrateKey(key string, dst int) error {
 	req := coord.MigrateRequest{Dst: dst, Shards: len(r.sets), DstInRing: r.ring.Has(dst)}
 	req.Src, req.Placed = r.ring.Lookup(key)
 	req.Fenced = r.fencedLocked(key, r.now()) != nil
-	req.DstHealthy = req.DstInRing && r.sets[dst].primaryHealthy()
+	req.DstHealthy = req.DstInRing && r.sets[dst].Primary().Healthy()
 	if why := req.Check(); why != coord.MigrateOK {
 		r.mu.Unlock()
 		switch {

@@ -303,11 +303,11 @@ func (r *Router) ShardInfo(i int) ShardInfo {
 	set := r.sets[i]
 	return ShardInfo{
 		Shard:       i,
-		Incarnation: set.incarnation(),
-		Standbys:    set.standbyCount(),
+		Incarnation: set.core.Incarnation(),
+		Standbys:    len(set.core.Standbys()),
 		Halted:      set.Primary().Halted(),
-		Lag:         set.maxLag(),
-		Hold:        set.holdRemaining(),
+		Lag:         set.core.MaxLag(),
+		Hold:        max(time.Until(set.core.HoldUntil()), 0),
 	}
 }
 
@@ -536,13 +536,10 @@ func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []co
 			case coord.SpanPlacement:
 				ok = r.stillPlaced(parts)
 			case coord.SpanCommit:
-				if _, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, ttl); cause == nil {
-					r.sets[parts[act.Part].Shard].noteSpan(ReplOpSpanCommit, subs[act.Part].SessionID)
-				}
+				_, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, ttl)
 				ok = cause == nil
 			case coord.SpanRelease:
 				_ = r.sets[parts[act.Part].Shard].release(subs[act.Part].SessionID)
-				r.sets[parts[act.Part].Shard].noteSpan(ReplOpSpanRollback, subs[act.Part].SessionID)
 			default:
 				return act
 			}
@@ -561,10 +558,6 @@ func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []co
 			cause = err
 		} else {
 			subs = append(subs, g)
-			// The sub-lease is now an early grant under a prepare TTL; tell
-			// the shard's standbys so a promotion mid-span knows this lease
-			// belongs to an unresolved span.
-			r.sets[pt.Shard].noteSpan(ReplOpSpanPrepare, g.SessionID)
 		}
 		act = settle(sp.Done(err == nil))
 	}
@@ -719,9 +712,9 @@ func (r *Router) Status() StatusReport {
 		if s.Halted() {
 			rep.Role = "halted"
 		}
-		rep.ShardIncarnation = set.incarnation()
-		rep.Standbys = set.standbyCount()
-		rep.ReplicationLag = int64(set.maxLag())
+		rep.ShardIncarnation = set.core.Incarnation()
+		rep.Standbys = len(set.core.Standbys())
+		rep.ReplicationLag = int64(set.core.MaxLag())
 		if agg.Topology == "" {
 			agg.Topology = fmt.Sprintf("%d x %s", len(r.sets), rep.Topology)
 			// Every shard arbitrates the same catalog (one conflict graph

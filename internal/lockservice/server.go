@@ -232,7 +232,9 @@ func (s *Server) Start() {
 	}
 }
 
-// janitor expires leases past their TTL.
+// janitor expires leases past their TTL. Each expiry is counted and
+// streamed before the pump that may grant its freed resources to a
+// waiter, so no caller sees that grant ahead of the expiry behind it.
 func (s *Server) janitor() {
 	defer s.wg.Done()
 	t := time.NewTicker(100 * time.Millisecond)
@@ -243,9 +245,13 @@ func (s *Server) janitor() {
 			return
 		case <-t.C:
 		}
-		for _, ev := range s.core.Expire(time.Now()) {
+		evs := s.core.Expire(time.Now())
+		for _, ev := range evs {
 			s.metrics.Expirations.Add(1)
 			s.emit(ev)
+		}
+		if len(evs) > 0 {
+			s.core.Pump()
 		}
 	}
 }

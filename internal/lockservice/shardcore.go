@@ -20,13 +20,23 @@ import (
 )
 
 // Alive reports whether worker p of nw can back a grant: its current
-// incarnation has not halted and it has not left the service.
+// incarnation has not halted, is not ending — a kill or restart it has
+// not polled yet (msgpass.Network.Halting) — and it has not left the
+// service.
 func Alive(nw *msgpass.Network, p graph.ProcID) bool {
 	return aliveIn(nw.Snapshot(p), nw, p)
 }
 
 // aliveIn is Alive for a caller that already holds p's snapshot.
 func aliveIn(snap msgpass.Snapshot, nw *msgpass.Network, p graph.ProcID) bool {
+	return queueable(snap, nw, p) && !nw.Halting(p)
+}
+
+// queueable reports whether a session may wait at worker p: it has not
+// halted and has not left the service. A worker whose reboot is pending
+// is queueable but not Alive — the session waits for its new
+// incarnation.
+func queueable(snap msgpass.Snapshot, nw *msgpass.Network, p graph.ProcID) bool {
 	return !snap.Dead && !nw.Departed(p)
 }
 
@@ -120,7 +130,7 @@ func (c *ShardCore) Enqueue(resources []string) (*drinkers.Session, error) {
 	// queued there would wait on a worker that is never coming back.
 	live := homes[:0]
 	for _, p := range homes {
-		if Alive(c.nw, p) {
+		if queueable(c.nw.Snapshot(p), c.nw, p) {
 			live = append(live, p)
 		}
 	}
@@ -263,13 +273,12 @@ func (c *ShardCore) Renew(id string, ttl time.Duration, now time.Time) (LeaseEve
 }
 
 // Expire is the janitor's pass: every lease whose deadline now is past
-// is released, then the pump runs. It returns their expire events.
+// is released, and their expire events are returned. It does not pump:
+// the caller counts and streams the expiries first, then calls Pump when
+// there were any, so no waiter granted the freed resources is seen ahead
+// of the expiry that freed them.
 func (c *ShardCore) Expire(now time.Time) []LeaseEvent {
-	evs := c.revoke(ReplOpExpire, func(l *lease) bool { return now.After(l.deadline) })
-	if len(evs) > 0 {
-		c.Pump()
-	}
-	return evs
+	return c.revoke(ReplOpExpire, func(l *lease) bool { return now.After(l.deadline) })
 }
 
 // Fence revokes every lease homed at node, whose incarnation ends (see
@@ -317,10 +326,13 @@ var restartFence = func(c *ShardCore, node graph.ProcID, _ msgpass.RestartMode) 
 }
 
 // Restart fences node's leases, then revives it, clean or with garbage
-// state, and pumps. It returns the fence events.
+// state, and pumps. It returns the fence events. Until the node's next
+// event reboots it, Alive reports it down, so nothing is granted on the
+// incarnation that is ending; the node is woken for that event.
 func (c *ShardCore) Restart(node graph.ProcID, mode msgpass.RestartMode) []LeaseEvent {
 	fenced := restartFence(c, node, mode)
 	c.nw.Restart(node, mode)
+	c.nw.Wake(node)
 	c.Pump()
 	return fenced
 }

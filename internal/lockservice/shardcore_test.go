@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"mcdp/internal/core"
+	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
+	"mcdp/internal/msgpass"
 )
 
 // TestLeaseTTLRule: acquire and renew obey one TTL rule — ttl <= 0 is
@@ -50,5 +53,48 @@ func TestLeaseTTLRule(t *testing.T) {
 			s.Stop(ctx)
 			cancel()
 		}
+	}
+}
+
+// TestRestartGrantsNothingOnTheEndingIncarnation: a session queued at
+// worker p behind p's lease becomes grantable the moment Restart(p)
+// fences that lease, but p's old incarnation must not back it — the
+// reboot lands only at p's next event, and a lease granted before it
+// would outlive the incarnation that granted it.
+func TestRestartGrantsNothingOnTheEndingIncarnation(t *testing.T) {
+	g := graph.Grid(2, 2)
+	now := time.Unix(0, 0)
+	d := msgpass.NewDriven(msgpass.Config{Graph: g, Algorithm: core.NewMCDP(), Hungry: make([]bool, g.N())}, func() time.Time { return now })
+	d.Boot()
+	c := NewShardCore(Config{Graph: g}, d.Network())
+	keys := []string{"edge:0-1"}
+	holder, err := c.Enqueue(keys)
+	if err != nil || !c.Serve(holder) {
+		t.Fatalf("first session not granted at hand: %v", err)
+	}
+	lease := c.Grant(holder, keys, 0, now)
+	waiter, err := c.Enqueue(keys)
+	if err != nil || waiter.Home != holder.Home || c.Serve(waiter) {
+		t.Fatalf("second session not queued behind the first at %d (home %d): %v", holder.Home, waiter.Home, err)
+	}
+	p := holder.Home
+	if fenced := c.Restart(p, msgpass.RestartClean); len(fenced) != 1 || fenced[0].ID != lease.ID {
+		t.Fatalf("restart fenced %v, want the holder's lease %s", fenced, lease.ID)
+	}
+	for step := 0; c.Arbiter().Status(waiter) != drinkers.Drinking; step++ {
+		if step == 10 {
+			t.Fatal("the waiter was never granted after the restart")
+		}
+		for q := 0; q < g.N(); q++ {
+			d.Tick(graph.ProcID(q))
+		}
+		c.Pump()
+	}
+	c.Grant(waiter, keys, 0, now)
+	for q := 0; q < g.N(); q++ {
+		d.Tick(graph.ProcID(q))
+	}
+	if stale := c.StaleLeases(); len(stale) > 0 {
+		t.Fatalf("leases %v were granted on worker %d's ending incarnation", stale, p)
 	}
 }

@@ -159,15 +159,9 @@ func (r *DrivenReader) Dead(p graph.ProcID) bool { return r.nw.procs.Load().node
 // is not an eating session.
 func (r *DrivenReader) Malicious(p graph.ProcID) bool { return r.nw.procs.Load().nodes[p].malSteps > 0 }
 
-// Halting reports whether node p has a kill or revival command it has
-// not yet polled. Control flags apply lazily at the node's next step, so
-// between the command and that step its variables are a corpse — frozen
-// by a departure, or about to be rebooted — not a live protocol state;
-// safety oracles exempt the window exactly as they exempt the dead.
-func (r *DrivenReader) Halting(p graph.ProcID) bool {
-	c := r.nw.ctl(p)
-	return c.kill.Load() || c.restart.Load() != 0
-}
+// Halting is Network.Halting; safety oracles exempt the window exactly
+// as they exempt the dead.
+func (r *DrivenReader) Halting(p graph.ProcID) bool { return r.nw.Halting(p) }
 
 // Priority returns the believed holder of the shared priority variable
 // on edge e: the belief of the endpoint currently holding the edge

@@ -333,6 +333,16 @@ func (nw *Network) finishSessions() {
 // Kill benignly crashes node p: it halts at its next event.
 func (nw *Network) Kill(p graph.ProcID) { nw.ctl(p).kill.Store(true) }
 
+// Halting reports whether node p has a kill or revival command it has
+// not yet polled. Control flags apply lazily at the node's next event,
+// so between the command and that event its variables are a corpse —
+// frozen by a departure, or about to be rebooted — not a live protocol
+// state, and its incarnation is ending.
+func (nw *Network) Halting(p graph.ProcID) bool {
+	c := nw.ctl(p)
+	return c.kill.Load() || c.restart.Load() != 0
+}
+
 // Restart revives node p at its next event — the inverse of Kill the
 // paper's recovery story needs. The node reboots into a new incarnation
 // with either the legitimate initial state (RestartClean) or arbitrary
