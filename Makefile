@@ -51,11 +51,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The per-layer micro-benchmarks of the grant path (arbiter cycle, server
-# acquire, wire write coalescing, substrate hungry→eating), one iteration
-# each: CI runs this so they keep compiling and passing their own
-# assertions.
+# acquire, wire write coalescing, substrate hungry→eating) and of a
+# router's bring-up, one iteration each: CI runs this so they keep
+# compiling and passing their own assertions.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^Benchmark(ArbiterCycle|ServerAcquire|WireCoalesce|HungryToEating|HandoverRounds)$$' -benchtime=1x ./internal/drinkers/ ./internal/lockservice/ ./internal/wire/ ./internal/msgpass/
+	$(GO) test -run='^$$' -bench='^Benchmark(ArbiterCycle|ServerAcquire|NewRouter|WireCoalesce|HungryToEating|HandoverRounds)$$' -benchtime=1x -benchmem ./internal/drinkers/ ./internal/lockservice/ ./internal/wire/ ./internal/msgpass/
 
 # Regenerate the two checked-in baselines `make bench-gate` compares
 # against, both in the internal/bench schema: BENCH_wire.json (HTTP vs

@@ -210,10 +210,8 @@ func (c *shardCatalog) pickSpan(rng *rand.Rand) []string {
 // eat a 409 on every draw.
 func replicaRing(info *lockservice.RingInfo) *shard.Ring {
 	r := shard.New(info.Seed, info.Vnodes)
-	for _, m := range info.Members {
-		if err := r.Add(m); err != nil {
-			return nil // overlapping members: trust the server, route blind
-		}
+	if err := r.AddAll(info.Members...); err != nil {
+		return nil // overlapping members: trust the server, route blind
 	}
 	r.SetOverrides(info.Overrides)
 	return r

@@ -2,7 +2,6 @@ package detsim
 
 import (
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"time"
 
@@ -109,22 +108,6 @@ func record(list *[]string, format string, args ...any) {
 	}
 }
 
-// coordTrace is a coordinator's own event log and hash.
-type coordTrace struct {
-	hash  hash.Hash64
-	keep  bool
-	lines []string
-}
-
-func (t *coordTrace) event(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	t.hash.Write([]byte(line))
-	t.hash.Write([]byte{'\n'})
-	if t.keep {
-		t.lines = append(t.lines, line)
-	}
-}
-
 // cluster is the running K-shard substrate: per shard a runner, the
 // lockservice.ShardCore over it and its arbiter's lock history; the
 // placement ring and the key catalog; the schedule source and the
@@ -137,7 +120,7 @@ type cluster struct {
 	cores   []*lockservice.ShardCore
 	hists   []*lockservice.History
 	keys    []string
-	h       *coordTrace
+	h       *trace
 }
 
 func newCluster(cfg ClusterConfig, what string) *cluster {
@@ -167,7 +150,7 @@ func newCluster(cfg ClusterConfig, what string) *cluster {
 		cfg:  cfg,
 		src:  src,
 		ring: shard.New(uint64(cfg.Seed)+1, cfg.Vnodes),
-		h:    &coordTrace{hash: fnv.New64a(), keep: cfg.Trace},
+		h:    newTrace(cfg.Trace),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		rcfg := Config{
@@ -334,7 +317,7 @@ func (c *cluster) migrationTarget(src, to int) int {
 func (c *cluster) finish() ClusterResult {
 	res := ClusterResult{Seed: c.cfg.Seed, Rounds: c.cfg.Rounds, Shards: c.cfg.Shards, Trace: c.h.lines}
 	comb := fnv.New64a()
-	fmt.Fprintf(comb, "%016x\n", c.h.hash.Sum64())
+	fmt.Fprintf(comb, "%016x\n", c.h.sum())
 	for s, rn := range c.runners {
 		rn.drained()
 		rn.baseline = nil // demand-driven hunger: no locality promise

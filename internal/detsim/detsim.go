@@ -38,8 +38,6 @@ package detsim
 
 import (
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"time"
 
 	"mcdp/internal/core"
@@ -174,8 +172,9 @@ type Result struct {
 	Seed int64
 	// Rounds is how many fair rounds (or adversarial steps) executed.
 	Rounds int
-	// TraceHash is the FNV-64a hash over the event trace — two runs are
-	// the same execution iff their hashes match.
+	// TraceHash is the FNV-1a hash over the run's events (see trace) —
+	// two runs of one build are the same execution iff their hashes
+	// match.
 	TraceHash uint64
 	// Trace is the full event trace (only with Config.Trace).
 	Trace []string
@@ -261,8 +260,7 @@ type runner struct {
 	tap    func(lockservice.LeaseEvent)
 	leases []string // lease-oracle violations
 
-	h     hash.Hash64 // nil when nothing reads the runner's trace
-	trace []string
+	tr *trace // nil when nothing reads the runner's trace
 
 	steps     int64
 	delivered int64
@@ -322,7 +320,7 @@ func newRunner(cfg Config) *runner {
 		cfg:          cfg,
 		src:          src,
 		vnow:         time.Unix(0, 0).UTC(),
-		h:            fnv.New64a(),
+		tr:           newTrace(cfg.Trace),
 		violEdges:    make(map[graph.Edge]bool),
 		garbageUntil: make([]int, cfg.Graph.N()),
 	}
@@ -389,19 +387,8 @@ func newRunner(cfg Config) *runner {
 	return r
 }
 
-// event appends one line to the trace hash (and the retained trace);
-// it formats nothing for a runner with no trace hash.
-func (r *runner) event(format string, args ...any) {
-	if r.h == nil {
-		return
-	}
-	line := fmt.Sprintf(format, args...)
-	r.h.Write([]byte(line))
-	r.h.Write([]byte{'\n'})
-	if r.cfg.Trace {
-		r.trace = append(r.trace, line)
-	}
-}
+// event records one event in the runner's trace, if it has one.
+func (r *runner) event(format string, args ...any) { r.tr.event(format, args...) }
 
 // roundTime is the virtual time one lockstep round takes: each round
 // ends on a whole virtual second (see endRound), so a lease TTL of k
@@ -604,7 +591,7 @@ func (r *runner) checkSafety(t int) {
 func (r *runner) tick(t int, p graph.ProcID) {
 	r.step()
 	frames := r.d.Tick(p)
-	if r.h != nil { // the arguments box even when event drops them
+	if r.tr != nil { // the arguments box even when event drops them
 		r.event("t%d tick %d s%d dp%d", t, p, r.rd.State(p), r.rd.Depth(p))
 		for _, f := range frames {
 			r.event("+ %s", f)
@@ -619,7 +606,7 @@ func (r *runner) deliver(t int, f msgpass.Frame) {
 	r.step()
 	r.delivered++
 	frames := r.d.Deliver(f)
-	if r.h != nil {
+	if r.tr != nil {
 		r.event("t%d dlv %s", t, f)
 		for _, g := range frames {
 			r.event("+ %s", g)
@@ -771,8 +758,8 @@ func (r *runner) finish(fair bool, executed int) *Result {
 	res := &Result{
 		Seed:         r.cfg.Seed,
 		Rounds:       executed,
-		TraceHash:    r.h.Sum64(),
-		Trace:        r.trace,
+		TraceHash:    r.tr.sum(),
+		Trace:        r.tr.lines,
 		Eats:         nw.Eats(),
 		Steps:        r.steps,
 		Delivered:    r.delivered,

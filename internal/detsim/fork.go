@@ -1,8 +1,6 @@
 package detsim
 
 import (
-	"fmt"
-	"hash/fnv"
 	"time"
 
 	"mcdp/internal/graph"
@@ -79,16 +77,9 @@ func RunFork(cfg ForkConfig) *ForkResult {
 		EatEvents: cfg.EatEvents,
 	}, func() time.Time { return vnow })
 	nw := d.Network()
-	h := fnv.New64a()
+	tr := newTrace(cfg.Trace)
+	event := tr.event
 	res := &ForkResult{Seed: cfg.Seed, QuiescedAt: -1}
-	event := func(format string, args ...any) {
-		line := fmt.Sprintf(format, args...)
-		h.Write([]byte(line))
-		h.Write([]byte{'\n'})
-		if cfg.Trace {
-			res.Trace = append(res.Trace, line)
-		}
-	}
 	event("forkrun %s n=%d seed=%d", cfg.Graph.Name(), cfg.Graph.N(), cfg.Seed)
 
 	lastCrash := -1
@@ -138,7 +129,7 @@ func RunFork(cfg ForkConfig) *ForkResult {
 		}
 	}
 	d.Finish()
-	res.TraceHash = h.Sum64()
+	res.TraceHash, res.Trace = tr.sum(), tr.lines
 	res.Eats = nw.Eats()
 	res.SafetyViolations = nw.OverlappingNeighborSessions()
 	return res

@@ -431,10 +431,8 @@ func (h *migHarness) transferWeight(key string, src, dst int) {
 // and requires agreement with the authoritative ring on every key.
 func (h *migHarness) checkObserver(t int, cause string) {
 	obs := shard.New(h.ring.Seed(), h.ring.Vnodes())
-	for _, s := range h.ring.Members() {
-		if err := obs.Add(s); err != nil {
-			panic(err) // fresh ring, authoritative member list: unreachable
-		}
+	if err := obs.AddAll(h.ring.Members()...); err != nil {
+		panic(err) // fresh ring, authoritative member list: unreachable
 	}
 	obs.SetOverrides(h.ring.Overrides())
 	for _, k := range h.keys {

@@ -20,7 +20,6 @@ package detsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"mcdp/internal/coord"
@@ -187,7 +186,7 @@ type replicaHarness struct {
 	cfg ReplicaConfig
 	src Source
 	res *ReplicaResult
-	h   *coordTrace
+	h   *trace
 
 	reps     []*replica
 	rc       *lockservice.ReplicaCore
@@ -229,7 +228,7 @@ func newReplicaHarness(cfg ReplicaConfig) *replicaHarness {
 		cfg:       cfg,
 		src:       src,
 		res:       &ReplicaResult{Seed: cfg.Seed, Rounds: cfg.Rounds, Replicas: cfg.Replicas},
-		h:         &coordTrace{hash: fnv.New64a(), keep: cfg.Trace},
+		h:         newTrace(cfg.Trace),
 		zombieIdx: -1,
 		detector:  coord.Detector{Misses: replicaDetectMisses, Cooloff: replicaCooloffRounds},
 	}
@@ -242,7 +241,7 @@ func newReplicaHarness(cfg ReplicaConfig) *replicaHarness {
 			Hungry: make([]bool, replicaGraph.N()), // demand arrives with sessions
 			Source: src,
 		})
-		rn.h = nil // the run's trace is the harness's own (h.h)
+		rn.tr = nil // the run's trace is the harness's own (h.h)
 		rn.boot()
 		cores[m] = rn.attach(0, 8, nil)
 		rn.tap = func(ev lockservice.LeaseEvent) { h.rc.Publish(m, ev, rn.vnow) }
@@ -652,7 +651,7 @@ func (h *replicaHarness) finish() *ReplicaResult {
 	}
 	res.MaxBlackout = max(res.MaxBlackout, h.blackout)
 	res.Trace = h.h.lines
-	res.TraceHash = h.h.hash.Sum64()
+	res.TraceHash = h.h.sum()
 	return res
 }
 

@@ -1,7 +1,10 @@
 package detsim
 
 import (
+	"fmt"
 	"testing"
+
+	"mcdp/internal/lockservice"
 )
 
 // replicaSweepSeeds scales the replica sweeps like the other harnesses.
@@ -336,5 +339,61 @@ func TestReplicaExpiriesReplicatedThroughHoldDown(t *testing.T) {
 		if stale > 0 {
 			t.Errorf("seed %d: %d of the %d adopted leases expired by round 83 are still in standby %d's shadow at round 88", seed, stale, len(adopted), survivor)
 		}
+	}
+}
+
+// TestReplicaSurvivorDropsReleasedLeases: a release the first primary
+// issued just before it was deposed can still sit in the surviving
+// standby's queue when the incarnation bumps, and is then refused as
+// stale. The survivor must not carry that lease into a later promotion
+// of its own: on lossyFailover with the promoted primary killed at
+// round 100 instead (after its hold-down), the second promotion adopts
+// or skips no lease the first primary released. (The survivor's shadow
+// table used to outlive the promotion; seeds 5, 8, 10 and 19 carried a
+// released lease into the second one.)
+func TestReplicaSurvivorDropsReleasedLeases(t *testing.T) {
+	second := 0
+	for seed := int64(0); seed < 20; seed++ {
+		h := newReplicaHarness(ReplicaConfig{
+			Replicas: 3, Rounds: 160, Seed: seed, Trace: true,
+			Kills:  []ReplicaKill{{Round: 60, Target: -1}, {Round: 100, Target: -1}},
+			Stalls: []ReplicaStall{{Replica: 1, From: 56, Until: 64}, {Replica: 2, From: 56, Until: 64}},
+		})
+		var shadow []lockservice.LeaseEvent // the survivor's, before the second promotion
+		for r := 0; r < 160; r++ {
+			if h.promo == nil && h.res.Promotions == 1 && len(h.rc.Standbys()) > 0 {
+				shadow = h.rc.Snapshot(h.rc.Standbys()[0])
+			}
+			h.round(r)
+			if h.promo != nil && h.res.Promotions == 1 {
+				second++
+				break
+			}
+		}
+		if h.promo == nil {
+			continue
+		}
+		firstPrimary := map[string]bool{}
+		for _, l := range h.leases {
+			if l.by == 0 {
+				firstPrimary[l.id] = true
+			}
+		}
+		released := map[string]bool{}
+		for _, line := range h.h.lines {
+			var round int
+			var id string
+			if n, _ := fmt.Sscanf(line, "t%d release %s", &round, &id); n == 2 && firstPrimary[id] {
+				released[id] = true
+			}
+		}
+		for _, le := range shadow {
+			if released[le.ID] {
+				t.Errorf("seed %d: the second promotion took lease %s, which the first primary released", seed, le.ID)
+			}
+		}
+	}
+	if second < 10 {
+		t.Fatalf("only %d of 20 runs promoted a second time; the plan missed", second)
 	}
 }

@@ -88,3 +88,17 @@ func BenchmarkServerAcquire(b *testing.B) {
 		b.ReportMetric(float64(grants-atHand)/float64(grants), "dined/grant")
 	})
 }
+
+// BenchmarkNewRouter times a service's bring-up and tear-down with no
+// traffic: NewRouter over 4 shards of grid(3x3), Start, Stop. It is the
+// router's share of the benchmark's setup_s; none of it may depend on
+// the fault model, which no op here exercises.
+func BenchmarkNewRouter(b *testing.B) {
+	cfg := RouterConfig{Shards: 4, Base: Config{Graph: graph.Grid(3, 3), Seed: 1}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := NewRouter(cfg)
+		r.Start()
+		r.Stop(context.Background())
+	}
+}

@@ -72,6 +72,8 @@ type replStream struct {
 	degraded bool
 	recv     coord.Stream
 	shadow   map[string]replLease
+	// shadowInc is the incarnation whose stream shadow mirrors.
+	shadowInc uint64
 }
 
 // ReplicaCore is one shard's replica set with no clock and no goroutine
@@ -314,8 +316,17 @@ func (c *ReplicaCore) Heartbeat(healthy bool) {
 // at now, and reports whether to ack it. A record stamped with an
 // incarnation other than the live one — a deposed primary still
 // writing — is refused; a heartbeat moves the watermarks; every other
-// record folds into the shadow table. Grants upsert, so a promoted
-// primary's adoptions double as a snapshot for the surviving standbys.
+// record folds into the shadow table.
+//
+// The first record of a new incarnation empties the shadow table: it is
+// rebuilt from the new primary's stream, whose adoptions re-grant every
+// lease that primary holds. The old table cannot be kept: the deposed
+// primary's last records — a release among them — may still have been
+// queued when the incarnation bumped, and are refused, so it would
+// carry leases nobody holds into a later promotion of this standby. A
+// lease the new primary failed to adopt or never heard of is not lost
+// with it: either makes that promotion's evidence a gap, and its
+// hold-down outlives every lease the deposed primary granted.
 func (c *ReplicaCore) Apply(member int, rec ReplRecord, now time.Time) (ack bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -326,6 +337,10 @@ func (c *ReplicaCore) Apply(member int, rec ReplRecord, now time.Time) (ack bool
 	st.recv.Frame(now.UnixMicro())
 	if !st.recv.Accepts(rec.Inc, c.inc.Load(), rec.Seq) {
 		return false
+	}
+	if rec.Inc != st.shadowInc {
+		clear(st.shadow)
+		st.shadowInc = rec.Inc
 	}
 	if rec.Op == ReplOpHeartbeat {
 		st.recv.Heartbeat(rec.Seq, rec.Deadline.UnixMicro())

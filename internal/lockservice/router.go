@@ -209,13 +209,17 @@ func NewRouter(cfg RouterConfig) *Router {
 		}
 		r.sets = append(r.sets, newReplicaSet(i, primary, standbys,
 			r.fo.AckTimeout, r.fo.StaleAfter, r.fo.CheckEvery))
-		if err := r.ring.Add(i); err != nil {
-			panic(err) // fresh ring, dense ids: unreachable
-		}
+	}
+	ids := make([]int, cfg.Shards)
+	for i := range ids {
+		ids[i] = i
+	}
+	if err := r.ring.AddAll(ids...); err != nil {
+		panic(err) // fresh ring, dense ids: unreachable
 	}
 	r.pushRingGen()
-	r.fams.Register(r.families()...)
-	r.fams.Register(r.controlFamilies()...)
+	r.fams.Register(r.families)
+	r.fams.Register(r.controlFamilies)
 	return r
 }
 

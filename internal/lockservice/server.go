@@ -198,7 +198,7 @@ func NewServer(cfg Config) *Server {
 		},
 	})
 	s.core = NewShardCore(cfg, s.nw)
-	s.fams.Register(s.families()...)
+	s.fams.Register(s.families)
 	return s
 }
 

@@ -17,7 +17,9 @@
 package msgpass
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"mcdp/internal/core"
@@ -47,6 +49,17 @@ func (f Frame) String() string {
 	}
 	return fmt.Sprintf("e%d %d->%d k%d s%d dp%d pr%d",
 		f.m.edgeIdx, f.From, f.To, f.m.counter, f.m.state, f.m.depth, f.m.priority)
+}
+
+// AppendBinary appends the frame — envelope, hold and full payload, the
+// fields String renders — as a fixed sequence of varints, so a trace can
+// hash it without formatting it. It never fails.
+func (f Frame) AppendBinary(b []byte) ([]byte, error) {
+	for _, v := range [...]int64{int64(f.To), int64(f.From), int64(f.Delay), int64(f.m.edgeIdx),
+		int64(f.m.from), int64(f.m.counter), int64(f.m.state), int64(f.m.depth), int64(f.m.priority)} {
+		b = binary.AppendVarint(b, v)
+	}
+	return b, nil
 }
 
 // EdgeIndex returns the graph edge index the frame travels on.
@@ -85,7 +98,13 @@ func take[F any](out *[]F) []F {
 // Boot performs each node's initial gossip and returns the emitted
 // frames. Call once, before any stepping.
 func (d *Driven) Boot() []Frame {
-	for _, nd := range d.nw.procs.Load().nodes {
+	nodes := d.nw.procs.Load().nodes
+	n := 0
+	for _, nd := range nodes {
+		n += len(nd.edges) // gossipAll sends one frame per edge
+	}
+	d.nw.out = slices.Grow(d.nw.out, n)
+	for _, nd := range nodes {
 		nd.gossipAll()
 	}
 	return take(&d.nw.out)
@@ -196,6 +215,15 @@ type ForkFrame struct {
 // String renders the frame payload for event traces.
 func (f ForkFrame) String() string {
 	return fmt.Sprintf("e%d %d->%d kind%d", f.m.edgeIdx, f.From, f.To, f.m.kind)
+}
+
+// AppendBinary appends the frame as a fixed sequence of varints, as
+// Frame.AppendBinary does. It never fails.
+func (f ForkFrame) AppendBinary(b []byte) ([]byte, error) {
+	for _, v := range [...]int64{int64(f.To), int64(f.From), int64(f.m.edgeIdx), int64(f.m.from), int64(f.m.kind)} {
+		b = binary.AppendVarint(b, v)
+	}
+	return b, nil
 }
 
 // ForkDriven is a ForkNetwork in single-threaded, externally driven

@@ -231,7 +231,7 @@ func (nw *ForkNetwork) MessagesSent() int64 { return nw.sent.Load() }
 // OverlappingNeighborSessions returns overlapping neighbor meals (safety
 // violations).
 func (nw *ForkNetwork) OverlappingNeighborSessions() []string {
-	return overlaps(nw.Sessions(), nw.g.HasEdge)
+	return overlaps(nw.Sessions(), nw.g.Edges())
 }
 
 func (n *forkNode) poll() {

@@ -96,7 +96,9 @@ func (nw *Network) run() {
 	l := &loop{nw: nw, d: Driven{nw: nw}}
 	t := time.NewTicker(nw.cfg.TickEvery)
 	defer t.Stop()
-	l.route(l.d.Boot())
+	boot := l.d.Boot()
+	l.queue = make([]Frame, 0, len(boot)) // the boot gossip is queued whole
+	l.route(boot)
 	for {
 		kick := nw.in.kick
 		if len(l.queue) > 0 {

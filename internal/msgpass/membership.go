@@ -301,13 +301,14 @@ func (nw *Network) rebuildGraphLocked(n int) {
 	nw.curGraph.Store(b.Build())
 }
 
-// everAdjSnapshot copies the union adjacency over all generations.
-func (nw *Network) everAdjSnapshot() map[graph.Edge]bool {
+// everEdges lists the union adjacency over all generations, in no
+// particular order.
+func (nw *Network) everEdges() []graph.Edge {
 	nw.memMu.Lock()
 	defer nw.memMu.Unlock()
-	out := make(map[graph.Edge]bool, len(nw.everAdj))
-	for e := range nw.everAdj {
-		out[e] = true
+	out := make([]graph.Edge, 0, len(nw.everAdj))
+	for e := range nw.everAdj { //lint:sorted overlaps sorts what it finds; edge order is not observable
+		out = append(out, e)
 	}
 	return out
 }

@@ -42,7 +42,9 @@
 package msgpass
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"mcdp/internal/core"
@@ -129,23 +131,60 @@ func (b *meals) closeAll(now time.Time) {
 	}
 }
 
-// overlaps returns the pairs of sessions by adjacent processes whose
-// intervals overlap: safety violations. Sessions flagged PostGarbage are
-// exempt: a garbage-restarted node's first meal sits inside the
-// stabilization window, where the paper promises convergence, not
-// exclusion.
-func overlaps(sessions []EatSession, adjacent func(a, b graph.ProcID) bool) []string {
-	var bad []string
-	for i, a := range sessions {
-		for _, b := range sessions[i+1:] {
-			if a.Proc == b.Proc || a.PostGarbage || b.PostGarbage || !adjacent(a.Proc, b.Proc) {
-				continue
+// overlaps returns the pairs of sessions by adjacent processes — the
+// two ends of one of edges — whose intervals overlap: safety violations,
+// each pair once, ordered by the pair's positions in sessions. Sessions
+// flagged PostGarbage are exempt: a garbage-restarted node's first meal
+// sits inside the stabilization window, where the paper promises
+// convergence, not exclusion.
+//
+// Only sessions of one edge's two ends can conflict, so it sweeps each
+// edge's two session lists, sorted by start, rather than comparing every
+// pair of sessions in the run.
+func overlaps(sessions []EatSession, edges []graph.Edge) []string {
+	byProc := make(map[graph.ProcID][]int)
+	for i, s := range sessions {
+		if !s.PostGarbage {
+			byProc[s.Proc] = append(byProc[s.Proc], i)
+		}
+	}
+	for _, l := range byProc {
+		slices.SortStableFunc(l, func(i, j int) int { return sessions[i].Start.Compare(sessions[j].Start) })
+	}
+	var pairs [][2]int
+	for _, e := range edges {
+		as, bs := byProc[e.A], byProc[e.B]
+		if e.A == e.B || len(as) == 0 || len(bs) == 0 {
+			continue
+		}
+		lo := 0 // bs[:lo] ended by the start of every a still to come
+		for _, i := range as {
+			a := sessions[i]
+			for lo < len(bs) && !sessions[bs[lo]].End.After(a.Start) {
+				lo++
 			}
-			if a.Start.Before(b.End) && b.Start.Before(a.End) {
-				bad = append(bad, fmt.Sprintf("%d@[%v,%v] overlaps %d@[%v,%v]",
-					a.Proc, a.Start, a.End, b.Proc, b.Start, b.End))
+			for _, j := range bs[lo:] {
+				b := sessions[j]
+				if !b.Start.Before(a.End) {
+					break // so do all later b
+				}
+				if a.Start.Before(b.End) {
+					pairs = append(pairs, [2]int{min(i, j), max(i, j)})
+				}
 			}
 		}
+	}
+	slices.SortFunc(pairs, func(p, q [2]int) int {
+		if c := cmp.Compare(p[0], q[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(p[1], q[1])
+	})
+	var bad []string
+	for _, p := range pairs {
+		a, b := sessions[p[0]], sessions[p[1]]
+		bad = append(bad, fmt.Sprintf("%d@[%v,%v] overlaps %d@[%v,%v]",
+			a.Proc, a.Start, a.End, b.Proc, b.Start, b.End))
 	}
 	return bad
 }

@@ -10,15 +10,30 @@ import (
 	"mcdp/internal/graph"
 )
 
-// actionNamed returns the ID of the algorithm's action with the given
-// name, or -1 if it has none.
-func actionNamed(alg core.Algorithm, name string) core.ActionID {
-	for i, s := range alg.Actions() {
-		if s.Name == name {
-			return core.ActionID(i)
+// algActions is what a node needs of its algorithm's action list. The
+// engine attaches the token-atomicity rule and the eating dwell to the
+// actions named "enter" and "exit" (-1 if absent), whatever the
+// algorithm. Actions() builds a fresh slice per call, far too hot for
+// act()'s per-event guard sweep and wasted on every node a network
+// builds, so a network resolves it once (resolveActions) and its nodes
+// share the result.
+type algActions struct {
+	enter, exit core.ActionID
+	count       int
+}
+
+func resolveActions(alg core.Algorithm) algActions {
+	acts := alg.Actions()
+	r := algActions{enter: -1, exit: -1, count: len(acts)}
+	for i, s := range acts {
+		switch {
+		case s.Name == "enter" && r.enter < 0:
+			r.enter = core.ActionID(i)
+		case s.Name == "exit" && r.exit < 0:
+			r.exit = core.ActionID(i)
 		}
 	}
-	return -1
+	return r
 }
 
 // Snapshot is one node's externally observable state at publish time.
@@ -117,6 +132,8 @@ type Network struct {
 	// membership assumes the configured bound still covers the grown
 	// graph (detsim churn runs pass a generous DiameterOverride).
 	d int
+	// acts is the algorithm's action list as every node uses it.
+	acts algActions
 
 	// Membership state. curGraph is the live topology, replaced wholesale
 	// on every splice so readers get an immutable graph lock-free;
@@ -207,6 +224,7 @@ func NewNetwork(cfg Config) *Network {
 		d = cfg.DiameterOverride
 	}
 	nw.d = d
+	nw.acts = resolveActions(cfg.Algorithm)
 	ros := &roster{nodes: make([]*node, g.N())}
 	for p := 0; p < g.N(); p++ {
 		pid := graph.ProcID(p)
@@ -240,16 +258,13 @@ func NewNetwork(cfg Config) *Network {
 // newNode allocates node pid.
 func (nw *Network) newNode(pid graph.ProcID, hungry bool) *node {
 	nd := &node{
-		net:        nw,
-		id:         pid,
-		alg:        nw.cfg.Algorithm,
-		enterID:    actionNamed(nw.cfg.Algorithm, "enter"),
-		exitID:     actionNamed(nw.cfg.Algorithm, "exit"),
-		numActions: len(nw.cfg.Algorithm.Actions()),
-		state:      core.Thinking,
-		hungry:     hungry,
-		d:          nw.d,
-		rng:        rand.New(rand.NewSource(nw.cfg.Seed + int64(pid)*7919)),
+		net:    nw,
+		id:     pid,
+		alg:    nw.cfg.Algorithm,
+		acts:   nw.acts,
+		state:  core.Thinking,
+		hungry: hungry,
+		d:      nw.d,
 	}
 	nd.view.n = nd
 	nd.ctl.needs.Store(hungry)
@@ -589,6 +604,5 @@ func (nw *Network) MessagesLost() int64 { return nw.lost.Load() }
 // node's first meal waits for the token its incumbent holds.) Sessions
 // flagged PostGarbage are exempt (see overlaps).
 func (nw *Network) OverlappingNeighborSessions() []string {
-	ever := nw.everAdjSnapshot()
-	return overlaps(nw.Sessions(), func(a, b graph.ProcID) bool { return ever[graph.EdgeBetween(a, b)] })
+	return overlaps(nw.Sessions(), nw.everEdges())
 }

@@ -74,14 +74,7 @@ type node struct {
 	id  graph.ProcID
 	alg core.Algorithm
 
-	// enterID/exitID are the algorithm's actions named "enter"/"exit"
-	// (-1 if absent); the engine attaches the token-atomicity rule and
-	// the eating dwell to them regardless of the algorithm.
-	enterID core.ActionID
-	exitID  core.ActionID
-	// numActions caches len(alg.Actions()): Actions() builds a fresh
-	// slice per call, far too hot for act()'s per-event guard sweep.
-	numActions int
+	acts algActions // the network's, resolved once
 	// view is the node's reusable core.View/Effects adapter; taking its
 	// address never escapes to the heap (the node is already there).
 	view nodeView
@@ -99,9 +92,9 @@ type node struct {
 	linger       int // own ticks left before requests are answered between ticks again
 
 	dead     bool
-	malSteps int   // > 0: malicious window
-	inc      int64 // incarnation: restarts survived
-	rng      *rand.Rand
+	malSteps int        // > 0: malicious window
+	inc      int64      // incarnation: restarts survived
+	rng      *rand.Rand // fault stream; nil until faultRand first needs it
 
 	ctl control // the only fields other goroutines touch
 }
@@ -312,15 +305,15 @@ func (n *node) onEvent() {
 func (n *node) act() {
 	for round := 0; round < 4; round++ {
 		executed := false
-		for a := 0; a < n.numActions; a++ {
+		for a := 0; a < n.acts.count; a++ {
 			id := core.ActionID(a)
 			if !n.alg.Enabled(&n.view, id) {
 				continue
 			}
-			if id == n.enterID && !n.holdsAll() {
+			if id == n.acts.enter && !n.holdsAll() {
 				continue
 			}
-			if id == n.exitID && n.state == core.Eating && n.eatRemaining > 0 {
+			if id == n.acts.exit && n.state == core.Eating && n.eatRemaining > 0 {
 				continue // dwell: eating spans a few events
 			}
 			before := n.state
@@ -433,28 +426,41 @@ func (n *node) shouldGrant(e *edgeState) bool {
 // states, depths, and priorities, then counts the window down; at zero the
 // node halts for good.
 func (n *node) maliciousStep() {
+	rng := n.faultRand()
 	for i := range n.edges {
 		e := &n.edges[i]
 		garbage := message{
 			edgeIdx:  e.idx,
 			from:     n.id,
-			counter:  uint8(n.rng.Intn(kStates)),
-			state:    core.State(n.rng.Intn(3) + 1),
-			depth:    n.rng.Intn(2*n.d + 4),
-			priority: [2]graph.ProcID{n.id, e.peer}[n.rng.Intn(2)],
+			counter:  uint8(rng.Intn(kStates)),
+			state:    core.State(rng.Intn(3) + 1),
+			depth:    rng.Intn(2*n.d + 4),
+			priority: [2]graph.ProcID{n.id, e.peer}[rng.Intn(2)],
 		}
 		// The malicious node also corrupts its own variables.
 		e.counter = garbage.counter
 		e.priority = garbage.priority
 		n.net.deliver(e.peer, garbage)
 	}
-	n.state = core.State(n.rng.Intn(3) + 1)
-	n.depth = n.rng.Intn(2*n.d + 4)
+	n.state = core.State(rng.Intn(3) + 1)
+	n.depth = rng.Intn(2*n.d + 4)
 	n.malSteps--
 	if n.malSteps <= 0 {
 		n.dead = true
 	}
 	n.publish()
+}
+
+// faultRand returns the node's fault stream, seeding it on first use:
+// only a malicious window or an arbitrary restart draws from it, so a
+// node that never faults never builds a source. The seed is fixed per
+// (Config.Seed, pid), so when the first draw happens does not change
+// what is drawn. Only the stepper calls it.
+func (n *node) faultRand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.net.cfg.Seed + int64(n.id)*7919))
+	}
+	return n.rng
 }
 
 // publish pushes the node's externally observable state to the network's
@@ -478,7 +484,7 @@ func (n *node) applyRestart(mode RestartMode) {
 	n.eatRemaining = 0
 	n.linger = 0
 	if mode == RestartArbitrary {
-		n.scramble(n.rng)
+		n.scramble(n.faultRand())
 	} else {
 		// Clean means humble, not factory-fresh: the boot-time convention
 		// (lower ID holds the tokens and the priority) assumed everyone

@@ -17,8 +17,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -51,7 +53,8 @@ type Ring struct {
 const DefaultVnodes = 64
 
 // New returns an empty ring. All rings built with the same seed and
-// vnodes and the same sequence of Add/Remove calls are identical.
+// vnodes and the same sequence of Add/Remove calls are identical; an
+// AddAll counts as its members' Adds in order.
 func New(seed uint64, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
@@ -91,15 +94,25 @@ func (r *Ring) Has(s int) bool { return r.members[s] }
 // is an error (membership changes must be deliberate: the generation
 // is a consistency token, so silent idempotence would desynchronize
 // observers that count changes).
-func (r *Ring) Add(s int) error {
-	if s < 0 {
-		return fmt.Errorf("shard: invalid shard id %d", s)
+func (r *Ring) Add(s int) error { return r.AddAll(s) }
+
+// AddAll admits every shard in ss and rebuilds the ring once. The
+// generation advances by one per member, so the result is the ring
+// len(ss) sequential Adds would build. It changes nothing and returns
+// an error if any id is invalid, already a member, or repeated in ss.
+func (r *Ring) AddAll(ss ...int) error {
+	for i, s := range ss {
+		if s < 0 {
+			return fmt.Errorf("shard: invalid shard id %d", s)
+		}
+		if r.members[s] || slices.Contains(ss[:i], s) {
+			return fmt.Errorf("shard: shard %d already in ring", s)
+		}
 	}
-	if r.members[s] {
-		return fmt.Errorf("shard: shard %d already in ring", s)
+	for _, s := range ss {
+		r.members[s] = true
 	}
-	r.members[s] = true
-	r.gen++
+	r.gen += uint64(len(ss))
 	r.rebuild()
 	return nil
 }
@@ -227,7 +240,7 @@ func KeyHash(key string) uint64 {
 // Points depend only on (seed, shard, replica), so a member re-added
 // later lands exactly where it used to.
 func (r *Ring) rebuild() {
-	r.points = r.points[:0]
+	r.points = slices.Grow(r.points[:0], len(r.members)*r.vnodes)
 	for _, s := range r.Members() {
 		base := splitmix(r.seed ^ (uint64(s)+1)*0x9e3779b97f4a7c15)
 		for v := 0; v < r.vnodes; v++ {
@@ -237,11 +250,11 @@ func (r *Ring) rebuild() {
 			})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	slices.SortFunc(r.points, func(a, b point) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.points[i].shard < r.points[j].shard
+		return cmp.Compare(a.shard, b.shard)
 	})
 }
 

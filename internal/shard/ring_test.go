@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -321,6 +322,69 @@ func TestRingOverridesReplication(t *testing.T) {
 		b, _ := replica.Lookup(k)
 		if a != b {
 			t.Fatalf("replica diverged on override %q: %d vs %d", k, a, b)
+		}
+	}
+}
+
+// TestRingAddAllMatchesSequentialAdds: admitting members in one AddAll
+// builds the ring the same Adds one by one build — same points in the
+// same order, same generation, same placement of every key — onto an
+// empty ring or a populated one. A refused AddAll changes nothing.
+func TestRingAddAllMatchesSequentialAdds(t *testing.T) {
+	for _, tc := range []struct {
+		before, ids []int
+	}{
+		{nil, []int{0, 1, 2, 3}},
+		{nil, []int{5, 2, 7}},
+		{[]int{1}, []int{3, 0, 2}},
+		{[]int{4, 0}, nil},
+	} {
+		seq, all := New(7, 0), New(7, 0)
+		for _, s := range tc.before {
+			if seq.Add(s) != nil || all.Add(s) != nil {
+				t.Fatalf("%v: Add(%d) failed", tc.before, s)
+			}
+		}
+		for _, s := range tc.ids {
+			if err := seq.Add(s); err != nil {
+				t.Fatalf("Add(%d): %v", s, err)
+			}
+		}
+		if err := all.AddAll(tc.ids...); err != nil {
+			t.Fatalf("AddAll(%v): %v", tc.ids, err)
+		}
+		if seq.Generation() != all.Generation() || fmt.Sprint(seq.Members()) != fmt.Sprint(all.Members()) {
+			t.Fatalf("%v then %v: sequential adds give generation %d members %v, AddAll %d %v",
+				tc.before, tc.ids, seq.Generation(), seq.Members(), all.Generation(), all.Members())
+		}
+		if !slices.Equal(seq.points, all.points) {
+			t.Fatalf("%v then %v: the rings' points differ", tc.before, tc.ids)
+		}
+		for i := 1; i < len(all.points); i++ {
+			a, b := all.points[i-1], all.points[i]
+			if a.hash > b.hash || a.hash == b.hash && a.shard >= b.shard {
+				t.Fatalf("points %d and %d out of (hash, shard) order: %+v, %+v", i-1, i, a, b)
+			}
+		}
+		for _, k := range keys(10000) {
+			a, okA := seq.Lookup(k)
+			b, okB := all.Lookup(k)
+			if a != b || okA != okB {
+				t.Fatalf("%v then %v: key %q on shard %d/%v after sequential adds, %d/%v after AddAll", tc.before, tc.ids, k, a, okA, b, okB)
+			}
+		}
+	}
+	r := New(7, 0)
+	if err := r.AddAll(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	points := slices.Clone(r.points)
+	for _, bad := range [][]int{{2, -1}, {2, 1}, {2, 3, 2}} {
+		if err := r.AddAll(bad...); err == nil {
+			t.Fatalf("AddAll(%v) accepted", bad)
+		}
+		if r.Generation() != 2 || r.Size() != 2 || !slices.Equal(r.points, points) {
+			t.Fatalf("refused AddAll(%v) changed the ring: generation %d, members %v", bad, r.Generation(), r.Members())
 		}
 	}
 }

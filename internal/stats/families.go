@@ -57,25 +57,35 @@ type Snapshot struct {
 	Samples []Sample
 }
 
-// Families is a metrics table: every owner of counters registers its
-// families once at construction, and one renderer (Write) produces the
-// exposition. Registration costs the owners' hot paths nothing — the
-// sources are only read when Collect runs.
+// Families is a metrics table: every owner of counters registers the
+// function that declares its families once at construction, and one
+// renderer (Write) produces the exposition. Registration costs the
+// owners' hot paths nothing — the declarations are built by the first
+// Collect, so an owner that is never scraped (a service started for a
+// test or a benchmark run) never builds them, and the sources are only
+// read when Collect runs.
 type Families struct {
-	mu   sync.Mutex
-	list []Family // guarded by mu
+	mu     sync.Mutex
+	builds []func() []Family // guarded by mu; registered, not yet built
+	list   []Family          // guarded by mu; built, in registration order
 }
 
-// Register appends families to the table.
-func (t *Families) Register(fams ...Family) {
+// Register appends the families build declares. build runs once, on the
+// first Collect after it is registered, and must declare the same
+// families whenever it runs.
+func (t *Families) Register(build func() []Family) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.list = append(t.list, fams...)
+	t.builds = append(t.builds, build)
 }
 
 // Collect reads every family's source, in registration order.
 func (t *Families) Collect() []Snapshot {
 	t.mu.Lock()
+	for _, build := range t.builds {
+		t.list = append(t.list, build()...)
+	}
+	t.builds = nil
 	out := make([]Snapshot, len(t.list))
 	for i, f := range t.list {
 		out[i].Family = f

@@ -13,12 +13,14 @@ func TestFamiliesCollectAndWrite(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(2)
 	var tbl Families
-	tbl.Register(
-		Counter("t_hits_total", "Hits.", hits.Load),
-		Gauge("t_ratio", "A ratio.", func() float64 { return 0.125 }),
-		Vec("gauge", "t_depth", "Depth per node.", "node", func() []float64 { return []float64{3, 0} }),
-		Hist("t_wait_seconds", "Wait.", h),
-	)
+	tbl.Register(func() []Family {
+		return []Family{
+			Counter("t_hits_total", "Hits.", hits.Load),
+			Gauge("t_ratio", "A ratio.", func() float64 { return 0.125 }),
+			Vec("gauge", "t_depth", "Depth per node.", "node", func() []float64 { return []float64{3, 0} }),
+			Hist("t_wait_seconds", "Wait.", h),
+		}
+	})
 	var sb strings.Builder
 	Write(&sb, tbl.Collect())
 	want := `# HELP t_hits_total Hits.
@@ -65,5 +67,45 @@ func TestSumMergesStructuredSamples(t *testing.T) {
 	}
 	if s := got[2].Samples; len(s) != 2 || s[0].Value != 2 || s[1].Value != 3 {
 		t.Fatalf("per-shard samples not kept apart: %+v", s)
+	}
+}
+
+// TestFamiliesBuildOnFirstCollect: a registration is built by the
+// first Collect after it, once, and keeps its place among the
+// registrations around it, also when it comes after a Collect.
+func TestFamiliesBuildOnFirstCollect(t *testing.T) {
+	var tbl Families
+	builds := map[string]int{}
+	gauge := func(name string) func() []Family {
+		return func() []Family {
+			builds[name]++
+			return []Family{Gauge(name, "A gauge.", func() float64 { return 1 })}
+		}
+	}
+	tbl.Register(gauge("t_first"))
+	tbl.Register(gauge("t_second"))
+	if len(builds) != 0 {
+		t.Fatalf("Register built families before any Collect: %v", builds)
+	}
+	names := func() string {
+		var names []string
+		for _, s := range tbl.Collect() {
+			names = append(names, s.Name)
+		}
+		return strings.Join(names, " ")
+	}
+	if got := names(); got != "t_first t_second" {
+		t.Fatalf("first collect: families %q, want registration order", got)
+	}
+	tbl.Register(gauge("t_late"))
+	for i := 0; i < 2; i++ {
+		if got := names(); got != "t_first t_second t_late" {
+			t.Fatalf("collect %d after a late registration: families %q, want registration order", i, got)
+		}
+	}
+	for name, n := range builds {
+		if n != 1 {
+			t.Fatalf("three collects built %s %d times, want once", name, n)
+		}
 	}
 }

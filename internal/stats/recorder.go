@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -142,13 +143,15 @@ type LatencyHistogram struct {
 // grants land well under a millisecond — a 0.5ms first bound would
 // flatten them all into one bucket and make the histogram p50
 // meaningless at wire speeds.
-func DefaultLatencyBounds() []float64 {
+func DefaultLatencyBounds() []float64 { return slices.Clone(defaultLatencyBounds) }
+
+var defaultLatencyBounds = func() []float64 {
 	var bounds []float64
 	for b := 1e-6; b < 20; b *= 2 {
 		bounds = append(bounds, b)
 	}
 	return bounds
-}
+}()
 
 // NewLatencyHistogram returns a histogram over the given ascending
 // upper bounds. It panics on empty or unsorted bounds.

@@ -506,13 +506,9 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrTransport, c.Addr, err)
 	}
-	if tc, ok := raw.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
 	cc := &clientConn{
 		c:       raw,
 		br:      bufio.NewReaderSize(raw, 1<<16),
-		bw:      bufio.NewWriterSize(raw, 1<<16),
 		sendq:   make(chan Msg, 256),
 		closed:  make(chan struct{}),
 		waiters: make(map[uint64]*waiter),
@@ -551,7 +547,6 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 type clientConn struct {
 	c      net.Conn
 	br     *bufio.Reader
-	bw     *bufio.Writer
 	sendq  chan Msg
 	closed chan struct{}
 	corr   atomic.Uint64
@@ -641,9 +636,9 @@ func (cc *clientConn) sweepLoop(interval time.Duration) {
 
 // writeLoop coalesces queued entries into batched frames: one blocking
 // receive, then an opportunistic drain (with one scheduler yield while
-// other callers are in flight, see coalesce), one write, one flush. Under
-// concurrency this is where pipelining pays — many goroutines' ops
-// ride one TCP segment. The drain caps by entry count; frameGroups
+// other callers are in flight, see coalesce), one write straight to the
+// socket. Under concurrency this is where pipelining pays — many
+// goroutines' ops ride one TCP segment. The drain caps by entry count; frameGroups
 // additionally splits the batch by encoded size, so a run of maximal
 // acquires can never assemble a frame past MaxPayload.
 func (cc *clientConn) writeLoop() {
@@ -664,12 +659,8 @@ func (cc *clientConn) writeLoop() {
 			buf = AppendFrame(buf, group[0].Type, group)
 		}
 		cc.stats.observeBatch(len(batch))
-		if _, err := cc.bw.Write(buf); err != nil {
+		if _, err := cc.c.Write(buf); err != nil {
 			cc.close(fmt.Errorf("%w: write: %v", ErrTransport, err))
-			return
-		}
-		if err := cc.bw.Flush(); err != nil {
-			cc.close(fmt.Errorf("%w: flush: %v", ErrTransport, err))
 			return
 		}
 	}

@@ -150,7 +150,6 @@ func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(c)
 	br := bufio.NewReaderSize(c, 1<<16)
-	bw := bufio.NewWriterSize(c, 1<<16)
 
 	// Handshake: the client speaks first; a version mismatch or any
 	// other frame type is a protocol error.
@@ -167,10 +166,7 @@ func (s *Server) serveConn(c net.Conn) {
 		Corr: hello[0].Corr, Proto: ProtoVersion, RingGen: s.cfg.Backend.RingGen(),
 		TimeoutMS: uint32(s.cfg.Backend.WaitBudget().Milliseconds()),
 	}})
-	if _, err := bw.Write(resp); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := c.Write(resp); err != nil {
 		return
 	}
 
@@ -183,7 +179,7 @@ func (s *Server) serveConn(c net.Conn) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeLoop(c, bw, out, &inflight, cancel)
+		s.writeLoop(c, out, &inflight, cancel)
 	}()
 	var opWG sync.WaitGroup
 	defer func() {
@@ -297,13 +293,13 @@ func errMsg(corr uint64, err error) Msg {
 // writeLoop drains responses, coalescing whatever is pending — and, while
 // other operations are in flight on the connection, whatever one
 // scheduler yield lets complete (coalesce) — up to MaxBatch into one
-// flush: entries are split into per-type, size-bounded frame groups
+// write: entries are split into per-type, size-bounded frame groups
 // (frameGroups), each group encoded as one batched frame, faults applied
 // per frame. On exit — error or out closed — it cancels the connection
 // context so blocked send()s (the reader's synchronous ops, parked
 // acquire goroutines) unwedge instead of filling out forever behind a
 // dead writer.
-func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, inflight *atomic.Int64, cancel context.CancelFunc) {
+func (s *Server) writeLoop(c net.Conn, out <-chan Msg, inflight *atomic.Int64, cancel context.CancelFunc) {
 	defer cancel()
 	batch := make([]Msg, 0, s.cfg.MaxBatch)
 	var buf []byte
@@ -335,11 +331,7 @@ func (s *Server) writeLoop(c net.Conn, bw *bufio.Writer, out <-chan Msg, infligh
 		if len(buf) == 0 {
 			continue
 		}
-		if _, err := bw.Write(buf); err != nil {
-			s.dropConn(c)
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := c.Write(buf); err != nil {
 			s.dropConn(c)
 			return
 		}
@@ -393,9 +385,11 @@ func corruptFrame(frame []byte, bits uint64) []byte {
 // Register declares the listener's traffic series in t, the metrics
 // table of the service it fronts, so that service's /metrics scrape
 // covers the wire transport too. Call it once, right after NewServer.
-func (s *Server) Register(t *stats.Families) {
+func (s *Server) Register(t *stats.Families) { t.Register(s.families) }
+
+func (s *Server) families() []stats.Family {
 	st := &s.stats
-	t.Register(
+	return []stats.Family{
 		stats.Counter("dinerd_wire_connections_total", "Wire connections accepted.", st.Connections.Load),
 		stats.Counter("dinerd_wire_frames_in_total", "Wire frames received.", st.FramesIn.Load),
 		stats.Counter("dinerd_wire_frames_out_total", "Wire frames sent.", st.FramesOut.Load),
@@ -407,5 +401,5 @@ func (s *Server) Register(t *stats.Families) {
 		stats.Counter("dinerd_wire_faults_corrupted_total", "Response frames corrupted by the chaos injector.", st.FaultsCorrupted.Load),
 		stats.Counter("dinerd_wire_faults_stalled_total", "Response frames stalled by the chaos injector.", st.FaultsStalled.Load),
 		stats.Gauge("dinerd_wire_open_connections", "Currently open wire connections.", func() float64 { return float64(st.OpenConnections.Load()) }),
-	)
+	}
 }

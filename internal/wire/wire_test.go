@@ -314,10 +314,16 @@ func TestClientSurvivesSeededFaults(t *testing.T) {
 		}
 	}
 
+	// The writer hands each frame the injector returns straight to the
+	// socket, so every kind of fault must have reached the client.
 	st := srv.Stats()
-	injected := st.FaultsDropped.Load() + st.FaultsDuplicate.Load() + st.FaultsCorrupted.Load() + st.FaultsStalled.Load()
-	if injected == 0 {
-		t.Fatal("chaos injector fired zero faults; test proves nothing")
+	for _, f := range []struct {
+		kind string
+		n    int64
+	}{{"dropped", st.FaultsDropped.Load()}, {"duplicated", st.FaultsDuplicate.Load()}, {"corrupted", st.FaultsCorrupted.Load()}, {"stalled", st.FaultsStalled.Load()}} {
+		if f.n == 0 {
+			t.Errorf("chaos injector %s no frame; the test proves nothing about that fault", f.kind)
+		}
 	}
 	t.Logf("survived faults: dropped=%d dup=%d corrupt=%d stalled=%d retries=%d reconnects=%d",
 		st.FaultsDropped.Load(), st.FaultsDuplicate.Load(), st.FaultsCorrupted.Load(),
