@@ -104,11 +104,14 @@ shard-smoke:
 	$(GO) run ./cmd/detsim -mode churn -topology grid:3x3 -seeds 0..20 -churn 2 -rounds 400
 
 # Cross-shard span smoke: race-checked router multi-key e2e + facade
-# parity, the detsim span-oracle sweeps as tests and as CLI runs (fair,
-# churn, and mid-prepare shard-crash flavors), and a short fuzz burst
-# over random key-set/churn/crash interleavings (docs/SHARD.md).
+# parity, the router core's parts, membership and settle table tests and
+# the two mutants the span sweeps must kill, the detsim span-oracle
+# sweeps as tests and as CLI runs (fair, churn, mid-prepare shard-crash
+# and held-part restart flavors), and a short fuzz burst over random
+# key-set/churn/crash interleavings (docs/SHARD.md).
 span-smoke:
 	$(GO) test -race -run 'TestRouterSpan|TestRouterSingleShardFastPath|TestWireFacadeParity' ./internal/lockservice/
+	$(GO) test -race -run 'TestRouterCoreParts|TestRouterCoreRingMembership|TestRouterCoreSettle|TestMutantSkippedRefreshTripsOrphanOracle|TestMutantFenceSkippingGarbageRestartOnHolders' ./internal/lockservice/
 	$(GO) test -race -run 'TestSpanSweep|TestSpanSameSeed' ./internal/detsim/
 	$(GO) run ./cmd/detsim -mode span -topology grid:3x3 -seeds 0..20 -shards 3
 	$(GO) run ./cmd/detsim -mode span -topology grid:3x3 -seeds 0..20 -shards 3 -churn 2
@@ -131,13 +134,17 @@ failover-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFailover -fuzztime=10s ./internal/detsim/
 
 # Hot-key rebalancing smoke: race-checked migration/controller e2e and
-# the seeded distribution pins, the detsim migration-oracle sweeps
-# (fair, closed-loop, crash-during-migration, migrate-during-span), a
-# live zipf chaos campaign with the controller on and strikes landing
+# the seeded distribution pins, the router core's commit table test, the
+# unfenced negative control and the two mutants the migration sweeps
+# must kill, the detsim migration-oracle sweeps (fair, closed-loop,
+# crash-during-migration, migrating-holder restart, migrate-during-span),
+# a live zipf chaos campaign with the controller on and strikes landing
 # mid-migration under -race, and a fuzz burst over random migration
 # schedules (docs/CONTROL.md).
 control-smoke:
-	$(GO) test -race -run 'TestMigrateKey|TestRebalanceLoop|TestAdminMigrate|TestRouterSpanAbortOnMigrationMidPrepare' ./internal/lockservice/
+	$(GO) test -race -run 'TestMigrateKey|TestRebalanceLoop|TestAdminMigrate|TestRouterSpanAbortOnMigrationMidPrepare|TestStopAbortsADrainingMigration' ./internal/lockservice/
+	$(GO) test -race -run 'TestRouterCoreCommit|TestMigrateUnfencedFiresDualGrantOracle|TestMutantCommitOnExpiredFenceTripsDualGrant|TestMutantFenceSkippingGarbageRestartOnHolders' ./internal/lockservice/
+	$(GO) test -race -run 'TestMigrateSweepRestartHolder' ./internal/detsim/
 	$(GO) test -race -run 'TestZipfSampler|TestHotsetSampler|TestReplicaRingAppliesOverrides' ./cmd/dinerd/
 	$(GO) run ./cmd/detsim -mode migrate -topology grid:3x3 -seeds 0..20 -shards 2 -migrations 3
 	$(GO) run ./cmd/detsim -mode migrate-auto -topology grid:3x3 -seeds 0..15 -shards 2 -rounds 200

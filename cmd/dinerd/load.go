@@ -204,18 +204,8 @@ func (c *shardCatalog) pickSpan(rng *rand.Rand) []string {
 }
 
 // replicaRing rebuilds the router's placement ring from its /v1/ring
-// description; Lookup then agrees with the router for every key at the
-// reported generation. The override table rides along: without it a
-// client would resolve rebalanced keys to their stale hash homes and
-// eat a 409 on every draw.
-func replicaRing(info *lockservice.RingInfo) *shard.Ring {
-	r := shard.New(info.Seed, info.Vnodes)
-	if err := r.AddAll(info.Members...); err != nil {
-		return nil // overlapping members: trust the server, route blind
-	}
-	r.SetOverrides(info.Overrides)
-	return r
-}
+// description, overrides included, as every replica of it does.
+var replicaRing = lockservice.ReplicaRing
 
 // shardTally collects one shard's client-observed outcomes.
 type shardTally struct {

@@ -5,18 +5,16 @@ import (
 	"hash/fnv"
 	"time"
 
-	"mcdp/internal/coord"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
 	"mcdp/internal/msgpass"
-	"mcdp/internal/shard"
 )
 
 // ClusterConfig describes the K-shard lockstep substrate the span and
 // migration harnesses both run over: K independent diners shards — each
 // a full driven msgpass substrate with its own session arbiter — behind
-// one consistent-hash placement ring, all advanced by one schedule Source.
+// one lockservice.RouterCore, all advanced by one schedule Source.
 type ClusterConfig struct {
 	// Graph is each shard's diners topology. Required.
 	Graph *graph.Graph
@@ -110,17 +108,19 @@ func record(list *[]string, format string, args ...any) {
 
 // cluster is the running K-shard substrate: per shard a runner, the
 // lockservice.ShardCore over it and its arbiter's lock history; the
-// placement ring and the key catalog; the schedule source and the
-// coordinator trace.
+// Router's core over them, its migrations in flight and the key
+// catalog; the schedule source and the coordinator trace.
 type cluster struct {
-	cfg     ClusterConfig
-	src     Source
-	ring    *shard.Ring
-	runners []*runner
-	cores   []*lockservice.ShardCore
-	hists   []*lockservice.History
-	keys    []string
-	h       *trace
+	cfg       ClusterConfig
+	src       Source
+	router    *lockservice.RouterCore
+	runners   []*runner
+	cores     []*lockservice.ShardCore
+	hists     []*lockservice.History
+	migrating []*migration // in fence order
+	clients   []*client    // in submit order
+	keys      []string
+	h         *trace
 }
 
 func newCluster(cfg ClusterConfig, what string) *cluster {
@@ -147,10 +147,10 @@ func newCluster(cfg ClusterConfig, what string) *cluster {
 		src = NewRand(cfg.Seed)
 	}
 	c := &cluster{
-		cfg:  cfg,
-		src:  src,
-		ring: shard.New(uint64(cfg.Seed)+1, cfg.Vnodes),
-		h:    newTrace(cfg.Trace),
+		cfg:    cfg,
+		src:    src,
+		router: lockservice.NewRouterCore(uint64(cfg.Seed)+1, cfg.Vnodes, cfg.Shards, roundEnd(-1)),
+		h:      newTrace(cfg.Trace),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		rcfg := Config{
@@ -169,9 +169,6 @@ func newCluster(cfg ClusterConfig, what string) *cluster {
 		c.runners = append(c.runners, rn)
 		c.cores = append(c.cores, rn.attach(s, cfg.QueueLimit, hist))
 		c.hists = append(c.hists, hist)
-		if err := c.ring.Add(s); err != nil {
-			panic(err) // fresh ring, dense ids: unreachable
-		}
 	}
 	for i := 0; i < cfg.KeyCount; i++ {
 		c.keys = append(c.keys, fmt.Sprintf("key-%03d", i))
@@ -252,10 +249,10 @@ func (cl *client) lease(ttl time.Duration) lockservice.LeaseEvent {
 	return ev
 }
 
-// renew renews the lease for ttl, reporting whether it was still live.
-func (cl *client) renew(ttl time.Duration) bool {
+// renew renews the lease for ttl; an error means it was gone.
+func (cl *client) renew(ttl time.Duration) error {
 	_, _, err := cl.rn.core.Renew(cl.id, ttl, cl.rn.vnow)
-	return err == nil
+	return err
 }
 
 // live reports whether the lease is still in the core's table.
@@ -275,6 +272,37 @@ func (cl *client) end() {
 	cl.done = true
 }
 
+// submit queues a client for keys on shard s, as the Router's acquire
+// does; nil when the shard's core refuses it.
+func (c *cluster) submit(keys []string, s, t int) *client {
+	cl := c.runners[s].submit(keys, s, t)
+	if cl != nil {
+		c.clients = append(c.clients, cl)
+	}
+	return cl
+}
+
+// restartHolder reboots, at round t, the home of one live lease whose
+// client matches — drawn, clean or garbage — through its runner's restart
+// plan, so the restart fences a lease a client is holding. It reports
+// whether any lease matched.
+func (c *cluster) restartHolder(t int, match func(*client) bool) bool {
+	var held []*client
+	for _, cl := range c.clients {
+		if !cl.done && cl.live() && match(cl) {
+			held = append(held, cl)
+		}
+	}
+	if len(held) == 0 {
+		return false
+	}
+	cl := held[c.src.Intn(len(held))]
+	rs := Restart{Node: cl.sess.Home, Round: t, Garbage: c.src.Intn(2) == 1}
+	cl.rn.cfg.Restarts = append(cl.rn.cfg.Restarts, rs)
+	c.h.event("t%d restart holder %d on shard %d garbage=%v", t, rs.Node, cl.shard, rs.Garbage)
+	return true
+}
+
 // drain ends every live client at the end of a run, counting releases
 // and withdrawals.
 func drain(clients []*client, released, withdrawn *int) {
@@ -291,11 +319,6 @@ func drain(clients []*client, released, withdrawn *int) {
 	}
 }
 
-// placed reports whether every key still resolves to shard s.
-func (c *cluster) placed(keys []string, s int) bool {
-	return coord.Placed(keys, s, 0, c.ring.Lookup, func(string) *coord.Migration { return nil })
-}
-
 // migrationTarget resolves a KeyMigration's destination for a key placed
 // on src: To < 0 picks the next ring member after src, so plans stay
 // valid under any seed.
@@ -303,7 +326,7 @@ func (c *cluster) migrationTarget(src, to int) int {
 	if to >= 0 {
 		return to
 	}
-	members := c.ring.Members()
+	members := c.router.RingInfo().Members
 	for i, m := range members {
 		if m == src {
 			return members[(i+1)%len(members)]

@@ -6,84 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"mcdp/internal/coord"
 	"mcdp/internal/graph"
 	"mcdp/internal/lockservice"
 )
 
-// The two mutation tests are the reason internal/coord exists: each
-// swaps ONE shared decision for a wrong one through the package's
-// unexported hook and requires a detsim oracle to notice. A mutant that
-// survives means the sweeps certify something other than the protocol
-// the Router runs.
-
-// hotMigrateRun is the negative control's workload (a very hot key,
-// holds as long as the drain budget) under the full fenced protocol.
-func hotMigrateRun(seed int64) *MigrateResult {
-	src := NewRand(seed)
-	return RunMigrate(MigrateConfig{
-		ClusterConfig: ClusterConfig{Graph: graph.Ring(6), Shards: 2, Seed: seed, Rounds: 160, Source: src},
-		HotPercent:    85,
-		MaxHoldRounds: 12,
-		Migrations:    migratePlan(src, 4, 160, 24),
-	})
-}
-
-// TestMutantCommitOnExpiredFenceTripsDualGrant re-introduces the PR 10
-// bug — a commit step that trusts its drain observation, with no fence
-// expiry check and no re-probe of the source — and requires the
-// dual-grant oracle to catch it on fair schedules within the negative
-// control's seed range; the same runs under the real verdict are clean.
-func TestMutantCommitOnExpiredFenceTripsDualGrant(t *testing.T) {
-	pr10 := func(m *coord.Migration, _ int64, drained bool, _ int, dstInRing bool, placedAt int) coord.CommitVerdict {
-		return m.Commit(m.Deadline-1, drained, 0, dstInRing, placedAt)
-	}
-	killed := 0
-	for s := int64(0); s < 40; s++ {
-		if res := hotMigrateRun(9_800_000 + s); res.Failed() {
-			t.Errorf("seed %d: real verdict failed: dual=%v lost=%v diverge=%v", 9_800_000+s, res.DualGrants, res.LostWaiters, res.Divergence)
-		}
-		migCommit = pr10
-		res := hotMigrateRun(9_800_000 + s)
-		migCommit = (*coord.Migration).Commit
-		if len(res.DualGrants) > 0 {
-			killed++
-		}
-	}
-	t.Logf("commit-on-expired-fence mutant tripped the dual-grant oracle on %d/40 seeds", killed)
-	if killed == 0 {
-		t.Fatal("a commit verdict that ignores fence expiry and the source re-probe survived the migrate sweep")
-	}
-}
-
-// TestMutantSkippedRefreshTripsOrphanOracle: a span machine that never
-// refreshes earlier prepares leaves them to expire on their original
-// budget; the orphaned-prepare oracle must say so across the fair sweep.
-func TestMutantSkippedRefreshTripsOrphanOracle(t *testing.T) {
-	spanDone = func(sp *coord.Span, ok bool) coord.SpanAction {
-		act := sp.Done(ok)
-		for act.Op == coord.SpanRefresh {
-			act = sp.Done(true) // claim the renew happened
-		}
-		return act
-	}
-	defer func() { spanDone = (*coord.Span).Done }()
-	killed, seeds := 0, spanSweepSeeds()
-	for s := 0; s < seeds; s++ {
-		res := SweepSpan(graph.Grid(3, 3), int64(9_000_000+s), 160, 2+s%2, false)
-		if len(res.OrphanedSpans)+len(res.PartialCommits) > 0 {
-			killed++
-		}
-	}
-	t.Logf("skip-refresh mutant tripped the orphan/partial-commit oracles on %d/%d seeds", killed, seeds)
-	if killed == 0 {
-		t.Fatal("a span machine that skips the refresh of earlier prepares survived the fair span sweep")
-	}
-}
-
 // TestMigrationFenceHonoursItsDeadline: a migration whose coordinator
 // is wedged past its drain budget must stop fencing its key — the
-// escape hatch Router.fencedLocked has always had. (Before the fence
+// escape hatch RouterCore.fencedLocked has always had. (Before the fence
 // went through coord.Migration.Fences, the model's fence stood for as
 // long as its entry did.)
 func TestMigrationFenceHonoursItsDeadline(t *testing.T) {
@@ -101,7 +30,7 @@ func TestMigrationFenceHonoursItsDeadline(t *testing.T) {
 	}
 	m := h.migrating[0]
 	m.drained, m.commitAt = true, 1<<30 // the coordinator never comes back
-	deadline := int(m.Deadline)
+	deadline := 10 + h.cfg.DrainRounds
 	before := h.res.Granted
 	for t0 := 10; t0 < 120; t0++ {
 		h.round(t0)
@@ -109,7 +38,8 @@ func TestMigrationFenceHonoursItsDeadline(t *testing.T) {
 			t.Fatalf("%d grants on a fenced key before its fence expired", h.res.Granted-before)
 		}
 	}
-	if h.fence(hot, deadline) == nil || h.fence(hot, deadline+1) != nil {
+	fenced := func(t0 int) bool { _, err := h.router.Parts([]string{hot}, roundEnd(t0)); return err != nil }
+	if !fenced(deadline) || fenced(deadline+1) {
 		t.Fatalf("fence must stand through t%d and lift after it", deadline)
 	}
 	if h.res.FenceBounced == 0 {

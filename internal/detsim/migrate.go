@@ -1,17 +1,19 @@
-// Live key-migration simulation: coord.Migration — the Router's
-// fence/drain/commit protocol itself — driven in lockstep rounds, with
-// its sensor half (internal/control) closing the loop. A cluster of K
-// shard substrates advances while single-key clients acquire, hold, and
-// release; this harness moves keys between shards mid-traffic — either
-// from an explicit plan or closed-loop through control.Decide, the SAME
-// pure control law the production rebalance loop runs — by executing the
-// machine's verdicts against the ring: a drain probe is a count of the
-// source's client-visible grants, the commit step lands a drawn few
-// rounds after the drain was observed (the coordinator being descheduled
-// between its last look and taking the placement lock). Every lease
-// lives in a shard's lockservice.ShardCore. What is the harness's own:
-// the workload, the plans, the fault model and the oracles, which check
-// the properties the protocol owes its clients:
+// Live key-migration simulation: the Router's fence/drain/commit of
+// coord.Migration itself — lockservice.RouterCore's Fence, Drain and
+// Commit — driven in lockstep rounds, with its sensor half
+// (internal/control) closing the loop. A cluster of K shard substrates
+// advances while single-key clients acquire, hold, and release; this
+// harness moves keys between shards mid-traffic — either from an
+// explicit plan or closed-loop through control.Controller, the SAME
+// controller the production rebalance loop runs — playing the
+// Router's wall-clock shell: a drain probe is a count of the source's
+// client-visible grants, and the commit step lands a drawn few rounds
+// after the drain was observed (the coordinator being descheduled
+// between its last look and taking the placement lock). Clients resolve
+// placement and run the post-grant check on the same core, and every
+// lease lives in a shard's lockservice.ShardCore. What is the harness's
+// own: the workload, the plans, the fault model and the oracles, which
+// check the properties the protocol owes its clients:
 //
 //   - dual-grant-across-epochs: no round may show live leases for one
 //     key on two shards — exclusion must span the placement epoch
@@ -20,21 +22,23 @@
 //     bounce, or timeout) within its budget even when its key is
 //     fenced or its queue entry is stranded on the old home;
 //   - override divergence: an observer rebuilding placement from the
-//     published override table (the replica path,
-//     shard.Ring.SetOverrides) agrees with the authoritative ring on
-//     every key after every commit.
+//     published RingInfo (lockservice.ReplicaRing, the rebuild clients
+//     run) agrees with the authoritative ring on every key after every
+//     commit.
 //
-// The Unfenced knob is the negative control: it commits the override
-// without fencing or draining, exactly the shortcut the production
-// protocol exists to forbid — runs with it on must trip the dual-grant
-// oracle, or the oracle is vacuous.
+// The negative control — an override installed at fence time with no
+// post-grant check — is a lockservice test hook over RouterCore; runs
+// with it must trip the dual-grant oracle, or the oracle is vacuous.
 package detsim
 
 import (
+	"errors"
+	"time"
+
 	"mcdp/internal/control"
 	"mcdp/internal/coord"
 	"mcdp/internal/graph"
-	"mcdp/internal/shard"
+	"mcdp/internal/lockservice"
 )
 
 // KeyMigration schedules one key move: at Round, migrate the KeyIndex-th
@@ -64,15 +68,12 @@ type MigrateConfig struct {
 	DrainRounds int
 	// Migrations is the explicit migration plan.
 	Migrations []KeyMigration
-	// Auto runs the closed loop instead: every DecideEvery rounds the
-	// harness feeds its per-shard sensor sketches to control.Decide and
-	// actuates the returned plans under the fenced protocol.
+	// Auto runs the closed loop instead: the Router's controller
+	// (control.Controller) senses every grant, plans every DecideEvery
+	// rounds, and its plans run under the fenced protocol.
 	Auto bool
 	// DecideEvery is the closed-loop control period in rounds (default 10).
 	DecideEvery int
-	// Unfenced commits overrides immediately — no fence, no drain, no
-	// post-grant check. Negative control ONLY.
-	Unfenced bool
 }
 
 // MigrateResult is the outcome of one key-migration run.
@@ -102,10 +103,14 @@ func (r *MigrateResult) Failed() bool {
 		len(r.SafetyViolations) > 0 || len(r.HistoryViolations) > 0 || len(r.LeaseViolations) > 0
 }
 
-// migMigration is one in-flight migration: the machine plus where its
+// defaultDrainRounds is the drain budget of a migration, in rounds,
+// unless MigrateConfig.DrainRounds sets it.
+const defaultDrainRounds = 12
+
+// migration is one in-flight migration: the core's fence plus where its
 // driver stands. commitAt is -1 while the drain is still being probed.
-type migMigration struct {
-	coord.Migration
+type migration struct {
+	*coord.Migration
 	drained  bool
 	commitAt int
 }
@@ -115,29 +120,70 @@ type migMigration struct {
 // up to two drain budgets — long enough for the fence to expire under a
 // drain observation that was true when it was made, and for the source to
 // grant the key again before the commit step runs.
-func (h *migHarness) commitLag() int {
-	if h.src.Intn(4) != 0 {
+func (c *cluster) commitLag(drainRounds int) int {
+	if c.src.Intn(4) != 0 {
 		return 0
 	}
-	return 1 + h.src.Intn(2*h.cfg.DrainRounds)
+	return 1 + c.src.Intn(2*drainRounds)
 }
 
-// migCommit judges a migration's commit step. The mutation test swaps
-// it for a verdict that commits on an expired fence.
-var migCommit = (*coord.Migration).Commit
+// startMigration asks the core to fence key for a move to shard to
+// (To < 0: the next ring member) with a drain budget of drainRounds; it
+// reports whether the core accepted the request.
+func (c *cluster) startMigration(t int, key string, to, drainRounds int) bool {
+	src, ok := c.router.Lookup(key)
+	if !ok {
+		return false
+	}
+	budget := time.Duration(drainRounds) * roundTime
+	m, why := c.router.Fence(key, c.migrationTarget(src, to), budget, func(int) bool { return true }, roundEnd(t))
+	if why != coord.MigrateOK {
+		return false
+	}
+	c.migrating = append(c.migrating, &migration{Migration: m, commitAt: -1})
+	c.h.event("t%d fence %s shard%d->%d", t, key, m.Src, m.Dst)
+	return true
+}
+
+// stepMigrations drives every in-flight migration one round: probe the
+// drain, and — once the drain has been observed or has timed out, and
+// the drawn commit lag has passed — commit it on the core, telling
+// ended how it went (a nil error: committed).
+func (c *cluster) stepMigrations(t, drainRounds int, ended func(m *coord.Migration, err error)) {
+	now := roundEnd(t)
+	kept := c.migrating[:0]
+	for _, m := range c.migrating {
+		if m.commitAt < 0 {
+			switch c.router.Drain(m.Migration, c.cores[m.Src].LeasesOn(m.Key), now) {
+			case coord.Drained:
+				m.drained = true
+				m.commitAt = t + c.commitLag(drainRounds)
+			case coord.DrainTimedOut:
+				m.commitAt = t
+			}
+		}
+		if m.commitAt < 0 || t < m.commitAt {
+			kept = append(kept, m)
+			continue
+		}
+		verdict, err := c.router.Commit(m.Migration, m.drained, c.cores[m.Src].LeasesOn, now)
+		if err == nil && verdict.Aborted() {
+			err = errors.New(verdict.String())
+		}
+		c.h.event("t%d %v %s shard%d->%d gen%d: %v", t, verdict, m.Key, m.Src, m.Dst, c.router.Generation(), err)
+		ended(m.Migration, err)
+	}
+	c.migrating = kept
+}
 
 // migHarness is a cluster plus clients, sensors, and migration state.
 type migHarness struct {
 	*cluster
 	cfg MigrateConfig
 
-	sessions  []*client
-	migrating []*migMigration // in fence order
-
-	// Closed-loop sensors: the detsim twin of Router.ctl.
-	sketches []*control.Sketch
-	loads    []float64
-	lastMove map[string]int
+	// ctl is the Router's hot-key controller on the virtual clock (nil
+	// unless Auto).
+	ctl *control.Controller
 
 	res *MigrateResult
 }
@@ -165,35 +211,21 @@ func newMigHarness(cfg MigrateConfig) *migHarness {
 		cfg.AcquireRounds = 40
 	}
 	if cfg.DrainRounds <= 0 {
-		cfg.DrainRounds = 12
+		cfg.DrainRounds = defaultDrainRounds
 	}
 	if cfg.DecideEvery <= 0 {
 		cfg.DecideEvery = 10
 	}
 	c := newCluster(cfg.ClusterConfig, "migrate")
 	cfg.ClusterConfig = c.cfg
-	h := &migHarness{
-		cluster:  c,
-		cfg:      cfg,
-		lastMove: make(map[string]int),
-		loads:    make([]float64, cfg.Shards),
-		res:      &MigrateResult{},
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		h.sketches = append(h.sketches, control.NewSketch(8))
+	h := &migHarness{cluster: c, cfg: cfg, res: &MigrateResult{}}
+	if cfg.Auto {
+		// Sensors decay by about a tenth a period; a moved key waits four.
+		period := time.Duration(cfg.DecideEvery) * roundTime
+		h.ctl = control.New(control.Config{Shards: cfg.Shards, TopK: 8, Interval: period,
+			HalfLife: 7 * period, Cooldown: 4 * period, MinLoad: 8})
 	}
 	return h
-}
-
-// fence returns the migration currently fencing key at round t, nil
-// when none does — an expired fence is as good as absent.
-func (h *migHarness) fence(key string, t int) *coord.Migration {
-	for _, m := range h.migrating {
-		if m.Key == key && m.Fences(int64(t)) {
-			return &m.Migration
-		}
-	}
-	return nil
 }
 
 // round advances everything by one lockstep round (node fences and the
@@ -207,14 +239,14 @@ func (h *migHarness) round(t int) {
 	h.drawClient(t)
 	h.pumpClients(t)
 	h.checkDualGrants(t)
-	if h.cfg.Auto && t > 0 && t%h.cfg.DecideEvery == 0 {
+	if h.ctl != nil && t > 0 && t%h.cfg.DecideEvery == 0 {
 		h.autoDecide(t)
 	}
 }
 
 // releaseDue releases grants whose hold expired.
 func (h *migHarness) releaseDue(t int) {
-	for _, ms := range h.sessions {
+	for _, ms := range h.clients {
 		if !ms.done && ms.id != "" && ms.release <= t {
 			ms.end()
 			h.res.Released++
@@ -223,80 +255,37 @@ func (h *migHarness) releaseDue(t int) {
 	}
 }
 
-// startMigration fences one key for migration (or, under the Unfenced
-// negative control, commits it immediately); a request the protocol
-// refuses starts nothing.
-func (h *migHarness) startMigration(t int, key string, to int) {
-	req := coord.MigrateRequest{Shards: h.cfg.Shards, DstHealthy: true, Fenced: h.fence(key, t) != nil}
-	req.Src, req.Placed = h.ring.Lookup(key)
-	req.Dst = h.migrationTarget(req.Src, to)
-	req.DstInRing = h.ring.Has(req.Dst)
-	if req.Check() != coord.MigrateOK {
-		return
-	}
-	h.res.MigrationsStarted++
-	if h.cfg.Unfenced {
-		// The forbidden shortcut: flip placement with live leases.
-		if err := h.ring.SetOverride(key, req.Dst); err == nil {
-			h.res.Migrations++
-			h.h.event("t%d UNFENCED migrate %s shard%d->%d", t, key, req.Src, req.Dst)
-		}
-		return
-	}
-	h.migrating = append(h.migrating, &migMigration{
-		Migration: coord.Migration{Key: key, Src: req.Src, Dst: req.Dst, Deadline: int64(t + h.cfg.DrainRounds)},
-		commitAt:  -1,
-	})
-	h.ring.Bump() // fence epoch: in-flight resolvers must re-resolve
-	h.h.event("t%d fence %s shard%d->%d", t, key, req.Src, req.Dst)
-}
-
 // stepMigrations fires plan entries due this round and drives every
-// in-flight migration one step: probe the drain, and — once the drain
-// has been observed or has timed out, and the drawn commit lag has
-// passed — apply the machine's commit verdict to the ring.
+// in-flight migration one step. Each commit runs the observer oracle,
+// and the controller hears every outcome, as rebalanceLoop reports
+// MigrateKey's.
 func (h *migHarness) stepMigrations(t int) {
 	for _, km := range h.cfg.Migrations {
 		if km.Round == t {
 			h.startMigration(t, h.keys[km.KeyIndex%len(h.keys)], km.To)
 		}
 	}
-	kept := h.migrating[:0]
-	for _, m := range h.migrating {
-		if m.commitAt < 0 {
-			switch m.Drain(int64(t), h.cores[m.Src].LeasesOn(m.Key)) {
-			case coord.Drained:
-				m.drained = true
-				m.commitAt = t + h.commitLag()
-			case coord.DrainTimedOut:
-				m.commitAt = t
-			}
+	h.cluster.stepMigrations(t, h.cfg.DrainRounds, func(m *coord.Migration, err error) {
+		if h.ctl != nil {
+			h.ctl.Done(control.Plan{Key: m.Key, From: m.Src, To: m.Dst}, err)
 		}
-		if m.commitAt < 0 || t < m.commitAt {
-			kept = append(kept, m)
-			continue
-		}
-		placedAt, _ := h.ring.Lookup(m.Key)
-		verdict := migCommit(&m.Migration, int64(t), m.drained, h.cores[m.Src].LeasesOn(m.Key), h.ring.Has(m.Dst), placedAt)
-		var err error
-		switch verdict {
-		case coord.CommitOverride:
-			err = h.ring.SetOverride(m.Key, m.Dst)
-		case coord.CommitBump:
-			h.ring.Bump()
-		}
-		if verdict.Aborted() || err != nil {
-			h.ring.Bump() // lift the fence under a fresh epoch
+		if err != nil {
 			h.res.MigrationsAborted++
-			h.h.event("t%d abort %s shard%d->%d: %v %v", t, m.Key, m.Src, m.Dst, verdict, err)
-			continue
+			return
 		}
 		h.res.Migrations++
-		h.transferWeight(m.Key, m.Src, m.Dst)
-		h.h.event("t%d commit %s shard%d->%d gen%d", t, m.Key, m.Src, m.Dst, h.ring.Generation())
 		h.checkObserver(t, m.Key)
+	})
+}
+
+// startMigration fences one key for migration, reporting whether the
+// core accepted the request.
+func (h *migHarness) startMigration(t int, key string, to int) bool {
+	ok := h.cluster.startMigration(t, key, to, h.cfg.DrainRounds)
+	if ok {
+		h.res.MigrationsStarted++
 	}
-	h.migrating = kept
+	return ok
 }
 
 // timeoutPending withdraws clients whose wait budget elapsed — the
@@ -304,7 +293,7 @@ func (h *migHarness) stepMigrations(t int) {
 // old home terminate here if the post-grant bounce does not get them
 // first; either way the lost-waiter oracle stays quiet.
 func (h *migHarness) timeoutPending(t int) {
-	for _, ms := range h.sessions {
+	for _, ms := range h.clients {
 		if !ms.done && ms.id == "" && t-ms.born >= h.cfg.AcquireRounds {
 			ms.end()
 			h.res.Timeouts++
@@ -324,50 +313,49 @@ func (h *migHarness) drawClient(t int) {
 	if h.src.Intn(100) >= h.cfg.HotPercent {
 		key = h.keys[h.src.Intn(len(h.keys))]
 	}
-	if h.fence(key, t) != nil {
+	parts, err := h.router.Parts([]string{key}, roundEnd(t))
+	if errors.Is(err, lockservice.ErrWrongShard) {
 		h.res.FenceBounced++
 		h.h.event("t%d 409 %s (fenced)", t, key)
 		return
 	}
-	s, ok := h.ring.Lookup(key)
-	if !ok {
+	if err != nil {
 		return
 	}
-	ms := h.runners[s].submit([]string{key}, s, t)
+	s := parts[0].Shard
+	ms := h.submit(parts[0].Keys, s, t)
 	if ms == nil {
 		return
 	}
-	h.sessions = append(h.sessions, ms)
 	h.res.Submitted++
 	h.h.event("t%d submit %s shard%d home=%d", t, key, s, ms.sess.Home)
 }
 
 // pumpClients pumps every core and turns each fresh grant into a lease,
-// then applies the router's post-grant check (coord.Placed): a lease on
-// a fenced or re-placed key is released before the client sees it; the
-// rest become client-visible holds and feed the sensors. The Unfenced
-// control skips the check — that is the whole point of the control.
+// then applies the core's post-grant check: a lease on a fenced or
+// re-placed key is released before the client sees it; the rest become
+// client-visible holds and feed the sensors.
 func (h *migHarness) pumpClients(t int) {
 	for _, core := range h.cores {
 		core.Pump()
 	}
-	migrating := func(key string) *coord.Migration { return h.fence(key, t) }
-	for _, ms := range h.sessions {
+	for _, ms := range h.clients {
 		if ms.done || !ms.granted() {
 			continue
 		}
 		ms.lease(0)
-		if !h.cfg.Unfenced && !coord.Placed(ms.keys, ms.shard, int64(t), h.ring.Lookup, migrating) {
+		if !h.router.StillPlaced([]coord.Part{{Shard: ms.shard, Keys: ms.keys}}, roundEnd(t)) {
 			ms.end()
 			h.res.Bounced++
-			cur, _ := h.ring.Lookup(ms.keys[0])
+			cur, _ := h.router.Lookup(ms.keys[0])
 			h.h.event("t%d bounce %s shard%d (placed shard%d)", t, ms.keys[0], ms.shard, cur)
 			continue
 		}
 		ms.release = t + 1 + h.src.Intn(h.cfg.MaxHoldRounds)
 		h.res.Granted++
-		h.sketches[ms.shard].Observe(ms.keys[0], 1)
-		h.loads[ms.shard]++
+		if h.ctl != nil {
+			h.ctl.Observe(ms.shard, ms.keys, time.Duration(t-ms.born)*roundTime)
+		}
 		h.h.event("t%d grant %s shard%d hold=%d", t, ms.keys[0], ms.shard, ms.release-t)
 	}
 }
@@ -391,52 +379,29 @@ func (h *migHarness) checkDualGrants(t int) {
 	}
 }
 
-// autoDecide runs one closed-loop control period: decay the sensors,
-// call the shared control law, and actuate its plans under the fenced
-// protocol — the detsim twin of Router.rebalanceLoop.
+// autoDecide runs one control period of the controller and fences each
+// planned move — the detsim twin of Router.rebalanceLoop; a move the
+// core refuses fails at once.
 func (h *migHarness) autoDecide(t int) {
-	const decay = 0.9
-	for s, sk := range h.sketches {
-		sk.Decay(decay)
-		h.loads[s] *= decay
-	}
-	hot := make([][]control.KeyLoad, len(h.sketches))
-	for s, sk := range h.sketches {
-		hot[s] = sk.TopK()
-	}
-	eligible := func(key string) bool {
-		last, moved := h.lastMove[key]
-		return (!moved || t-last >= 4*h.cfg.DecideEvery) && h.fence(key, t) == nil
-	}
-	for _, p := range control.Decide(h.loads, hot, eligible, 1.3, 8, 1) {
-		h.lastMove[p.Key] = t
-		h.startMigration(t, p.Key, p.To)
+	for _, p := range h.ctl.Plan(roundEnd(t)) {
+		if !h.startMigration(t, p.Key, p.To) {
+			h.ctl.Done(p, errors.New("refused"))
+		}
 	}
 }
 
-// transferWeight moves a committed key's sensor weight to its new
-// shard, like Controller.Done.
-func (h *migHarness) transferWeight(key string, src, dst int) {
-	n := h.sketches[src].Count(key)
-	h.sketches[src].Drop(key)
-	if n > 0 {
-		h.sketches[dst].Observe(key, n)
-		h.loads[src] -= n
-		h.loads[dst] += n
-	}
-}
-
-// checkObserver rebuilds placement the way a replica does — same seed
-// and membership, overrides bulk-applied from the published table —
-// and requires agreement with the authoritative ring on every key.
+// checkObserver rebuilds placement from the published RingInfo the way
+// every replica does (lockservice.ReplicaRing) and requires agreement
+// with the authoritative ring on every key.
 func (h *migHarness) checkObserver(t int, cause string) {
-	obs := shard.New(h.ring.Seed(), h.ring.Vnodes())
-	if err := obs.AddAll(h.ring.Members()...); err != nil {
-		panic(err) // fresh ring, authoritative member list: unreachable
+	info := h.router.RingInfo()
+	obs := lockservice.ReplicaRing(&info)
+	if obs == nil {
+		record(&h.res.Divergence, "t%d after %s: the published ring does not rebuild", t, cause)
+		return
 	}
-	obs.SetOverrides(h.ring.Overrides())
 	for _, k := range h.keys {
-		want, okW := h.ring.Lookup(k)
+		want, okW := h.router.Lookup(k)
 		got, okG := obs.Lookup(k)
 		if okW != okG || want != got {
 			record(&h.res.Divergence, "t%d after %s: key %s authoritative shard %d, observer shard %d", t, cause, k, want, got)
@@ -450,14 +415,14 @@ func (h *migHarness) finish() *MigrateResult {
 	res := h.res
 	rounds := h.cfg.Rounds
 	budget := h.cfg.AcquireRounds + h.cfg.MaxHoldRounds + 10
-	for _, ms := range h.sessions {
+	for _, ms := range h.clients {
 		if !ms.done && rounds-ms.born >= budget {
 			record(&res.LostWaiters, "client for %s on shard %d born t%d never terminated in %d rounds",
 				ms.keys[0], ms.shard, ms.born, rounds-ms.born)
 		}
 	}
-	drain(h.sessions, &res.Released, &res.Canceled)
-	res.Generation = h.ring.Generation()
+	drain(h.clients, &res.Released, &res.Canceled)
+	res.Generation = h.router.Generation()
 	res.ClusterResult = h.cluster.finish()
 	return res
 }
@@ -516,4 +481,44 @@ func SweepMigrateChaos(g *graph.Graph, seed int64, rounds, shards, moves, kills 
 // and migrate keys off it under the fenced protocol.
 func SweepMigrateAuto(g *graph.Graph, seed int64, rounds, shards int, trace bool) *MigrateResult {
 	return RunMigrate(MigrateConfig{ClusterConfig: sweepCluster(g, seed, rounds, shards, trace, nil), Auto: true, HotPercent: 55})
+}
+
+// SweepMigrateHot is the negative controls' workload: a very hot key
+// and holds as long as the drain budget over the explicit plan, so a
+// move committed while the source still holds the key all but
+// guarantees a second grant at the new home inside the hold window.
+func SweepMigrateHot(g *graph.Graph, seed int64, rounds, shards, moves int, trace bool) *MigrateResult {
+	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
+	return RunMigrate(MigrateConfig{
+		ClusterConfig: c,
+		HotPercent:    85,
+		MaxHoldRounds: 12,
+		Migrations:    migratePlan(c.Source, moves, rounds, 24),
+	})
+}
+
+// SweepMigrateRestartHolder is the migrating-holder restart campaign
+// over SweepMigrateChaos's workload: while a migration drains, the home
+// of one client's lease on the migrating key reboots, clean or garbage —
+// once per migration, at the first round such a holder exists. Its
+// restart fences the lease the drain is waiting on, so the drain and
+// commit run against a lease table the fence just emptied.
+func SweepMigrateRestartHolder(g *graph.Graph, seed int64, rounds, shards, moves int, trace bool) *MigrateResult {
+	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
+	h := newMigHarness(MigrateConfig{
+		ClusterConfig: c,
+		MaxHoldRounds: 8,
+		DrainRounds:   4,
+		Migrations:    migratePlan(c.Source, moves, rounds, 24),
+	})
+	hit := map[*coord.Migration]bool{}
+	for t := 0; t < rounds; t++ {
+		for _, m := range h.migrating {
+			if !hit[m.Migration] && h.restartHolder(t, func(cl *client) bool { return cl.shard == m.Src && cl.keys[0] == m.Key }) {
+				hit[m.Migration] = true
+			}
+		}
+		h.round(t)
+	}
+	return h.finish()
 }

@@ -88,6 +88,28 @@ func TestMigrateSweepChaos(t *testing.T) {
 	}
 }
 
+// TestMigrateSweepRestartHolder reboots the home of a lease a migration
+// is draining, once per migration: the restart's fence empties the
+// source under the drain, and exclusion must hold through the commit
+// that follows.
+func TestMigrateSweepRestartHolder(t *testing.T) {
+	seeds := migrateSweepSeeds() / 2
+	var migrations int
+	for s := 0; s < seeds; s++ {
+		seed := int64(9_610_000 + s)
+		res := SweepMigrateRestartHolder(graph.Grid(3, 3), seed, 200, 2, 3, false)
+		if res.Failed() {
+			t.Errorf("seed %d: dual=%v lost=%v diverge=%v safety=%v history=%v lease=%v",
+				seed, res.DualGrants, res.LostWaiters, res.Divergence,
+				res.SafetyViolations, res.HistoryViolations, res.LeaseViolations)
+		}
+		migrations += res.Migrations
+	}
+	if migrations == 0 {
+		t.Fatal("restart-holder sweep committed no migrations")
+	}
+}
+
 // TestMigrateSweepAuto closes the loop: no explicit plan — the skewed
 // workload must make control.Decide (the SAME control law the live
 // rebalanceLoop runs) sense the hot shard and migrate keys off it,
@@ -107,41 +129,6 @@ func TestMigrateSweepAuto(t *testing.T) {
 	}
 	if migrations == 0 {
 		t.Fatal("closed loop never migrated; the controller sensed nothing across the sweep")
-	}
-}
-
-// TestMigrateUnfencedFiresDualGrantOracle is the negative control: a
-// migration that commits without fencing or draining — the shortcut
-// the production protocol forbids — must be CAUGHT by the dual-grant
-// oracle. If no unfenced seed trips it, the oracle is vacuous and the
-// whole sweep above proves nothing.
-func TestMigrateUnfencedFiresDualGrantOracle(t *testing.T) {
-	fired := false
-	for s := 0; s < 40 && !fired; s++ {
-		seed := int64(9_800_000 + s)
-		src := NewRand(seed)
-		res := RunMigrate(MigrateConfig{
-			ClusterConfig: ClusterConfig{
-				Graph:  graph.Ring(6),
-				Shards: 2,
-				Seed:   seed,
-				Rounds: 160,
-				Source: src,
-			},
-			// Long holds and a very hot key: an override flipped with a
-			// live holder all but guarantees a second grant at the new
-			// home inside the hold window.
-			HotPercent:    85,
-			MaxHoldRounds: 12,
-			Unfenced:      true,
-			Migrations:    migratePlan(src, 4, 160, 24),
-		})
-		if len(res.DualGrants) > 0 {
-			fired = true
-		}
-	}
-	if !fired {
-		t.Fatal("unfenced migrations never tripped the dual-grant oracle: the oracle is vacuous")
 	}
 }
 

@@ -1,25 +1,29 @@
-// Cross-shard span simulation: coord.Span — the Router's multi-key
-// acquire protocol itself — driven in lockstep rounds. A cluster of K
-// diners shards advances under one schedule Source while this harness
-// plays the Router's part of the driver: it decomposes drawn key sets by
-// ring placement, walks coord.Ascending parts, and executes whatever the
-// machine asks for against each shard's lockservice.ShardCore — a
-// sub-acquire is a session queued there and polled each round until it
-// becomes a lease, a refresh or commit renews that lease, a release
-// releases it. The server side of a sub-lease (its TTL, its janitor,
-// node fences) is the core's, on the runner's virtual clock. What is the
-// harness's own: the workload, the ring-churn, migration and node fault
-// plans, and the oracles, which assert the property the protocol owes
-// its clients: no schedule, fault plan, or ring-churn plan may ever
-// surface a partially committed span.
+// Cross-shard span simulation: the Router's multi-key acquire itself —
+// lockservice.RouterCore's parts resolution and settle loop over
+// coord.Span — driven in lockstep rounds. A cluster of K diners shards
+// advances under one schedule Source while this harness plays the
+// Router's wall-clock shell: it issues each sub-acquire the core asks
+// for against that shard's lockservice.ShardCore — a session queued
+// there and polled each round until it becomes a lease — and hands the
+// core the renew and release calls its settle loop makes. Placement,
+// fences, the epoch and placement checks and every abort are the
+// core's; the server side of a sub-lease (its TTL, its janitor, node
+// fences) is the ShardCore's, on the runner's virtual clock. What is
+// the harness's own: the workload, the ring-churn, migration and node
+// fault plans, the client model (a holder drops a committed span whose
+// placement changed), and the oracles, which assert the property the
+// protocol owes its clients: no schedule, fault plan, or ring-churn plan
+// may ever surface a partially committed span.
 package detsim
 
 import (
+	"slices"
 	"time"
 
 	"mcdp/internal/coord"
 	"mcdp/internal/drinkers"
 	"mcdp/internal/graph"
+	"mcdp/internal/lockservice"
 )
 
 // RingChurn schedules one ring-membership change: shard Shard leaves
@@ -55,12 +59,8 @@ type SpanConfig struct {
 	// RingChurn is the ring-membership plan.
 	RingChurn []RingChurn
 	// Migrations is the key-migration plan: at each entry's round the
-	// keyed override is installed and every span whose recorded
-	// placement the new ring contradicts is fenced — the span-protocol
-	// view of MigrateKey. The harness adopts the same drain-at-change
-	// strictness as ring churn (production instead drains the source
-	// before committing), which keeps the cross-epoch exclusivity
-	// oracle sound and lets the displaced oracle demand termination.
+	// core fences the key, and the move commits once the source drained
+	// — the fence, drain and commit MigrateKey runs.
 	Migrations []KeyMigration
 }
 
@@ -71,12 +71,12 @@ type SpanResult struct {
 	// shard (the fast-path control group), the rest genuinely spanned.
 	Spans, SingleShard int
 	// Commits and Rollbacks count terminal outcomes; Displaced counts
-	// spans fenced by a ring change that remapped one of their keys or
-	// by a node fence revoking a sub-lease.
+	// spans a ring change or migration fence contradicted, or whose
+	// sub-lease a node fence revoked.
 	Commits, Rollbacks, Displaced int
 	// RingLeaves and RingJoins count executed ring changes.
 	RingLeaves, RingJoins int
-	// Migrations counts executed key-override installs.
+	// Migrations counts committed key migrations.
 	Migrations int
 	// PartialCommits lists spans that committed while some part was not
 	// held — the cross-shard atomicity violation this harness exists to
@@ -101,28 +101,23 @@ func (r *SpanResult) Failed() bool {
 		len(r.HistoryViolations) > 0 || len(r.LeaseViolations) > 0
 }
 
-// simSpan is one span: its ascending parts, the protocol machine, and
-// each part's sub-acquire — its session, then its sub-lease.
+// simSpan is one span: the core's Span (ascending parts, resolution
+// epoch, machine) and each part's sub-acquire — its session, then its
+// sub-lease.
 type simSpan struct {
 	id          int
 	keys        []string
-	parts       []coord.Part
-	m           coord.Span
-	gen0        uint64    // ring generation the parts were resolved under
+	sp          lockservice.Span
 	subs        []*client // each part's sub-acquire, once submitted
 	submitRound int
 	born        int
 	committed   bool
 	commitRound int
 	releaseAt   int
-	mustAbort   bool
-	displacedAt int // -1 until a ring change or fence touches the span
+	dropped     bool // the holder drops the committed span
+	displacedAt int  // -1 until a ring change or fence touches the span
 	done        bool
 }
-
-// spanDone reports an action's outcome to the machine. The mutation
-// test swaps it for a machine that skips a decision.
-var spanDone = (*coord.Span).Done
 
 // spanHarness is a cluster plus the span coordinator's state.
 type spanHarness struct {
@@ -169,8 +164,8 @@ func newSpanHarness(cfg SpanConfig) *spanHarness {
 }
 
 // round advances every shard one lockstep round (node fences and the
-// janitor run inside it), applies ring churn, steps each span's driver,
-// and draws new workload.
+// janitor run inside it), applies ring churn and migrations, steps each
+// span's driver, and draws new workload.
 func (h *spanHarness) round(t int) {
 	h.advance(t)
 	h.applyRingChurn(t)
@@ -184,58 +179,35 @@ func (h *spanHarness) round(t int) {
 	h.drawWorkload(t)
 }
 
-// applyRingChurn fires ring membership changes due at round t. After
-// every membership change — leave or join, since consistent hashing
-// moves keys in both directions — it fences each in-flight span whose
-// recorded placement the new ring contradicts: the span's keys now map
-// to other shards, so letting it keep (or go on to take) its old
-// sub-leases would let a later span acquire the same keys on the new
-// owners concurrently. Production leaves stranded leases to drain by
-// TTL (exclusivity is per placement epoch; operators drain a shard
-// before removing it) — the harness adopts the stricter
-// drain-at-change so its cross-epoch exclusivity oracle stays sound,
-// and the displaced oracle demands each fenced span still terminates
-// promptly.
+// applyRingChurn fires ring membership changes due at round t through
+// the core, which refuses to remove its last member. Consistent hashing
+// moves keys both ways, so leaves and joins alike can displace spans.
 func (h *spanHarness) applyRingChurn(t int) {
 	for _, rc := range h.cfg.RingChurn {
-		if rc.Leave == t && h.ring.Size() > 1 {
-			if err := h.ring.Remove(rc.Shard); err == nil {
-				h.res.RingLeaves++
-				h.h.event("t%d ring leave %d", t, rc.Shard)
-				h.fenceRemapped(t)
-			}
+		if rc.Leave == t && h.router.RingLeave(rc.Shard) == nil {
+			h.res.RingLeaves++
+			h.h.event("t%d ring leave %d", t, rc.Shard)
 		}
-		if rc.Join == t && rc.Join > rc.Leave {
-			if err := h.ring.Add(rc.Shard); err == nil {
-				h.res.RingJoins++
-				h.h.event("t%d ring join %d", t, rc.Shard)
-				h.fenceRemapped(t)
-			}
+		if rc.Join == t && rc.Join > rc.Leave && h.router.RingJoin(rc.Shard) == nil {
+			h.res.RingJoins++
+			h.h.event("t%d ring join %d", t, rc.Shard)
 		}
 	}
 }
 
-// applyMigrations fires key-migration plan entries due at round t:
-// install the override and fence every in-flight span the moved key
-// invalidates.
+// applyMigrations fences the keys of plan entries due at round t and
+// drives every migration in flight.
 func (h *spanHarness) applyMigrations(t int) {
 	for _, km := range h.cfg.Migrations {
-		if km.Round != t {
-			continue
+		if km.Round == t {
+			h.startMigration(t, h.keys[km.KeyIndex%len(h.keys)], km.To, defaultDrainRounds)
 		}
-		key := h.keys[km.KeyIndex%len(h.keys)]
-		src, ok := h.ring.Lookup(key)
-		if !ok {
-			continue
-		}
-		dst := h.migrationTarget(src, km.To)
-		if dst == src || !h.ring.Has(dst) || h.ring.SetOverride(key, dst) != nil {
-			continue
-		}
-		h.res.Migrations++
-		h.h.event("t%d migrate %s shard %d -> %d", t, key, src, dst)
-		h.fenceRemapped(t)
 	}
+	h.stepMigrations(t, defaultDrainRounds, func(_ *coord.Migration, err error) {
+		if err == nil {
+			h.res.Migrations++
+		}
+	})
 }
 
 // displace marks a span as touched by a ring change or node fence.
@@ -246,50 +218,59 @@ func (h *spanHarness) displace(t int, sp *simSpan) {
 	}
 }
 
-// fenceRemapped aborts every live span holding, awaiting, or still
-// planning a part whose keys the current ring no longer places on that
-// part's shard.
-func (h *spanHarness) fenceRemapped(t int) {
-	for _, sp := range h.spans {
-		if sp.done || sp.mustAbort {
-			continue
-		}
-		for _, pt := range sp.parts {
-			if !h.placed(pt.Keys, pt.Shard) {
-				sp.mustAbort = true
-				h.displace(t, sp)
-				h.h.event("t%d span%d displaced: keys %v moved off shard %d", t, sp.id, pt.Keys, pt.Shard)
-				break
+// moved reports whether any of the span's keys resolves off its part's
+// shard.
+func (h *spanHarness) moved(sp *simSpan) bool {
+	for _, pt := range sp.sp.Parts {
+		for _, k := range pt.Keys {
+			if s, ok := h.router.Lookup(k); !ok || s != pt.Shard {
+				return true
 			}
 		}
 	}
+	return false
 }
 
-// stepSpan polls one span for a round. An uncommitted live span is
-// always waiting on the sub-acquire the machine last asked for: every
-// other action completes within settle.
+// stepSpan polls one span for a round. A span whose parts the core no
+// longer places, unfenced, on their shards — after a ring change, a
+// migration's fence or its commit — is displaced. An uncommitted one is
+// left to the protocol: it aborts at its epoch and placement checks or
+// on its sub-acquire's timeout, and the displaced oracle demands it
+// terminates. An uncommitted live span is always waiting on the
+// sub-acquire the core last asked for: every other action completes
+// within Settle.
 func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	if sp.done {
 		return
 	}
+	if sp.displacedAt < 0 && !h.router.StillPlaced(sp.sp.Parts, roundEnd(t)) {
+		h.displace(t, sp)
+		h.h.event("t%d span%d displaced", t, sp.id)
+	}
 	if sp.committed {
-		// The hold is the client's: release when it ends, or at once when
-		// a part was displaced or is gone — a node fence revoked it, found
-		// as production finds it on the client's next renew. All-or-nothing
-		// is preserved by tearing the span down, not by keeping it.
+		// The hold is the client's: release when it ends, or drop it at
+		// once when a part is gone — a node fence revoked it, found as
+		// production finds it on the client's next renew — or its keys
+		// moved. Production leaves a moved hold to drain by TTL
+		// (exclusivity is per placement epoch); the harness's stricter
+		// client keeps its cross-epoch exclusivity oracle sound.
+		// All-or-nothing is preserved by tearing the span down, not by
+		// keeping it.
+		lost := h.moved(sp)
 		for _, cl := range sp.subs {
-			if !cl.live() && !sp.mustAbort {
-				sp.mustAbort = true
-				h.displace(t, sp)
-				h.h.event("t%d span%d lost its lease on shard %d", t, sp.id, cl.shard)
-			}
+			lost = lost || !cl.live()
 		}
-		if sp.mustAbort || sp.releaseAt <= t {
+		if lost && !sp.dropped {
+			sp.dropped = true
+			h.displace(t, sp)
+			h.h.event("t%d span%d dropped", t, sp.id)
+		}
+		if sp.dropped || sp.releaseAt <= t {
 			for _, cl := range sp.subs {
 				cl.end()
 			}
 			sp.done = true
-			if sp.mustAbort {
+			if sp.dropped {
 				sp.releaseAt = t // the commit window truly ended here
 				h.res.Rollbacks++
 				h.h.event("t%d span%d rollback: post-commit fence", t, sp.id)
@@ -299,12 +280,11 @@ func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 		}
 		return
 	}
-	k := sp.m.Next().Part
+	k := sp.sp.Next().Part
 	switch status := sp.subs[k].rn.core.Arbiter().Status(sp.subs[k].sess); {
-	case sp.mustAbort:
-		h.failPrepare(t, sp, "displaced")
 	case status == drinkers.Drinking:
-		h.settle(t, sp, h.granted(t, sp, k))
+		h.granted(t, sp, k)
+		h.prepare(t, sp, h.settle(t, sp, true))
 	case status == drinkers.Done:
 		// Canceled or released out from under us — cannot happen from
 		// this coordinator; treat as a lost sub-session.
@@ -314,68 +294,61 @@ func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	}
 }
 
-// granted turns part k's granted session into its prepare sub-lease and
-// reports the success to the machine.
-func (h *spanHarness) granted(t int, sp *simSpan, k int) coord.SpanAction {
+// granted turns part k's granted session into its prepare sub-lease.
+func (h *spanHarness) granted(t int, sp *simSpan, k int) {
 	sp.subs[k].lease(h.prep)
 	h.h.event("t%d span%d part%d granted", t, sp.id, k)
-	return spanDone(&sp.m, true)
 }
 
 // failPrepare withdraws the pending sub-acquire and reports the failure
-// to the machine.
+// to the core.
 func (h *spanHarness) failPrepare(t int, sp *simSpan, why string) {
-	k := sp.m.Next().Part
+	k := sp.sp.Next().Part
 	sp.subs[k].end()
-	h.h.event("t%d span%d part%d on shard %d failed: %s", t, sp.id, k, sp.parts[k].Shard, why)
-	h.settle(t, sp, spanDone(&sp.m, false))
+	h.h.event("t%d span%d part%d on shard %d failed: %s", t, sp.id, k, sp.sp.Parts[k].Shard, why)
+	h.prepare(t, sp, h.settle(t, sp, false))
 }
 
-// settle executes the machine's actions until it asks for a sub-acquire
-// (queued here, polled by stepSpan from the next round on) or ends.
-func (h *spanHarness) settle(t int, sp *simSpan, act coord.SpanAction) {
-	for {
-		ok := true
-		switch act.Op {
-		case coord.SpanPrepare:
-			h.checkRefreshed(t, sp)
-			k, pt := act.Part, sp.parts[act.Part]
-			if sp.subs[k] = h.runners[pt.Shard].submit(pt.Keys, pt.Shard, t); sp.subs[k] == nil {
-				ok = false
-				break
-			}
-			sp.submitRound = t
-			h.h.event("t%d span%d submit part%d shard%d home=%d", t, sp.id, k, pt.Shard, sp.subs[k].sess.Home)
-			if !sp.subs[k].granted() { // not at hand: polled by stepSpan
-				return
-			}
-			act = h.granted(t, sp, k)
+// settle reports the pending sub-acquire's outcome to the core, whose
+// Settle runs the span on to its next sub-acquire or its end, renewing
+// and releasing sub-leases on their shards' clocks.
+func (h *spanHarness) settle(t int, sp *simSpan, ok bool) coord.SpanAction {
+	return h.router.Settle(&sp.sp, ok, lockservice.SpanCalls{
+		Renew: func(i int, ttl time.Duration) error { return sp.subs[i].renew(ttl) },
+		Release: func(i int) {
+			sp.subs[i].end()
+		},
+		AtEpoch: func() { h.checkRefreshed(t, sp) },
+	}, roundEnd(t))
+}
+
+// prepare submits each sub-acquire the core asks for, from act on, until
+// one waits (polled by stepSpan from the next round on) or the span
+// ends.
+func (h *spanHarness) prepare(t int, sp *simSpan, act coord.SpanAction) {
+	for act.Op == coord.SpanPrepare {
+		h.checkRefreshed(t, sp)
+		k, pt := act.Part, sp.sp.Parts[act.Part]
+		if sp.subs[k] = h.submit(pt.Keys, pt.Shard, t); sp.subs[k] == nil {
+			act = h.settle(t, sp, false)
 			continue
-		case coord.SpanRefresh:
-			ok = sp.subs[act.Part].renew(h.prep)
-		case coord.SpanEpoch:
-			h.checkRefreshed(t, sp)
-			ok = h.ring.Generation() == sp.gen0
-		case coord.SpanPlacement:
-			for _, pt := range sp.parts {
-				ok = ok && h.placed(pt.Keys, pt.Shard)
-			}
-		case coord.SpanCommit:
-			ok = sp.subs[act.Part].renew(0) // the client's TTL: the default
-		case coord.SpanRelease:
-			sp.subs[act.Part].end()
-		case coord.SpanCommitted:
-			h.commit(t, sp)
-			return
-		case coord.SpanAborted:
-			why, part := sp.m.Abort()
-			sp.done = true
-			h.res.Rollbacks++
-			h.h.event("t%d span%d rollback: %v at part%d", t, sp.id, why, part)
+		}
+		sp.submitRound = t
+		h.h.event("t%d span%d submit part%d shard%d home=%d", t, sp.id, k, pt.Shard, sp.subs[k].sess.Home)
+		if !sp.subs[k].granted() { // not at hand
 			return
 		}
-		act = spanDone(&sp.m, ok)
+		h.granted(t, sp, k)
+		act = h.settle(t, sp, true)
 	}
+	if act.Op == coord.SpanCommitted {
+		h.commit(t, sp)
+		return
+	}
+	why, part := sp.sp.Abort()
+	sp.done = true
+	h.res.Rollbacks++
+	h.h.event("t%d span%d rollback: %v at part%d", t, sp.id, why, part)
 }
 
 // checkRefreshed is the orphaned-prepare oracle, run whenever a span
@@ -383,7 +356,7 @@ func (h *spanHarness) settle(t int, sp *simSpan, act coord.SpanAction) {
 // full prepare budget, or a prepare has to outlive more than ONE
 // shard's wait — the bound PrepareRounds is sized for.
 func (h *spanHarness) checkRefreshed(t int, sp *simSpan) {
-	for _, cl := range sp.subs[:sp.m.Held()] {
+	for _, cl := range sp.subs[:sp.sp.Held()] {
 		want := cl.rn.vnow.Add(h.prep)
 		if dl, ok := cl.rn.core.Deadline(cl.id); !ok || !dl.Equal(want) {
 			record(&h.res.OrphanedSpans, "t%d: span %d moved on with the prepare on shard %d expiring at %v, not refreshed to %v",
@@ -409,8 +382,8 @@ func (h *spanHarness) commit(t int, sp *simSpan) {
 	h.h.event("t%d span%d committed hold=%d", t, sp.id, sp.releaseAt-t)
 }
 
-// drawWorkload maybe creates one new span: a drawn key set decomposed
-// by the current ring into ascending-shard parts, each mapped onto its
+// drawWorkload maybe creates one new span: a drawn key set that the
+// core decomposes into ascending-shard parts, each mapped onto its
 // shard's arbiter. Key sets may overlap across spans — contention is
 // the interesting case.
 func (h *spanHarness) drawWorkload(t int) {
@@ -426,35 +399,23 @@ func (h *spanHarness) drawWorkload(t int) {
 	for _, i := range perm(h.src, len(h.keys))[:want] {
 		keys = append(keys, h.keys[i])
 	}
-	var parts []coord.Part
-	for _, k := range keys {
-		s, ok := h.ring.Lookup(k)
-		if !ok {
-			return // empty ring: no placement, no span
+	gen0 := h.router.Generation()
+	parts, err := h.router.Parts(keys, roundEnd(t))
+	if err != nil {
+		return // a fenced key or an empty ring: the Router's 409 or 503
+	}
+	for _, pt := range parts {
+		if _, _, err := h.cores[pt.Shard].Mapper().MapSession(pt.Keys); err != nil {
+			return // part unmappable within its shard: skip the draw
 		}
-		i := 0
-		for i < len(parts) && parts[i].Shard != s {
-			i++
-		}
-		if i == len(parts) {
-			parts = append(parts, coord.Part{Shard: s})
-		}
-		parts[i].Keys = append(parts[i].Keys, k)
 	}
 	sp := &simSpan{
 		id:          h.res.Spans,
 		keys:        keys,
-		parts:       coord.Ascending(parts),
-		m:           coord.NewSpan(len(parts)),
-		gen0:        h.ring.Generation(),
+		sp:          lockservice.NewSpan(parts, gen0, h.prep, 0),
 		subs:        make([]*client, len(parts)),
 		born:        t,
 		displacedAt: -1,
-	}
-	for _, pt := range sp.parts {
-		if _, _, err := h.cores[pt.Shard].Mapper().MapSession(pt.Keys); err != nil {
-			return // part unmappable within its shard: skip the draw
-		}
 	}
 	h.res.Spans++
 	if len(parts) == 1 {
@@ -462,7 +423,7 @@ func (h *spanHarness) drawWorkload(t int) {
 	}
 	h.h.event("t%d span%d new keys=%v parts=%d", t, sp.id, keys, len(parts))
 	h.spans = append(h.spans, sp)
-	h.settle(t, sp, sp.m.Next())
+	h.prepare(t, sp, sp.sp.Next())
 }
 
 // finish runs the end-of-run oracles, drains surviving spans, and
@@ -481,7 +442,7 @@ func (h *spanHarness) finish() *SpanResult {
 		if sp.done {
 			continue
 		}
-		budget := len(sp.parts)*(h.cfg.AcquireRounds+h.cfg.PrepareRounds) + h.cfg.MaxHoldRounds + 10
+		budget := len(sp.sp.Parts)*(h.cfg.AcquireRounds+h.cfg.PrepareRounds) + h.cfg.MaxHoldRounds + 10
 		if rounds-sp.born >= budget {
 			record(&res.OrphanedSpans, "span %d born t%d never terminated in %d rounds", sp.id, sp.born, rounds-sp.born)
 		} else if sp.displacedAt >= 0 && rounds-sp.displacedAt >= budget {
@@ -567,10 +528,10 @@ func SweepSpanChurn(g *graph.Graph, seed int64, rounds, shards, churnCount int, 
 }
 
 // SweepSpanMigrate is the migrate-during-span variant: seed-drawn key
-// migrations land while spans are mid-prepare. A span straddling the
-// placement change is fenced and must roll back cleanly (Displaced
-// counts it); atomicity and per-shard history legality must hold on
-// both sides of every override install.
+// migrations — fence, drain, commit — run while spans are mid-prepare.
+// A span straddling the fence or the placement change is displaced and
+// must roll back cleanly (Displaced counts it); atomicity and per-shard
+// history legality must hold on both sides of every override install.
 func SweepSpanMigrate(g *graph.Graph, seed int64, rounds, shards, moves int, trace bool) *SpanResult {
 	src := NewRand(seed)
 	var plan []KeyMigration
@@ -591,4 +552,27 @@ func SweepSpanChaos(g *graph.Graph, seed int64, rounds, shards, kills int, trace
 	c := sweepCluster(g, seed, rounds, shards, trace, NewRand(seed))
 	c.crashCampaign(kills, rounds/3, 6, 10, 20)
 	return RunSpan(SpanConfig{ClusterConfig: c})
+}
+
+// SweepSpanRestartHolder is the held-part restart campaign: restarts
+// times, at rounds drawn in the first two thirds of the run (or at the
+// first round after with a held part), the home of a live span's held
+// sub-lease — a prepare or a committed part — reboots, clean or garbage.
+// Its restart fences the sub-lease, which must roll the whole span back
+// (Displaced counts the committed ones), never strand part of it.
+func SweepSpanRestartHolder(g *graph.Graph, seed int64, rounds, shards, restarts int, trace bool) *SpanResult {
+	src := NewRand(seed)
+	h := newSpanHarness(SpanConfig{ClusterConfig: sweepCluster(g, seed, rounds, shards, trace, src)})
+	due := make([]int, restarts)
+	for i := range due {
+		due[i] = src.Intn(rounds * 2 / 3)
+	}
+	slices.Sort(due)
+	for t := 0; t < rounds; t++ {
+		if len(due) > 0 && due[0] <= t && h.restartHolder(t, func(*client) bool { return true }) {
+			due = due[1:]
+		}
+		h.round(t)
+	}
+	return h.finish()
 }

@@ -121,6 +121,29 @@ func TestSpanSweepChaos(t *testing.T) {
 	}
 }
 
+// TestSpanSweepRestartHolder restarts the home of a held span part —
+// a prepare or a committed part — four times a run. Each restart fences
+// a sub-lease a span is counting on, so the fence path is routine: the
+// span must roll back whole, and committed spans it displaces must
+// terminate.
+func TestSpanSweepRestartHolder(t *testing.T) {
+	seeds := spanSweepSeeds() / 2
+	var displaced int
+	for s := 0; s < seeds; s++ {
+		seed := int64(9_310_000 + s)
+		res := SweepSpanRestartHolder(graph.Grid(3, 3), seed, 200, 2, 4, false)
+		if res.Failed() {
+			t.Errorf("seed %d: partial=%v overlap=%v orphan=%v safety=%v history=%v lease=%v",
+				seed, res.PartialCommits, res.OverlapViolations, res.OrphanedSpans,
+				res.SafetyViolations, res.HistoryViolations, res.LeaseViolations)
+		}
+		displaced += res.Displaced
+	}
+	if displaced == 0 {
+		t.Fatal("no restart ever displaced a committed span; the held-part fence never fired")
+	}
+}
+
 // TestSpanSameSeedIdenticalTrace: one seed names one execution, across
 // every shard substrate and the coordinator alike.
 func TestSpanSameSeedIdenticalTrace(t *testing.T) {

@@ -104,10 +104,7 @@ func (r *Router) superviseShards() {
 					i, r.fo.Misses, lag, err)
 				continue
 			}
-			r.mu.Lock()
-			r.ring.Bump()
-			r.pushRingGen()
-			r.mu.Unlock()
+			r.core.Bump()
 			r.metrics.Failovers.Add(1)
 			r.metrics.observePromotion(took)
 			r.fo.Logf("failover: shard %d promoted standby inc=%d reason=%d missed health checks lag=%d records adopted=%d skipped=%d failed=%d gap=%v hold=%s took=%s",

@@ -168,3 +168,121 @@ func TestMutantPromotionIgnoringLagTripsUndrained(t *testing.T) {
 		t.Fatalf("a promotion that ignores lag>0 survived %d lagged-standby runs", seeds)
 	}
 }
+
+// The three tests below swap one RouterCore decision for a wrong one
+// and require a detsim oracle to notice: detsim's span and migration
+// harnesses drive the RouterCore the Router does, so a mutant that
+// survives means the sweeps certify something other than the router
+// clients hit.
+
+// TestMutantSkippedRefreshTripsOrphanOracle: a span machine that never
+// refreshes earlier prepares leaves them to expire on their original
+// budget; the orphaned-prepare oracle must say so across the fair span
+// sweep.
+func TestMutantSkippedRefreshTripsOrphanOracle(t *testing.T) {
+	const seeds = 80
+	restore := lockservice.MutateSpanSkipsRefresh()
+	defer restore()
+	killed := 0
+	for s := 0; s < seeds; s++ {
+		res := detsim.SweepSpan(graph.Grid(3, 3), int64(9_000_000+s), 160, 2+s%2, false)
+		if len(res.OrphanedSpans)+len(res.PartialCommits) > 0 {
+			killed++
+		}
+	}
+	t.Logf("skip-refresh mutant tripped the orphan/partial-commit oracles on %d/%d seeds", killed, seeds)
+	if killed == 0 {
+		t.Fatal("a span machine that skips the refresh of earlier prepares survived the fair span sweep")
+	}
+}
+
+// TestMutantCommitOnExpiredFenceTripsDualGrant re-introduces a commit
+// step that trusts its drain observation — no fence expiry check and no
+// re-probe of the source — and requires the dual-grant oracle to catch
+// it on the hot-key workload; the same runs under the real verdict are
+// clean.
+func TestMutantCommitOnExpiredFenceTripsDualGrant(t *testing.T) {
+	const seeds = 40
+	killed := 0
+	for s := int64(0); s < seeds; s++ {
+		seed := 9_800_000 + s
+		if res := detsim.SweepMigrateHot(graph.Ring(6), seed, 160, 2, 4, false); res.Failed() {
+			t.Errorf("seed %d: real verdict failed: dual=%v lost=%v diverge=%v", seed, res.DualGrants, res.LostWaiters, res.Divergence)
+		}
+		restore := lockservice.MutateCommitOnExpiredFence()
+		res := detsim.SweepMigrateHot(graph.Ring(6), seed, 160, 2, 4, false)
+		restore()
+		if len(res.DualGrants) > 0 {
+			killed++
+		}
+	}
+	t.Logf("commit-on-expired-fence mutant tripped the dual-grant oracle on %d/%d seeds", killed, seeds)
+	if killed == 0 {
+		t.Fatal("a commit verdict that ignores fence expiry and the source re-probe survived the migrate sweep")
+	}
+}
+
+// TestMigrateUnfencedFiresDualGrantOracle is the negative control: a
+// migration that installs its override at fence time — no fence, no
+// drain, no post-grant check, the shortcut the protocol forbids — must
+// be caught by the dual-grant oracle. If no seed trips it, the oracle
+// is vacuous and the migration sweeps prove nothing.
+func TestMigrateUnfencedFiresDualGrantOracle(t *testing.T) {
+	restore := lockservice.MutateMigrationUnfenced()
+	defer restore()
+	const seeds = 40
+	fired := 0
+	for s := int64(0); s < seeds; s++ {
+		if res := detsim.SweepMigrateHot(graph.Ring(6), 9_800_000+s, 160, 2, 4, false); len(res.DualGrants) > 0 {
+			fired++
+		}
+	}
+	t.Logf("unfenced migrations tripped the dual-grant oracle on %d/%d seeds", fired, seeds)
+	if fired == 0 {
+		t.Fatal("unfenced migrations never tripped the dual-grant oracle: the oracle is vacuous")
+	}
+}
+
+// TestMutantFenceSkippingGarbageRestartOnHolders runs the garbage-restart
+// fence mutant against the two plans whose restarts land on held leases
+// by construction — a span's held part, and a lease a migration is
+// draining — where every garbage restart leaves the mutant a lease to
+// keep. Both plans stay clean with the fence in place.
+func TestMutantFenceSkippingGarbageRestartOnHolders(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(seed int64) (failed, stale bool)
+	}{{
+		name: "span part",
+		run: func(seed int64) (bool, bool) {
+			res := detsim.SweepSpanRestartHolder(graph.Grid(3, 3), seed, 200, 2, 4, false)
+			return res.Failed(), len(res.LeaseViolations) > 0
+		},
+	}, {
+		name: "migrating key",
+		run: func(seed int64) (bool, bool) {
+			res := detsim.SweepMigrateRestartHolder(graph.Grid(3, 3), seed, 200, 2, 3, false)
+			return res.Failed(), len(res.LeaseViolations) > 0
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seeds = 20
+			killed := 0
+			for seed := int64(0); seed < seeds; seed++ {
+				if failed, _ := tc.run(seed); failed {
+					t.Errorf("seed %d: the real fence failed", seed)
+				}
+				restore := lockservice.MutateFenceSkipsGarbageRestart()
+				_, stale := tc.run(seed)
+				restore()
+				if stale {
+					killed++
+				}
+			}
+			t.Logf("garbage-restart fence mutant tripped the lease oracle on %d/%d seeds", killed, seeds)
+			if killed == 0 {
+				t.Fatalf("a restart that keeps the ended incarnation's leases survived %d runs", seeds)
+			}
+		})
+	}
+}

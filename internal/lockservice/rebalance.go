@@ -11,9 +11,9 @@ import (
 )
 
 // This file is the actuator half of the hot-key feedback loop
-// (internal/control is the sensor/decision half): MigrateKey drives
-// coord.Migration — the fence/drain/commit protocol and every verdict in
-// it — against the live ring and shards, and rebalanceLoop runs the
+// (internal/control is the sensor/decision half): MigrateKey runs the
+// RouterCore's fence and commit of coord.Migration against the live
+// shards, polling the drain in between, and rebalanceLoop runs the
 // controller against MigrateKey.
 
 // migrationDrainPoll is the lease-drain polling period.
@@ -42,78 +42,58 @@ func (r *Router) migrationDrain() time.Duration {
 func (r *Router) Controller() *control.Controller { return r.ctl }
 
 // MigrateKey moves key to shard dst under coord.Migration's
-// fence/drain/commit protocol. It blocks for up to the drain budget and
-// returns nil once new acquires for the key route to dst. Callers: the
-// controller loop and POST /v1/admin/migrate.
+// fence/drain/commit protocol, run by the core: this shell only polls
+// the drain. It blocks for up to the drain budget, or until the router
+// stops (the migration then aborts), and returns nil once new acquires
+// for the key route to dst. Callers: the controller loop and POST
+// /v1/admin/migrate.
 func (r *Router) MigrateKey(key string, dst int) error {
 	drain := r.migrationDrain()
-	r.mu.Lock()
-	req := coord.MigrateRequest{Dst: dst, Shards: len(r.sets), DstInRing: r.ring.Has(dst)}
-	req.Src, req.Placed = r.ring.Lookup(key)
-	req.Fenced = r.fencedLocked(key, r.now()) != nil
-	req.DstHealthy = req.DstInRing && r.sets[dst].Primary().Healthy()
-	if why := req.Check(); why != coord.MigrateOK {
-		r.mu.Unlock()
-		switch {
-		case why == coord.RefuseUnplaced:
-			return ErrUnserviceable
-		case why.Invalid():
-			return fmt.Errorf("%w: migrate %q to shard %d of %d: %v", errMigrateInvalid, key, dst, len(r.sets), why)
-		}
+	healthy := func(s int) bool { return r.sets[s].Primary().Healthy() }
+	m, why := r.core.Fence(key, dst, drain, healthy, time.Now())
+	switch {
+	case why == coord.MigrateOK:
+	case why == coord.RefuseUnplaced:
+		return ErrUnserviceable
+	case why.Invalid():
+		return fmt.Errorf("%w: migrate %q to shard %d of %d: %v", errMigrateInvalid, key, dst, len(r.sets), why)
+	default:
 		return fmt.Errorf("lockservice: migrate %q to shard %d: %v", key, dst, why)
 	}
-	m := &coord.Migration{Key: key, Src: req.Src, Dst: dst, Deadline: r.now() + int64(drain)}
-	r.migrating[key] = m
-	r.ring.Bump() // fence epoch: in-flight resolvers must re-resolve
-	r.pushRingGen()
-	r.mu.Unlock()
 
-	probe := coord.DrainWait
-	for {
-		if probe = m.Drain(r.now(), r.sets[m.Src].leasesOn(key)); probe != coord.DrainWait {
+	leasesOn := r.sets[m.Src].leasesOn
+	probe, stopped := coord.DrainWait, false
+	poll := time.NewTicker(migrationDrainPoll)
+	for !stopped {
+		if probe = r.core.Drain(m, leasesOn(key), time.Now()); probe != coord.DrainWait {
 			break
 		}
-		time.Sleep(migrationDrainPoll)
+		select {
+		case <-r.done:
+			stopped = true
+		case <-poll.C:
+		}
 	}
+	poll.Stop()
 
-	r.mu.Lock()
-	if r.migrating[key] == m { // a successor may have fenced the key once this fence expired
-		delete(r.migrating, key)
-	}
-	placedAt, _ := r.ring.Lookup(key)
-	verdict := m.Commit(r.now(), probe == coord.Drained, r.sets[m.Src].leasesOn(key), r.ring.Has(dst), placedAt)
-	var err error
-	switch {
-	case verdict.Aborted():
+	verdict, err := r.core.Commit(m, probe == coord.Drained, leasesOn, time.Now())
+	if err == nil && verdict.Aborted() {
 		err = fmt.Errorf("%v (shard %d -> %d, drain budget %v)", verdict, m.Src, dst, drain)
-	case verdict == coord.CommitOverride:
-		err = r.ring.SetOverride(key, dst)
-	default:
-		r.ring.Bump()
+		if stopped {
+			err = fmt.Errorf("router stopping: %w", err)
+		}
 	}
 	if err != nil {
-		// Lift the fence under a fresh epoch so post-grant checks racing
-		// the lift stay conservative; placement is unchanged.
-		r.ring.Bump()
-		r.pushRingGen()
-		r.mu.Unlock()
 		r.metrics.RebalancesAborted.Add(1)
 		return fmt.Errorf("lockservice: migrate %q: %w", key, err)
 	}
-	r.overrideGen = r.ring.Generation()
-	r.pushRingGen()
-	r.mu.Unlock()
 	r.metrics.Rebalances.Add(1)
 	return nil
 }
 
 // OverrideState reports the override table's size and the generation
 // of its last change (the "override table version" in /v1/status).
-func (r *Router) OverrideState() (count int, gen uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.OverrideCount(), r.overrideGen
-}
+func (r *Router) OverrideState() (count int, gen uint64) { return r.core.OverrideState() }
 
 // rebalanceLoop is the live feedback loop: every control period it
 // asks the controller for migration plans, actuates them through

@@ -199,6 +199,52 @@ func TestMigrateKeyAbortsOnDrainTimeout(t *testing.T) {
 	_ = rt.Release(g.SessionID)
 }
 
+// TestStopAbortsADrainingMigration: Stop must not wait out a
+// migration's drain. A migration running under the router's wait group,
+// as rebalanceLoop runs it, drains a key whose holder keeps it for 20 s;
+// Stop with a 1 s context must return within that context, and the
+// migration must abort — fence lifted, counted, an error returned.
+func TestStopAbortsADrainingMigration(t *testing.T) {
+	rt := NewRouter(RouterConfig{Shards: 2, Base: fastConfig(graph.Grid(3, 3))})
+	rt.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	key := rt.ShardKeys(catalog(32))[0][0]
+	if _, err := rt.Acquire(ctx, []string{key}, 20*time.Second, 0); err != nil {
+		t.Fatalf("holder acquire: %v", err)
+	}
+	gen0 := rt.RingInfo().Generation
+	migrated := make(chan error, 1)
+	rt.wg.Add(1)
+	go func() {
+		defer rt.wg.Done()
+		migrated <- rt.MigrateKey(key, 1)
+	}()
+	for rt.RingInfo().Generation == gen0 {
+		if ctx.Err() != nil {
+			t.Fatal("migration fence never landed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	stopCtx, stopCancel := context.WithTimeout(context.Background(), time.Second)
+	defer stopCancel()
+	start := time.Now()
+	rt.Stop(stopCtx)
+	if took := time.Since(start); took > 3*time.Second {
+		t.Fatalf("Stop took %v with a 1s context: it waited out the migration's drain", took)
+	}
+	if err := <-migrated; err == nil {
+		t.Fatal("a migration cut short by Stop reported success")
+	}
+	if got := rt.Metrics().RebalancesAborted.Load(); got != 1 {
+		t.Fatalf("RebalancesAborted = %d, want 1", got)
+	}
+	if _, err := rt.core.Parts([]string{key}, time.Now()); err != nil {
+		t.Fatal("the aborted migration left its key fenced")
+	}
+}
+
 // TestRouterSpanAbortOnMigrationMidPrepare is the seed-pinned
 // regression for the span/migration interaction: a span resolves its
 // parts, blocks behind a holder on its first shard, and while it waits

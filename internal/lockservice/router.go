@@ -13,7 +13,6 @@ import (
 
 	"mcdp/internal/control"
 	"mcdp/internal/coord"
-	"mcdp/internal/shard"
 	"mcdp/internal/stats"
 )
 
@@ -152,16 +151,9 @@ type Router struct {
 	// born anchors the monotonic tick the coord machines are driven with.
 	born time.Time
 
-	mu          sync.Mutex                  //lint:order rank lockservice 10
-	ring        *shard.Ring                 // guarded by mu
-	migrating   map[string]*coord.Migration // guarded by mu
-	overrideGen uint64                      // guarded by mu
-
-	// gen mirrors ring.Generation(), published by pushRingGen after
-	// every ring mutation, so hot-path generation reads (the acquire
-	// pre-check and post-grant check) pay one atomic load instead of
-	// taking mu.
-	gen atomic.Uint64
+	// core holds the ring, its overrides and migration fences, and the
+	// span and migration rules; the Router runs it on the wall clock.
+	core RouterCore
 }
 
 // NewRouter builds a router and its shard servers — with
@@ -175,13 +167,11 @@ func NewRouter(cfg RouterConfig) *Router {
 		cfg.Replicas = 0
 	}
 	r := &Router{
-		cfg:       cfg,
-		fo:        cfg.Failover.withDefaults(),
-		metrics:   &RouterMetrics{ShardRequests: make([]atomic.Int64, cfg.Shards), PromotionHist: stats.NewLatencyHistogram(stats.DefaultLatencyBounds())},
-		ring:      shard.New(uint64(cfg.Base.Seed), cfg.Vnodes),
-		migrating: make(map[string]*coord.Migration),
-		done:      make(chan struct{}),
-		born:      time.Now(),
+		cfg:     cfg,
+		fo:      cfg.Failover.withDefaults(),
+		metrics: &RouterMetrics{ShardRequests: make([]atomic.Int64, cfg.Shards), PromotionHist: stats.NewLatencyHistogram(stats.DefaultLatencyBounds())},
+		done:    make(chan struct{}),
+		born:    time.Now(),
 	}
 	if cfg.Rebalance != nil {
 		cc := *cfg.Rebalance
@@ -210,27 +200,17 @@ func NewRouter(cfg RouterConfig) *Router {
 		r.sets = append(r.sets, newReplicaSet(i, primary, standbys,
 			r.fo.AckTimeout, r.fo.StaleAfter, r.fo.CheckEvery))
 	}
-	ids := make([]int, cfg.Shards)
-	for i := range ids {
-		ids[i] = i
-	}
-	if err := r.ring.AddAll(ids...); err != nil {
-		panic(err) // fresh ring, dense ids: unreachable
-	}
-	r.pushRingGen()
+	r.core.init(uint64(cfg.Base.Seed), cfg.Vnodes, cfg.Shards, r.born, r)
 	r.fams.Register(r.families)
 	r.fams.Register(r.controlFamilies)
 	return r
 }
 
-// pushRingGen publishes the current ring generation to every member
-// server of every shard (standbys included, so a freshly promoted
-// primary already reports the right epoch).
-//
-// requires mu
-func (r *Router) pushRingGen() {
-	gen := r.ring.Generation()
-	r.gen.Store(gen)
+// pushRingGen publishes a ring generation to every member server of
+// every shard (standbys included, so a freshly promoted primary already
+// reports the right epoch). The core calls it under its lock after every
+// ring change.
+func (r *Router) pushRingGen(gen uint64) {
 	for _, set := range r.sets {
 		for _, s := range set.servers() {
 			s.SetRingGen(gen)
@@ -336,105 +316,24 @@ type RingInfo struct {
 }
 
 // RingInfo snapshots the current ring.
-func (r *Router) RingInfo() RingInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RingInfo{
-		Seed:       r.ring.Seed(),
-		Vnodes:     r.ring.Vnodes(),
-		Generation: r.ring.Generation(),
-		Shards:     len(r.sets),
-		Members:    r.ring.Members(),
-		Overrides:  r.ring.Overrides(),
-	}
-}
+func (r *Router) RingInfo() RingInfo { return r.core.RingInfo() }
 
 // RingLeave removes shard s from the ring: new placements avoid it,
 // its live leases drain in place. The shard's server keeps running so
 // those leases stay releasable.
-func (r *Router) RingLeave(s int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ring.Size() <= 1 {
-		return errors.New("lockservice: cannot remove the last ring member")
-	}
-	if err := r.ring.Remove(s); err != nil {
-		return err
-	}
-	r.pushRingGen()
-	return nil
-}
+func (r *Router) RingLeave(s int) error { return r.core.RingLeave(s) }
 
 // RingJoin readmits shard s to the ring; its old keys return to it
 // (virtual-node positions are stable).
-func (r *Router) RingJoin(s int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s < 0 || s >= len(r.sets) {
-		return fmt.Errorf("lockservice: shard %d out of range [0,%d)", s, len(r.sets))
-	}
-	if err := r.ring.Add(s); err != nil {
-		return err
-	}
-	r.pushRingGen()
-	return nil
-}
+func (r *Router) RingJoin(s int) error { return r.core.RingJoin(s) }
 
-// now is the tick the router drives the coord machines with:
+// now is the tick the router drives the failover detectors with:
 // nanoseconds on the monotonic clock since the router was built.
 func (r *Router) now() int64 { return int64(time.Since(r.born)) }
 
-// fencedLocked reports whether res is fenced by an in-flight key
-// migration: new placements for it are refused (409) until the source
-// shard's leases drain and the override lands, or the fence's deadline
-// expires (the wedged-migration escape hatch).
-//
-// requires mu
-func (r *Router) fencedLocked(res string, now int64) *coord.Migration {
-	if m, ok := r.migrating[res]; ok && m.Fences(now) {
-		return m
-	}
-	return nil
-}
-
-// generation returns the current ring generation — the cache
-// pushRingGen publishes, so readers pay one atomic load and the grant
-// path never takes mu just to read the epoch.
-func (r *Router) generation() uint64 {
-	return r.gen.Load()
-}
-
-// partsFor decomposes a resource set by ring placement under one ring
-// snapshot, returning parts in ascending shard order (the canonical
-// acquisition order); within a part, keys keep request order.
-func (r *Router) partsFor(resources []string) ([]coord.Part, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(resources) == 0 {
-		return nil, fmt.Errorf("%w: empty resource set", ErrUnmappable)
-	}
-	now := r.now()
-	var parts []coord.Part
-	for _, res := range resources {
-		if m := r.fencedLocked(res, now); m != nil {
-			r.metrics.MigrationFences.Add(1)
-			return nil, fmt.Errorf("%w: key %q migrating shard %d -> %d", ErrWrongShard, res, m.Src, m.Dst)
-		}
-		s, ok := r.ring.Lookup(res)
-		if !ok {
-			return nil, ErrUnserviceable
-		}
-		i := 0
-		for i < len(parts) && parts[i].Shard != s {
-			i++
-		}
-		if i == len(parts) {
-			parts = append(parts, coord.Part{Shard: s})
-		}
-		parts[i].Keys = append(parts[i].Keys, res)
-	}
-	return coord.Ascending(parts), nil
-}
+// generation returns the current ring generation with one atomic load:
+// the grant path never takes the core's lock just to read the epoch.
+func (r *Router) generation() uint64 { return r.core.Generation() }
 
 // prepareBudget resolves the span prepare-lease TTL.
 func (r *Router) prepareBudget() time.Duration {
@@ -459,8 +358,11 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		r.metrics.WrongShardRejections.Add(1)
 		return nil, fmt.Errorf("%w: client generation %d, ring generation %d", ErrWrongShard, ringGen, cur)
 	}
-	parts, err := r.partsFor(resources)
+	parts, err := r.core.Parts(resources, time.Now())
 	if err != nil {
+		if errors.Is(err, ErrWrongShard) {
+			r.metrics.MigrationFences.Add(1)
+		}
 		return nil, err
 	}
 	if len(parts) == 1 {
@@ -476,7 +378,7 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 		// that fence must not reach the client — release it and bounce,
 		// exactly as if the client had routed under a stale generation.
 		// Steady state (generation unchanged) pays one atomic load.
-		if err == nil && r.generation() != cur && !r.stillPlaced(parts) {
+		if err == nil && r.generation() != cur && !r.core.StillPlaced(parts, time.Now()) {
 			_ = r.sets[home].release(g.SessionID)
 			r.metrics.MigrationFences.Add(1)
 			return nil, fmt.Errorf("%w: placement of %q moved mid-acquire", ErrWrongShard, resources[0])
@@ -489,28 +391,11 @@ func (r *Router) Acquire(ctx context.Context, resources []string, ttl time.Durat
 	return r.acquireSpan(ctx, resources, parts, ttl, cur)
 }
 
-// stillPlaced reports whether every part's keys still resolve to its
-// shard and none is fenced by an in-flight migration (coord.Placed) —
-// the post-grant check that makes a grant racing a migration fence
-// invisible to clients.
-func (r *Router) stillPlaced(parts []coord.Part) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.now()
-	migrating := func(res string) *coord.Migration { return r.migrating[res] }
-	for _, pt := range parts {
-		if !coord.Placed(pt.Keys, pt.Shard, now, r.ring.Lookup, migrating) {
-			return false
-		}
-	}
-	return true
-}
-
 // acquireSpan acquires a shard-spanning resource set all-or-nothing by
-// driving coord.Span, which decides every order, refresh, abort and
-// commit: the loop walks the parts in ascending shard order taking each
-// sub-lease under the prepare budget, and settle carries out with wall
-// time whatever the machine asks for in between. A prepare the janitor or
+// driving a Span, whose coord machine decides every order, refresh,
+// abort and commit: the loop walks the parts in ascending shard order
+// taking each sub-lease under the prepare budget, and the core's Settle
+// carries out whatever the machine asks for in between. A prepare the janitor or
 // a node fence revoked mid-protocol surfaces as ErrSpanAborted (409,
 // retryable: rollback left no residue), as does a key migration that
 // moved any part's placement between resolution — under generation gen0
@@ -523,32 +408,15 @@ func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []co
 	r.metrics.SpanAcquires.Add(1)
 	start := time.Now()
 	prep := r.prepareBudget()
-	sp := coord.NewSpan(len(parts))
+	sp := NewSpan(parts, gen0, prep, ttl)
 	subs := make([]*Grant, 0, len(parts))
 	var cause error // the failed step's own error
-	// settle executes every action that needs no new sub-acquire and
-	// returns the first one that does, or the terminal.
-	settle := func(act coord.SpanAction) coord.SpanAction {
-		for {
-			ok := true
-			switch act.Op {
-			case coord.SpanRefresh:
-				_, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, prep)
-				ok = cause == nil
-			case coord.SpanEpoch:
-				ok = r.generation() == gen0
-			case coord.SpanPlacement:
-				ok = r.stillPlaced(parts)
-			case coord.SpanCommit:
-				_, cause = r.sets[parts[act.Part].Shard].renew(subs[act.Part].SessionID, ttl)
-				ok = cause == nil
-			case coord.SpanRelease:
-				_ = r.sets[parts[act.Part].Shard].release(subs[act.Part].SessionID)
-			default:
-				return act
-			}
-			act = sp.Done(ok)
-		}
+	calls := SpanCalls{
+		Renew: func(i int, ttl time.Duration) error {
+			_, cause = r.sets[parts[i].Shard].renew(subs[i].SessionID, ttl)
+			return cause
+		},
+		Release: func(i int) { _ = r.sets[parts[i].Shard].release(subs[i].SessionID) },
 	}
 	act := sp.Next()
 	for _, pt := range parts {
@@ -563,7 +431,7 @@ func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []co
 		} else {
 			subs = append(subs, g)
 		}
-		act = settle(sp.Done(err == nil))
+		act = r.core.Settle(&sp, err == nil, calls, time.Now())
 	}
 	if act.Op != coord.SpanCommitted {
 		if sp.Held() > 0 {
@@ -593,29 +461,11 @@ func (r *Router) acquireSpan(ctx context.Context, resources []string, parts []co
 		ids[i] = g.SessionID
 	}
 	return &Grant{
-		SessionID: spanPrefix + strings.Join(ids, spanSep),
+		SessionID: spanSessionID(ids),
 		Node:      subs[0].Node,
 		Resources: append([]string(nil), resources...),
 		Wait:      time.Since(start),
 	}, nil
-}
-
-// Span session IDs concatenate the per-shard sub-lease IDs:
-// "span:k0:s00000001-2+k3:s00000004-1". Sub IDs contain ':' but never
-// '+', so the separator is unambiguous; with the codec's 64-resource
-// bound the result stays far under the wire's 4096-byte session limit.
-const (
-	spanPrefix = "span:"
-	spanSep    = "+"
-)
-
-// spanSubIDs splits a span session ID into its sub-lease IDs.
-func spanSubIDs(sessionID string) ([]string, bool) {
-	rest, ok := strings.CutPrefix(sessionID, spanPrefix)
-	if !ok || rest == "" {
-		return nil, false
-	}
-	return strings.Split(rest, spanSep), true
 }
 
 // Release routes a release by the session ID's shard prefix. A span
@@ -744,15 +594,15 @@ func (r *Router) Status() StatusReport {
 	return agg
 }
 
-// ShardKeys partitions a catalog of resource names by owning shard —
-// the helper loadgen and the bench harness use to draw same-shard
-// resource pairs.
+// ShardKeys partitions a catalog of resource names by owning shard
+// under one ring snapshot, rebuilt as a client would — the helper
+// loadgen and the bench harness use to draw same-shard resource pairs.
 func (r *Router) ShardKeys(names []string) map[int][]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	info := r.core.RingInfo()
+	ring := ReplicaRing(&info)
 	out := make(map[int][]string)
 	for _, n := range names {
-		if s, ok := r.ring.Lookup(n); ok {
+		if s, ok := ring.Lookup(n); ok {
 			out[s] = append(out[s], n)
 		}
 	}
