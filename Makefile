@@ -126,7 +126,7 @@ span-smoke:
 # fuzz burst over random kill/stall schedules (docs/SHARD.md).
 failover-smoke:
 	$(GO) test -race -run 'TestFailoverEndToEnd|TestGenerationFencingParity|TestFailoverAdminEndpoint' ./internal/lockservice/
-	$(GO) test -race -run 'TestReplicaCoreApply|TestMutantGrantSkippingIncarnationFenceTripsDualPrimary|TestMutantPromotionIgnoringLagTripsUndrained' ./internal/lockservice/
+	$(GO) test -race -run 'TestReplicaCoreApply|TestStandbyGapRuleOneSpelling|TestLinkWakeRule|TestMutantGrantSkippingIncarnationFenceTripsDualPrimary|TestMutantPromotionIgnoringLagTripsUndrained' ./internal/lockservice/
 	$(GO) run ./cmd/detsim -mode replica -seeds 0..30 -replicas 3 -kills 3
 	$(GO) run ./cmd/detsim -mode replica-adversarial -seeds 0..20 -replicas 3 -kills 3
 	$(GO) run ./cmd/detsim -mode replica-promokill -seeds 0..20 -replicas 3 -kills 2

@@ -150,7 +150,7 @@ type Evidence struct {
 	// StreamGap is the standby's own view (Stream.Gap).
 	StreamGap bool
 	// Lag is issued-but-unacked records at decision time: they may be
-	// enqueue drops, or sitting in a pipe the promotion is about to close.
+	// enqueue drops, or still queued on a link the promotion is about to close.
 	// Heartbeats cannot vouch for them (the stream is FIFO, so a processed
 	// heartbeat never outruns a merely-slow record), so they are presumed
 	// lost.

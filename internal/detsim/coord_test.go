@@ -92,10 +92,10 @@ func TestReplicaSupervisorCooloffHoldsFlappingShard(t *testing.T) {
 
 // TestReplicaGapRuleOneSpelling: a stream that opens on a heartbeat
 // echoing sequence 0 and then delivers record 2 has lost record 1. The
-// harness's delivery applies both frames through ReplicaCore.Apply, and
+// harness's delivery applies both records through ReplicaCore.Apply, and
 // promoting that standby must judge the stream lossy; the same stream
-// without the hole must not. TestStandbyGapRuleOneSpelling feeds the
-// Router's stream reader the same frames.
+// without the hole must not. TestStandbyGapRuleOneSpelling hands the
+// Router's link the same two records through its enqueue.
 func TestReplicaGapRuleOneSpelling(t *testing.T) {
 	for _, tc := range []struct {
 		seq uint64

@@ -2,12 +2,14 @@
 // lockservice.RouterCore's parts resolution and settle loop over
 // coord.Span — driven in lockstep rounds. A cluster of K diners shards
 // advances under one schedule Source while this harness plays the
-// Router's wall-clock shell: it issues each sub-acquire the core asks
-// for against that shard's lockservice.ShardCore — a session queued
-// there and polled each round until it becomes a lease — and hands the
-// core the renew and release calls its settle loop makes. Placement,
-// fences, the epoch and placement checks and every abort are the
-// core's; the server side of a sub-lease (its TTL, its janitor, node
+// Router's wall-clock shell: a key set the core places on one shard takes
+// the Router's direct path (one acquire at the client's TTL, then the
+// post-grant placement check); for any other it issues each sub-acquire
+// the core asks for against that shard's lockservice.ShardCore — a
+// session queued there and polled each round until it becomes a lease —
+// and hands the core the renew and release calls its settle loop makes.
+// Placement, fences, the epoch and placement checks and every abort are
+// the core's; the server side of a sub-lease (its TTL, its janitor, node
 // fences) is the ShardCore's, on the runner's virtual clock. What is
 // the harness's own: the workload, the ring-churn, migration and node
 // fault plans, the client model (a holder drops a committed span whose
@@ -68,9 +70,11 @@ type SpanConfig struct {
 type SpanResult struct {
 	ClusterResult
 	// Spans counts created spans; SingleShard of them placed on one
-	// shard (the fast-path control group), the rest genuinely spanned.
+	// shard and took the Router's direct path (the fast-path control
+	// group), the rest genuinely spanned.
 	Spans, SingleShard int
-	// Commits and Rollbacks count terminal outcomes; Displaced counts
+	// Commits and Rollbacks count terminal outcomes (a one-part draw
+	// that got no lease is a rollback); Displaced counts
 	// spans a ring change or migration fence contradicted, or whose
 	// sub-lease a node fence revoked.
 	Commits, Rollbacks, Displaced int
@@ -237,8 +241,8 @@ func (h *spanHarness) moved(sp *simSpan) bool {
 // left to the protocol: it aborts at its epoch and placement checks or
 // on its sub-acquire's timeout, and the displaced oracle demands it
 // terminates. An uncommitted live span is always waiting on the
-// sub-acquire the core last asked for: every other action completes
-// within Settle.
+// sub-acquire the core last asked for, or a one-part draw on its one
+// acquire: every other action completes within Settle.
 func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	if sp.done {
 		return
@@ -282,6 +286,8 @@ func (h *spanHarness) stepSpan(t int, sp *simSpan) {
 	}
 	k := sp.sp.Next().Part
 	switch status := sp.subs[k].rn.core.Arbiter().Status(sp.subs[k].sess); {
+	case status == drinkers.Drinking && len(sp.sp.Parts) == 1:
+		h.grantDirect(t, sp)
 	case status == drinkers.Drinking:
 		h.granted(t, sp, k)
 		h.prepare(t, sp, h.settle(t, sp, true))
@@ -303,10 +309,55 @@ func (h *spanHarness) granted(t int, sp *simSpan, k int) {
 // failPrepare withdraws the pending sub-acquire and reports the failure
 // to the core.
 func (h *spanHarness) failPrepare(t int, sp *simSpan, why string) {
+	if len(sp.sp.Parts) == 1 {
+		h.failDirect(t, sp, why)
+		return
+	}
 	k := sp.sp.Next().Part
 	sp.subs[k].end()
 	h.h.event("t%d span%d part%d on shard %d failed: %s", t, sp.id, k, sp.sp.Parts[k].Shard, why)
 	h.prepare(t, sp, h.settle(t, sp, false))
+}
+
+// direct runs a one-part draw down Router.Acquire's direct path: one
+// acquire, leased at the client's TTL once granted — no prepare lease, no
+// refresh, no commit renew.
+func (h *spanHarness) direct(t int, sp *simSpan) {
+	pt := sp.sp.Parts[0]
+	if sp.subs[0] = h.submit(pt.Keys, pt.Shard, t); sp.subs[0] == nil {
+		h.failDirect(t, sp, "refused")
+		return
+	}
+	sp.submitRound = t
+	h.h.event("t%d span%d direct submit shard%d home=%d", t, sp.id, pt.Shard, sp.subs[0].sess.Home)
+	if sp.subs[0].granted() { // at hand
+		h.grantDirect(t, sp)
+	}
+}
+
+// grantDirect leases a one-part draw's grant at the client's TTL, then
+// runs the Router's post-grant check: only when the ring generation moved
+// since the draw resolved must the part still be placed, or the grant is
+// released and the acquire bounced.
+func (h *spanHarness) grantDirect(t int, sp *simSpan) {
+	sp.subs[0].lease(sp.sp.TTL)
+	if h.router.Generation() != sp.sp.Gen0 && !h.router.StillPlaced(sp.sp.Parts, roundEnd(t)) {
+		h.failDirect(t, sp, "placement moved mid-acquire")
+		return
+	}
+	h.commit(t, sp)
+}
+
+// failDirect ends a one-part draw that got no lease the client keeps:
+// its acquire is withdrawn or its grant released, and the draw counts as
+// a rollback.
+func (h *spanHarness) failDirect(t int, sp *simSpan, why string) {
+	if cl := sp.subs[0]; cl != nil {
+		cl.end()
+	}
+	sp.done = true
+	h.res.Rollbacks++
+	h.h.event("t%d span%d direct acquire on shard %d failed: %s", t, sp.id, sp.sp.Parts[0].Shard, why)
 }
 
 // settle reports the pending sub-acquire's outcome to the core, whose
@@ -384,8 +435,8 @@ func (h *spanHarness) commit(t int, sp *simSpan) {
 
 // drawWorkload maybe creates one new span: a drawn key set that the
 // core decomposes into ascending-shard parts, each mapped onto its
-// shard's arbiter. Key sets may overlap across spans — contention is
-// the interesting case.
+// shard's arbiter; a set of one part takes the direct path. Key sets may
+// overlap across spans — contention is the interesting case.
 func (h *spanHarness) drawWorkload(t int) {
 	if h.src.Intn(100) >= h.cfg.SpanPercent {
 		return
@@ -418,11 +469,13 @@ func (h *spanHarness) drawWorkload(t int) {
 		displacedAt: -1,
 	}
 	h.res.Spans++
-	if len(parts) == 1 {
-		h.res.SingleShard++
-	}
 	h.h.event("t%d span%d new keys=%v parts=%d", t, sp.id, keys, len(parts))
 	h.spans = append(h.spans, sp)
+	if len(parts) == 1 {
+		h.res.SingleShard++
+		h.direct(t, sp)
+		return
+	}
 	h.prepare(t, sp, sp.sp.Next())
 }
 

@@ -3,6 +3,7 @@ package detsim
 import (
 	"testing"
 
+	"mcdp/internal/coord"
 	"mcdp/internal/graph"
 )
 
@@ -220,4 +221,38 @@ func FuzzCrossShardAcquire(f *testing.F) {
 				res.OrphanedSpans, res.SafetyViolations, res.HistoryViolations)
 		}
 	})
+}
+
+// TestSpanOnePartDrawTakesDirectPath: a drawn key set that places on one
+// shard goes down Router.Acquire's direct path — one acquire leased at
+// the client's TTL — so the span machine never runs for it: it takes no
+// prepare lease, and no refresh, epoch check or commit renew follows.
+// The draws must still commit, or SingleShard is no control group.
+func TestSpanOnePartDrawTakesDirectPath(t *testing.T) {
+	var single, committed int
+	for seed := int64(0); seed < 4; seed++ {
+		h := newSpanHarness(SpanConfig{ClusterConfig: sweepCluster(graph.Grid(3, 3), seed, 120, 2, false, nil)})
+		for r := 0; r < h.cfg.Rounds; r++ {
+			h.round(r)
+			for _, sp := range h.spans {
+				if len(sp.sp.Parts) != 1 {
+					continue
+				}
+				if held, act := sp.sp.Held(), sp.sp.Next(); held != 0 || act.Op != coord.SpanPrepare {
+					t.Fatalf("seed %d round %d: one-part span %d ran the span machine: %d parts held, next %v", seed, r, sp.id, held, act.Op)
+				}
+			}
+		}
+		for _, sp := range h.spans {
+			if len(sp.sp.Parts) == 1 {
+				single++
+				if sp.committed {
+					committed++
+				}
+			}
+		}
+	}
+	if single == 0 || committed == 0 {
+		t.Fatalf("%d one-part draws, %d committed: the direct path went unexercised", single, committed)
+	}
 }

@@ -486,11 +486,12 @@ func (rs *replicaSet) killStandby(i int) bool {
 	return true
 }
 
-// TestStandbyGapRuleOneSpelling feeds a standby's stream reader the
-// frames detsim's TestReplicaGapRuleOneSpelling feeds its harness — a
-// stream opening on a heartbeat that echoes sequence 0, then record 2 —
-// and wants the same verdict from ReplicaCore.Apply: record 2 applied
-// and acked, record 1 lost. Record 1 in its place leaves no hole.
+// TestStandbyGapRuleOneSpelling hands a standby's link, through
+// enqueue, the records detsim's TestReplicaGapRuleOneSpelling queues on
+// its harness — a stream opening on a heartbeat that echoes sequence 0,
+// then record 2 — and wants the same verdict from ReplicaCore.Apply:
+// record 2 applied and acked, record 1 lost. Record 1 in its place
+// leaves no hole.
 func TestStandbyGapRuleOneSpelling(t *testing.T) {
 	for _, tc := range []struct {
 		seq uint64
@@ -498,12 +499,13 @@ func TestStandbyGapRuleOneSpelling(t *testing.T) {
 	}{{seq: 2, gap: true}, {seq: 1, gap: false}} {
 		c := NewReplicaCore(make([]*ShardCore, 2), time.Second, time.Minute, func(int, ReplRecord) bool { return true })
 		l := newLink(c, 1)
-		frame := wire.AppendFrame(nil, wire.TypeReplApply, []wire.Msg{
-			{Type: wire.TypeReplApply, Seq: 0, Inc: 1, Op: ReplOpHeartbeat},
-			{Type: wire.TypeReplApply, Corr: tc.seq, Seq: tc.seq, Inc: 1, Op: ReplOpGrant, Session: "k0:s2", Resources: []string{"a"}, DeadlineUS: 1},
-		})
-		if _, err := l.connP.Write(frame); err != nil {
-			t.Fatalf("write: %v", err)
+		for _, rec := range []ReplRecord{
+			{LeaseEvent: LeaseEvent{Op: ReplOpHeartbeat}, Seq: 0, Inc: 1},
+			{LeaseEvent: LeaseEvent{Op: ReplOpGrant, ID: "k0:s2", Resources: []string{"a"}, Deadline: time.UnixMicro(1)}, Seq: tc.seq, Inc: 1},
+		} {
+			if !l.enqueue(rec) {
+				t.Fatalf("enqueue refused record %d", rec.Seq)
+			}
 		}
 		waitCond(t, 2*time.Second, fmt.Sprintf("record %d acked", tc.seq), func() bool { return c.Acked(1, tc.seq) })
 		c.mu.Lock()
@@ -514,4 +516,61 @@ func TestStandbyGapRuleOneSpelling(t *testing.T) {
 			t.Fatalf("heartbeat 0 then record %d: gap = %v, want %v", tc.seq, gap, tc.gap)
 		}
 	}
+}
+
+// TestLinkWakeRule pins when a request parked on a link returns: a
+// waiter on sequence s wakes on an ack of s or above and not before,
+// close wakes every waiter and joins the link's one goroutine, and a
+// wait whose deadline has passed returns at once.
+func TestLinkWakeRule(t *testing.T) {
+	const long = time.Minute
+	for _, tc := range []struct {
+		name string
+		seq  uint64 // the waiter's sequence
+		step func(l *link)
+		wake bool
+	}{
+		{name: "ack below", seq: 3, step: func(l *link) { l.advance(2) }, wake: false},
+		{name: "ack equal", seq: 3, step: func(l *link) { l.advance(3) }, wake: true},
+		{name: "ack above", seq: 3, step: func(l *link) { l.advance(7) }, wake: true},
+		{name: "close", seq: 3, step: func(l *link) { l.close() }, wake: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := settledGoroutines()
+			c := NewReplicaCore(make([]*ShardCore, 2), time.Second, time.Minute, func(int, ReplRecord) bool { return true })
+			l := newLink(c, 1)
+			waitGoroutines(t, base+1)
+			woke := make(chan struct{})
+			go func() { l.wait(tc.seq, time.Now().Add(long)); close(woke) }()
+			waitCond(t, 2*time.Second, "the waiter parked", func() bool {
+				l.mu.Lock()
+				defer l.mu.Unlock()
+				return len(l.waiters) == 1
+			})
+			tc.step(l)
+			select {
+			case <-woke:
+				if !tc.wake {
+					t.Fatalf("waiter on %d woke", tc.seq)
+				}
+			case <-time.After(50 * time.Millisecond):
+				if tc.wake {
+					t.Fatalf("waiter on %d still parked", tc.seq)
+				}
+			}
+			l.close()
+			<-woke
+			waitGoroutines(t, base)
+		})
+	}
+	t.Run("deadline passed", func(t *testing.T) {
+		c := NewReplicaCore(make([]*ShardCore, 2), time.Second, time.Minute, func(int, ReplRecord) bool { return true })
+		l := newLink(c, 1)
+		defer l.close()
+		start := time.Now()
+		l.wait(1, start.Add(-time.Millisecond))
+		if d := time.Since(start); d > long/2 {
+			t.Fatalf("a wait past its deadline took %v", d)
+		}
+	})
 }

@@ -42,19 +42,6 @@ type Msg struct {
 	// client's lost-response guard can be derived from the real server
 	// budget instead of a guessed constant.
 	Proto byte
-
-	// Replication fields (TypeReplApply / TypeReplAck). Seq orders the
-	// primary's lease-table delta stream; Inc is the sender's shard
-	// incarnation, so a deposed primary's records identify themselves as
-	// stale and are rejected; Op is the record kind (an opcode owned by
-	// the replication layer, opaque to the codec); DeadlineUS carries
-	// the lease deadline as unix microseconds. ReplApply reuses Session
-	// and Resources for the lease identity, and ReplAck reuses Code for
-	// rejections (0 = applied).
-	Seq        uint64
-	Inc        uint64
-	Op         byte
-	DeadlineUS uint64
 }
 
 // Protocol bounds enforced by the codec on both encode (panic: caller
@@ -100,25 +87,6 @@ func appendBody(buf []byte, typ byte, m *Msg) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, m.TTLMS)
 	case TypeRenewed:
 		buf = binary.LittleEndian.AppendUint32(buf, m.RemainingMS)
-	case TypeReplApply:
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Inc)
-		buf = append(buf, m.Op)
-		buf = binary.LittleEndian.AppendUint64(buf, m.DeadlineUS)
-		buf = appendString(buf, m.Session, maxStringLen)
-		// Unlike acquire, zero resources is legal: release/fence/heartbeat
-		// records identify the lease by session alone.
-		if len(m.Resources) > maxResources {
-			panic(fmt.Sprintf("wire: repl-apply with %d resources", len(m.Resources)))
-		}
-		buf = append(buf, byte(len(m.Resources)))
-		for _, r := range m.Resources {
-			buf = appendString(buf, r, maxResNameLen)
-		}
-	case TypeReplAck:
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Inc)
-		buf = binary.LittleEndian.AppendUint16(buf, m.Code)
 	default:
 		panic(fmt.Sprintf("wire: appendBody for invalid type %d", typ))
 	}
@@ -196,44 +164,6 @@ func decodeBody(r *reader, typ byte, m *Msg) error {
 		if m.RemainingMS, ok = r.u32(); !ok {
 			return errors.New("short renewed")
 		}
-	case TypeReplApply:
-		if m.Seq, ok = r.u64(); !ok {
-			return errors.New("short repl-apply")
-		}
-		if m.Inc, ok = r.u64(); !ok {
-			return errors.New("short repl-apply")
-		}
-		if m.Op, ok = r.u8(); !ok {
-			return errors.New("short repl-apply")
-		}
-		if m.DeadlineUS, ok = r.u64(); !ok {
-			return errors.New("short repl-apply")
-		}
-		if m.Session, ok = r.str(maxStringLen); !ok {
-			return errors.New("short repl-apply session")
-		}
-		n, ok := r.u8()
-		if !ok || int(n) > maxResources {
-			return fmt.Errorf("repl-apply resource count %d", n)
-		}
-		if n > 0 {
-			m.Resources = make([]string, n)
-			for i := range m.Resources {
-				if m.Resources[i], ok = r.str(maxResNameLen); !ok {
-					return errors.New("short repl-apply resource")
-				}
-			}
-		}
-	case TypeReplAck:
-		if m.Seq, ok = r.u64(); !ok {
-			return errors.New("short repl-ack")
-		}
-		if m.Inc, ok = r.u64(); !ok {
-			return errors.New("short repl-ack")
-		}
-		if m.Code, ok = r.u16(); !ok {
-			return errors.New("short repl-ack")
-		}
 	default:
 		return fmt.Errorf("unknown type %d", typ)
 	}
@@ -264,13 +194,6 @@ func entrySize(m *Msg) int {
 		n += 2 + len(m.Session) + 4
 	case TypeRenewed:
 		n += 4
-	case TypeReplApply:
-		n += 8 + 8 + 1 + 8 + 2 + len(m.Session) + 1
-		for _, r := range m.Resources {
-			n += 2 + len(r)
-		}
-	case TypeReplAck:
-		n += 8 + 8 + 2
 	}
 	return n
 }
@@ -344,9 +267,6 @@ func drain(batch []Msg, ch <-chan Msg, max int) []Msg {
 func (m *Msg) Check() error {
 	if m.Type == TypeAcquire && (len(m.Resources) == 0 || len(m.Resources) > maxResources) {
 		return fmt.Errorf("wire: acquire with %d resources (bound 1..%d)", len(m.Resources), maxResources)
-	}
-	if m.Type == TypeReplApply && len(m.Resources) > maxResources {
-		return fmt.Errorf("wire: repl-apply with %d resources (bound %d)", len(m.Resources), maxResources)
 	}
 	for _, r := range m.Resources {
 		if len(r) > maxResNameLen {

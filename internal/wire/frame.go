@@ -55,8 +55,6 @@ const (
 	TypeRenewed
 	TypePing
 	TypePong
-	TypeReplApply
-	TypeReplAck
 	typeMax
 )
 
@@ -83,10 +81,6 @@ func typeName(t byte) string {
 		return "ping"
 	case TypePong:
 		return "pong"
-	case TypeReplApply:
-		return "repl-apply"
-	case TypeReplAck:
-		return "repl-ack"
 	default:
 		return fmt.Sprintf("type(%d)", t)
 	}

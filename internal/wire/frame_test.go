@@ -35,11 +35,6 @@ func sampleEntries() map[byte][]Msg {
 		TypeRenewed:  {{Type: TypeRenewed, Corr: 5, RemainingMS: 45000}},
 		TypePing:     {{Type: TypePing, Corr: 6}},
 		TypePong:     {{Type: TypePong, Corr: 6}},
-		TypeReplApply: {
-			{Type: TypeReplApply, Corr: 7, Seq: 42, Inc: 3, Op: 1, DeadlineUS: 1234567890, Session: "k0:s00000003-2", Resources: []string{"edge:0-1", "res-7"}},
-			{Type: TypeReplApply, Corr: 8, Seq: 43, Inc: 3, Op: 2, Session: "k0:s00000003-2"},
-		},
-		TypeReplAck: {{Type: TypeReplAck, Corr: 7, Seq: 42, Inc: 3, Code: 0}, {Type: TypeReplAck, Corr: 8, Seq: 43, Inc: 2, Code: 409}},
 	}
 }
 
